@@ -15,16 +15,12 @@ The package brings together:
 from .link_model import (
     LinkConfig,
     PowerProfile,
-    ReceivedModel,
-    build_received_model,
-    estimate_ppc_xi,
     sample_power_profile,
 )
 from .montecarlo import (
     Estimate,
     SlopeFit,
     derive_rng,
-    estimate,
     fit_diversity,
     wilson_interval,
 )
@@ -43,20 +39,17 @@ from .outage_analysis import (
     OutageCurve,
     asymptote_curve,
     chi2_cdf_poly_coeff,
-    cl_gains,
     cl_threshold,
     coding_gain_ratio,
     diversity_order,
     gain_for,
+    linear_gains,
     moment_ratio_check,
     outage_mc,
     sic_gains,
-    wl_gains,
     wl_threshold,
 )
 from .random_matrix import (
-    OrderedEigenSystem,
-    ordered_eig_sym,
     sample_channel,
     sample_haar_unit_vector,
     wl_transform,
@@ -66,7 +59,6 @@ from .receivers import (
     SinrReport,
     batched_tagged_sinr,
     cl_sinr,
-    detection_matrix,
     mmse_sinr,
     sic_sinr_stages,
     zf_sinr,
@@ -74,7 +66,6 @@ from .receivers import (
 from .wishart_asymptotics import (
     beta1,
     diversity_exponent,
-    empirical_eig_cdf,
     incomplete_gamma_ratio,
     j_matrix,
     knm_constant,
@@ -87,27 +78,23 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # link model
-    "LinkConfig", "PowerProfile", "ReceivedModel", "build_received_model",
-    "estimate_ppc_xi", "sample_power_profile",
+    "LinkConfig", "PowerProfile", "sample_power_profile",
     # monte carlo plumbing
-    "Estimate", "SlopeFit", "derive_rng", "estimate", "fit_diversity",
-    "wilson_interval",
+    "Estimate", "SlopeFit", "derive_rng", "fit_diversity", "wilson_interval",
     # machine-type traffic
     "MmtcConfig", "MmtcResult", "SupportedUsers", "half_tti_mode",
     "operating_snr", "run_scenario", "supported_users",
     # outage analysis
     "GainSummary", "MomentRatio", "OutageCurve", "asymptote_curve",
-    "chi2_cdf_poly_coeff", "cl_gains", "cl_threshold", "coding_gain_ratio",
-    "diversity_order", "gain_for", "moment_ratio_check", "outage_mc",
-    "sic_gains", "wl_gains", "wl_threshold",
+    "chi2_cdf_poly_coeff", "cl_threshold", "coding_gain_ratio",
+    "diversity_order", "gain_for", "linear_gains", "moment_ratio_check",
+    "outage_mc", "sic_gains", "wl_threshold",
     # random matrices
-    "OrderedEigenSystem", "ordered_eig_sym", "sample_channel",
-    "sample_haar_unit_vector", "wl_transform",
+    "sample_channel", "sample_haar_unit_vector", "wl_transform",
     # receivers
     "ReceiverSpec", "SinrReport", "batched_tagged_sinr", "cl_sinr",
-    "detection_matrix", "mmse_sinr", "sic_sinr_stages", "zf_sinr",
+    "mmse_sinr", "sic_sinr_stages", "zf_sinr",
     # Wishart asymptotics
-    "beta1", "diversity_exponent", "empirical_eig_cdf",
-    "incomplete_gamma_ratio", "j_matrix", "knm_constant", "pfaffian",
+    "beta1", "diversity_exponent", "incomplete_gamma_ratio", "j_matrix", "knm_constant", "pfaffian",
     "sample_kth_eigenvalue",
 ]

@@ -1,4 +1,4 @@
-"""Uplink large-scale fading model and the received-signal description.
+"""Uplink large-scale fading model and the received-power profile.
 
 Users are dropped uniformly over a disk cell (default radius 0.91 km, with a
 1 m keep-out around the base station).  Large-scale attenuation follows the
@@ -20,19 +20,14 @@ alone decides outage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .random_matrix import wl_transform
 
 __all__ = [
     "LinkConfig",
     "PowerProfile",
-    "ReceivedModel",
     "sample_power_profile",
-    "build_received_model",
-    "estimate_ppc_xi",
 ]
 
 MIN_DISTANCE_KM = 0.001
@@ -72,9 +67,6 @@ class LinkConfig:
             raise ValueError(f"power_control must be one of {POWER_MODES}")
         if self.xi_ppc <= 0:
             raise ValueError("xi_ppc must be positive")
-
-    def with_snr(self, snr: float) -> "LinkConfig":
-        return replace(self, snr=snr)
 
 
 @dataclass(frozen=True)
@@ -125,57 +117,3 @@ def sample_power_profile(
     if size is not None:
         xi = xi.reshape(size, n)
     return PowerProfile(xi=xi, mode="none")
-
-
-@dataclass(frozen=True)
-class ReceivedModel:
-    """Real-valued widely-linear description of one received block.
-
-    y = sqrt(p) H Psi^(1/2) x + z with H real (2M, N) and z having variance
-    noise_var = 1/2 per real dimension (unit complex noise power).
-    """
-
-    channel: np.ndarray    # (2M, N) real stacked channel
-    psi_sqrt: np.ndarray   # (N,) sqrt of the received-power profile
-    snr: float
-    noise_var: float = 0.5
-
-    @property
-    def effective_channel(self) -> np.ndarray:
-        """H Psi^(1/2): the channel as seen by the detector."""
-        return self.channel * self.psi_sqrt
-
-
-def build_received_model(
-    hbar: np.ndarray, profile: PowerProfile, snr: float
-) -> ReceivedModel:
-    """Assemble the widely-linear received model from a complex channel."""
-    h = wl_transform(hbar)
-    xi = np.asarray(profile.xi, dtype=float)
-    if xi.ndim != 1:
-        raise ValueError("build_received_model expects a single profile, not a batch")
-    if h.shape[-1] != xi.shape[0]:
-        raise ValueError(
-            f"channel has {h.shape[-1]} users but the profile has {xi.shape[0]}"
-        )
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    return ReceivedModel(channel=h, psi_sqrt=np.sqrt(xi), snr=float(snr))
-
-
-def estimate_ppc_xi(
-    cfg: LinkConfig, trials: int, rng: np.random.Generator
-) -> tuple[float, bool]:
-    """Monte Carlo estimate of the power-inversion constant.
-
-    Perfect power control with a unit average transmit-power budget pins
-    every user at xi_ppc = 1 / E{1/(beta psi)}.  Returns (estimate,
-    heavy_tail_flag); the flag trips when the top 10 samples carry more than
-    5% of the inverse-attenuation mass, signalling an untrustworthy mean.
-    """
-    if trials < 100:
-        raise ValueError("need at least 100 samples")
-    inv = 1.0 / sample_large_scale(cfg, trials, rng)
-    top = np.sort(inv)[-10:]
-    heavy = bool(top.sum() > 0.05 * inv.sum())
-    return float(1.0 / inv.mean()), heavy

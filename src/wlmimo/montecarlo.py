@@ -9,7 +9,7 @@ and tasks can be reordered or parallelized without changing results.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,7 +18,6 @@ __all__ = [
     "SlopeFit",
     "derive_rng",
     "wilson_interval",
-    "estimate",
     "default_fit_window",
     "fit_diversity",
 ]
@@ -84,44 +83,6 @@ class Estimate:
     def __post_init__(self):
         if not (self.ci_lo <= self.value <= self.ci_hi):
             raise ValueError("estimate must lie inside its own interval")
-
-
-def estimate(
-    sampler: Callable[[int, np.random.Generator], np.ndarray],
-    trials: int,
-    rng: np.random.Generator,
-    batch: int = 1 << 17,
-) -> Estimate:
-    """Estimate E[sampler] from `trials` draws.
-
-    `sampler(size, rng)` must return a float array of the requested size.
-    If every draw is 0 or 1 the result is treated as a Bernoulli proportion
-    and gets a Wilson interval; otherwise a normal interval on the mean.
-    """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    bernoulli = True
-    while n < trials:
-        b = min(batch, trials - n)
-        x = np.asarray(sampler(b, rng), dtype=float)
-        if x.shape != (b,):
-            raise ValueError(f"sampler returned shape {x.shape}, expected ({b},)")
-        if bernoulli and not np.all((x == 0.0) | (x == 1.0)):
-            bernoulli = False
-        total += float(x.sum())
-        total_sq += float((x * x).sum())
-        n += b
-    mean = total / n
-    if bernoulli:
-        lo, hi = wilson_interval(int(round(total)), n)
-        stderr = float(np.sqrt(max(mean * (1 - mean), 0.0) / n))
-        return Estimate(mean, stderr, lo, hi, n, "bernoulli")
-    var = max(total_sq / n - mean * mean, 0.0) * n / max(n - 1, 1)
-    stderr = float(np.sqrt(var / n))
-    return Estimate(mean, stderr, mean - Z95 * stderr, mean + Z95 * stderr, n, "mean")
 
 
 @dataclass(frozen=True)

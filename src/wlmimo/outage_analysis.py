@@ -42,8 +42,7 @@ __all__ = [
     "diversity_order",
     "chi2_cdf_poly_coeff",
     "outage_mc",
-    "wl_gains",
-    "cl_gains",
+    "linear_gains",
     "sic_gains",
     "gain_for",
     "moment_ratio_check",
@@ -276,63 +275,32 @@ def residual_interference_samples(
     return out
 
 
-def _tagged_xi(cfg: LinkConfig, count: int, rng) -> np.ndarray:
-    if cfg.power_control == "ppc":
-        return np.full(count, cfg.xi_ppc)
-    return sample_large_scale(cfg, count, rng)
-
-
-def wl_gains(
-    cfg: LinkConfig,
-    criterion: str,
-    trials: int = 1_000_000,
-    rng: np.random.Generator | None = None,
+def linear_gains(
+    cfg: LinkConfig, rx: ReceiverSpec, trials: int, rng: np.random.Generator
 ) -> GainSummary:
-    """Diversity and coding gain of the linear WL receivers.
+    """Diversity and coding gain of the linear receivers, WL and CL.
 
-        C_WL-ZF   = 2 (d Gamma(d))^(1/d) / gamma_T * [E{xi^-d}]^(-1/d)
-        C_WL-MMSE = same prefactor with [E{([1/xi - eta/gamma_T]^+)^d}]^(-1/d)
+        C_ZF   = k (d Gamma(d))^(1/d) / gamma_T * [E{xi^-d}]^(-1/d)
+        C_MMSE = same prefactor with [E{([1/xi - eta/gamma_T]^+)^d}]^(-1/d)
 
-    Under PPC the ZF expectation is the constant xi_ppc and the result is
-    exact (stderr 0).
+    with k = 2 for WL and k = 1 for CL; d and gamma_T follow the family
+    (:func:`diversity_order`, :func:`threshold_for`).  Under PPC the ZF
+    expectation is the constant xi_ppc and the result is exact (stderr 0).
     """
-    rx = ReceiverSpec("wl", criterion)
-    d = diversity_order(cfg.m_rx, cfg.n_users, "wl")
-    gamma_t = wl_threshold(cfg.rate)
-    pre = 2.0 * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
-    if criterion == "zf" and cfg.power_control == "ppc":
+    if rx.sic:
+        raise ValueError("linear_gains needs a linear receiver spec")
+    d = diversity_order(cfg.m_rx, cfg.n_users, rx.family)
+    gamma_t = threshold_for(rx, cfg.rate)
+    k = 2.0 if rx.family == "wl" else 1.0
+    pre = k * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
+    if rx.criterion == "zf" and cfg.power_control == "ppc":
         return GainSummary(rx, d, pre * cfg.xi_ppc)
-    rng = np.random.default_rng() if rng is None else rng
-    if criterion == "zf":
+    if rx.criterion == "zf":
         weights = sample_large_scale(cfg, trials, rng) ** (-d)
     else:
-        xi = _tagged_xi(cfg, trials, rng)
-        eta = residual_interference_samples(cfg, "wl", trials, rng)
-        weights = np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d
-    scale, scale_se, heavy = _moment_to_scale(weights, d)
-    return GainSummary(rx, d, pre * scale, stderr=pre * scale_se, heavy_tail=heavy)
-
-
-def cl_gains(
-    cfg: LinkConfig,
-    criterion: str,
-    trials: int = 1_000_000,
-    rng: np.random.Generator | None = None,
-) -> GainSummary:
-    """CL counterpart of :func:`wl_gains`: d = M - N + 1, threshold
-    2^R - 1, and no factor 2 in the prefactor."""
-    rx = ReceiverSpec("cl", criterion)
-    d = diversity_order(cfg.m_rx, cfg.n_users, "cl")
-    gamma_t = cl_threshold(cfg.rate)
-    pre = (d * math.gamma(d)) ** (1.0 / d) / gamma_t
-    if criterion == "zf" and cfg.power_control == "ppc":
-        return GainSummary(rx, d, pre * cfg.xi_ppc)
-    rng = np.random.default_rng() if rng is None else rng
-    if criterion == "zf":
-        weights = sample_large_scale(cfg, trials, rng) ** (-d)
-    else:
-        xi = _tagged_xi(cfg, trials, rng)
-        eta = residual_interference_samples(cfg, "cl", trials, rng)
+        xi = (np.full(trials, cfg.xi_ppc) if cfg.power_control == "ppc"
+              else sample_large_scale(cfg, trials, rng))
+        eta = residual_interference_samples(cfg, rx.family, trials, rng)
         weights = np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d
     scale, scale_se, heavy = _moment_to_scale(weights, d)
     return GainSummary(rx, d, pre * scale, stderr=pre * scale_se, heavy_tail=heavy)
@@ -364,8 +332,8 @@ def _cl_beta_root(n_users: int, d: float) -> float:
 def sic_gains(
     cfg: LinkConfig,
     rx: ReceiverSpec,
-    trials: int = 200_000,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> GainSummary:
     """Coding gains of the SIC receivers (diversity is unchanged by SIC).
 
@@ -380,18 +348,13 @@ def sic_gains(
     """
     if not rx.sic:
         raise ValueError("sic_gains needs a SIC receiver spec")
-    rng = np.random.default_rng() if rng is None else rng
     n = cfg.n_users
+    d = diversity_order(cfg.m_rx, n, rx.family)
+    gamma_t = threshold_for(rx, cfg.rate)
     if rx.family == "wl":
-        d = diversity_order(cfg.m_rx, n, "wl")
-        gamma_t = wl_threshold(cfg.rate)
-        broot = _wl_beta_root(n, cfg.m_rx, d)
-        kind = "real"
+        broot, kind = _wl_beta_root(n, cfg.m_rx, d), "real"
     else:
-        d = diversity_order(cfg.m_rx, n, "cl")
-        gamma_t = cl_threshold(cfg.rate)
-        broot = _cl_beta_root(n, d)
-        kind = "complex"
+        broot, kind = _cl_beta_root(n, d), "complex"
 
     squared = _haar_squared(n, trials, rng, kind)        # (trials, N)
     xi = sample_power_profile(cfg, rng, size=trials).xi  # (trials, N)
@@ -445,15 +408,13 @@ def sic_gains(
 def gain_for(
     cfg: LinkConfig,
     rx: ReceiverSpec,
-    trials: int = 200_000,
-    rng: np.random.Generator | None = None,
+    trials: int,
+    rng: np.random.Generator,
 ) -> GainSummary:
     """Dispatch to the right gain routine for a receiver spec."""
     if rx.sic:
         return sic_gains(cfg, rx, trials, rng)
-    if rx.family == "wl":
-        return wl_gains(cfg, rx.criterion, trials, rng)
-    return cl_gains(cfg, rx.criterion, trials, rng)
+    return linear_gains(cfg, rx, trials, rng)
 
 
 # ---------------------------------------------------------------------------

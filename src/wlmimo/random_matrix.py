@@ -14,20 +14,13 @@ Haar unit vector    alpha / ||alpha||, alpha standard (real/complex) normal
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
     "sample_channel",
     "wl_transform",
-    "OrderedEigenSystem",
-    "ordered_eig_sym",
     "sample_haar_unit_vector",
 ]
-
-SYM_TOL = 1e-10
-
 
 def sample_channel(m_rx: int, n_users: int, rng: np.random.Generator, size: int | None = None):
     """Draw a complex (m_rx, n_users) channel with i.i.d. CN(0, 1) entries.
@@ -55,30 +48,6 @@ def wl_transform(hbar: np.ndarray) -> np.ndarray:
     if hbar.ndim < 2:
         raise ValueError("expected at least a 2-d channel matrix")
     return np.concatenate([hbar.real, hbar.imag], axis=-2)
-
-
-@dataclass(frozen=True)
-class OrderedEigenSystem:
-    """Eigen-decomposition of a symmetric matrix, eigenvalues ascending."""
-
-    values: np.ndarray   # (N,), values[0] is the smallest
-    vectors: np.ndarray  # (N, N), column i pairs with values[i]
-
-    @property
-    def smallest(self) -> float:
-        return float(self.values[0])
-
-
-def ordered_eig_sym(a: np.ndarray) -> OrderedEigenSystem:
-    """Eigen-decompose a symmetric matrix with ascending eigenvalue order."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(a).max()) if a.size else 1.0)
-    if float(np.abs(a - a.T).max() if a.size else 0.0) > SYM_TOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(a)
-    return OrderedEigenSystem(values=values, vectors=vectors)
 
 
 def sample_haar_unit_vector(

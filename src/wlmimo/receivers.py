@@ -34,7 +34,6 @@ import numpy as np
 __all__ = [
     "ReceiverSpec",
     "SinrReport",
-    "detection_matrix",
     "zf_sinr",
     "mmse_sinr",
     "cl_sinr",
@@ -90,133 +89,84 @@ def _check_dims(rx: ReceiverSpec, h: np.ndarray, xi: np.ndarray) -> None:
         )
 
 
-def detection_matrix(
-    h: np.ndarray, xi: np.ndarray, snr: float, rx: ReceiverSpec
-) -> np.ndarray:
-    """Receive filter W; the soft estimate is W' y (WL) or W^H y (CL).
+def _scale_and_ridge(xi, snr, rx):
+    """SINR prefactor (2 snr WL, snr CL) and the MMSE loading 1/(pre xi)."""
+    pre = 2.0 * snr if rx.family == "wl" else snr
+    return pre, (1.0 / (pre * xi) if rx.criterion == "mmse" else None)
 
-    ZF:    W = A (A* A)^-1,                A = H Psi^(1/2)
-    MMSE:  W = A (A* A + c I)^-1,          c = 1/(2 snr) WL, 1/snr CL
+
+def _projector_sinrs(h, xi, pre, ridge) -> np.ndarray:
+    """(N,) projector-form SINRs pre xi_n h_n* Pperp_n h_n of one draw.
+
+    Least squares against the other columns, so dependent interferers are
+    fine.  `ridge` (None for ZF) enters as extra rows, which turns the
+    residual into the regularized MMSE form.
+    """
+    n = h.shape[1]
+    q = np.empty(n)
+    for i in range(n):
+        others = np.delete(h, i, axis=1)
+        target = h[:, i]
+        if ridge is not None:
+            others = np.vstack([others, np.diag(np.sqrt(np.delete(ridge, i)))])
+            target = np.concatenate([target, np.zeros(n - 1)])
+        coef = np.linalg.lstsq(others, target, rcond=None)[0]
+        resid = target - others @ coef
+        q[i] = np.real(np.vdot(resid, resid))
+    return pre * xi * q
+
+
+def _reference_sinrs(h, xi, snr: float, rx: ReceiverSpec) -> np.ndarray:
+    """(N,) per-user SINRs of one draw, by both published routes.
+
+    Returns the Gram-inverse route after checking it against the projector
+    route to DUAL_FORM_RTOL; MMSE values are clamped at zero, since the
+    resolvent form subtracts 1 and can go microscopically negative.  On a
+    draw with dependent interferers the result is either the least-squares
+    projection or an ArithmeticError / LinAlgError, never another number.
     """
     h = np.asarray(h)
     xi = np.asarray(xi, dtype=float)
     _check_dims(rx, h, xi)
     if snr <= 0:
         raise ValueError("snr must be positive")
-    a = h * np.sqrt(xi)
-    gram = a.conj().T @ a
-    if rx.criterion == "mmse":
-        c = 1.0 / (2.0 * snr) if rx.family == "wl" else 1.0 / snr
-        gram = gram + c * np.eye(gram.shape[0])
-    return a @ np.linalg.inv(gram)
-
-
-def _gram_diag_inv(gram: np.ndarray) -> np.ndarray:
-    """Diagonal of gram^-1 (real part for complex input)."""
-    inv = np.linalg.inv(gram)
-    return np.real(np.diagonal(inv, axis1=-2, axis2=-1))
-
-
-def _projector_quad(h: np.ndarray, ridge: np.ndarray | None) -> np.ndarray:
-    """q_n = h_n* Pperp_n h_n for every n, optionally regularized.
-
-    `ridge` holds the per-user diagonal loading added to the interferers'
-    Gram matrix (None for the exact ZF projector).
-    """
-    n = h.shape[1]
-    out = np.empty(n)
-    for i in range(n):
-        hn = h[:, i]
-        others = np.delete(h, i, axis=1)
-        if others.shape[1] == 0:
-            out[i] = float(np.real(hn.conj() @ hn))
-            continue
-        gram = others.conj().T @ others
-        if ridge is not None:
-            gram = gram + np.diag(np.delete(ridge, i))
-        coef = np.linalg.solve(gram, others.conj().T @ hn)
-        out[i] = float(np.real(hn.conj() @ hn - (others.conj().T @ hn).conj() @ coef))
-    return out
-
-
-def _dual_check(a: np.ndarray, b: np.ndarray, what: str) -> None:
-    if not np.allclose(a, b, rtol=DUAL_FORM_RTOL, atol=1e-9):
-        worst = float(np.max(np.abs(a - b) / np.maximum(np.abs(a), 1e-300)))
+    pre, ridge = _scale_and_ridge(xi, snr, rx)
+    gram = h.conj().T @ h
+    if ridge is not None:
+        gram = gram + np.diag(ridge)
+    by_inverse = pre * xi / np.real(np.diagonal(np.linalg.inv(gram)))
+    if ridge is not None:
+        by_inverse = by_inverse - 1.0
+    by_projector = _projector_sinrs(h, xi, pre, ridge)
+    if not np.allclose(by_inverse, by_projector, rtol=DUAL_FORM_RTOL, atol=1e-9):
+        worst = float(np.max(np.abs(by_inverse - by_projector)
+                             / np.maximum(np.abs(by_inverse), 1e-300)))
         raise ArithmeticError(
-            f"{what}: matrix-inverse and projector forms disagree (rel {worst:.2e})"
+            f"{rx.label} SINR: matrix-inverse and projector forms disagree "
+            f"(rel {worst:.2e})"
         )
+    return by_inverse if ridge is None else np.maximum(by_inverse, 0.0)
 
 
-def zf_sinr(
-    h: np.ndarray, xi: np.ndarray, snr: float, n: int | None = None
-) -> np.ndarray | float:
-    """WL-ZF per-user SINR (all users, or just user `n`).
-
-    Evaluates both the Gram-inverse and projector forms and insists they
-    agree to 1e-9 relative before returning.
-    """
-    h = np.asarray(h)
-    xi = np.asarray(xi, dtype=float)
-    _check_dims(ReceiverSpec("wl", "zf"), h, xi)
-    h = h.astype(float, copy=False)
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    gram = h.T @ h
-    by_inverse = 2.0 * snr * xi / _gram_diag_inv(gram)
-    by_projector = 2.0 * snr * xi * _projector_quad(h, None)
-    _dual_check(by_inverse, by_projector, "WL-ZF SINR")
-    return by_inverse if n is None else float(by_inverse[n])
+def _entry(sinrs: np.ndarray, n: int | None) -> np.ndarray | float:
+    return sinrs if n is None else float(sinrs[n])
 
 
-def mmse_sinr(
-    h: np.ndarray, xi: np.ndarray, snr: float, n: int | None = None
-) -> np.ndarray | float:
-    """WL-MMSE per-user SINR, clamped at zero.
+def zf_sinr(h, xi, snr: float, n: int | None = None) -> np.ndarray | float:
+    """WL-ZF per-user SINR (all users, or just user `n`), dual-checked."""
+    return _entry(_reference_sinrs(h, xi, snr, ReceiverSpec("wl", "zf")), n)
 
-    Dual evaluation as in :func:`zf_sinr`; the resolvent form subtracts 1
-    and can go microscopically negative, hence the clamp.
-    """
-    h = np.asarray(h)
-    xi = np.asarray(xi, dtype=float)
-    _check_dims(ReceiverSpec("wl", "mmse"), h, xi)
-    h = h.astype(float, copy=False)
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    ridge = 1.0 / (2.0 * snr * xi)
-    gram = h.T @ h + np.diag(ridge)
-    by_inverse = 2.0 * snr * xi / _gram_diag_inv(gram) - 1.0
-    by_projector = 2.0 * snr * xi * _projector_quad(h, ridge)
-    _dual_check(by_inverse, by_projector, "WL-MMSE SINR")
-    out = np.maximum(by_inverse, 0.0)
-    return out if n is None else float(out[n])
+
+def mmse_sinr(h, xi, snr: float, n: int | None = None) -> np.ndarray | float:
+    """WL-MMSE per-user SINR, clamped at zero, dual-checked."""
+    return _entry(_reference_sinrs(h, xi, snr, ReceiverSpec("wl", "mmse")), n)
 
 
 def cl_sinr(
-    hbar: np.ndarray,
-    xi: np.ndarray,
-    snr: float,
-    criterion: str = "zf",
-    n: int | None = None,
+    hbar, xi, snr: float, criterion: str = "zf", n: int | None = None
 ) -> np.ndarray | float:
-    """CL-ZF / CL-MMSE per-user SINR on the complex channel."""
-    hbar = np.asarray(hbar)
-    xi = np.asarray(xi, dtype=float)
-    rx = ReceiverSpec("cl", criterion)
-    _check_dims(rx, hbar, xi)
-    if snr <= 0:
-        raise ValueError("snr must be positive")
-    if criterion == "zf":
-        gram = hbar.conj().T @ hbar
-        by_inverse = snr * xi / _gram_diag_inv(gram)
-        by_projector = snr * xi * _projector_quad(hbar, None)
-    else:
-        ridge = 1.0 / (snr * xi)
-        gram = hbar.conj().T @ hbar + np.diag(ridge)
-        by_inverse = snr * xi / _gram_diag_inv(gram) - 1.0
-        by_projector = snr * xi * _projector_quad(hbar, ridge)
-    _dual_check(by_inverse, by_projector, f"CL-{criterion.upper()} SINR")
-    out = np.maximum(by_inverse, 0.0) if criterion == "mmse" else by_inverse
-    return out if n is None else float(out[n])
+    """CL-ZF / CL-MMSE per-user SINR on the complex channel, dual-checked."""
+    return _entry(_reference_sinrs(hbar, xi, snr, ReceiverSpec("cl", criterion)), n)
 
 
 @dataclass(frozen=True)
@@ -229,14 +179,6 @@ class SinrReport:
     def __post_init__(self):
         if sorted(self.order.tolist()) != list(range(len(self.order))):
             raise ValueError("decode order must be a permutation of the users")
-
-
-def _stage_sinrs(h, xi, snr, rx) -> np.ndarray:
-    """Per-user SINRs of the configured (non-SIC) criterion, batched-free."""
-    if rx.family == "wl":
-        fn = zf_sinr if rx.criterion == "zf" else mmse_sinr
-        return np.asarray(fn(h, xi, snr))
-    return np.asarray(cl_sinr(h, xi, snr, rx.criterion))
 
 
 def sic_sinr_stages(
@@ -252,7 +194,7 @@ def sic_sinr_stages(
     order = []
     while remaining:
         idx = np.array(remaining)
-        gams = _stage_sinrs(h[:, idx], xi[idx], snr, rx)
+        gams = _reference_sinrs(h[:, idx], xi[idx], snr, rx)
         pick = int(np.argmax(gams))    # argmax breaks ties at the lowest index
         user = remaining[pick]
         sinr[user] = float(gams[pick])
@@ -282,27 +224,6 @@ def _batched_diag_inv(gram: np.ndarray) -> np.ndarray:
         )
 
 
-def _projector_sinrs(h, xi, pre, ridge) -> np.ndarray:
-    """(N,) projector-form SINRs pre xi_n h_n* Pperp_n h_n of one draw.
-
-    Least squares against the other columns, so dependent interferers are
-    fine.  `ridge` (None for ZF) enters as extra rows, which turns the
-    residual into the regularized MMSE form.
-    """
-    n = h.shape[1]
-    q = np.empty(n)
-    for i in range(n):
-        others = np.delete(h, i, axis=1)
-        target = h[:, i]
-        if ridge is not None:
-            others = np.vstack([others, np.diag(np.sqrt(np.delete(ridge, i)))])
-            target = np.concatenate([target, np.zeros(n - 1)])
-        coef = np.linalg.lstsq(others, target, rcond=None)[0]
-        resid = target - others @ coef
-        q[i] = np.real(np.vdot(resid, resid))
-    return pre * xi * q
-
-
 def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
     """(B, N) per-user SINRs for the linear receivers on stacked draws.
 
@@ -311,13 +232,9 @@ def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
     they cannot separate) instead of aborting the batch.
     """
     gram = np.swapaxes(h.conj(), -2, -1) @ h
-    pre = 2.0 * snr if rx.family == "wl" else snr
-    ridge = None
-    if rx.criterion == "mmse":
-        k = gram.shape[-1]
-        ridge = 1.0 / (pre * xi)
-        gram = gram.copy()
-        step = np.arange(k)
+    pre, ridge = _scale_and_ridge(xi, snr, rx)
+    if ridge is not None:
+        step = np.arange(gram.shape[-1])
         gram[..., step, step] += ridge
     diag = _batched_diag_inv(gram)
     with np.errstate(divide="ignore"):

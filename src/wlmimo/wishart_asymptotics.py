@@ -13,8 +13,8 @@ form only for k = 1:
 
 where K_nm is the normalization constant of the joint eigenvalue density and
 J is a skew-symmetric matrix of one-sided Gamma integrals whose Pfaffian
-gives sqrt(|J|).  For k > 1 the coefficient must be fit empirically, which
-:func:`empirical_eig_cdf` supports.
+gives sqrt(|J|).  For k > 1 the coefficient must be fit empirically from
+:func:`sample_kth_eigenvalue` draws.
 
 All Gamma factors are evaluated in the log domain so moderately large (n, m)
 do not overflow; the Pfaffian of J is taken on a rescaled matrix and the
@@ -23,12 +23,8 @@ scale is restored in log space.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import gammaln
-
-from .montecarlo import wilson_interval
 
 __all__ = [
     "diversity_exponent",
@@ -38,8 +34,6 @@ __all__ = [
     "j_matrix",
     "beta1",
     "sample_kth_eigenvalue",
-    "EigenCdf",
-    "empirical_eig_cdf",
 ]
 
 LOG2 = np.log(2.0)
@@ -213,7 +207,7 @@ def beta1(n: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Empirical CDFs
+# Eigenvalue sampling
 # ---------------------------------------------------------------------------
 
 def sample_kth_eigenvalue(
@@ -239,40 +233,3 @@ def sample_kth_eigenvalue(
         out[done:done + b] = np.linalg.eigvalsh(w)[:, k - 1]
         done += b
     return out
-
-
-@dataclass(frozen=True)
-class EigenCdf:
-    """Empirical CDF of an ordered eigenvalue on an epsilon grid."""
-
-    k: int
-    n: int
-    m: int
-    eps: np.ndarray
-    cdf: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
-    trials: int
-
-
-def empirical_eig_cdf(
-    k: int,
-    n: int,
-    m: int,
-    eps: np.ndarray,
-    trials: int,
-    rng: np.random.Generator,
-) -> EigenCdf:
-    """Estimate Pr(lambda_k < eps) on a grid, with Wilson 95% intervals."""
-    eps = np.asarray(eps, dtype=float)
-    if eps.ndim != 1 or eps.size == 0 or np.any(eps <= 0):
-        raise ValueError("eps must be a 1-d grid of positive thresholds")
-    lam = sample_kth_eigenvalue(k, n, m, trials, rng)
-    lam.sort()
-    counts = np.searchsorted(lam, eps, side="left")
-    cdf = counts / trials
-    lo = np.empty_like(cdf)
-    hi = np.empty_like(cdf)
-    for idx, c in enumerate(counts):
-        lo[idx], hi[idx] = wilson_interval(int(c), trials)
-    return EigenCdf(k=k, n=n, m=m, eps=eps, cdf=cdf, ci_lo=lo, ci_hi=hi, trials=trials)

@@ -29,14 +29,14 @@ from wlmimo.link_model import LinkConfig
 from wlmimo.mmtc_sim import MmtcConfig, half_tti_mode, supported_users
 from wlmimo.montecarlo import derive_rng, fit_diversity
 from wlmimo.outage_analysis import (
-    cl_gains,
     coding_gain_ratio,
     diversity_order,
+    gain_for,
+    linear_gains,
     moment_ratio_check,
     outage_mc,
     residual_interference_samples,
     sic_gains,
-    wl_gains,
 )
 from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import ReceiverSpec, batched_tagged_sinr
@@ -151,7 +151,8 @@ def test_sinr_component_distribution_laws():
 @pytest.fixture(scope="module")
 def wl_zf_outage_curve():
     cfg = LinkConfig(2, 4, 1.0, 2.0, power_control="ppc")
-    gain = wl_gains(cfg, "zf")
+    gain = gain_for(cfg, ReceiverSpec("wl", "zf"), 1_000_000,
+                    derive_rng(SEED, "wl-zf-gain"))
     grid = np.arange(28.0, 51.0, 2.5)
     rng = derive_rng(SEED, "wl-zf-curve")
     t0 = time.perf_counter()
@@ -203,8 +204,12 @@ def test_zf_gain_ratio_follows_rate_law():
     ok = True
     parts = []
     for rate in (0.3, 2.0, 4.0):
-        wl = wl_gains(LinkConfig(2, 3, 1.0, rate, power_control="ppc"), "zf")
-        cl = cl_gains(LinkConfig(2, 2, 1.0, rate, power_control="ppc"), "zf")
+        wl = linear_gains(LinkConfig(2, 3, 1.0, rate, power_control="ppc"),
+                          ReceiverSpec("wl", "zf"), 1_000_000,
+                          derive_rng(SEED, "gain-ratio", "wl", str(rate)))
+        cl = linear_gains(LinkConfig(2, 2, 1.0, rate, power_control="ppc"),
+                          ReceiverSpec("cl", "zf"), 1_000_000,
+                          derive_rng(SEED, "gain-ratio", "cl", str(rate)))
         assert wl.diversity == cl.diversity == 1.0
         assert wl.stderr == cl.stderr == 0.0  # both exact under PPC
         ratio = wl.coding_gain / cl.coding_gain

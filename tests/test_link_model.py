@@ -1,4 +1,4 @@
-"""Tests for the cell geometry, attenuation law, and received model."""
+"""Tests for the cell geometry, attenuation law, and power profiles."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,9 @@ from scipy import stats
 from wlmimo.link_model import (
     LinkConfig,
     PowerProfile,
-    build_received_model,
-    estimate_ppc_xi,
     sample_large_scale,
     sample_power_profile,
 )
-from wlmimo.random_matrix import sample_channel
 
 
 def base_cfg(**kw):
@@ -36,13 +33,6 @@ def test_config_rejects_bad_scalars():
         base_cfg(power_control="open-loop")
     with pytest.raises(ValueError):
         base_cfg(xi_ppc=0.0)
-
-
-def test_with_snr_changes_only_snr():
-    cfg = base_cfg()
-    other = cfg.with_snr(12.5)
-    assert other.snr == 12.5
-    assert other.m_rx == cfg.m_rx and other.rate == cfg.rate
 
 
 def test_pathloss_point_value():
@@ -117,40 +107,3 @@ def test_power_profile_validation():
         PowerProfile(xi=np.ones((2, 2, 2)), mode="none")
     with pytest.raises(ValueError):
         PowerProfile(xi=np.ones(2), mode="genie")
-
-
-def test_build_received_model():
-    cfg = base_cfg(power_control="ppc", xi_ppc=4.0)
-    rng = np.random.default_rng(26)
-    hbar = sample_channel(cfg.m_rx, cfg.n_users, rng)
-    prof = sample_power_profile(cfg, rng)
-    model = build_received_model(hbar, prof, snr=10.0)
-    assert model.channel.shape == (4, 3)
-    assert model.noise_var == 0.5
-    assert np.allclose(model.effective_channel, model.channel * 2.0)
-
-
-def test_build_received_model_rejects_mismatch():
-    rng = np.random.default_rng(27)
-    hbar = sample_channel(2, 3, rng)
-    with pytest.raises(ValueError):
-        build_received_model(hbar, PowerProfile(np.ones(2), "none"), 10.0)
-    with pytest.raises(ValueError):
-        build_received_model(hbar, PowerProfile(np.ones((2, 3)), "none"), 10.0)
-    with pytest.raises(ValueError):
-        build_received_model(hbar, PowerProfile(np.ones(3), "none"), 0.0)
-
-
-def test_estimate_ppc_xi_unit_attenuation():
-    # flat unit attenuation makes the power-inversion constant exactly 1
-    cfg = base_cfg(pathloss_intercept_db=0.0, pathloss_slope_db=0.0,
-                   shadow_sigma_db=0.0)
-    rng = np.random.default_rng(28)
-    value, heavy = estimate_ppc_xi(cfg, 1_000, rng)
-    assert value == pytest.approx(1.0, rel=1e-12)
-    assert heavy is False
-
-
-def test_estimate_ppc_xi_needs_samples():
-    with pytest.raises(ValueError):
-        estimate_ppc_xi(base_cfg(), 50, np.random.default_rng(0))

@@ -7,7 +7,6 @@ from wlmimo.montecarlo import (
     Estimate,
     derive_rng,
     default_fit_window,
-    estimate,
     fit_diversity,
     wilson_interval,
 )
@@ -67,48 +66,6 @@ def test_wilson_coverage_is_nominal():
     lo, hi = wilson_interval(hits, n)
     coverage = np.mean((lo <= p) & (p <= hi))
     assert abs(coverage - 0.95) < 0.02
-
-
-def test_estimate_detects_bernoulli():
-    rng = np.random.default_rng(7)
-    est = estimate(lambda b, r: (r.random(b) < 0.2).astype(float), 20_000, rng)
-    assert est.kind == "bernoulli"
-    assert est.value == pytest.approx(0.2, abs=0.02)
-    assert 0.0 <= est.ci_lo <= est.value <= est.ci_hi <= 1.0
-
-
-def test_estimate_constant_sampler_has_zero_spread():
-    rng = np.random.default_rng(7)
-    est = estimate(lambda b, r: np.full(b, 0.7), 5_000, rng)
-    assert est.kind == "mean"
-    assert est.value == pytest.approx(0.7, abs=1e-12)
-    assert est.stderr == pytest.approx(0.0, abs=1e-7)
-    assert est.ci_hi - est.ci_lo == pytest.approx(0.0, abs=1e-6)
-
-
-def test_estimate_reproducible_for_fixed_seed():
-    def run():
-        return estimate(lambda b, r: r.exponential(size=b), 10_000,
-                        derive_rng(11, "exp"))
-    assert run() == run()
-
-
-def test_estimate_rejects_bad_sampler_shape():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        estimate(lambda b, r: np.zeros((b, 2)), 100, rng)
-    with pytest.raises(ValueError):
-        estimate(lambda b, r: np.zeros(b), 0, rng)
-
-
-def test_estimate_stderr_scales_with_trials():
-    """Quadrupling the budget should halve the stderr, within 20%."""
-    def se(trials, seed):
-        rng = derive_rng(seed, "scale")
-        return estimate(lambda b, r: r.exponential(size=b), trials, rng).stderr
-
-    ratio = se(4_000, 1) / se(64_000, 2)
-    assert ratio == pytest.approx(4.0, rel=0.2)
 
 
 def test_estimate_invariant_enforced():

@@ -13,17 +13,16 @@ from wlmimo.outage_analysis import (
     OutageCurve,
     asymptote_curve,
     chi2_cdf_poly_coeff,
-    cl_gains,
     cl_threshold,
     coding_gain_ratio,
     diversity_order,
     gain_for,
+    linear_gains,
     moment_ratio_check,
     outage_mc,
     residual_interference_samples,
     sic_gains,
     threshold_for,
-    wl_gains,
     wl_threshold,
 )
 from wlmimo.receivers import ReceiverSpec
@@ -32,6 +31,12 @@ from wlmimo.receivers import ReceiverSpec
 def ppc_cfg(m_rx, n_users, rate, snr=100.0):
     return LinkConfig(m_rx=m_rx, n_users=n_users, snr=snr, rate=rate,
                       power_control="ppc")
+
+
+def zf_ppc_gain(cfg, family="wl"):
+    """ZF gain under PPC: exact, so the sample count and stream go unused."""
+    return linear_gains(cfg, ReceiverSpec(family, "zf"), 1_000_000,
+                        derive_rng(0, "zf-ppc"))
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +135,7 @@ def test_outage_mc_matches_exact_law():
 def test_outage_mc_attaches_asymptote():
     cfg = ppc_cfg(2, 4, rate=2.0)
     rx = ReceiverSpec("wl", "zf")
-    gain = wl_gains(cfg, "zf")
+    gain = zf_ppc_gain(cfg)
     rng = derive_rng(1002, "outage-asym")
     curve = outage_mc(rx, cfg, np.array([30.0, 40.0]), 2_000, rng, gain=gain)
     assert curve.p_asym is not None
@@ -164,7 +169,7 @@ def test_simulation_tracks_asymptote_at_moderate_outage():
     # frequent enough to simulate cheaply
     cfg = ppc_cfg(2, 4, rate=2.0)
     rx = ReceiverSpec("wl", "zf")
-    gain = wl_gains(cfg, "zf")
+    gain = zf_ppc_gain(cfg)
     rng = derive_rng(1004, "factor")
     curve = outage_mc(rx, cfg, np.array([35.0, 40.0, 45.0]), 100_000, rng,
                       gain=gain)
@@ -198,7 +203,7 @@ def test_asymptote_curve_values():
 
 
 def test_wl_zf_gain_ppc_closed_form():
-    g = wl_gains(ppc_cfg(2, 4, 2.0), "zf")
+    g = zf_ppc_gain(ppc_cfg(2, 4, 2.0))
     assert g.coding_gain == pytest.approx(math.pi / 30, rel=1e-12)
     assert g.stderr == 0.0
     assert g.diversity == 0.5
@@ -206,7 +211,7 @@ def test_wl_zf_gain_ppc_closed_form():
 
 
 def test_cl_zf_gain_ppc_closed_form():
-    g = cl_gains(ppc_cfg(2, 2, 2.0), "zf")
+    g = zf_ppc_gain(ppc_cfg(2, 2, 2.0), "cl")
     assert g.coding_gain == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert g.diversity == 1.0
 
@@ -214,8 +219,8 @@ def test_cl_zf_gain_ppc_closed_form():
 @pytest.mark.parametrize("rate", [0.3, 2.0, 4.0])
 def test_linear_gain_ratio_is_exact_at_matched_diversity(rate):
     """C_wl / C_cl equals L(R) exactly under PPC when N_wl = 2 N_cl - 1."""
-    wl = wl_gains(ppc_cfg(2, 3, rate), "zf")
-    cl = cl_gains(ppc_cfg(2, 2, rate), "zf")
+    wl = zf_ppc_gain(ppc_cfg(2, 3, rate))
+    cl = zf_ppc_gain(ppc_cfg(2, 2, rate), "cl")
     assert wl.diversity == cl.diversity
     assert wl.coding_gain / cl.coding_gain == pytest.approx(
         coding_gain_ratio(rate), rel=1e-12)
@@ -224,19 +229,28 @@ def test_linear_gain_ratio_is_exact_at_matched_diversity(rate):
 def test_wl_mmse_gain_beats_zf():
     cfg = ppc_cfg(2, 4, 2.0)
     rng = derive_rng(1005, "mmse-gain")
-    g = wl_gains(cfg, "mmse", trials=200_000, rng=rng)
+    g = linear_gains(cfg, ReceiverSpec("wl", "mmse"), 200_000, rng)
     assert g.coding_gain == pytest.approx(0.158, rel=0.05)
-    assert g.coding_gain > wl_gains(cfg, "zf").coding_gain
+    assert g.coding_gain > zf_ppc_gain(cfg).coding_gain
+    assert g.stderr > 0
+
+
+def test_cl_mmse_gain_beats_zf():
+    cfg = ppc_cfg(2, 2, 2.0)
+    rng = derive_rng(1005, "cl-mmse-gain")
+    g = linear_gains(cfg, ReceiverSpec("cl", "mmse"), 200_000, rng)
+    assert g.coding_gain > zf_ppc_gain(cfg, "cl").coding_gain
     assert g.stderr > 0
 
 
 def test_mmse_gain_equals_zf_when_no_interference():
     # a lone user has no residual interference, so the bracket collapses
     cfg = ppc_cfg(2, 1, 2.0)
-    rng = derive_rng(1006, "single")
-    zf = wl_gains(cfg, "zf")
-    mmse = wl_gains(cfg, "mmse", trials=2_000, rng=rng)
-    assert mmse.coding_gain == pytest.approx(zf.coding_gain, rel=1e-12)
+    for family in ("wl", "cl"):
+        rng = derive_rng(1006, "single")
+        zf = zf_ppc_gain(cfg, family)
+        mmse = linear_gains(cfg, ReceiverSpec(family, "mmse"), 2_000, rng)
+        assert mmse.coding_gain == pytest.approx(zf.coding_gain, rel=1e-12)
 
 
 def test_wl_zf_sic_gain_reference_value():
@@ -245,7 +259,7 @@ def test_wl_zf_sic_gain_reference_value():
     g = sic_gains(cfg, ReceiverSpec("wl", "zf", sic=True), trials=300_000,
                   rng=rng)
     assert g.coding_gain == pytest.approx(0.9716, rel=0.03)
-    assert g.coding_gain > wl_gains(cfg, "zf").coding_gain
+    assert g.coding_gain > zf_ppc_gain(cfg).coding_gain
 
 
 def test_wl_mmse_sic_gain_reference_value():
@@ -267,7 +281,7 @@ def test_sic_equals_linear_for_single_user():
     for m in (1, 2):
         cfg = ppc_cfg(m, 1, 2.0)
         rng = derive_rng(1009, "collapse", m)
-        zf = wl_gains(cfg, "zf")
+        zf = zf_ppc_gain(cfg)
         zsic = sic_gains(cfg, ReceiverSpec("wl", "zf", sic=True),
                          trials=2_000, rng=rng)
         assert zsic.coding_gain == pytest.approx(zf.coding_gain, rel=1e-9)
@@ -298,17 +312,22 @@ def test_gain_for_dispatches_by_spec():
     lin = gain_for(cfg, ReceiverSpec("wl", "zf"), trials=2_000,
                    rng=derive_rng(1, "a"))
     assert lin.coding_gain == pytest.approx(
-        wl_gains(cfg, "zf").coding_gain, rel=1e-12)
+        zf_ppc_gain(cfg).coding_gain, rel=1e-12)
     sic = gain_for(cfg, ReceiverSpec("cl", "zf", sic=True), trials=2_000,
                    rng=derive_rng(1, "b"))
     assert sic.receiver.sic
+    with pytest.raises(ValueError):
+        linear_gains(cfg, ReceiverSpec("wl", "zf", sic=True), 2_000,
+                     derive_rng(1, "c"))
+    with pytest.raises(ValueError):
+        sic_gains(cfg, ReceiverSpec("wl", "zf"), 2_000, derive_rng(1, "c"))
 
 
 def test_heavy_tail_flag_trips_on_wild_shadowing():
     cfg = LinkConfig(m_rx=2, n_users=1, snr=100.0, rate=2.0,
                      shadow_sigma_db=30.0)
     rng = derive_rng(1012, "heavy")
-    g = wl_gains(cfg, "zf", trials=50_000, rng=rng)
+    g = linear_gains(cfg, ReceiverSpec("wl", "zf"), 50_000, rng)
     assert g.heavy_tail is True
 
 

@@ -5,7 +5,6 @@ import pytest
 from scipy import stats
 
 from wlmimo.random_matrix import (
-    ordered_eig_sym,
     sample_channel,
     sample_haar_unit_vector,
     wl_transform,
@@ -63,24 +62,6 @@ def test_wl_transform_preserves_column_energy():
     h = wl_transform(hbar)
     assert np.linalg.norm(h, axis=0) == pytest.approx(
         np.linalg.norm(hbar, axis=0))
-
-
-def test_ordered_eig_sym_ascending_and_reconstructs():
-    rng = np.random.default_rng(6)
-    x = rng.standard_normal((5, 5))
-    a = x @ x.T
-    sys = ordered_eig_sym(a)
-    assert np.all(np.diff(sys.values) >= 0)
-    assert sys.smallest == sys.values[0]
-    rebuilt = sys.vectors @ np.diag(sys.values) @ sys.vectors.T
-    assert np.allclose(rebuilt, a, atol=1e-10)
-
-
-def test_ordered_eig_sym_rejects_asymmetric():
-    with pytest.raises(ValueError):
-        ordered_eig_sym(np.array([[1.0, 2.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        ordered_eig_sym(np.ones((2, 3)))
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

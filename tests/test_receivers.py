@@ -10,18 +10,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wlmimo.random_matrix import (
-    ordered_eig_sym,
-    sample_channel,
-    wl_transform,
-)
+from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import (
     ReceiverSpec,
     SinrReport,
     _projector_sinrs,
     batched_tagged_sinr,
     cl_sinr,
-    detection_matrix,
     mmse_sinr,
     sic_sinr_stages,
     zf_sinr,
@@ -35,6 +30,16 @@ def random_instance(rng, m_rx=3, n_users=4, family="wl"):
     h = wl_transform(hbar) if family == "wl" else hbar
     xi = rng.uniform(0.2, 3.0, n_users)
     return h, xi
+
+
+def reference(h, xi, snr, family, criterion):
+    """Every user's SINR of one draw from the dual-route reference functions."""
+    if family == "cl":
+        return cl_sinr(h, xi, snr, criterion)
+    return (zf_sinr if criterion == "zf" else mmse_sinr)(h, xi, snr)
+
+
+LINEAR = [("wl", "zf"), ("wl", "mmse"), ("cl", "zf"), ("cl", "mmse")]
 
 
 # ---------------------------------------------------------------------------
@@ -69,33 +74,6 @@ def test_family_channel_type_enforced():
         cl_sinr(hbar, np.ones(3), SNR)          # xi length mismatch
     with pytest.raises(ValueError):
         cl_sinr(sample_channel(2, 3, rng), np.ones(3), SNR)   # N > M
-
-
-# ---------------------------------------------------------------------------
-# Detection matrices
-# ---------------------------------------------------------------------------
-
-def test_zf_matrix_inverts_effective_channel():
-    rng = np.random.default_rng(31)
-    h, xi = random_instance(rng)
-    w = detection_matrix(h, xi, SNR, ReceiverSpec("wl", "zf"))
-    assert w.shape == h.shape
-    assert np.allclose(w.T @ (h * np.sqrt(xi)), np.eye(4), atol=1e-10)
-
-
-def test_cl_zf_matrix_inverts_effective_channel():
-    rng = np.random.default_rng(32)
-    hbar, xi = random_instance(rng, family="cl", n_users=3)
-    w = detection_matrix(hbar, xi, SNR, ReceiverSpec("cl", "zf"))
-    assert np.allclose(w.conj().T @ (hbar * np.sqrt(xi)), np.eye(3), atol=1e-10)
-
-
-def test_mmse_matrix_approaches_zf_at_high_snr():
-    rng = np.random.default_rng(33)
-    h, xi = random_instance(rng)
-    w_zf = detection_matrix(h, xi, SNR, ReceiverSpec("wl", "zf"))
-    w_mmse = detection_matrix(h, xi, 1e12, ReceiverSpec("wl", "mmse"))
-    assert np.linalg.norm(w_mmse - w_zf) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +182,8 @@ def test_gram_inverse_diagonal_spectral_bound():
     h, _ = random_instance(rng, 2, 4)
     gram = h.T @ h
     diag_inv = np.diag(np.linalg.inv(gram))
-    eig = ordered_eig_sym(gram)
-    bound = eig.vectors[:, 0] ** 2 / eig.values[0]
+    values, vectors = np.linalg.eigh(gram)
+    bound = vectors[:, 0] ** 2 / values[0]
     assert np.all(diag_inv >= bound - 1e-12)
 
 
@@ -220,20 +198,14 @@ def test_sic_first_pick_is_linear_argmax():
     assert rep.order[0] == int(np.argmax(zf_sinr(h, xi, SNR)))
 
 
-@pytest.mark.parametrize("family,criterion", [
-    ("wl", "zf"), ("wl", "mmse"), ("cl", "zf"), ("cl", "mmse"),
-])
+@pytest.mark.parametrize("family,criterion", LINEAR)
 def test_sic_stage_sinr_never_below_linear(family, criterion):
     """Cancelling interferers cannot hurt any user's decode-stage SINR."""
     rng = np.random.default_rng(43)
     n = 4 if family == "wl" else 3
     for _ in range(20):
         h, xi = random_instance(rng, 3, n, family=family)
-        if family == "wl":
-            fn = zf_sinr if criterion == "zf" else mmse_sinr
-            linear = np.asarray(fn(h, xi, SNR))
-        else:
-            linear = np.asarray(cl_sinr(h, xi, SNR, criterion))
+        linear = reference(h, xi, SNR, family, criterion)
         rep = sic_sinr_stages(h, xi, SNR,
                               ReceiverSpec(family, criterion, sic=True))
         assert np.all(rep.sinr >= linear - 1e-9)
@@ -280,11 +252,8 @@ def test_batched_tagged_matches_reference(family, criterion, sic):
     for i in range(b):
         if sic:
             expect = sic_sinr_stages(h[i], xi[i], SNR, rx).sinr[0]
-        elif family == "wl":
-            fn = zf_sinr if criterion == "zf" else mmse_sinr
-            expect = fn(h[i], xi[i], SNR, n=0)
         else:
-            expect = cl_sinr(h[i], xi[i], SNR, criterion, n=0)
+            expect = reference(h[i], xi[i], SNR, family, criterion)[0]
         assert got[i] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
@@ -308,15 +277,34 @@ def test_batched_rejects_flat_channel():
 # Draws whose Gram matrix is singular in float64
 # ---------------------------------------------------------------------------
 
-def lstsq_sinrs(h, xi, pre):
-    """Every user's ZF SINR pre xi_n ||Pperp_n h_n||^2 for one draw."""
+def lstsq_sinrs(h, xi, pre, ridge=None):
+    """Every user's SINR pre xi_n h_n* Pperp_n h_n for one draw.
+
+    ZF projects by least squares.  MMSE (`ridge` given) takes the resolvent
+    form h_n* h_n - h_n* O (O* O + R)^-1 O* h_n, whose matrix the ridge
+    keeps invertible even when interferers repeat.
+    """
     out = np.empty(h.shape[1])
     for i in range(h.shape[1]):
         others = np.delete(h, i, axis=1)
-        coef = np.linalg.lstsq(others, h[:, i], rcond=None)[0]
-        resid = h[:, i] - others @ coef
-        out[i] = pre * xi[i] * np.real(np.vdot(resid, resid))
+        if ridge is None:
+            coef = np.linalg.lstsq(others, h[:, i], rcond=None)[0]
+            resid = h[:, i] - others @ coef
+            q = np.vdot(resid, resid)
+        else:
+            proj = others.conj().T @ h[:, i]
+            gram = others.conj().T @ others + np.diag(np.delete(ridge, i))
+            q = np.vdot(h[:, i], h[:, i]) - np.vdot(proj, np.linalg.solve(gram, proj))
+        out[i] = pre * xi[i] * np.real(q)
     return out
+
+
+def dependent_stack(family, m, n):
+    """12 draws whose interferers 1 and 2 share a column, with their powers."""
+    hbar = sample_channel(m, n, np.random.default_rng(50), size=12)
+    hbar[:, :, 2] = hbar[:, :, 1]
+    h = wl_transform(hbar) if family == "wl" else hbar
+    return h, np.array([1.0, 0.7, 1.3, 0.4][:n])
 
 
 def lstsq_sic_tagged(h, xi, pre):
@@ -341,16 +329,12 @@ def gram_inverse_tagged(h, xi, pre):
 def test_batched_zf_survives_dependent_interferers(family, m, n):
     # Interferers 1 and 2 share a column, so every Gram matrix is singular:
     # LAPACK either refuses it or returns a meaningless inverse.
-    b = 12
-    hbar = sample_channel(m, n, np.random.default_rng(50), size=b)
-    hbar[:, :, 2] = hbar[:, :, 1]
-    h = wl_transform(hbar) if family == "wl" else hbar
-    xi = np.array([1.0, 0.7, 1.3, 0.4][:n])
+    h, xi = dependent_stack(family, m, n)
     pre = 2.0 * SNR if family == "wl" else SNR
     linear = batched_tagged_sinr(h, xi, SNR, ReceiverSpec(family, "zf"))
     sic = batched_tagged_sinr(h, xi, SNR, ReceiverSpec(family, "zf", sic=True))
     assert np.all(np.isfinite(linear)) and np.all(np.isfinite(sic))
-    for i in range(b):
+    for i in range(len(h)):
         assert linear[i] == pytest.approx(lstsq_sinrs(h[i], xi, pre)[0],
                                           rel=1e-9)
         assert sic[i] == pytest.approx(lstsq_sic_tagged(h[i], xi, pre),
@@ -374,6 +358,23 @@ def test_batched_cl_zf_square_channel_with_repeated_column():
                                   gram_inverse_tagged(hbar[rest], xi, SNR))
 
 
+@pytest.mark.parametrize("family,criterion", LINEAR)
+def test_reference_on_dependent_interferers_raises_or_projects(family, criterion):
+    # The reference may refuse such a draw, but any number it returns is
+    # the least-squares projection.
+    pre = 2.0 * SNR if family == "wl" else SNR
+    for m, n in {"wl": [(2, 4), (2, 3)], "cl": [(3, 3)]}[family]:
+        h, xi = dependent_stack(family, m, n)
+        ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
+        for draw in h:
+            try:
+                got = reference(draw, xi, SNR, family, criterion)
+            except (ArithmeticError, np.linalg.LinAlgError):
+                continue
+            np.testing.assert_allclose(got, lstsq_sinrs(draw, xi, pre, ridge),
+                                       rtol=1e-9, atol=1e-9)
+
+
 @pytest.mark.parametrize("family", ["wl", "cl"])
 @pytest.mark.parametrize("criterion", ["zf", "mmse"])
 def test_least_squares_fallback_matches_reference(family, criterion):
@@ -385,10 +386,7 @@ def test_least_squares_fallback_matches_reference(family, criterion):
         h, xi = random_instance(rng, m_rx=3, n_users=3, family=family)
         ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
         got = _projector_sinrs(h, xi, pre, ridge)
-        if family == "wl":
-            expect = (zf_sinr if criterion == "zf" else mmse_sinr)(h, xi, SNR)
-        else:
-            expect = cl_sinr(h, xi, SNR, criterion)
+        expect = reference(h, xi, SNR, family, criterion)
         np.testing.assert_allclose(got, expect, rtol=1e-9)
 
 

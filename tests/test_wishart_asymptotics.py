@@ -14,7 +14,6 @@ from scipy import integrate, special, stats
 from wlmimo.wishart_asymptotics import (
     beta1,
     diversity_exponent,
-    empirical_eig_cdf,
     incomplete_gamma_ratio,
     j_matrix,
     knm_constant,
@@ -229,19 +228,3 @@ def test_eigenvalue_samples_positive_and_ordered_draw():
     rng = np.random.default_rng(17)
     lam1 = sample_kth_eigenvalue(1, 2, 2, 2_000, rng)
     assert np.all(lam1 > 0)
-
-
-def test_empirical_eig_cdf_contract():
-    rng = np.random.default_rng(18)
-    eps = np.array([0.01, 0.05, 0.2, 1.0])
-    out = empirical_eig_cdf(1, 2, 4, eps, 20_000, rng)
-    assert out.cdf.shape == eps.shape
-    assert np.all(np.diff(out.cdf) >= 0)
-    assert np.all(out.ci_lo <= out.cdf) and np.all(out.cdf <= out.ci_hi)
-    assert out.trials == 20_000
-
-
-def test_empirical_eig_cdf_rejects_bad_grid():
-    rng = np.random.default_rng(19)
-    with pytest.raises(ValueError):
-        empirical_eig_cdf(1, 2, 4, np.array([-0.1, 0.5]), 1_000, rng)
