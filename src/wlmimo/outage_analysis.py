@@ -344,7 +344,8 @@ def sic_gains(
     rates) the reported constant is the residual-based lower bound instead.
     Without power control the headline constant averages vartheta_min^+
     with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T) and the (lower, upper)
-    fields carry the computable bound pair.
+    fields carry the computable bound pair; `upper` is None where that
+    bracket vanishes on every draw, i.e. there is no finite upper bound.
     """
     if not rx.sic:
         raise ValueError("sic_gains needs a SIC receiver spec")
@@ -396,7 +397,9 @@ def sic_gains(
     ub_w = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0), 0.0, None) ** d
     lb_w = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0), 0.0, None) ** d
     pre = broot / (gamma_t + 1.0)
-    upper = pre * _moment_to_scale(ub_w, d)[0]
+    # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
+    # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
+    upper = pre * _moment_to_scale(ub_w, d)[0] if ub_w.any() else None
     lower = pre * _moment_to_scale(lb_w, d)[0]
     return GainSummary(
         rx, d, headline,

@@ -15,14 +15,16 @@ complex channel itself.  Per-user post-detection SINRs:
 where h_n is column n, and Pperp_n projects onto the orthogonal complement
 of the remaining columns (the MMSE variant uses the regularized resolvent
 instead of the exact projector).  Both published forms of each SINR are
-evaluated by the reference functions and must agree to 1e-9 relative; the
-batched helpers used inside Monte Carlo loops compute only the Gram form,
-except on draws whose Gram matrix is singular in float64, which get the
-projector form by least squares.
+evaluated by the reference functions and must agree to 1e-9 relative.  The
+batched helpers used inside Monte Carlo loops compute only the Gram form:
+a Cholesky of the Gram vectorised over the stack; LAPACK on draws with
+near-dependent columns; the projector form by least squares on draws whose
+Gram matrix is singular in float64.
 
 SIC variants decode greedily by largest SINR (ties to the lowest user
 index), assume genie-aided cancellation, and recompute the detector from
-scratch on the remaining columns after every stage.
+scratch on the remaining columns after every stage.  The batched SIC path
+stops working on a draw once its tagged user is decoded.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ __all__ = [
 ]
 
 DUAL_FORM_RTOL = 1e-9
+# Cholesky pivot / diagonal entry at or below which a draw's Gram goes to
+# LAPACK: its columns are near-dependent and the Gram form cancels.
+PIVOT_RATIO_MIN = 1e-6
 
 FAMILIES = ("wl", "cl")
 CRITERIA = ("zf", "mmse")
@@ -134,13 +139,16 @@ def _reference_sinrs(h, xi, snr: float, rx: ReceiverSpec) -> np.ndarray:
     gram = h.conj().T @ h
     if ridge is not None:
         gram = gram + np.diag(ridge)
-    by_inverse = pre * xi / np.real(np.diagonal(np.linalg.inv(gram)))
+    # a float-singular Gram gives inf or NaN here, which the check refuses
+    with np.errstate(divide="ignore", invalid="ignore"):
+        by_inverse = pre * xi / np.real(np.diagonal(np.linalg.inv(gram)))
     if ridge is not None:
         by_inverse = by_inverse - 1.0
     by_projector = _projector_sinrs(h, xi, pre, ridge)
     if not np.allclose(by_inverse, by_projector, rtol=DUAL_FORM_RTOL, atol=1e-9):
-        worst = float(np.max(np.abs(by_inverse - by_projector)
-                             / np.maximum(np.abs(by_inverse), 1e-300)))
+        with np.errstate(invalid="ignore"):
+            worst = float(np.max(np.abs(by_inverse - by_projector)
+                                 / np.maximum(np.abs(by_inverse), 1e-300)))
         raise ArithmeticError(
             f"{rx.label} SINR: matrix-inverse and projector forms disagree "
             f"(rel {worst:.2e})"
@@ -207,8 +215,8 @@ def sic_sinr_stages(
 # Batched engine paths (Gram form only; the dual check lives above)
 # ---------------------------------------------------------------------------
 
-def _batched_diag_inv(gram: np.ndarray) -> np.ndarray:
-    """Diagonal of gram^-1 per draw; NaN on draws LAPACK finds singular.
+def _lapack_diag_inv(gram: np.ndarray) -> np.ndarray:
+    """Diagonal of gram^-1 per draw by LAPACK; NaN on draws it finds singular.
 
     A raising batch is halved until the singular draws are isolated, so
     every other draw keeps the inverse it gets in a batch that does not raise.
@@ -220,8 +228,75 @@ def _batched_diag_inv(gram: np.ndarray) -> np.ndarray:
             return np.full((1, gram.shape[-1]), np.nan)
         half = len(gram) // 2
         return np.concatenate(
-            [_batched_diag_inv(gram[:half]), _batched_diag_inv(gram[half:])]
+            [_lapack_diag_inv(gram[:half]), _lapack_diag_inv(gram[half:])]
         )
+
+
+def _stacked_gram(h: np.ndarray) -> np.ndarray:
+    """(N, N, B) Gram matrices H* H of a (B, rows, N) stack, draws last.
+
+    Every entry sums the products over the rows in the same order for every
+    draw, so a draw's Gram does not depend on the rest of the stack.
+    """
+    ht = np.ascontiguousarray(np.moveaxis(h, 0, -1))       # (rows, N, B)
+    hc = ht.conj() if np.iscomplexobj(ht) else ht
+    n = ht.shape[1]
+    gram = np.empty((n, n, ht.shape[-1]), dtype=ht.dtype)
+    for i in range(n):
+        for j in range(i + 1):
+            gram[i, j] = (hc[:, i] * ht[:, j]).sum(axis=0)
+            if j < i:
+                gram[j, i] = gram[i, j].conj()
+    return gram
+
+
+def _cholesky_diag_inv(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, N) diagonal of G^-1 for (N, N, B) Hermitian Grams, draws last.
+
+    Cholesky G = L L* and L^-1 by forward substitution, written out entry
+    by entry, so each step is one vector operation over the stack;
+    [G^-1]_nn is the squared norm of column n of L^-1.  Also returns which
+    draws are clear of near-dependence: those whose pivots all exceed
+    PIVOT_RATIO_MIN times their diagonal entries.  The others (including
+    draws with a pivot that is not positive, whose entries are NaN) have
+    columns where the Gram form itself cancels.
+    """
+    n, b = gram.shape[0], gram.shape[-1]
+    if np.iscomplexobj(gram):
+        def abs2(z):
+            return z.real * z.real + z.imag * z.imag
+
+        def dot(x, y):
+            return x * y.conj()
+    else:
+        abs2 = np.square
+        dot = np.multiply
+    low = [[None] * n for _ in range(n)]
+    clear = np.ones(b, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(n):
+            pivot = gram[j, j].real.copy()
+            for k in range(j):
+                pivot -= abs2(low[j][k])
+            clear &= pivot > PIVOT_RATIO_MIN * gram[j, j].real
+            low[j][j] = np.sqrt(pivot)
+            for i in range(j + 1, n):
+                acc = gram[i, j].copy()
+                for k in range(j):
+                    acc -= dot(low[i][k], low[j][k])
+                low[i][j] = acc / low[j][j]
+        out = np.empty((n, b))
+        for c in range(n):
+            col = [None] * n                # column c of L^-1
+            col[c] = 1.0 / low[c][c]
+            out[c] = abs2(col[c])
+            for i in range(c + 1, n):
+                acc = low[i][c] * col[c]
+                for k in range(c + 1, i):
+                    acc += low[i][k] * col[k]
+                col[i] = -acc / low[i][i]
+                out[c] += abs2(col[i])
+    return out.T, clear
 
 
 def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
@@ -231,19 +306,28 @@ def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
     projector form, so they count as what they are (SINR ~ 0 for the users
     they cannot separate) instead of aborting the batch.
     """
-    gram = np.swapaxes(h.conj(), -2, -1) @ h
+    gram = _stacked_gram(h)
     pre, ridge = _scale_and_ridge(xi, snr, rx)
+    step = np.arange(gram.shape[0])
     if ridge is not None:
-        step = np.arange(gram.shape[-1])
-        gram[..., step, step] += ridge
-    diag = _batched_diag_inv(gram)
+        gram[step, step] += ridge.T
+    diag, clear = _cholesky_diag_inv(gram)
+    near = np.nonzero(~clear)[0]
+    if len(near):
+        # Near-dependent columns: here the Gram form depends on its own
+        # rounding, so these draws keep the reference SINRs' arithmetic,
+        # a matmul Gram inverted by LAPACK.
+        g = np.swapaxes(h[near].conj(), -2, -1) @ h[near]
+        if ridge is not None:
+            g[:, step, step] += ridge[near]
+        diag[near] = _lapack_diag_inv(g)
     with np.errstate(divide="ignore"):
         out = pre * xi / diag
     if ridge is not None:
         out = np.maximum(np.real(out - 1.0), 0.0)
     # [G^-1]_nn G_nn >= 1 for positive definite G; NaN (refused by LAPACK)
     # or a smaller product is an inverse of a matrix singular in float64.
-    bound = diag * np.real(gram.diagonal(axis1=-2, axis2=-1))
+    bound = diag * np.real(gram[step, step]).T
     for i in np.nonzero(~np.all(bound >= 1.0 - 1e-6, axis=1))[0]:
         out[i] = _projector_sinrs(
             h[i], xi[i], pre, None if ridge is None else ridge[i]
@@ -271,18 +355,20 @@ def batched_tagged_sinr(
     if not rx.sic:
         return _batched_linear_sinrs(h, xi, snr, rx)[:, 0]
 
-    alive = np.ones((b, n), dtype=bool)
+    # Removing decoded interferers keeps the column order, so the tagged
+    # user stays column 0; a draw leaves the loop once it is decoded.
+    rows = np.arange(b)
     tagged = np.zeros(b)
-    for stage in range(n):
-        k = n - stage
-        cols = np.nonzero(alive)[1].reshape(b, k)
-        hs = np.take_along_axis(h, cols[:, None, :], axis=2)
-        xs = np.take_along_axis(xi, cols, axis=1)
-        gams = _batched_linear_sinrs(hs, xs, snr, rx)
-        pick = np.argmax(gams, axis=1)
-        rows = np.arange(b)
-        picked_user = cols[rows, pick]
-        was_tagged = picked_user == 0
-        tagged[was_tagged] = gams[rows, pick][was_tagged]
-        alive[rows, picked_user] = False
+    while len(rows):
+        gams = _batched_linear_sinrs(h, xi, snr, rx)
+        pick = np.argmax(gams, axis=1)    # ties go to the lowest index
+        done = pick == 0
+        tagged[rows[done]] = gams[done, 0]
+        go = ~done
+        rows = rows[go]
+        k = h.shape[-1]
+        keep = np.arange(k) != pick[go, None]
+        cols = np.nonzero(keep)[1].reshape(len(rows), k - 1)
+        h = np.take_along_axis(h[go], cols[:, None, :], axis=2)
+        xi = np.take_along_axis(xi[go], cols, axis=1)
     return tagged

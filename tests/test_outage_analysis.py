@@ -307,6 +307,19 @@ def test_uncontrolled_mmse_sic_reports_bound_pair():
     assert g.lower <= g.upper
 
 
+@pytest.mark.parametrize("m", [3, 2])
+def test_uncontrolled_mmse_sic_without_finite_upper_bound(m):
+    # N = 2 >= gamma_T + 1 = 2 at R = 1 (CL): the upper bracket needs both
+    # v_n^2 above 1/2, so it vanishes on every draw; the headline and the
+    # lower bound stay finite.
+    cfg = LinkConfig(m_rx=m, n_users=2, snr=1.0, rate=1.0)
+    g = sic_gains(cfg, ReceiverSpec("cl", "mmse", sic=True), 20_000,
+                  derive_rng(1012, "no-upper", m))
+    assert math.isfinite(g.coding_gain) and g.coding_gain > 0
+    assert g.lower is not None and math.isfinite(g.lower) and g.lower > 0
+    assert g.upper is None
+
+
 def test_gain_for_dispatches_by_spec():
     cfg = ppc_cfg(2, 2, 2.0)
     lin = gain_for(cfg, ReceiverSpec("wl", "zf"), trials=2_000,
