@@ -27,11 +27,9 @@ from .montecarlo import (
 from .mmtc_sim import (
     MmtcConfig,
     MmtcResult,
-    SupportedUsers,
     half_tti_mode,
     operating_snr,
     run_scenario,
-    supported_users,
 )
 from .outage_analysis import (
     GainSummary,
@@ -66,9 +64,6 @@ from .receivers import (
 from .wishart_asymptotics import (
     beta1,
     diversity_exponent,
-    incomplete_gamma_ratio,
-    j_matrix,
-    knm_constant,
     pfaffian,
     sample_kth_eigenvalue,
 )
@@ -82,8 +77,8 @@ __all__ = [
     # monte carlo plumbing
     "Estimate", "SlopeFit", "derive_rng", "fit_diversity", "wilson_interval",
     # machine-type traffic
-    "MmtcConfig", "MmtcResult", "SupportedUsers", "half_tti_mode",
-    "operating_snr", "run_scenario", "supported_users",
+    "MmtcConfig", "MmtcResult", "half_tti_mode", "operating_snr",
+    "run_scenario",
     # outage analysis
     "GainSummary", "MomentRatio", "OutageCurve", "asymptote_curve",
     "chi2_cdf_poly_coeff", "cl_threshold", "coding_gain_ratio",
@@ -95,6 +90,5 @@ __all__ = [
     "ReceiverSpec", "SinrReport", "batched_tagged_sinr", "cl_sinr",
     "mmse_sinr", "sic_sinr_stages", "zf_sinr",
     # Wishart asymptotics
-    "beta1", "diversity_exponent", "incomplete_gamma_ratio", "j_matrix", "knm_constant", "pfaffian",
-    "sample_kth_eigenvalue",
+    "beta1", "diversity_exponent", "pfaffian", "sample_kth_eigenvalue",
 ]

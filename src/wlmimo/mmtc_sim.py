@@ -27,17 +27,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .link_model import sample_large_scale
-from .montecarlo import Estimate, Z95, derive_rng, wilson_interval
+from .montecarlo import Estimate, Z95, wilson_interval
 from .outage_analysis import cl_threshold, wl_threshold
 
 __all__ = [
     "MmtcConfig",
     "MmtcResult",
-    "SupportedUsers",
     "operating_snr",
     "run_scenario",
     "half_tti_mode",
-    "supported_users",
 ]
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
@@ -261,47 +259,4 @@ def run_scenario(
         drop_prob=drop,
         throughput=throughput,
         max_decoded_collision=max_decoded_collision,
-    )
-
-
-@dataclass(frozen=True)
-class SupportedUsers:
-    """Largest population meeting the drop target on a user grid."""
-
-    users: int
-    qualified: bool
-    target: float
-    results: tuple[MmtcResult, ...]
-
-
-def supported_users(
-    cfg: MmtcConfig,
-    user_grid,
-    ttis: int,
-    seed: int,
-    drop_target: float | None = None,
-) -> SupportedUsers:
-    """Sweep a user grid and report the largest count meeting the target.
-
-    A point qualifies when the upper end of its 95% drop-probability CI
-    stays at or under the target.  Every point runs on its own derived RNG
-    stream, so adding or removing grid points never perturbs the others.
-    """
-    grid = [int(u) for u in user_grid]
-    if not grid or any(u <= 0 for u in grid) or sorted(grid) != grid:
-        raise ValueError("user grid must be ascending positive counts")
-    target = cfg.drop_target if drop_target is None else float(drop_target)
-    if not 0 < target <= 1:
-        raise ValueError("drop target must lie in (0, 1]")
-    results = []
-    best = 0
-    for users in grid:
-        rng = derive_rng(seed, "mmtc", cfg.family, int(cfg.half_tti),
-                         cfg.m_rx, users)
-        res = run_scenario(replace(cfg, users=users), ttis, rng)
-        results.append(res)
-        if res.drop_prob.ci_hi <= target:
-            best = max(best, users)
-    return SupportedUsers(
-        users=best, qualified=best > 0, target=target, results=tuple(results)
     )

@@ -21,10 +21,11 @@ a Cholesky of the Gram vectorised over the stack; LAPACK on draws with
 near-dependent columns; the projector form by least squares on draws whose
 Gram matrix is singular in float64.
 
-SIC variants decode greedily by largest SINR (ties to the lowest user
-index), assume genie-aided cancellation, and recompute the detector from
-scratch on the remaining columns after every stage.  The batched SIC path
-stops working on a draw once its tagged user is decoded.
+SIC variants decode greedily by largest SINR (equal SINRs to the lowest
+user index; the reference refuses near ties), assume genie-aided
+cancellation, and recompute the detector from scratch on the remaining
+columns after every stage.  The batched SIC path stops working on a draw
+once its tagged user is decoded.
 """
 
 from __future__ import annotations
@@ -124,10 +125,12 @@ def _projector_sinrs(h, xi, pre, ridge) -> np.ndarray:
 def _reference_sinrs(h, xi, snr: float, rx: ReceiverSpec) -> np.ndarray:
     """(N,) per-user SINRs of one draw, by both published routes.
 
-    Returns the Gram-inverse route after checking it against the projector
-    route to DUAL_FORM_RTOL; MMSE values are clamped at zero, since the
-    resolvent form subtracts 1 and can go microscopically negative.  On a
-    draw with dependent interferers the result is either the least-squares
+    Returns the Gram-inverse route after checking each SINR against the
+    projector route to DUAL_FORM_RTOL relative.  MMSE is compared before
+    the resolvent form subtracts 1 (an MMSE SINR can be far below the
+    routes' absolute accuracy at low power) and clamped at zero after,
+    since the subtraction can go microscopically negative.  On a draw with
+    dependent interferers the result is either the least-squares
     projection or an ArithmeticError / LinAlgError, never another number.
     """
     h = np.asarray(h)
@@ -137,23 +140,22 @@ def _reference_sinrs(h, xi, snr: float, rx: ReceiverSpec) -> np.ndarray:
         raise ValueError("snr must be positive")
     pre, ridge = _scale_and_ridge(xi, snr, rx)
     gram = h.conj().T @ h
+    by_projector = _projector_sinrs(h, xi, pre, ridge)
     if ridge is not None:
         gram = gram + np.diag(ridge)
+        by_projector = by_projector + 1.0
     # a float-singular Gram gives inf or NaN here, which the check refuses
     with np.errstate(divide="ignore", invalid="ignore"):
         by_inverse = pre * xi / np.real(np.diagonal(np.linalg.inv(gram)))
-    if ridge is not None:
-        by_inverse = by_inverse - 1.0
-    by_projector = _projector_sinrs(h, xi, pre, ridge)
-    if not np.allclose(by_inverse, by_projector, rtol=DUAL_FORM_RTOL, atol=1e-9):
-        with np.errstate(invalid="ignore"):
+    if not np.allclose(by_inverse, by_projector, rtol=DUAL_FORM_RTOL, atol=0.0):
+        with np.errstate(divide="ignore", invalid="ignore"):
             worst = float(np.max(np.abs(by_inverse - by_projector)
-                                 / np.maximum(np.abs(by_inverse), 1e-300)))
+                                 / np.abs(by_projector)))
         raise ArithmeticError(
             f"{rx.label} SINR: matrix-inverse and projector forms disagree "
             f"(rel {worst:.2e})"
         )
-    return by_inverse if ridge is None else np.maximum(by_inverse, 0.0)
+    return by_inverse if ridge is None else np.maximum(by_inverse - 1.0, 0.0)
 
 
 def _entry(sinrs: np.ndarray, n: int | None) -> np.ndarray | float:
@@ -192,7 +194,12 @@ class SinrReport:
 def sic_sinr_stages(
     h: np.ndarray, xi: np.ndarray, snr: float, rx: ReceiverSpec
 ) -> SinrReport:
-    """Greedy genie-aided SIC: largest SINR first, detector rebuilt per stage."""
+    """Greedy genie-aided SIC: largest SINR first, detector rebuilt per stage.
+
+    Two top SINRs that differ by no more than DUAL_FORM_RTOL relative are a
+    pick that rounding decides, so the stage refuses it (ArithmeticError);
+    equal ones go to the lowest index.
+    """
     h = np.asarray(h)
     xi = np.asarray(xi, dtype=float)
     _check_dims(rx, h, xi)
@@ -204,6 +211,12 @@ def sic_sinr_stages(
         idx = np.array(remaining)
         gams = _reference_sinrs(h[:, idx], xi[idx], snr, rx)
         pick = int(np.argmax(gams))    # argmax breaks ties at the lowest index
+        second = np.max(np.delete(gams, pick), initial=0.0)
+        if 0.0 < gams[pick] - second <= DUAL_FORM_RTOL * gams[pick]:
+            raise ArithmeticError(
+                f"{rx.label}: the top two stage SINRs {gams[pick]:.6e} and "
+                f"{second:.6e} tie within the routes' tolerance"
+            )
         user = remaining[pick]
         sinr[user] = float(gams[pick])
         order.append(user)

@@ -9,34 +9,41 @@ eigenvalue obeys
 The exponent is available for every k; the leading coefficient has a closed
 form only for k = 1:
 
-    beta_1 = sqrt(|J|) / (K_nm * d1),        d1 = (m - n + 1) / 2,
+    beta_1 = Pf(J) / (K_nm * d1),        d1 = (m - n + 1) / 2,
+    K_nm = 2^(nm/2) pi^(-n/2) prod_i Gamma((m-i+1)/2) Gamma((n-i+1)/2),
 
-where K_nm is the normalization constant of the joint eigenvalue density and
-J is a skew-symmetric matrix of one-sided Gamma integrals whose Pfaffian
-gives sqrt(|J|).  For k > 1 the coefficient must be fit empirically from
-:func:`sample_kth_eigenvalue` draws.
+where K_nm normalizes the joint eigenvalue density and J is skew-symmetric.
+With b_i = d1 + i, its entries for i < j <= n-1 are the signed two-sided
+Gamma integrals
 
-All Gamma factors are evaluated in the log domain so moderately large (n, m)
-do not overflow; the Pfaffian of J is taken on a rescaled matrix and the
-scale is restored in log space.
+    J_ij = int int sign(y - x) x^(b_i-1) y^(b_j-1) e^(-(x+y)/2) dx dy
+         = 2 sum_{k=1}^{j-i} 2^k Gamma(b_i+b_j-k) Gamma(b_j) / Gamma(b_j-k+1),
+
+and even n adds a border column J_in = 2^b_i Gamma(b_i).  For k > 1 the
+coefficient must be fit empirically from :func:`sample_kth_eigenvalue` draws.
+
+b_i + b_j is an integer and b_j - 1, b_j - 2, ... are half-integers, so the
+interior entries are integers; the border is a common factor
+2^b_1 Gamma(b_1), which comes out of the Pfaffian, times integers.  K_nm and
+d1 are rational up to powers of sqrt(2) and sqrt(pi).  beta_1 is therefore
+computed exactly, as a Fraction times sqrt(2)^s sqrt(pi)^t, with the Pfaffian
+taken by Parlett-Reid skew Gaussian elimination on Fractions, and rounded to
+float once at the end.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "diversity_exponent",
     "pfaffian",
-    "knm_constant",
-    "incomplete_gamma_ratio",
-    "j_matrix",
     "beta1",
     "sample_kth_eigenvalue",
 ]
-
-LOG2 = np.log(2.0)
 
 
 def _check_nm(n: int, m: int, bound: int = 64) -> None:
@@ -56,154 +63,98 @@ def diversity_exponent(k: int, n: int, m: int) -> float:
 # Pfaffian
 # ---------------------------------------------------------------------------
 
-def pfaffian(a: np.ndarray) -> float:
+def pfaffian(a: np.ndarray) -> float | Fraction:
     """Pfaffian of an even-size skew-symmetric matrix, Pf([]) = 1.
 
-    Exact recursive Laplace-style expansion along the last row/column with
-    memoization over index subsets.  Intended for the small matrices that
-    appear in beta_1 (size <= 12 or so); cost grows like 2^size.
+    Parlett-Reid skew Gaussian elimination (Wimmer, ACM TOMS 38 (2012),
+    Alg. 923), O(size^3): each step moves the largest-magnitude entry of
+    the eliminated column next to the diagonal and removes two rows and
+    columns.  An object array of Fractions gives the exact Pfaffian; any
+    other input is taken as float.
     """
-    a = np.asarray(a, dtype=float)
+    a = np.array(a)
+    if a.dtype != object:
+        a = a.astype(float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
     size = a.shape[0]
     if size % 2 != 0:
         raise ValueError("Pfaffian needs an even-size matrix")
-    if size == 0:
-        return 1.0
     if not np.array_equal(a, -a.T):
         raise ValueError("matrix is not skew-symmetric")
-
-    memo: dict[tuple[int, ...], float] = {}
-
-    def expand(active: tuple[int, ...]) -> float:
-        if not active:
-            return 1.0
-        got = memo.get(active)
-        if got is not None:
-            return got
-        last = active[-1]
-        rest = active[:-1]
-        total = 0.0
-        for pos, i in enumerate(rest):
-            coeff = a[i, last]
-            if coeff != 0.0:
-                sub = rest[:pos] + rest[pos + 1:]
-                total += (-1.0) ** pos * coeff * expand(sub)
-        memo[active] = total
-        return total
-
-    return expand(tuple(range(size)))
+    pf = 1
+    for k in range(0, size, 2):
+        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
+        if p != k + 1:      # swap rows and columns k+1 and p
+            a[[k + 1, p]] = a[[p, k + 1]]
+            a[:, [k + 1, p]] = a[:, [p, k + 1]]
+            pf = -pf
+        pivot = a[k, k + 1]
+        if pivot == 0:      # the whole column is zero
+            return pf * pivot
+        pf *= pivot
+        tau = a[k, k + 2:] / pivot
+        col = a[k + 2:, k + 1]
+        a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return pf if a.dtype == object else float(pf)
 
 
 # ---------------------------------------------------------------------------
 # Leading constant of the smallest-eigenvalue CDF
 # ---------------------------------------------------------------------------
 
-def _log_knm(n: int, m: int) -> float:
-    out = (n / 2.0) * (m * LOG2 - np.log(np.pi))
-    for i in range(1, n + 1):
-        out += gammaln((m - i + 1) / 2.0) + gammaln((n - i + 1) / 2.0)
-    return float(out)
+def _half_gamma(k: int) -> tuple[Fraction, int]:
+    """Gamma(k/2) = q sqrt(pi)^t for a positive integer k, as (q, t)."""
+    q, x = Fraction(1), Fraction(k, 2)
+    while x > 1:
+        x -= 1
+        q *= x
+    return q, k % 2
 
 
-def knm_constant(n: int, m: int) -> float:
-    """Normalization constant K_nm of the joint eigenvalue density."""
-    _check_nm(n, m)
-    return float(np.exp(_log_knm(n, m)))
+def _exact_j(n: int, m: int) -> np.ndarray:
+    """J as Fractions, its even-n border divided by 2^b_1 Gamma(b_1).
 
-
-def incomplete_gamma_ratio(b_j: float, b_i: float) -> float:
-    """I(b_j, b_i; inf) = Pr(Gamma(b_i, 1) < Gamma(b_j, 1)), b_i - b_j integer.
-
-    Closed recursion for b_i >= b_j:
-
-        I = 1/2 - sum_{k=1}^{b_i - b_j} 2^-(b_j+b_i-k) Gamma(b_j+b_i-k)
-                                         / (Gamma(b_j) Gamma(b_i-k+1))
-
-    and I(a, b) = 1 - I(b, a) covers b_i < b_j.  The arguments come from the
-    half-integer ladder b_i = (m-n+1)/2 + i, so their difference is integral.
+    Size n - 1 for odd n, n for even n; n = 1 gives the empty matrix.
     """
-    if b_j <= 0 or b_i <= 0:
-        raise ValueError("shape arguments must be positive")
-    diff = b_i - b_j
-    steps = int(round(diff))
-    if abs(diff - steps) > 1e-9:
-        raise ValueError("b_i - b_j must be an integer for the closed recursion")
-    if steps < 0:
-        return 1.0 - incomplete_gamma_ratio(b_i, b_j)
-    total = 0.5
-    for k in range(1, steps + 1):
-        log_term = (
-            -(b_j + b_i - k) * LOG2
-            + gammaln(b_j + b_i - k)
-            - gammaln(b_j)
-            - gammaln(b_i - k + 1)
-        )
-        total -= float(np.exp(log_term))
-    return total
-
-
-def _b(n: int, m: int, i: int) -> float:
-    return 0.5 * (m - n + 1) + i
-
-
-def j_matrix(n: int, m: int) -> np.ndarray:
-    """Skew-symmetric J whose Pfaffian enters beta_1.
-
-    Square of size n-1 for odd n and size n for even n; the even case gains
-    a border column of one-sided integrals [J]_{i,n} = 2^{b_i} Gamma(b_i).
-    Interior entries for i < j <= n-1:
-
-        [J]_{i,j} = 2^{b_i+b_j} Gamma(b_i) Gamma(b_j)
-                    * (2 I(b_j, b_i; inf) - 1),
-
-    evaluated through the closed recursion of
-    :func:`incomplete_gamma_ratio`; the lower triangle is the negative
-    transpose.  n = 1 yields the empty matrix (Pfaffian 1).
-    """
-    _check_nm(n, m)
-    size = n if n % 2 == 0 else n - 1
-    out = np.zeros((size, size))
+    size = n - n % 2
+    two_b = [m - n + 1 + 2 * i for i in range(size + 1)]     # 2 b_i
+    out = np.full((size, size), Fraction(0), dtype=object)
     for i in range(1, size + 1):
-        bi = _b(n, m, i)
         for j in range(i + 1, size + 1):
-            bj = _b(n, m, j)
-            if j <= n - 1:
-                bracket = 2.0 * incomplete_gamma_ratio(bj, bi) - 1.0
-                log_pref = (bi + bj) * LOG2 + gammaln(bi) + gammaln(bj)
-                val = float(np.sign(bracket) * np.exp(log_pref + np.log(abs(bracket))))
-            else:  # even n border column
-                val = float(np.exp(bi * LOG2 + gammaln(bi)))
-            out[i - 1, j - 1] = val
-            out[j - 1, i - 1] = -val
+            if j < n:
+                # term = 2^k Gamma(b_j) / Gamma(b_j-k+1), an integer
+                s, term, val = (two_b[i] + two_b[j]) // 2, 2, 0
+                for k in range(1, j - i + 1):
+                    val += term * math.factorial(s - k - 1)
+                    term *= two_b[j] - 2 * k
+                val *= 2
+            else:           # 2^b_i Gamma(b_i) / (2^b_1 Gamma(b_1))
+                val = math.prod(two_b[1:i])
+            out[i - 1, j - 1] = Fraction(val)
+            out[j - 1, i - 1] = -out[i - 1, j - 1]
     return out
 
 
 def beta1(n: int, m: int) -> float:
     """Leading CDF coefficient of the smallest eigenvalue (k = 1).
 
-    beta_1 = Pf(J) / (K_nm d1) with d1 = (m-n+1)/2, combined in log space
-    after rescaling J by its largest magnitude so the Pfaffian cannot
-    overflow for larger (n, m).
+    beta_1 = Pf(J) / (K_nm d1) = q sqrt(2)^s sqrt(pi)^t with q exact; the
+    even part of s goes into q, so the float result is rounded once.
     """
     _check_nm(n, m)
-    d1 = 0.5 * (m - n + 1)
-    jm = j_matrix(n, m)
-    if jm.size == 0:
-        log_pf = 0.0
-    else:
-        scale = float(np.abs(jm).max())
-        if scale == 0.0:
-            raise ArithmeticError("degenerate J matrix")
-        pf = pfaffian(jm / scale)
-        if pf <= 0.0:
-            raise ArithmeticError(f"Pfaffian of J must be positive, got {pf}")
-        log_pf = np.log(pf) + (jm.shape[0] / 2.0) * np.log(scale)
-    value = float(np.exp(log_pf - _log_knm(n, m) - np.log(d1)))
-    if not value > 0.0:
-        raise ArithmeticError("beta_1 must be positive")
-    return value
+    # Pf(J) / d1 times 2^(-nm/2) pi^(n/2), then over K_nm's Gamma factors
+    q = Fraction(pfaffian(_exact_j(n, m))) / Fraction(m - n + 1, 2)
+    s, t = -n * m, n
+    for i in range(1, n + 1):
+        for k in (m - i + 1, n - i + 1):
+            g, odd = _half_gamma(k)
+            q, t = q / g, t - odd
+    if n % 2 == 0:          # the border factor 2^b_1 Gamma(b_1), 2 b_1 = m-n+3
+        g, odd = _half_gamma(m - n + 3)
+        q, s, t = q * g, s + m - n + 3, t + odd
+    q *= Fraction(2) ** (s // 2)
+    return float(q) * math.sqrt(2.0) ** (s % 2) * math.sqrt(math.pi) ** t
 
 
 # ---------------------------------------------------------------------------

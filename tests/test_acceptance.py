@@ -16,6 +16,7 @@ most M Rayleigh receive antennas can give.  The chi-square law checks
 below and the WL(2N-1) = CL(N) relation confirm the corrected value.
 """
 
+import csv
 import filecmp
 import math
 import time
@@ -26,7 +27,6 @@ from scipy import stats
 
 from wlmimo.cli import ExperimentConfig, run
 from wlmimo.link_model import LinkConfig
-from wlmimo.mmtc_sim import MmtcConfig, half_tti_mode, supported_users
 from wlmimo.montecarlo import derive_rng, fit_diversity
 from wlmimo.outage_analysis import (
     coding_gain_ratio,
@@ -325,25 +325,23 @@ USER_GRID = tuple(int(round(250 * 2 ** (k / 2))) for k in range(19))
 
 
 @pytest.mark.parametrize("m_rx", [1, 2])
-def test_mmtc_supported_user_ordering(m_rx):
+def test_mmtc_supported_user_ordering(m_rx, tmp_path):
+    # Runs the CLI's fig4 sweep; every grid point's MmtcResult enforces
+    # packet conservation and the receiver capacity as it is built.
     t0 = time.perf_counter()
-    sweeps = {}
-    for family, half in (("wl", False), ("cl", False), ("cl", True)):
-        cfg = MmtcConfig(users=USER_GRID[0], m_rx=m_rx, family=family)
-        if half:
-            cfg = half_tti_mode(cfg)
-        sweeps[(family, half)] = supported_users(cfg, USER_GRID, 20_000,
-                                                 SEED)
-    for sweep in sweeps.values():
-        assert sweep.qualified
-        for res in sweep.results:
-            assert res.decoded + res.dropped == res.offered
-            assert res.max_decoded_collision <= res.config.capacity
-    wl = sweeps[("wl", False)].users
-    half = sweeps[("cl", True)].users
-    cl = sweeps[("cl", False)].users
+    run(ExperimentConfig("fig4-mmtc-drop", seed=SEED, out_dir=str(tmp_path),
+                         options={"m_rx": [m_rx], "user_grid": list(USER_GRID),
+                                  "ttis": 20_000}))
+    supported = {}
+    for tag in ("wl", "cl", "cl-half"):
+        with open(tmp_path / f"fig4-{tag}-m{m_rx}.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert [int(r["users"]) for r in rows] == list(USER_GRID)
+        supported[tag] = max((int(r["users"]) for r in rows
+                              if float(r["ci_hi"]) <= 0.01), default=0)
+    wl, half, cl = supported["wl"], supported["cl-half"], supported["cl"]
     elapsed = time.perf_counter() - t0
-    ok = wl > half > cl and elapsed <= 600.0
+    ok = wl > half > cl > 0 and elapsed <= 600.0
     line = report(ok, f"mMTC supported users (M={m_rx})",
                   f"1% drop target: WL {wl} > CL half-TTI {half} > CL "
                   f"{cl}; conservation and capacity held at every grid "

@@ -12,7 +12,6 @@ from wlmimo.mmtc_sim import (
     half_tti_mode,
     operating_snr,
     run_scenario,
-    supported_users,
 )
 from wlmimo.montecarlo import Estimate, derive_rng
 
@@ -172,35 +171,3 @@ def test_result_validation():
         MmtcResult(config=cfg, ttis=10, offered=5, decoded=4,
                    dropped_overload=1, dropped_outage=0, drop_prob=est,
                    throughput=est, max_decoded_collision=3)
-
-
-# ---------------------------------------------------------------------------
-# Grid sweeps
-# ---------------------------------------------------------------------------
-
-def test_supported_users_finds_the_boundary():
-    cfg = wl_cfg()
-    out = supported_users(cfg, [500, 64_000], ttis=4_000, seed=99)
-    assert out.qualified is True
-    assert out.users == 500
-    assert out.target == 0.01
-    assert len(out.results) == 2
-    assert out.results[1].drop_prob.ci_hi > 0.01
-
-
-def test_supported_users_can_fail_everywhere():
-    cfg = wl_cfg()
-    out = supported_users(cfg, [32_000, 64_000], ttis=1_000, seed=100,
-                          drop_target=1e-6)
-    assert out.qualified is False
-    assert out.users == 0
-
-
-def test_supported_users_validates_grid():
-    cfg = wl_cfg()
-    with pytest.raises(ValueError):
-        supported_users(cfg, [], ttis=1_000, seed=1)
-    with pytest.raises(ValueError):
-        supported_users(cfg, [2_000, 1_000], ttis=1_000, seed=1)
-    with pytest.raises(ValueError):
-        supported_users(cfg, [1_000], ttis=1_000, seed=1, drop_target=2.0)

@@ -225,6 +225,14 @@ def test_sic_tie_breaks_to_lowest_index():
     assert np.allclose(rep.sinr, 2 * SNR)
 
 
+def test_sic_refuses_a_near_tie():
+    # top two stage SINRs 1e-12 apart: which one goes first is rounding
+    h = np.eye(8)[:, :4]
+    xi = np.array([0.5, 1.0, 1.0 + 1e-12, 0.7])
+    with pytest.raises(ArithmeticError):
+        sic_sinr_stages(h, xi, SNR, ReceiverSpec("wl", "zf", sic=True))
+
+
 def test_sic_single_user():
     rng = np.random.default_rng(45)
     h, xi = random_instance(rng, 2, 1)
@@ -378,6 +386,23 @@ def test_reference_on_dependent_interferers_raises_or_projects(family, criterion
                 continue
             np.testing.assert_allclose(got, lstsq_sinrs(draw, xi, pre, ridge),
                                        rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("eps,snr_db,sic", [(1e-7, 50.0, False),
+                                            (1e-8, 15.0, True)])
+def test_reference_never_returns_negative_zf_sinrs(eps, snr_db, sic):
+    # Columns 1e-7 / 1e-8 apart: the two routes agree to an absolute 1e-9
+    # and still give negative SINRs, so each SINR is checked relatively.
+    h, xi = near_dependent_stack("cl", 2, 2, eps, np.random.default_rng(7), 3000)
+    snr = 10.0 ** (snr_db / 10.0)
+    rx = ReceiverSpec("cl", "zf", sic=sic)
+    for i in range(len(h)):
+        try:
+            got = (sic_sinr_stages(h[i], xi[i], snr, rx).sinr if sic
+                   else cl_sinr(h[i], xi[i], snr))
+        except (ArithmeticError, np.linalg.LinAlgError):
+            continue
+        assert np.all(got >= 0.0), f"draw {i}: {got}"
 
 
 @pytest.mark.parametrize("family", ["wl", "cl"])

@@ -1,22 +1,22 @@
 """Tests for the small-eigenvalue machinery.
 
-The analytic pieces (Pfaffian, normalization constant, one-sided Gamma
-integrals, J matrix) each get an independent oracle: textbook identities,
-scipy quadrature, or empirical eigenvalue CDFs.
+The Pfaffian is checked against closed forms and determinants, float and
+exact; beta_1 against the chi-square law, exact rational values, an mpmath
+oracle (quadrature and the closed incomplete-Gamma recursion, 80 digits)
+and empirical eigenvalue CDFs.
 """
 
 import math
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from wlmimo.wishart_asymptotics import (
     beta1,
     diversity_exponent,
-    incomplete_gamma_ratio,
-    j_matrix,
-    knm_constant,
     pfaffian,
     sample_kth_eigenvalue,
 )
@@ -73,108 +73,41 @@ def test_pfaffian_many_matrices_fast():
         assert pfaffian(s) ** 2 == pytest.approx(np.linalg.det(s), rel=1e-9)
 
 
-# ---------------------------------------------------------------------------
-# Normalization constant
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("m", [1, 3, 5])
-def test_knm_single_row_matches_gamma_integral(m):
-    # n=1: the joint density is K^-1 lam^((m-2)/2) exp(-lam/2) on (0, inf)
-    val, _ = integrate.quad(
-        lambda lam: lam ** ((m - 2) / 2) * math.exp(-lam / 2), 0, np.inf)
-    assert knm_constant(1, m) == pytest.approx(val, rel=1e-9)
-    assert knm_constant(1, m) == pytest.approx(2 ** (m / 2) * special.gamma(m / 2), rel=1e-12)
-
-
-def test_knm_two_rows_matches_double_integral():
-    # n=2, m=2: K^-1 (lam2-lam1) (lam1 lam2)^-1/2 exp(-(lam1+lam2)/2)
-    def inner(l2, l1):
-        return (l2 - l1) / math.sqrt(l1 * l2) * math.exp(-(l1 + l2) / 2)
-
-    val, err = integrate.dblquad(inner, 0, 60.0, lambda l1: l1, 60.0)
-    assert knm_constant(2, 2) == pytest.approx(4.0, rel=1e-12)
-    assert val == pytest.approx(4.0, rel=1e-4)
+@pytest.mark.parametrize("size", [2, 4, 6, 8])
+def test_pfaffian_of_fractions_squares_to_the_exact_determinant(size):
+    rng = np.random.default_rng(200 + size)
+    for _ in range(5):
+        a = np.full((size, size), Fraction(0), dtype=object)
+        for i in range(size):
+            for j in range(i + 1, size):
+                a[i, j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                a[j, i] = -a[i, j]
+        pf = pfaffian(a)
+        assert isinstance(pf, Fraction)
+        assert pf ** 2 == fraction_det(a)
 
 
-def test_knm_rejects_bad_shape():
-    with pytest.raises(ValueError):
-        knm_constant(3, 2)
-
-
-# ---------------------------------------------------------------------------
-# One-sided Gamma integrals
-# ---------------------------------------------------------------------------
-
-def test_gamma_ratio_symmetry_point():
-    for b in (0.5, 1.5, 4.0):
-        assert incomplete_gamma_ratio(b, b) == pytest.approx(0.5, abs=1e-14)
-
-
-def test_gamma_ratio_worked_quarter():
-    # Pr(Gamma(2) < Gamma(1)) = 1/4 for unit-scale draws
-    assert incomplete_gamma_ratio(1.0, 2.0) == pytest.approx(0.25, abs=1e-14)
-
-
-def test_gamma_ratio_complement():
-    assert incomplete_gamma_ratio(2.5, 1.5) + incomplete_gamma_ratio(1.5, 2.5) \
-        == pytest.approx(1.0, abs=1e-14)
-
-
-@pytest.mark.parametrize("bj,bi", [(2.5, 1.5), (1.5, 3.5), (1.0, 4.0)])
-def test_gamma_ratio_matches_quadrature(bj, bi):
-    """Pr(Gamma(b_i) < Gamma(b_j)) via direct numerical integration."""
-    def integrand(x):
-        fx = math.exp((bj - 1) * math.log(x) - x - special.gammaln(bj))
-        return fx * special.gammainc(bi, x)
-
-    val, _ = integrate.quad(integrand, 0, np.inf)
-    assert incomplete_gamma_ratio(bj, bi) == pytest.approx(val, rel=1e-9)
-
-
-def test_gamma_ratio_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        incomplete_gamma_ratio(0.0, 1.0)
-    with pytest.raises(ValueError):
-        incomplete_gamma_ratio(1.0, 1.7)
+def fraction_det(a):
+    """Determinant by exact Gaussian elimination over Fractions."""
+    rows = [list(r) for r in a]
+    det = Fraction(1)
+    for c in range(len(rows)):
+        p = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            det = -det
+        det *= rows[c][c]
+        for r in range(c + 1, len(rows)):
+            f = rows[r][c] / rows[c][c]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    return det
 
 
 # ---------------------------------------------------------------------------
-# J matrix and beta_1
+# beta_1
 # ---------------------------------------------------------------------------
-
-def test_j_matrix_sizes():
-    assert j_matrix(1, 4).shape == (0, 0)
-    assert j_matrix(2, 2).shape == (2, 2)
-    assert j_matrix(3, 6).shape == (2, 2)
-    assert j_matrix(4, 4).shape == (4, 4)
-
-
-def test_j_matrix_border_entry_closed_form():
-    # n=2 has only the border entry: 2^b1 Gamma(b1) with b1 = (m-n+1)/2 + 1
-    jm = j_matrix(2, 2)
-    b1 = 1.5
-    expect = 2 ** b1 * special.gamma(b1)
-    assert jm[0, 1] == pytest.approx(expect, rel=1e-12)
-    assert np.allclose(jm, -jm.T)
-
-
-def test_j_matrix_interior_entry_matches_quadrature():
-    """Interior entries are signed two-sided Gamma integrals.
-
-    The inner integral over y of sign(y - x) y^(b2-1) exp(-y/2) evaluates
-    exactly through the regularized Gamma CDF, leaving one quadrature in x.
-    """
-    n, m = 3, 6
-    b1, b2 = 3.0, 4.0   # (m-n+1)/2 + i for i = 1, 2
-
-    def integrand(x):
-        inner = 2 ** b2 * special.gamma(b2) * (1 - 2 * special.gammainc(b2, x / 2))
-        return x ** (b1 - 1) * math.exp(-x / 2) * inner
-
-    val, _ = integrate.quad(integrand, 0, np.inf)
-    jm = j_matrix(n, m)
-    assert jm[0, 1] == pytest.approx(val, rel=1e-9)
-
 
 @pytest.mark.parametrize("n,m,expect", [
     (1, 1, 0.7978845608),
@@ -196,6 +129,91 @@ def test_beta1_matches_empirical_cdf():
     eps = np.quantile(lam, 0.01)
     predicted = beta1(n, m) * eps ** d1
     assert predicted == pytest.approx(0.01, rel=0.1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 5])
+def test_beta1_single_row_is_the_chi_square_coefficient(m):
+    # n = 1: lambda_1 ~ chi2_m, whose CDF starts eps^(m/2) / ((m/2) 2^(m/2) Gamma(m/2))
+    expect = 1.0 / ((m / 2) * 2 ** (m / 2) * special.gamma(m / 2))
+    assert beta1(1, m) == pytest.approx(expect, rel=1e-14)
+
+
+@pytest.mark.parametrize("n,m,expect", [
+    (3, 4, 1.5), (3, 6, 0.625), (6, 9, 2.0), (12, 15, 7.0), (63, 64, 31.5),
+])
+def test_beta1_exact_rational_values(n, m, expect):
+    assert beta1(n, m) == expect
+
+
+def test_beta1_positive_over_the_old_failure_range():
+    # float J entries and a float Pfaffian failed on 85 of these pairs
+    for n in range(1, 19):
+        for m in range(n, 2 * n + 9):
+            assert 0.0 < beta1(n, m) < math.inf
+
+
+def test_beta1_at_the_edge_of_its_domain():
+    t0 = time.perf_counter()
+    value = beta1(64, 64)
+    assert 0.0 < value < math.inf
+    assert time.perf_counter() - t0 < 10.0
+    for n, m in ((0, 3), (3, 2), (2, 65), (65, 65)):
+        with pytest.raises(ValueError):
+            beta1(n, m)
+
+
+def oracle_beta1(n, m, quadrature):
+    """beta_1 at 80 digits with Pf(J) = sqrt(det J).
+
+    J comes from quadrature of its signed two-sided Gamma integrals (the
+    inner integral through the regularized incomplete Gamma function), or
+    from the closed recursion 2^(b_i+b_j) Gamma(b_i) Gamma(b_j) (2I - 1),
+    I = Pr(Gamma(b_i) < Gamma(b_j)).
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(80):
+        b = [mp.mpf(m - n + 1) / 2 + i for i in range(n + 1)]
+
+        def border(i):
+            if quadrature:
+                return mp.quad(lambda x: x ** (b[i] - 1) * mp.exp(-x / 2), [0, mp.inf])
+            return 2 ** b[i] * mp.gamma(b[i])
+
+        def interior(i, j):
+            scale = 2 ** b[j] * mp.gamma(b[j])
+            if quadrature:
+                def signed(x):
+                    inner = 1 - 2 * mp.gammainc(b[j], 0, x / 2, regularized=True)
+                    return x ** (b[i] - 1) * mp.exp(-x / 2) * scale * inner
+                return mp.quad(signed, [0, mp.inf])
+            prob = mp.mpf(1) / 2 + sum(
+                2 ** (k - b[i] - b[j]) * mp.gamma(b[i] + b[j] - k)
+                / (mp.gamma(b[i]) * mp.gamma(b[j] - k + 1))
+                for k in range(1, j - i + 1))
+            return 2 ** b[i] * mp.gamma(b[i]) * scale * (2 * prob - 1)
+
+        size = n - n % 2
+        jm = mp.zeros(size, size)
+        for i in range(1, size + 1):
+            for j in range(i + 1, size + 1):
+                jm[i - 1, j - 1] = interior(i, j) if j < n else border(i)
+                jm[j - 1, i - 1] = -jm[i - 1, j - 1]
+        pf = mp.sqrt(mp.det(jm)) if size else mp.mpf(1)
+        knm = 2 ** (mp.mpf(n * m) / 2) * mp.pi ** (-mp.mpf(n) / 2)
+        for i in range(1, n + 1):
+            knm *= mp.gamma(mp.mpf(m - i + 1) / 2) * mp.gamma(mp.mpf(n - i + 1) / 2)
+        return float(pf / (knm * b[0]))
+
+
+@pytest.mark.parametrize("n,m", [(1, 3), (2, 4), (3, 6), (4, 4), (6, 9)])
+def test_beta1_matches_quadrature_oracle(n, m):
+    assert beta1(n, m) == pytest.approx(oracle_beta1(n, m, True), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_beta1_matches_recursion_oracle(n):
+    for m in sorted({n, n + 1, n + 3, 2 * n, 2 * n + 8}):
+        assert beta1(n, m) == pytest.approx(oracle_beta1(n, m, False), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
