@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
-from .link_model import sample_large_scale
+from .link_model import MIN_DISTANCE_KM, sample_large_scale
 from .montecarlo import Estimate, Z95, wilson_interval
 from .outage_analysis import cl_threshold, wl_threshold
 
@@ -41,6 +42,10 @@ __all__ = [
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 FAMILIES = ("wl", "cl")
+
+# Slots simulated per vectorised step.  The chunk length fixes how the
+# arrival, tone and fading draws interleave, so changing it changes results.
+TTI_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -59,28 +64,37 @@ class MmtcConfig:
     tti_ms: float = 32.0
     packet_bits: int = 32
     half_tti: bool = False
-    drop_target: float = 0.01
     cell_radius_km: float = 0.91
     pathloss_intercept_db: float = -120.9
     pathloss_slope_db: float = -37.6
     shadow_sigma_db: float = 8.0
 
     def __post_init__(self):
+        if not all(isinstance(v, Integral) for v in (self.users, self.m_rx, self.tones)):
+            raise ValueError("users, m_rx and tones must be integers")
         if self.users < 0:
             raise ValueError("user count cannot be negative")
         if self.m_rx < 1:
             raise ValueError("need at least one receive antenna")
         if self.family not in FAMILIES:
             raise ValueError(f"family must be one of {FAMILIES}")
+        if self.tones < 1 or not self.subcarrier_hz > 0:
+            raise ValueError("need at least one tone of positive width")
         if not math.isclose(self.tones * self.subcarrier_hz, self.bandwidth_hz,
                             rel_tol=1e-9):
             raise ValueError("tones * subcarrier_hz must equal bandwidth_hz")
-        if self.arrival_rate <= 0:
+        if not self.arrival_rate > 0:
             raise ValueError("arrival rate must be positive")
-        if not 0 < self.drop_target <= 1:
-            raise ValueError("drop_target must lie in (0, 1]")
-        if self.rate <= 0 or self.tti_ms <= 0 or self.packet_bits < 1:
+        if not (self.rate > 0 and self.tti_ms > 0) or self.packet_bits < 1:
             raise ValueError("rate, TTI and packet size must be positive")
+        if not all(map(math.isfinite, (
+                self.tx_power_dbm, self.cell_radius_km, self.pathloss_intercept_db,
+                self.pathloss_slope_db, self.shadow_sigma_db))):
+            raise ValueError("power, cell radius, pathloss and shadowing must be finite")
+        if self.cell_radius_km <= MIN_DISTANCE_KM:
+            raise ValueError("cell radius must exceed the keep-out distance")
+        if self.shadow_sigma_db < 0:
+            raise ValueError("shadowing sigma must be non-negative")
         if self.half_tti and self.family != "cl":
             raise ValueError("half-TTI mode is defined for CL only")
 
@@ -98,12 +112,6 @@ class MmtcConfig:
     def sinr_threshold(self) -> float:
         fn = wl_threshold if self.family == "wl" else cl_threshold
         return fn(self.rate)
-
-    @property
-    def label(self) -> str:
-        if self.family == "wl":
-            return "WL"
-        return "CL-half-TTI" if self.half_tti else "CL"
 
 
 def operating_snr(cfg: MmtcConfig) -> float:
@@ -155,24 +163,15 @@ class MmtcResult:
     def dropped(self) -> int:
         return self.dropped_overload + self.dropped_outage
 
-    @property
-    def offered_load(self) -> float:
-        """Mean offered packets per slot."""
-        return self.offered / self.ttis
 
-
-def run_scenario(
-    cfg: MmtcConfig,
-    ttis: int,
-    rng: np.random.Generator,
-    tti_chunk: int = 4096,
-) -> MmtcResult:
+def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcResult:
     """Simulate `ttis` slots and aggregate drop and throughput statistics.
 
-    Fully vectorized: slots are processed in fixed-size chunks, collisions
-    are counted by sorting (slot, tone) keys, and link outages are drawn
-    from the exact marginal SINR laws (chi-square for WL, Gamma for CL)
-    rather than per-draw matrix factorizations.  Exactness note: drop
+    Fully vectorized: slots are processed in chunks of `TTI_CHUNK`, the
+    packets sharing each (slot, tone) cell are counted with one bincount
+    over the chunk's cells, and link outages are drawn from the exact
+    marginal SINR laws (chi-square for WL, Gamma for CL) rather than
+    per-draw matrix factorizations.  Exactness note: drop
     probability and throughput are expectations of per-packet indicators,
     so the marginal law per packet is all that matters even though packets
     colliding on one tone have dependent SINRs.
@@ -192,10 +191,7 @@ def run_scenario(
 
     start = 0
     while start < ttis:
-        nt = min(tti_chunk, ttis - start)
-        if cfg.users == 0:
-            start += nt
-            continue
+        nt = min(TTI_CHUNK, ttis - start)
         arrivals = rng.binomial(cfg.users, p_tx, size=nt)
         total = int(arrivals.sum())
         offered += total
@@ -205,10 +201,7 @@ def run_scenario(
         slot = np.repeat(np.arange(nt), arrivals)
         tone = rng.integers(0, cfg.tones, size=total)
         key = slot * cfg.tones + tone
-        order = np.argsort(key, kind="stable")
-        _, counts = np.unique(key[order], return_counts=True)
-        collision = np.empty(total, dtype=np.int64)
-        collision[order] = np.repeat(counts, counts)
+        collision = np.bincount(key)[key]
 
         resolvable = collision <= cap
         dropped_overload += total - int(np.count_nonzero(resolvable))

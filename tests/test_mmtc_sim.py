@@ -1,12 +1,14 @@
 """Tests for the grant-free machine-type traffic simulator."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wlmimo.mmtc_sim import (
+    TTI_CHUNK,
     MmtcConfig,
     MmtcResult,
     half_tti_mode,
@@ -44,11 +46,38 @@ def test_config_validation():
     with pytest.raises(ValueError):
         wl_cfg(half_tti=True)                 # WL has no half-TTI variant
     with pytest.raises(ValueError):
-        wl_cfg(drop_target=0.0)
-    with pytest.raises(ValueError):
         wl_cfg(users=-1)
     with pytest.raises(ValueError):
         wl_cfg(family="ml")
+
+
+@pytest.mark.parametrize("kw", [
+    dict(cell_radius_km=0.0),                 # every user at the keep-out
+    dict(cell_radius_km=float("nan")),
+    dict(tx_power_dbm=float("nan")),          # every outage test reads False
+    dict(tx_power_dbm=float("inf")),
+    dict(pathloss_intercept_db=float("nan")),
+    dict(pathloss_slope_db=float("-inf")),
+    dict(shadow_sigma_db=float("nan")),
+    dict(shadow_sigma_db=-1.0),
+    dict(rate=float("nan")),
+    dict(tti_ms=float("nan")),
+    dict(arrival_rate=float("nan")),
+    dict(users=1000.7),
+    dict(users=1000.0),
+    dict(m_rx=1.5),
+    dict(tones=48.0),
+    dict(tones=0, bandwidth_hz=0.0),
+    dict(tones=48, subcarrier_hz=-3.75e3, bandwidth_hz=-180e3),
+])
+def test_config_refuses_quietly_wrong_inputs(kw):
+    with pytest.raises(ValueError):
+        wl_cfg(**kw)
+
+
+def test_config_accepts_numpy_integers():
+    cfg = wl_cfg(users=np.int64(1000), m_rx=np.int32(2), tones=np.int64(48))
+    assert cfg.capacity == 4
 
 
 def test_config_derived_properties():
@@ -59,7 +88,6 @@ def test_config_derived_properties():
     assert cfg.sinr_threshold == pytest.approx(2 ** 0.6 - 1)
     assert MmtcConfig(users=1, m_rx=1, family="cl").sinr_threshold \
         == pytest.approx(2 ** 0.3 - 1)
-    assert cfg.label == "WL"
 
 
 def test_operating_snr_budget():
@@ -78,7 +106,6 @@ def test_half_tti_mode_transform():
     assert half.rate == 0.6
     assert half.arrival_rate == pytest.approx(cfg.arrival_rate / 2)
     assert half.tti_ms == 16.0
-    assert half.label == "CL-half-TTI"
     with pytest.raises(ValueError):
         half_tti_mode(half)
     with pytest.raises(ValueError):
@@ -131,6 +158,39 @@ def test_conservation_and_capacity_accounting():
     # offered volume should match the thinned-arrival mean
     expect = cfg.users * cfg.tx_probability * res.ttis
     assert abs(res.offered - expect) < 5 * math.sqrt(expect)
+
+
+def test_bookkeeping_across_chunk_boundary():
+    cfg = wl_cfg(users=30_000, m_rx=2)
+    ttis = TTI_CHUNK + 1_000
+    res = run_scenario(cfg, ttis, derive_rng(4, "chunks"))
+    assert res.decoded + res.dropped == res.offered
+    assert 0 < res.max_decoded_collision <= cfg.capacity
+    expect = cfg.users * cfg.tx_probability * ttis
+    assert abs(res.offered - expect) < 5 * math.sqrt(expect)
+    per_packet = cfg.packet_bits / (cfg.tti_ms / 1000.0 * cfg.bandwidth_hz)
+    assert res.throughput.value == pytest.approx(
+        res.decoded / ttis * per_packet, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", ["wl", "cl"])
+def test_overload_count_matches_counter_oracle(family):
+    """Replay the arrival and tone draws of a one-chunk run and count the
+    occupancy of each (slot, tone) cell independently."""
+    cfg = MmtcConfig(users=2_000, m_rx=1, family=family, arrival_rate=0.01,
+                     tones=4, bandwidth_hz=4 * 3.75e3)
+    ttis = 1_000
+    res = run_scenario(cfg, ttis, derive_rng(9, "oracle", family))
+
+    rng = derive_rng(9, "oracle", family)
+    arrivals = rng.binomial(cfg.users, cfg.tx_probability, size=ttis)
+    tones = rng.integers(0, cfg.tones, size=int(arrivals.sum()))
+    slots = [s for s, a in enumerate(arrivals) for _ in range(a)]
+    cells = Counter(zip(slots, tones.tolist()))
+    overloaded = sum(n for n in cells.values() if n > cfg.capacity)
+    assert res.offered == len(slots)
+    assert overloaded > 0
+    assert res.dropped_overload == overloaded
 
 
 def test_saturated_single_tone_overloads():
