@@ -5,6 +5,8 @@ The package brings together:
 * exact small-eigenvalue asymptotics of real Wishart matrices
   (:mod:`wlmimo.wishart_asymptotics`),
 * WL/CL linear and SIC detection front ends (:mod:`wlmimo.receivers`),
+  on small-matrix kernels vectorised over stacks of draws
+  (:mod:`wlmimo.stacked`),
 * high-SNR diversity and coding gains plus Monte Carlo outage curves
   (:mod:`wlmimo.outage_analysis`),
 * a grant-free machine-type traffic simulator (:mod:`wlmimo.mmtc_sim`),

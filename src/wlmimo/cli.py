@@ -1,8 +1,10 @@
 """Experiment runner: YAML config in, deterministic CSV curves out.
 
 Each experiment writes one CSV per curve plus a metadata sidecar
-(`<experiment>-meta.yaml`) recording the seed, trial counts, a hash of the
-normalized config, the package version, and the list of files produced.
+(`<experiment>-meta.yaml`) recording the seed, the counts the run used
+with defaults filled in (`trials`, `gain_trials`, `ttis`, whichever the
+experiment has), a hash of the normalized config, the package version, and
+the list of files produced.
 Identical config and seed always reproduce byte-identical CSVs: every
 curve draws from its own stream derived from (seed, experiment, curve id),
 so curves never perturb each other and can run in any order.
@@ -179,7 +181,7 @@ def _write_outage_csv(path: Path, curve) -> str:
 FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 
 
-def _run_fig1(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_fig1(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     trials = cfg.trials or 1_000_000
     points = int(cfg.options.get("points", 8))
     files = []
@@ -205,13 +207,13 @@ def _run_fig1(cfg: ExperimentConfig, out: Path) -> list[str]:
         ]
         header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
         files.append(_write_csv(out / f"fig1-k{k}-n{n}-m{m}.csv", header, rows))
-    return files
+    return files, {"trials": trials}
 
 
 DEFAULT_FIG2_RECEIVERS = ("wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic")
 
 
-def _run_fig2(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_fig2(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
     trials = cfg.trials or 100_000
     m = int(opt.get("m_rx", 2))
@@ -232,7 +234,7 @@ def _run_fig2(cfg: ExperimentConfig, out: Path) -> list[str]:
                               derive_rng(cfg.seed, "fig2", mode, name, "curve"),
                               gain=gain)
             files.append(_write_outage_csv(out / f"fig2-{mode}-{name}.csv", curve))
-    return files
+    return files, {"trials": trials, "gain_trials": gain_trials}
 
 
 # (panel, WL users, CL users, rate); M = 2 receive antennas throughout.
@@ -244,7 +246,7 @@ FIG3_PANELS = (
 )
 
 
-def _run_fig3(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_fig3(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
     m = int(opt.get("m_rx", 2))
     snr_db = np.asarray(opt.get("snr_db", np.arange(10.0, 61.0, 2.0)), dtype=float)
@@ -269,7 +271,7 @@ def _run_fig3(cfg: ExperimentConfig, out: Path) -> list[str]:
                         ["snr_db", "p_asym"],
                         zip(snr_db, p),
                     ))
-    return files
+    return files, {"gain_trials": gain_trials}
 
 
 def _geometric_grid(lo: int, hi: int) -> list[int]:
@@ -289,7 +291,7 @@ def _geometric_grid(lo: int, hi: int) -> list[int]:
 MMTC_SCENARIOS = (("wl", False), ("cl", False), ("cl", True))
 
 
-def _run_mmtc(cfg: ExperimentConfig, out: Path, prefix: str) -> list[str]:
+def _run_mmtc(cfg: ExperimentConfig, out: Path, prefix: str) -> tuple[list[str], dict]:
     opt = cfg.options
     ttis = int(opt.get("ttis", 20_000))
     m_list = [int(v) for v in opt.get("m_rx", [1, 2])]
@@ -317,20 +319,20 @@ def _run_mmtc(cfg: ExperimentConfig, out: Path, prefix: str) -> list[str]:
                 ))
             tag = f"{family}-half" if half else family
             files.append(_write_csv(out / f"{prefix}-{tag}-m{m}.csv", header, rows))
-    return files
+    return files, {"ttis": ttis}
 
 
-def _run_fig4(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_fig4(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     return _run_mmtc(cfg, out, "fig4")
 
 
-def _run_fig5(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_fig5(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     # Same sweep as fig4; kept as a separate id so the drop-rate and
     # throughput plots can be reseeded independently of each other.
     return _run_mmtc(cfg, out, "fig5")
 
 
-def _run_custom(cfg: ExperimentConfig, out: Path) -> list[str]:
+def _run_custom(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
     trials = cfg.trials or 100_000
     m = int(opt.get("m_rx", 2))
@@ -353,7 +355,10 @@ def _run_custom(cfg: ExperimentConfig, out: Path) -> list[str]:
                           derive_rng(cfg.seed, "custom", mode, name, "curve"),
                           gain=gain)
         files.append(_write_outage_csv(out / f"custom-{mode}-{name}.csv", curve))
-    return files
+    counts = {"trials": trials}
+    if with_asym:
+        counts["gain_trials"] = gain_trials
+    return files, counts
 
 
 EXPERIMENTS = {
@@ -395,11 +400,11 @@ def run(cfg: ExperimentConfig) -> list[str]:
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     runner, _ = EXPERIMENTS[cfg.experiment]
-    files = runner(cfg, out)
+    files, counts = runner(cfg, out)
     meta = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
-        "trials": cfg.trials,
+        **counts,
         "config_hash": config_hash(cfg),
         "version": _version(),
         "files": sorted(files),

@@ -30,6 +30,7 @@ from .link_model import LinkConfig, sample_large_scale, sample_power_profile
 from .montecarlo import wilson_interval
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from .receivers import ReceiverSpec, batched_tagged_sinr
+from .stacked import abs2, cholesky_lower, stacked_gram
 from .wishart_asymptotics import beta1
 
 __all__ = [
@@ -52,6 +53,10 @@ __all__ = [
 
 HEAVY_TAIL_TOP = 10
 HEAVY_TAIL_SHARE = 0.05
+# Draws per batch.  The channel and power-profile draws interleave per
+# batch, so a change of either constant changes the none-mode streams.
+OUTAGE_BATCH = 1 << 15
+RESIDUAL_BATCH = 1 << 14
 
 
 def wl_threshold(rate: float) -> float:
@@ -136,7 +141,6 @@ def outage_mc(
     snr_db,
     trials: int,
     rng: np.random.Generator,
-    batch: int = 1 << 15,
     gain: "GainSummary | None" = None,
 ) -> OutageCurve:
     """Tagged-user outage probability across an SNR grid.
@@ -157,7 +161,7 @@ def outage_mc(
         snr = 10.0 ** (point_db / 10.0)
         done = 0
         while done < trials:
-            b = min(batch, trials - done)
+            b = min(OUTAGE_BATCH, trials - done)
             hbar = sample_channel(cfg.m_rx, cfg.n_users, rng, size=b)
             h = wl_transform(hbar) if rx.family == "wl" else hbar
             xi = sample_power_profile(cfg, rng, size=b).xi
@@ -238,12 +242,42 @@ def _moment_to_scale(weights: np.ndarray, d: float) -> tuple[float, float, bool]
     return scale, scale_se, _heavy(weights)
 
 
+def _solve_residual(h: np.ndarray, xi_rest: np.ndarray) -> np.ndarray:
+    """(B,) eta for a (B, rows, N) stack whose last column is the tagged user.
+
+    With the interferers first, the last row of the Gram's Cholesky factor
+    is conj(L_11^-1 r), r = H_1* h_1, so one back substitution with L_11*
+    gives coef = G_11^-1 r.  Draws whose interferer pivots fail
+    PIVOT_RATIO_MIN keep a matmul Gram and LAPACK's solve, as in the
+    receivers.
+    """
+    k = h.shape[-1] - 1                     # interferers
+    low, clear = cholesky_lower(stacked_gram(h))
+    z = [None] * k                          # z = conj(coef)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in reversed(range(k)):
+            acc = low[k][i].copy()
+            for j in range(i + 1, k):
+                acc -= low[j][i] * z[j]
+            z[i] = acc / low[i][i]
+        eta = abs2(z[0]) / xi_rest[:, 0]
+        for i in range(1, k):
+            eta += abs2(z[i]) / xi_rest[:, i]
+    near = np.nonzero(~clear[:k].all(axis=0))[0]
+    if len(near):
+        rest, h1 = h[near, :, :k], h[near, :, k]
+        gram = np.swapaxes(rest.conj(), 1, 2) @ rest
+        rhs = np.einsum("bmk,bm->bk", rest.conj(), h1)
+        coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        eta[near] = np.sum(np.abs(coef) ** 2 / xi_rest[near], axis=1)
+    return eta
+
+
 def residual_interference_samples(
     cfg: LinkConfig,
     family: str,
     count: int,
     rng: np.random.Generator,
-    batch: int = 1 << 14,
 ) -> np.ndarray:
     """I.i.d. draws of the high-SNR MMSE residual eta for the tagged user.
 
@@ -251,26 +285,25 @@ def residual_interference_samples(
     the interferers' channel and Psi_1 their power profile; WL uses the
     real stacked channel, CL the complex one.  Each sample gets a fresh
     channel and a fresh profile, matching the i.i.d. sampling the gain
-    integrals assume.
+    integrals assume; they are drawn in that order, RESIDUAL_BATCH samples
+    at a time.  (H_1' H_1)^-1 H_1' h_1 comes from the stacked Cholesky of
+    the receivers (:mod:`wlmimo.stacked`).
     """
     n = cfg.n_users
     if family not in ("wl", "cl"):
         raise ValueError("family must be 'wl' or 'cl'")
     if n == 1:
         return np.zeros(count)
+    last = np.roll(np.arange(n), -1)        # interferers, then the tagged user
     out = np.empty(count)
     filled = 0
     while filled < count:
-        b = min(batch, count - filled)
+        b = min(RESIDUAL_BATCH, count - filled)
         hbar = sample_channel(cfg.m_rx, n, rng, size=b)
-        h = wl_transform(hbar) if family == "wl" else hbar
-        h1 = h[:, :, 0]
-        rest = h[:, :, 1:]
-        gram = np.swapaxes(rest.conj(), 1, 2) @ rest
-        rhs = np.einsum("bmk,bm->bk", rest.conj(), h1)
-        coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+        h = (wl_transform(hbar) if family == "wl" else hbar)[:, :, last]
+        del hbar
         xi_rest = sample_power_profile(cfg, rng, size=b).xi[:, 1:]
-        out[filled : filled + b] = np.sum(np.abs(coef) ** 2 / xi_rest, axis=1)
+        out[filled : filled + b] = _solve_residual(h, xi_rest)
         filled += b
     return out
 

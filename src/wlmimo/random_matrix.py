@@ -30,9 +30,11 @@ def sample_channel(m_rx: int, n_users: int, rng: np.random.Generator, size: int 
     if m_rx < 1 or n_users < 1:
         raise ValueError("channel dimensions must be positive")
     shape = (m_rx, n_users) if size is None else (size, m_rx, n_users)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return np.sqrt(0.5) * (re + 1j * im)
+    out = np.empty(shape, dtype=complex)
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out *= np.sqrt(0.5)
+    return out
 
 
 def wl_transform(hbar: np.ndarray) -> np.ndarray:

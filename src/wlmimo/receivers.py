@@ -17,9 +17,9 @@ of the remaining columns (the MMSE variant uses the regularized resolvent
 instead of the exact projector).  Both published forms of each SINR are
 evaluated by the reference functions and must agree to 1e-9 relative.  The
 batched helpers used inside Monte Carlo loops compute only the Gram form:
-a Cholesky of the Gram vectorised over the stack; LAPACK on draws with
-near-dependent columns; the projector form by least squares on draws whose
-Gram matrix is singular in float64.
+a Cholesky of the Gram vectorised over the stack (:mod:`wlmimo.stacked`);
+LAPACK on draws with near-dependent columns; the projector form by least
+squares on draws whose Gram matrix is singular in float64.
 
 SIC variants decode greedily by largest SINR (equal SINRs to the lowest
 user index; the reference refuses near ties), assume genie-aided
@@ -34,6 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stacked import cholesky_lower, inverse_diagonal, stacked_gram
+
 __all__ = [
     "ReceiverSpec",
     "SinrReport",
@@ -45,9 +47,6 @@ __all__ = [
 ]
 
 DUAL_FORM_RTOL = 1e-9
-# Cholesky pivot / diagonal entry at or below which a draw's Gram goes to
-# LAPACK: its columns are near-dependent and the Gram form cancels.
-PIVOT_RATIO_MIN = 1e-6
 
 FAMILIES = ("wl", "cl")
 CRITERIA = ("zf", "mmse")
@@ -245,73 +244,6 @@ def _lapack_diag_inv(gram: np.ndarray) -> np.ndarray:
         )
 
 
-def _stacked_gram(h: np.ndarray) -> np.ndarray:
-    """(N, N, B) Gram matrices H* H of a (B, rows, N) stack, draws last.
-
-    Every entry sums the products over the rows in the same order for every
-    draw, so a draw's Gram does not depend on the rest of the stack.
-    """
-    ht = np.ascontiguousarray(np.moveaxis(h, 0, -1))       # (rows, N, B)
-    hc = ht.conj() if np.iscomplexobj(ht) else ht
-    n = ht.shape[1]
-    gram = np.empty((n, n, ht.shape[-1]), dtype=ht.dtype)
-    for i in range(n):
-        for j in range(i + 1):
-            gram[i, j] = (hc[:, i] * ht[:, j]).sum(axis=0)
-            if j < i:
-                gram[j, i] = gram[i, j].conj()
-    return gram
-
-
-def _cholesky_diag_inv(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(B, N) diagonal of G^-1 for (N, N, B) Hermitian Grams, draws last.
-
-    Cholesky G = L L* and L^-1 by forward substitution, written out entry
-    by entry, so each step is one vector operation over the stack;
-    [G^-1]_nn is the squared norm of column n of L^-1.  Also returns which
-    draws are clear of near-dependence: those whose pivots all exceed
-    PIVOT_RATIO_MIN times their diagonal entries.  The others (including
-    draws with a pivot that is not positive, whose entries are NaN) have
-    columns where the Gram form itself cancels.
-    """
-    n, b = gram.shape[0], gram.shape[-1]
-    if np.iscomplexobj(gram):
-        def abs2(z):
-            return z.real * z.real + z.imag * z.imag
-
-        def dot(x, y):
-            return x * y.conj()
-    else:
-        abs2 = np.square
-        dot = np.multiply
-    low = [[None] * n for _ in range(n)]
-    clear = np.ones(b, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(n):
-            pivot = gram[j, j].real.copy()
-            for k in range(j):
-                pivot -= abs2(low[j][k])
-            clear &= pivot > PIVOT_RATIO_MIN * gram[j, j].real
-            low[j][j] = np.sqrt(pivot)
-            for i in range(j + 1, n):
-                acc = gram[i, j].copy()
-                for k in range(j):
-                    acc -= dot(low[i][k], low[j][k])
-                low[i][j] = acc / low[j][j]
-        out = np.empty((n, b))
-        for c in range(n):
-            col = [None] * n                # column c of L^-1
-            col[c] = 1.0 / low[c][c]
-            out[c] = abs2(col[c])
-            for i in range(c + 1, n):
-                acc = low[i][c] * col[c]
-                for k in range(c + 1, i):
-                    acc += low[i][k] * col[k]
-                col[i] = -acc / low[i][i]
-                out[c] += abs2(col[i])
-    return out.T, clear
-
-
 def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
     """(B, N) per-user SINRs for the linear receivers on stacked draws.
 
@@ -319,13 +251,14 @@ def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
     projector form, so they count as what they are (SINR ~ 0 for the users
     they cannot separate) instead of aborting the batch.
     """
-    gram = _stacked_gram(h)
+    gram = stacked_gram(h)
     pre, ridge = _scale_and_ridge(xi, snr, rx)
     step = np.arange(gram.shape[0])
     if ridge is not None:
         gram[step, step] += ridge.T
-    diag, clear = _cholesky_diag_inv(gram)
-    near = np.nonzero(~clear)[0]
+    low, clear = cholesky_lower(gram)
+    diag = inverse_diagonal(low)
+    near = np.nonzero(~clear.all(axis=0))[0]
     if len(near):
         # Near-dependent columns: here the Gram form depends on its own
         # rounding, so these draws keep the reference SINRs' arithmetic,

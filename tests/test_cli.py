@@ -3,6 +3,7 @@
 import csv
 import filecmp
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -168,6 +169,26 @@ def test_run_writes_meta_sidecar(tmp_path):
     assert sorted(meta["files"]) == [f for f in files if f != meta_name]
     for name in meta["files"]:
         assert (tmp_path / name).exists()
+
+
+def test_meta_sidecar_records_resolved_default_counts(tmp_path):
+    # A config that leaves the counts to the experiment's defaults still
+    # records the counts the run used; the hash and the CSVs are those of
+    # the config as written.
+    options = {"m_rx": 1, "n_users": 1, "snr_db": [0.0],
+               "receivers": ["wl-zf"], "power_control": ["ppc"]}
+    cfg = ExperimentConfig("fig2-wl-outage", seed=4, out_dir=str(tmp_path / "d"),
+                           options=options)
+    run(cfg)
+    meta = yaml.safe_load((tmp_path / "d" / "fig2-wl-outage-meta.yaml").read_text())
+    assert meta["trials"] == 100_000 and meta["gain_trials"] == 200_000
+    assert meta["config_hash"] == config_hash(cfg)
+    explicit = replace(cfg, trials=100_000, out_dir=str(tmp_path / "e"),
+                       options={**options, "gain_trials": 200_000})
+    run(explicit)
+    for name in meta["files"]:
+        assert ((tmp_path / "d" / name).read_bytes()
+                == (tmp_path / "e" / name).read_bytes())
 
 
 def test_reruns_are_byte_identical(tmp_path):

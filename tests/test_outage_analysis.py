@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wlmimo.link_model import LinkConfig
+from wlmimo.link_model import LinkConfig, sample_power_profile
 from wlmimo.montecarlo import derive_rng
 from wlmimo.outage_analysis import (
+    RESIDUAL_BATCH,
     GainSummary,
     OutageCurve,
     asymptote_curve,
@@ -24,8 +25,11 @@ from wlmimo.outage_analysis import (
     sic_gains,
     threshold_for,
     wl_threshold,
+    _solve_residual,
 )
+from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import ReceiverSpec
+from wlmimo.stacked import cholesky_lower, stacked_gram
 
 
 def ppc_cfg(m_rx, n_users, rate, snr=100.0):
@@ -369,6 +373,89 @@ def test_cl_residual_follows_f_law():
     eta = residual_interference_samples(cfg, "cl", 40_000, rng)
     scaled = (3 - 2 + 2) / (2 - 1) * cfg.xi_ppc * eta
     assert stats.kstest(scaled, stats.f(2 * (2 - 1), 2 * (3 - 2 + 2)).cdf).pvalue > 0.01
+
+
+def lapack_residual(h, xi_rest):
+    """The route the stacked kernel replaced: matmul Gram and LAPACK solve.
+
+    `h` holds the interferers first and the tagged user last.
+    """
+    rest, h1 = h[:, :, :-1], h[:, :, -1]
+    gram = np.swapaxes(rest.conj(), 1, 2) @ rest
+    rhs = np.einsum("bmk,bm->bk", rest.conj(), h1)
+    coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
+    return np.sum(np.abs(coef) ** 2 / xi_rest, axis=1)
+
+
+def residual_error_bound(h, xi_rest):
+    """RESIDUAL_C eps kappa(G_1) ||h_1||^2 / (lambda_min(G_1) min xi) per draw.
+
+    Two backward-stable routes to coef = G_1^-1 r differ by about
+    eps kappa(G_1) relative to the largest coef the draw allows,
+    ||h_1|| / sqrt(lambda_min); eta squares it.  RESIDUAL_C = 32 covers
+    Gram and r sums over up to four rows, complex products and the
+    squaring.  A plain relative bound does not hold: r = H_1* h_1 cancels
+    on some draws (3.9e-12 relative at WL N=2, where kappa = 1), and
+    kappa(G_1) reaches 1e6 before the LAPACK tier takes over (9e-11 at
+    WL N=4).  On well-conditioned draws without cancellation the bound
+    is below 1e-13 relative.
+    """
+    rest, h1 = h[:, :, :-1], h[:, :, -1]
+    lam = np.linalg.eigvalsh(np.swapaxes(rest.conj(), 1, 2) @ rest)
+    scale = np.sum(np.abs(h1) ** 2, axis=1) / lam[:, 0] / xi_rest.min(axis=1)
+    return 32.0 * np.finfo(float).eps * lam[:, -1] / lam[:, 0] * scale
+
+
+def near_dependent_interferers(family, m, n, eps, rng, size):
+    """Stacks, tagged user last, whose last interferer repeats the first
+    one plus eps times noise."""
+    hbar = sample_channel(m, n, rng, size=size)
+    hbar[:, :, n - 2] = hbar[:, :, 0] + eps * sample_channel(m, 1, rng, size=size)[:, :, 0]
+    return wl_transform(hbar) if family == "wl" else hbar
+
+
+@pytest.mark.parametrize("family,n", [("wl", 2), ("wl", 3), ("wl", 4), ("cl", 2)])
+@pytest.mark.parametrize("mode", ["ppc", "none"])
+def test_residual_matches_the_lapack_route_on_the_same_draws(family, n, mode):
+    # Replays the sampler's stream (channel, then profile, per batch) into
+    # the LAPACK route; two batches, the second a partial one.
+    cfg = LinkConfig(m_rx=2, n_users=n, snr=1.0, rate=1.0, power_control=mode)
+    count = RESIDUAL_BATCH + 5000
+    got = residual_interference_samples(cfg, family, count, derive_rng(9, family, n))
+    rng = derive_rng(9, family, n)
+    last = np.roll(np.arange(n), -1)
+    for start in (0, RESIDUAL_BATCH):
+        b = min(RESIDUAL_BATCH, count - start)
+        hbar = sample_channel(2, n, rng, size=b)
+        h = (wl_transform(hbar) if family == "wl" else hbar)[:, :, last]
+        xi_rest = sample_power_profile(cfg, rng, size=b).xi[:, 1:]
+        expect = lapack_residual(h, xi_rest)
+        err = np.abs(got[start:start + b] - expect)
+        assert np.all(err <= residual_error_bound(h, xi_rest))
+
+
+@pytest.mark.parametrize("family,m,n", [("wl", 2, 3), ("wl", 2, 4), ("cl", 3, 3)])
+def test_residual_sends_near_dependent_interferers_to_lapack(family, m, n):
+    # A repeated interferer plus 1e-7 noise fails the pivot test, and those
+    # draws keep LAPACK's arithmetic bit for bit; a tagged user that nearly
+    # repeats an interferer stays on the Cholesky route.
+    rng = np.random.default_rng(61)
+    h = np.concatenate([
+        near_dependent_interferers(family, m, n, 1e-7, rng, 40),
+        near_dependent_interferers(family, m, n, 1.0, rng, 40),
+    ])
+    near = slice(0, 40)
+    h[40:60, :, -1] = h[40:60, :, 0] + 1e-7 * rng.standard_normal(h[40:60, :, 0].shape)
+    xi_rest = rng.uniform(0.3, 2.0, (80, n - 1))
+    clear = cholesky_lower(stacked_gram(h))[1]
+    assert not clear[:-1, near].all(axis=0).any()
+    assert clear[:-1, 40:].all()
+    got = _solve_residual(h, xi_rest)
+    expect = lapack_residual(h, xi_rest)
+    np.testing.assert_array_equal(got[near], expect[near])
+    rest = slice(40, None)
+    assert np.all(np.abs(got[rest] - expect[rest])
+                  <= residual_error_bound(h[rest], xi_rest[rest]))
 
 
 def test_residual_rejects_unknown_family():

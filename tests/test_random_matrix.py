@@ -29,6 +29,21 @@ def test_sample_channel_moments():
     assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
+@pytest.mark.parametrize("size", [None, 2000, 16384])
+@pytest.mark.parametrize("n_users", [2, 4])
+def test_sample_channel_is_bitwise_the_out_of_place_expression(size, n_users):
+    # The in-place build must give the same bits as sqrt(1/2) (re + 1j im)
+    # on the same stream, so no CSV moves with it.
+    got = sample_channel(2, n_users, np.random.default_rng(5), size=size)
+    rng = np.random.default_rng(5)
+    shape = (2, n_users) if size is None else (size, 2, n_users)
+    re = rng.standard_normal(shape)
+    im = rng.standard_normal(shape)
+    expect = np.sqrt(0.5) * (re + 1j * im)
+    assert got.dtype == expect.dtype and got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
 def test_sample_channel_rejects_bad_dims():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

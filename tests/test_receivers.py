@@ -16,15 +16,14 @@ from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import (
     ReceiverSpec,
     SinrReport,
-    _cholesky_diag_inv,
     _projector_sinrs,
-    _stacked_gram,
     batched_tagged_sinr,
     cl_sinr,
     mmse_sinr,
     sic_sinr_stages,
     zf_sinr,
 )
+from wlmimo.stacked import cholesky_lower, inverse_diagonal, stacked_gram
 
 SNR = 31.6227766
 
@@ -461,14 +460,14 @@ def test_batched_linear_meets_the_exact_inverse_bound(family, criterion):
     h = wl_transform(hbar) if family == "wl" else hbar
     xi = rng.uniform(0.3, 2.0, (b, n))
     pre = 2.0 * SNR if family == "wl" else SNR
-    stacked = _stacked_gram(h)
+    stacked = stacked_gram(h)
     if criterion == "mmse":
         stacked[np.arange(n), np.arange(n)] += 1.0 / (pre * xi.T)
     gram = np.moveaxis(stacked, -1, 0)
     exact = np.array([exact_diag_inv(g) for g in gram])
     tol = 4.0 * np.linalg.cond(gram)[:, None] * np.finfo(float).eps
     lapack = np.real(np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1))
-    for diag in (_cholesky_diag_inv(stacked)[0], lapack):
+    for diag in (inverse_diagonal(cholesky_lower(stacked)[0]), lapack):
         assert np.all(np.abs(diag - exact) <= tol * exact)
 
     # the tagged SINR pre xi_0 / [G^-1]_00 (minus 1 for MMSE) inherits it

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from wlmimo import wishart_asymptotics
 from wlmimo.wishart_asymptotics import (
     beta1,
     diversity_exponent,
@@ -246,3 +247,54 @@ def test_eigenvalue_samples_positive_and_ordered_draw():
     rng = np.random.default_rng(17)
     lam1 = sample_kth_eigenvalue(1, 2, 2, 2_000, rng)
     assert np.all(lam1 > 0)
+
+
+# ---------------------------------------------------------------------------
+# Eigenvalue sampler against the LAPACK route it replaced for n <= 3
+# ---------------------------------------------------------------------------
+
+# |lambda_sampler - lambda_lapack| <= EIG_C n eps tr(W), fixed before
+# measuring: both routes are backward stable to a small multiple of
+# n eps ||W||_2 <= n eps tr(W), and each forms W in its own summation
+# order, a further eps tr(W) per entry.
+EIG_C = 8.0
+
+
+@pytest.mark.parametrize("k,n,m", [(1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2),
+                                   (3, 3, 5), (1, 1, 3)])
+def test_kth_eigenvalue_matches_lapack_on_the_same_draws(k, n, m):
+    # The fig1 cases, k = n, and n = 1, on one stream each.
+    trials = 20_000
+    got = sample_kth_eigenvalue(k, n, m, trials, np.random.default_rng(31))
+    x = np.random.default_rng(31).standard_normal((trials, n, m))
+    w = x @ x.transpose(0, 2, 1)
+    expect = np.linalg.eigvalsh(w)[:, k - 1]
+    bound = EIG_C * n * np.finfo(float).eps * np.trace(w, axis1=1, axis2=2)
+    assert np.all(np.abs(got - expect) <= bound)
+
+
+class RecordingRng:
+    """A generator stand-in that records the shape of every normal draw."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.shapes = []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("k,n,m,trials,rows", [(1, 64, 64, 600, 7),
+                                                (2, 3, 6, 40_000, 1000)])
+def test_eigen_sampler_blocks_are_bounded_and_leave_samples_unchanged(
+        monkeypatch, k, n, m, trials, rows):
+    rec = RecordingRng(32)
+    whole = sample_kth_eigenvalue(k, n, m, trials, rec)
+    assert len(rec.shapes) > 1
+    assert sum(shape[0] for shape in rec.shapes) == trials
+    assert all(math.prod(shape) <= wishart_asymptotics.EIG_BLOCK_ELEMENTS
+               for shape in rec.shapes)
+    monkeypatch.setattr(wishart_asymptotics, "EIG_BLOCK_ELEMENTS", rows * n * m)
+    small = sample_kth_eigenvalue(k, n, m, trials, np.random.default_rng(32))
+    np.testing.assert_array_equal(small, whole)
