@@ -21,9 +21,7 @@ from .link_model import (
 )
 from .montecarlo import (
     Estimate,
-    SlopeFit,
     derive_rng,
-    fit_diversity,
     wilson_interval,
 )
 from .mmtc_sim import (
@@ -35,16 +33,12 @@ from .mmtc_sim import (
 )
 from .outage_analysis import (
     GainSummary,
-    MomentRatio,
     OutageCurve,
     asymptote_curve,
-    chi2_cdf_poly_coeff,
     cl_threshold,
-    coding_gain_ratio,
     diversity_order,
     gain_for,
     linear_gains,
-    moment_ratio_check,
     outage_mc,
     sic_gains,
     wl_threshold,
@@ -77,15 +71,14 @@ __all__ = [
     # link model
     "LinkConfig", "PowerProfile", "sample_power_profile",
     # monte carlo plumbing
-    "Estimate", "SlopeFit", "derive_rng", "fit_diversity", "wilson_interval",
+    "Estimate", "derive_rng", "wilson_interval",
     # machine-type traffic
     "MmtcConfig", "MmtcResult", "half_tti_mode", "operating_snr",
     "run_scenario",
     # outage analysis
-    "GainSummary", "MomentRatio", "OutageCurve", "asymptote_curve",
-    "chi2_cdf_poly_coeff", "cl_threshold", "coding_gain_ratio",
-    "diversity_order", "gain_for", "linear_gains", "moment_ratio_check",
-    "outage_mc", "sic_gains", "wl_threshold",
+    "GainSummary", "OutageCurve", "asymptote_curve", "cl_threshold",
+    "diversity_order", "gain_for", "linear_gains", "outage_mc", "sic_gains",
+    "wl_threshold",
     # random matrices
     "sample_channel", "sample_haar_unit_vector", "wl_transform",
     # receivers

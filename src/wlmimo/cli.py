@@ -210,31 +210,53 @@ def _run_fig1(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     return files, {"trials": trials}
 
 
-DEFAULT_FIG2_RECEIVERS = ("wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic")
+def _as_list(value) -> list:
+    """A config value that may be one item or a list of them, as a list."""
+    return [value] if isinstance(value, str) else list(value)
 
 
-def _run_fig2(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_outage(cfg: ExperimentConfig, out: Path, prefix: str, modes,
+                receivers) -> tuple[list[str], dict]:
+    """Outage curves for every power mode x receiver, with asymptotes
+    unless `asymptote: false`.  `modes` and `receivers` are the defaults;
+    each curve draws from (seed, prefix, mode, receiver) streams."""
     opt = cfg.options
     trials = cfg.trials or 100_000
     m = int(opt.get("m_rx", 2))
     n = int(opt.get("n_users", 4))
     rate = float(opt.get("rate", 2.0))
     snr_db = np.asarray(opt.get("snr_db", np.arange(15.0, 61.0, 5.0)), dtype=float)
-    modes = list(opt.get("power_control", ["none", "ppc"]))
-    names = list(opt.get("receivers", DEFAULT_FIG2_RECEIVERS))
+    modes = _as_list(opt.get("power_control", modes))
+    names = _as_list(opt.get("receivers", receivers))
     gain_trials = int(opt.get("gain_trials", 200_000))
+    with_asym = bool(opt.get("asymptote", True))
     files = []
     for mode in modes:
         link = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate, power_control=mode)
         for name in names:
             rx = parse_receiver(name)
-            gain = gain_for(link, rx, gain_trials,
-                            derive_rng(cfg.seed, "fig2", mode, name, "gain"))
+            gain = None
+            if with_asym:
+                gain = gain_for(link, rx, gain_trials,
+                                derive_rng(cfg.seed, prefix, mode, name, "gain"))
             curve = outage_mc(rx, link, snr_db, trials,
-                              derive_rng(cfg.seed, "fig2", mode, name, "curve"),
+                              derive_rng(cfg.seed, prefix, mode, name, "curve"),
                               gain=gain)
-            files.append(_write_outage_csv(out / f"fig2-{mode}-{name}.csv", curve))
-    return files, {"trials": trials, "gain_trials": gain_trials}
+            files.append(_write_outage_csv(out / f"{prefix}-{mode}-{name}.csv",
+                                           curve))
+    counts = {"trials": trials}
+    if with_asym:
+        counts["gain_trials"] = gain_trials
+    return files, counts
+
+
+def _run_fig2(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+    return _run_outage(cfg, out, "fig2", ["none", "ppc"],
+                       ["wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic"])
+
+
+def _run_custom(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+    return _run_outage(cfg, out, "custom", "none", "wl-zf")
 
 
 # (panel, WL users, CL users, rate); M = 2 receive antennas throughout.
@@ -330,35 +352,6 @@ def _run_fig5(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     # Same sweep as fig4; kept as a separate id so the drop-rate and
     # throughput plots can be reseeded independently of each other.
     return _run_mmtc(cfg, out, "fig5")
-
-
-def _run_custom(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    opt = cfg.options
-    trials = cfg.trials or 100_000
-    m = int(opt.get("m_rx", 2))
-    n = int(opt.get("n_users", 4))
-    rate = float(opt.get("rate", 2.0))
-    mode = str(opt.get("power_control", "none"))
-    snr_db = np.asarray(opt.get("snr_db", np.arange(15.0, 61.0, 5.0)), dtype=float)
-    names = list(opt.get("receivers", ["wl-zf"]))
-    gain_trials = int(opt.get("gain_trials", 200_000))
-    with_asym = bool(opt.get("asymptote", True))
-    link = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate, power_control=mode)
-    files = []
-    for name in names:
-        rx = parse_receiver(name)
-        gain = None
-        if with_asym:
-            gain = gain_for(link, rx, gain_trials,
-                            derive_rng(cfg.seed, "custom", mode, name, "gain"))
-        curve = outage_mc(rx, link, snr_db, trials,
-                          derive_rng(cfg.seed, "custom", mode, name, "curve"),
-                          gain=gain)
-        files.append(_write_outage_csv(out / f"custom-{mode}-{name}.csv", curve))
-    counts = {"trials": trials}
-    if with_asym:
-        counts["gain_trials"] = gain_trials
-    return files, counts
 
 
 EXPERIMENTS = {

@@ -36,17 +36,13 @@ from .wishart_asymptotics import beta1
 __all__ = [
     "GainSummary",
     "OutageCurve",
-    "MomentRatio",
     "wl_threshold",
     "cl_threshold",
-    "coding_gain_ratio",
     "diversity_order",
-    "chi2_cdf_poly_coeff",
     "outage_mc",
     "linear_gains",
     "sic_gains",
     "gain_for",
-    "moment_ratio_check",
     "asymptote_curve",
     "residual_interference_samples",
 ]
@@ -69,13 +65,6 @@ def cl_threshold(rate: float) -> float:
     return 2.0 ** rate - 1.0
 
 
-def coding_gain_ratio(rate: float) -> float:
-    """L(R) = 2(2^R - 1)/(2^(2R) - 1), the WL/CL coding-gain ratio at
-    matched diversity (N_WL = 2 N_CL - 1, PPC).  Tends to 1 as R -> 0 and
-    to 2^(1-R) for large R."""
-    return 2.0 * (2.0 ** rate - 1.0) / (2.0 ** (2.0 * rate) - 1.0)
-
-
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
     """High-SNR outage exponent: M - (N-1)/2 for WL, M - N + 1 for CL."""
     if family == "wl":
@@ -87,17 +76,6 @@ def diversity_order(m_rx: int, n_users: int, family: str) -> float:
             raise ValueError("CL diversity needs N <= M")
         return float(m_rx - n_users + 1)
     raise ValueError("family must be 'wl' or 'cl'")
-
-
-def chi2_cdf_poly_coeff(k: int) -> float:
-    """Leading coefficient of the chi-square_k CDF at the origin:
-
-        F(x) ~ coeff * x^(k/2),   coeff = 1 / ((k/2) 2^(k/2) Gamma(k/2)).
-    """
-    if k < 1 or k != int(k):
-        raise ValueError("degrees of freedom must be a positive integer")
-    half = k / 2.0
-    return 1.0 / (half * 2.0 ** half * math.gamma(half))
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +226,9 @@ def _solve_residual(h: np.ndarray, xi_rest: np.ndarray) -> np.ndarray:
     With the interferers first, the last row of the Gram's Cholesky factor
     is conj(L_11^-1 r), r = H_1* h_1, so one back substitution with L_11*
     gives coef = G_11^-1 r.  Draws whose interferer pivots fail
-    PIVOT_RATIO_MIN keep a matmul Gram and LAPACK's solve, as in the
-    receivers.
+    PIVOT_RATIO_MIN have near-dependent interferers, where the Gram form
+    has lost its accuracy; they take coef by least squares on H_1, as in
+    the receivers.
     """
     k = h.shape[-1] - 1                     # interferers
     low, clear = cholesky_lower(stacked_gram(h))
@@ -263,13 +242,9 @@ def _solve_residual(h: np.ndarray, xi_rest: np.ndarray) -> np.ndarray:
         eta = abs2(z[0]) / xi_rest[:, 0]
         for i in range(1, k):
             eta += abs2(z[i]) / xi_rest[:, i]
-    near = np.nonzero(~clear[:k].all(axis=0))[0]
-    if len(near):
-        rest, h1 = h[near, :, :k], h[near, :, k]
-        gram = np.swapaxes(rest.conj(), 1, 2) @ rest
-        rhs = np.einsum("bmk,bm->bk", rest.conj(), h1)
-        coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-        eta[near] = np.sum(np.abs(coef) ** 2 / xi_rest[near], axis=1)
+    for i in np.nonzero(~clear[:k].all(axis=0))[0]:
+        coef = np.linalg.lstsq(h[i, :, :k], h[i, :, k], rcond=None)[0]
+        eta[i] = np.sum(abs2(coef) / xi_rest[i])
     return eta
 
 
@@ -287,7 +262,8 @@ def residual_interference_samples(
     channel and a fresh profile, matching the i.i.d. sampling the gain
     integrals assume; they are drawn in that order, RESIDUAL_BATCH samples
     at a time.  (H_1' H_1)^-1 H_1' h_1 comes from the stacked Cholesky of
-    the receivers (:mod:`wlmimo.stacked`).
+    the receivers (:mod:`wlmimo.stacked`), or from least squares on H_1
+    where the interferers are near-dependent.
     """
     n = cfg.n_users
     if family not in ("wl", "cl"):
@@ -451,58 +427,3 @@ def gain_for(
     if rx.sic:
         return sic_gains(cfg, rx, trials, rng)
     return linear_gains(cfg, rx, trials, rng)
-
-
-# ---------------------------------------------------------------------------
-# Moment identities behind the SIC comparison
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MomentRatio:
-    """E{u_1^d} / E{u_min^d} against the N^d reference."""
-
-    ratio: float
-    stderr: float
-    reference: float
-    n_users: int
-    d: float
-    trials: int
-
-    @property
-    def ci95(self) -> tuple[float, float]:
-        return self.ratio - 1.96 * self.stderr, self.ratio + 1.96 * self.stderr
-
-
-def moment_ratio_check(
-    family: str,
-    n_users: int,
-    d: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> MomentRatio:
-    """Estimate E{u_1^d}/E{u_min^d} for squared Haar-vector entries.
-
-    Complex vectors give exactly N^d; real vectors overshoot N^d by a
-    factor that grows with N, because the smallest squared entry piles up
-    near zero much harder than in the complex case.  Numerator and
-    denominator use independent streams so the delta-method stderr is
-    valid.
-    """
-    if d <= 0 or n_users < 1:
-        raise ValueError("need d > 0 and at least one user")
-    kind = "real" if family == "wl" else "complex"
-    first = _haar_squared(n_users, trials, rng, kind)[:, 0] ** d
-    umin = np.min(_haar_squared(n_users, trials, rng, kind), axis=1) ** d
-    num, den = first.mean(), umin.mean()
-    se_num = first.std(ddof=1) / math.sqrt(trials)
-    se_den = umin.std(ddof=1) / math.sqrt(trials)
-    ratio = num / den
-    stderr = ratio * math.hypot(se_num / num, se_den / den)
-    return MomentRatio(
-        ratio=float(ratio),
-        stderr=float(stderr),
-        reference=float(n_users) ** d,
-        n_users=n_users,
-        d=d,
-        trials=trials,
-    )

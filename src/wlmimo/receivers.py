@@ -16,10 +16,11 @@ where h_n is column n, and Pperp_n projects onto the orthogonal complement
 of the remaining columns (the MMSE variant uses the regularized resolvent
 instead of the exact projector).  Both published forms of each SINR are
 evaluated by the reference functions and must agree to 1e-9 relative.  The
-batched helpers used inside Monte Carlo loops compute only the Gram form:
-a Cholesky of the Gram vectorised over the stack (:mod:`wlmimo.stacked`);
-LAPACK on draws with near-dependent columns; the projector form by least
-squares on draws whose Gram matrix is singular in float64.
+batched helpers used inside Monte Carlo loops take one of two routes per
+draw: the Gram form, by a Cholesky of the Gram vectorised over the stack
+(:mod:`wlmimo.stacked`), where every pivot is clear; and the projector
+form, by least squares on H itself, on draws with near-dependent columns,
+where the Gram form has lost its accuracy.
 
 SIC variants decode greedily by largest SINR (equal SINRs to the lowest
 user index; the reference refuses near ties), assume genie-aided
@@ -224,57 +225,29 @@ def sic_sinr_stages(
 
 
 # ---------------------------------------------------------------------------
-# Batched engine paths (Gram form only; the dual check lives above)
+# Batched engine paths (one route per draw; the dual check lives above)
 # ---------------------------------------------------------------------------
-
-def _lapack_diag_inv(gram: np.ndarray) -> np.ndarray:
-    """Diagonal of gram^-1 per draw by LAPACK; NaN on draws it finds singular.
-
-    A raising batch is halved until the singular draws are isolated, so
-    every other draw keeps the inverse it gets in a batch that does not raise.
-    """
-    try:
-        return np.real(np.linalg.inv(gram).diagonal(axis1=-2, axis2=-1))
-    except np.linalg.LinAlgError:
-        if len(gram) == 1:
-            return np.full((1, gram.shape[-1]), np.nan)
-        half = len(gram) // 2
-        return np.concatenate(
-            [_lapack_diag_inv(gram[:half]), _lapack_diag_inv(gram[half:])]
-        )
-
 
 def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
     """(B, N) per-user SINRs for the linear receivers on stacked draws.
 
-    Draws whose Gram matrix is singular in float64 fall back to the
-    projector form, so they count as what they are (SINR ~ 0 for the users
-    they cannot separate) instead of aborting the batch.
+    A draw whose Cholesky pivots all clear PIVOT_RATIO_MIN takes the Gram
+    form.  Any other draw has near-dependent columns, where the Gram form
+    has lost up to twice the digits of a least-squares solve on H, so it
+    takes the projector form: accurate, and SINR ~ 0 for the users it
+    cannot separate instead of an aborted batch.
     """
     gram = stacked_gram(h)
     pre, ridge = _scale_and_ridge(xi, snr, rx)
-    step = np.arange(gram.shape[0])
     if ridge is not None:
+        step = np.arange(gram.shape[0])
         gram[step, step] += ridge.T
     low, clear = cholesky_lower(gram)
-    diag = inverse_diagonal(low)
-    near = np.nonzero(~clear.all(axis=0))[0]
-    if len(near):
-        # Near-dependent columns: here the Gram form depends on its own
-        # rounding, so these draws keep the reference SINRs' arithmetic,
-        # a matmul Gram inverted by LAPACK.
-        g = np.swapaxes(h[near].conj(), -2, -1) @ h[near]
-        if ridge is not None:
-            g[:, step, step] += ridge[near]
-        diag[near] = _lapack_diag_inv(g)
     with np.errstate(divide="ignore"):
-        out = pre * xi / diag
+        out = pre * xi / inverse_diagonal(low)
     if ridge is not None:
         out = np.maximum(np.real(out - 1.0), 0.0)
-    # [G^-1]_nn G_nn >= 1 for positive definite G; NaN (refused by LAPACK)
-    # or a smaller product is an inverse of a matrix singular in float64.
-    bound = diag * np.real(gram[step, step]).T
-    for i in np.nonzero(~np.all(bound >= 1.0 - 1e-6, axis=1))[0]:
+    for i in np.nonzero(~clear.all(axis=0))[0]:
         out[i] = _projector_sinrs(
             h[i], xi[i], pre, None if ridge is None else ridge[i]
         )

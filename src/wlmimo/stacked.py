@@ -10,7 +10,8 @@ the stack.
 - :func:`cholesky_lower` factors Hermitian positive definite Grams and
   flags, per pivot, the draws whose columns are near-dependent
   (pivot at or below PIVOT_RATIO_MIN times its diagonal entry); callers
-  send those draws to LAPACK, where the Gram form has lost its accuracy.
+  send those draws to least squares on H itself, since there the Gram
+  form has lost its accuracy.
 - :func:`inverse_diagonal` turns a factor into the diagonal of G^-1.
 - :func:`jacobi_eigenvalues` takes the eigenvalues of real symmetric
   stacks by cyclic Jacobi rotations (Golub & Van Loan, Matrix
@@ -31,8 +32,8 @@ __all__ = [
     "jacobi_eigenvalues",
 ]
 
-# Cholesky pivot / diagonal entry at or below which a draw goes to LAPACK:
-# its columns are near-dependent and the Gram form cancels.
+# Cholesky pivot / diagonal entry at or below which a draw goes to least
+# squares: its columns are near-dependent and the Gram form cancels.
 PIVOT_RATIO_MIN = 1e-6
 # Sweeps after which a stack that still has off-diagonal mass is refused.
 # Cyclic Jacobi converges quadratically; random 3x3 stacks need about 4.

@@ -25,15 +25,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from laws import coding_gain_ratio, fit_diversity, moment_ratio_check
 from wlmimo.cli import ExperimentConfig, run
 from wlmimo.link_model import LinkConfig
-from wlmimo.montecarlo import derive_rng, fit_diversity
+from wlmimo.montecarlo import derive_rng
 from wlmimo.outage_analysis import (
-    coding_gain_ratio,
     diversity_order,
     gain_for,
     linear_gains,
-    moment_ratio_check,
     outage_mc,
     residual_interference_samples,
     sic_gains,

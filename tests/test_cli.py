@@ -3,12 +3,16 @@
 import csv
 import filecmp
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 import yaml
 
+import wlmimo
 from wlmimo.cli import (
     EXPERIMENTS,
     ConfigError,
@@ -218,6 +222,30 @@ def test_custom_experiment_without_asymptote(tmp_path):
     assert p[0] > p[1]    # outage falls with SNR
 
 
+@pytest.mark.parametrize("experiment,prefix,one,many", [
+    ("fig2-wl-outage", "fig2", "ppc", ["none", "ppc"]),
+    ("custom", "custom", "none", ["none", "ppc"]),
+])
+def test_outage_runs_take_one_power_mode_or_a_list(tmp_path, experiment,
+                                                   prefix, one, many):
+    # Either form works in both experiments, and a mode's curve does not
+    # depend on which form named it.
+    options = {"m_rx": 2, "n_users": 2, "rate": 1.0, "snr_db": [10.0, 14.0],
+               "receivers": ["wl-zf"], "gain_trials": 2000}
+    for tag, modes in (("one", one), ("many", many)):
+        p = write_yaml(tmp_path / f"{tag}.yaml", {
+            "experiment": experiment, "seed": 3, "trials": 1000,
+            "out-dir": str(tmp_path / tag),
+            "options": {**options, "power-control": modes},
+        })
+        assert main(["run", str(p)]) == 0
+    made = sorted(p.name for p in (tmp_path / "many").glob("*.csv"))
+    assert made == [f"{prefix}-{mode}-wl-zf.csv" for mode in many]
+    name = f"{prefix}-{one}-wl-zf.csv"
+    assert ((tmp_path / "one" / name).read_bytes()
+            == (tmp_path / "many" / name).read_bytes())
+
+
 def test_mmtc_run_formats_booleans(tmp_path):
     cfg = ExperimentConfig(
         "fig4-mmtc-drop", seed=6, out_dir=str(tmp_path),
@@ -237,6 +265,20 @@ def test_mmtc_run_formats_booleans(tmp_path):
 # ---------------------------------------------------------------------------
 # Command-line entry point
 # ---------------------------------------------------------------------------
+
+def test_importing_the_cli_leaves_scipy_out():
+    # scipy is a test dependency only; importing it from the package would
+    # about double the start-up time of every run.
+    src = str(Path(wlmimo.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, wlmimo.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
 
 def test_main_list(capsys):
     assert main(["list"]) == 0

@@ -3,13 +3,8 @@
 import numpy as np
 import pytest
 
-from wlmimo.montecarlo import (
-    Estimate,
-    derive_rng,
-    default_fit_window,
-    fit_diversity,
-    wilson_interval,
-)
+from laws import default_fit_window, fit_diversity
+from wlmimo.montecarlo import Estimate, derive_rng, wilson_interval
 
 
 def test_derive_rng_is_deterministic():

@@ -1,11 +1,14 @@
 """Tests for thresholds, exponents, outage simulation, and the gain formulas."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import exact
+from laws import chi2_cdf_poly_coeff, coding_gain_ratio, moment_ratio_check
 from wlmimo.link_model import LinkConfig, sample_power_profile
 from wlmimo.montecarlo import derive_rng
 from wlmimo.outage_analysis import (
@@ -13,13 +16,10 @@ from wlmimo.outage_analysis import (
     GainSummary,
     OutageCurve,
     asymptote_curve,
-    chi2_cdf_poly_coeff,
     cl_threshold,
-    coding_gain_ratio,
     diversity_order,
     gain_for,
     linear_gains,
-    moment_ratio_check,
     outage_mc,
     residual_interference_samples,
     sic_gains,
@@ -396,7 +396,7 @@ def residual_error_bound(h, xi_rest):
     Gram and r sums over up to four rows, complex products and the
     squaring.  A plain relative bound does not hold: r = H_1* h_1 cancels
     on some draws (3.9e-12 relative at WL N=2, where kappa = 1), and
-    kappa(G_1) reaches 1e6 before the LAPACK tier takes over (9e-11 at
+    kappa(G_1) reaches 1e6 before the least-squares route takes over (9e-11 at
     WL N=4).  On well-conditioned draws without cancellation the bound
     is below 1e-13 relative.
     """
@@ -434,28 +434,44 @@ def test_residual_matches_the_lapack_route_on_the_same_draws(family, n, mode):
         assert np.all(err <= residual_error_bound(h, xi_rest))
 
 
+def exact_residual(h, xi_rest):
+    """eta of one draw, tagged user last, by exact least squares.
+
+    coef = (H_1* H_1)^-1 H_1* h_1 from the float entries of H taken as
+    exact fractions, rounded once.  A complex system is realified, so its
+    coefficients come as the real parts, then the imaginary ones.
+    """
+    k = h.shape[-1] - 1
+    rest = exact.as_fractions(exact.realify(h[:, :k]))
+    h1 = exact.as_fractions(exact.realify(h[:, k])[:, None])
+    coef = [c for (c,) in exact.solve(exact.gram(rest), exact.gram(rest, h1))]
+    sq = [coef[j] ** 2 + (coef[j + k] ** 2 if len(coef) > k else 0)
+          for j in range(k)]
+    return float(sum(q / Fraction(float(x)) for q, x in zip(sq, xi_rest)))
+
+
 @pytest.mark.parametrize("family,m,n", [("wl", 2, 3), ("wl", 2, 4), ("cl", 3, 3)])
-def test_residual_sends_near_dependent_interferers_to_lapack(family, m, n):
-    # A repeated interferer plus 1e-7 noise fails the pivot test, and those
-    # draws keep LAPACK's arithmetic bit for bit; a tagged user that nearly
-    # repeats an interferer stays on the Cholesky route.
+@pytest.mark.parametrize("tagged", ["separate", "near"])
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+def test_residual_matches_the_exact_oracle_on_near_dependent_columns(
+        family, m, n, tagged, eps):
+    # "separate": the last interferer repeats the first plus eps times
+    # noise, which fails the pivot test and takes least squares on H_1.
+    # "near": the tagged user does instead; the interferers stay clear and
+    # keep the Cholesky route.  The bound, 1e-5 relative, was fixed before
+    # measuring: least squares on H_1 loses about kappa(H_1) eps_mach, the
+    # Gram H_1* H_1 its square.
     rng = np.random.default_rng(61)
-    h = np.concatenate([
-        near_dependent_interferers(family, m, n, 1e-7, rng, 40),
-        near_dependent_interferers(family, m, n, 1.0, rng, 40),
-    ])
-    near = slice(0, 40)
-    h[40:60, :, -1] = h[40:60, :, 0] + 1e-7 * rng.standard_normal(h[40:60, :, 0].shape)
-    xi_rest = rng.uniform(0.3, 2.0, (80, n - 1))
-    clear = cholesky_lower(stacked_gram(h))[1]
-    assert not clear[:-1, near].all(axis=0).any()
-    assert clear[:-1, 40:].all()
+    h = near_dependent_interferers(family, m, n, 1.0 if tagged == "near" else eps,
+                                   rng, 40)
+    if tagged == "near":
+        h[:, :, -1] = h[:, :, 0] + eps * rng.standard_normal(h[:, :, 0].shape)
+    xi_rest = rng.uniform(0.3, 2.0, (40, n - 1))
+    clear = cholesky_lower(stacked_gram(h))[1][:-1].all(axis=0)
+    assert np.all(clear) if tagged == "near" else not np.any(clear)
     got = _solve_residual(h, xi_rest)
-    expect = lapack_residual(h, xi_rest)
-    np.testing.assert_array_equal(got[near], expect[near])
-    rest = slice(40, None)
-    assert np.all(np.abs(got[rest] - expect[rest])
-                  <= residual_error_bound(h[rest], xi_rest[rest]))
+    expect = np.array([exact_residual(h[i], xi_rest[i]) for i in range(40)])
+    assert np.all(np.abs(got - expect) <= 1e-5 * expect)
 
 
 def test_residual_rejects_unknown_family():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import exact
 from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import (
     ReceiverSpec,
@@ -427,25 +428,21 @@ def exact_diag_inv(gram):
     """Diagonal of gram^-1 in exact rational arithmetic, rounded once.
 
     Gauss-Jordan on the float entries taken as exact fractions; a complex
-    Hermitian Gram A + iB is realified to [[A, -B], [B, A]], whose inverse
-    realifies the complex inverse.
+    Hermitian Gram is realified, and its inverse realifies the complex
+    inverse.
     """
-    n = len(gram)
-    if np.iscomplexobj(gram):
-        gram = np.block([[gram.real, -gram.imag], [gram.imag, gram.real]])
-    size = len(gram)
-    rows = [[Fraction(float(x)) for x in row]
-            + [Fraction(int(i == j)) for j in range(size)]
-            for i, row in enumerate(gram)]
-    for c in range(size):
-        p = next(r for r in range(c, size) if rows[r][c] != 0)
-        rows[c], rows[p] = rows[p], rows[c]
-        rows[c] = [x / rows[c][c] for x in rows[c]]
-        for r in range(size):
-            if r != c and rows[r][c] != 0:
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return np.array([float(rows[i][size + i]) for i in range(n)])
+    g = exact.as_fractions(exact.realify(gram))
+    eye = [[Fraction(int(i == j)) for j in range(len(g))] for i in range(len(g))]
+    inv = exact.solve(g, eye)
+    return np.array([float(inv[i][i]) for i in range(len(gram))])
+
+
+def exact_tagged_zf(h, xi0, pre):
+    """User 0's ZF SINR pre xi_0 / [(H* H)^-1]_00 of one draw, exact from
+    the float entries of H until the one final rounding."""
+    g = exact.gram(exact.as_fractions(exact.realify(h)))
+    e0 = [[Fraction(int(i == 0))] for i in range(len(g))]
+    return float(Fraction(pre) * Fraction(float(xi0)) / exact.solve(g, e0)[0][0])
 
 
 @pytest.mark.parametrize("family", ["wl", "cl"])
@@ -509,18 +506,53 @@ def test_batched_draws_do_not_depend_on_their_stack(family, criterion, sic):
     np.testing.assert_array_equal(split, whole)
 
 
-@pytest.mark.parametrize("family,m,n", [("wl", 2, 4), ("cl", 2, 2)])
-def test_near_dependent_draws_keep_the_lapack_arithmetic(family, m, n):
-    # There the Gram form depends on its rounding, so the kernel hands such
-    # draws to the reference's arithmetic: matmul Gram, LAPACK inverse.
-    # (An MMSE ridge keeps the pivots clear at these SNRs, so ZF only.)
-    h, xi = near_dependent_stack(family, m, n, 1e-5,
-                                 np.random.default_rng(55), 50)
-    pre = 2.0 * SNR if family == "wl" else SNR
-    gram = np.swapaxes(h.conj(), -2, -1) @ h
-    expect = pre * xi[:, 0] / np.real(np.linalg.inv(gram)[:, 0, 0])
-    got = batched_tagged_sinr(h, xi, SNR, ReceiverSpec(family, "zf"))
-    np.testing.assert_array_equal(got, expect)
+def near_stack_and_ridge(family, m, n, eps, snr, criterion, rng, size):
+    """A near-dependent stack, its SINR prefactor and its MMSE ridge, after
+    checking that no draw of it clears the pivot test."""
+    h, xi = near_dependent_stack(family, m, n, eps, rng, size)
+    pre = 2.0 * snr if family == "wl" else snr
+    ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
+    gram = stacked_gram(h)
+    if ridge is not None:
+        gram[np.arange(n), np.arange(n)] += ridge.T
+    assert not cholesky_lower(gram)[1].all(axis=0).any()
+    return h, xi, pre, ridge
+
+
+@pytest.mark.parametrize("family,m,n", [("wl", 2, 4), ("cl", 3, 3)])
+@pytest.mark.parametrize("criterion,snr_db", [("zf", 20.0), ("mmse", 90.0)])
+def test_near_dependent_draws_take_the_projector_form(family, m, n, criterion,
+                                                      snr_db):
+    # Draws that fail the pivot test get the reference's projector SINRs,
+    # bit for bit.  At 90 dB the MMSE ridge is too small to clear them.
+    snr = 10.0 ** (snr_db / 10.0)
+    h, xi, pre, ridge = near_stack_and_ridge(
+        family, m, n, 1e-5, snr, criterion, np.random.default_rng(55), 50)
+    got = batched_tagged_sinr(h, xi, snr, ReceiverSpec(family, criterion))
+    for i in range(len(h)):
+        expect = _projector_sinrs(h[i], xi[i], pre,
+                                  None if ridge is None else ridge[i])
+        assert got[i] == expect[0]
+
+
+@pytest.mark.parametrize("family,m,n", [("wl", 2, 4), ("cl", 3, 3)])
+@pytest.mark.parametrize("tagged", ["separate", "near"])
+@pytest.mark.parametrize("eps", [1e-5, 1e-7])
+def test_near_dependent_zf_sinrs_match_the_exact_oracle(family, m, n, tagged,
+                                                        eps):
+    # Two columns eps apart give kappa(H) ~ 1/eps.  Least squares on H is
+    # accurate to about kappa(H) eps_mach (1e-9 relative at eps = 1e-7);
+    # the Gram H* H squares the condition number and can lose every digit.
+    # The bound, 1e-5 relative, was fixed before measuring.
+    snr = 100.0
+    h, xi, pre, _ = near_stack_and_ridge(
+        family, m, n, eps, snr, "zf", np.random.default_rng(56), 40)
+    if tagged == "near":                # the pair becomes users 0 and 1
+        h, xi = h[:, :, ::-1], xi[:, ::-1]
+    got = batched_tagged_sinr(h, xi, snr, ReceiverSpec(family, "zf"))
+    expect = np.array([exact_tagged_zf(h[i], xi[i, 0], pre)
+                       for i in range(len(h))])
+    assert np.all(np.abs(got - expect) <= 1e-5 * expect)
 
 
 @pytest.mark.parametrize("family,m,n", [("wl", 2, 4), ("wl", 2, 3),
