@@ -10,7 +10,9 @@ curve draws from its own stream derived from (seed, experiment, curve id),
 so curves never perturb each other and can run in any order.
 
 Config keys may be written kebab-case or snake_case; they are normalized
-before use and before hashing.
+before use and before hashing.  An experiment refuses option keys it does
+not read, and builds all of its configs before its first draw, so a bad
+value is a `ConfigError` (exit status 2) that leaves no CSV behind.
 """
 
 from __future__ import annotations
@@ -19,16 +21,18 @@ import argparse
 import csv
 import hashlib
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 import yaml
 
+from . import __version__
 from .link_model import LinkConfig
 from .mmtc_sim import MmtcConfig, half_tti_mode, run_scenario
 from .montecarlo import derive_rng, wilson_interval
-from .outage_analysis import asymptote_curve, gain_for, outage_mc
+from .outage_analysis import asymptote_curve, diversity_order, gain_for, outage_mc
 from .receivers import ReceiverSpec
 from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalue
 
@@ -68,6 +72,10 @@ class ExperimentConfig:
             )
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        reads = EXPERIMENTS[self.experiment][2]
+        if unknown := sorted(set(self.options) - set(reads)):
+            raise ConfigError(f"{self.experiment} does not read options "
+                              f"{unknown}; it reads {sorted(reads)}")
 
 
 def normalize_options(obj):
@@ -138,7 +146,19 @@ def parse_receiver(name: str) -> ReceiverSpec:
         parts = parts[:-1]
     if len(parts) != 2:
         raise ConfigError(f"cannot parse receiver name {name!r}")
-    return ReceiverSpec(family=parts[0], criterion=parts[1], sic=sic)
+    try:
+        return ReceiverSpec(family=parts[0], criterion=parts[1], sic=sic)
+    except ValueError as exc:
+        raise ConfigError(f"receiver {name!r}: {exc}") from exc
+
+
+@contextmanager
+def _config_values(cfg: ExperimentConfig):
+    """Report a bad option value met while a run resolves its configs."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{cfg.experiment}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +203,8 @@ FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 
 def _run_fig1(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     trials = cfg.trials or 1_000_000
-    points = int(cfg.options.get("points", 8))
+    with _config_values(cfg):
+        points = int(cfg.options.get("points", 8))
     files = []
     for k, n, m in FIG1_CASES:
         rng = derive_rng(cfg.seed, "fig1", k, n, m)
@@ -215,26 +236,39 @@ def _as_list(value) -> list:
     return [value] if isinstance(value, str) else list(value)
 
 
-def _run_outage(cfg: ExperimentConfig, out: Path, prefix: str, modes,
-                receivers) -> tuple[list[str], dict]:
+# Default power modes and receivers of the two outage experiments.
+OUTAGE_DEFAULTS = {
+    "fig2": (["none", "ppc"], ["wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic"]),
+    "custom": ("none", "wl-zf"),
+}
+
+
+def _run_outage(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     """Outage curves for every power mode x receiver, with asymptotes
-    unless `asymptote: false`.  `modes` and `receivers` are the defaults;
-    each curve draws from (seed, prefix, mode, receiver) streams."""
+    unless `asymptote: false`; each curve draws from (seed, prefix, mode,
+    receiver) streams, the prefix being `fig2` or `custom`."""
     opt = cfg.options
+    prefix = cfg.experiment.split("-")[0]
+    modes, receivers = OUTAGE_DEFAULTS[prefix]
     trials = cfg.trials or 100_000
-    m = int(opt.get("m_rx", 2))
-    n = int(opt.get("n_users", 4))
-    rate = float(opt.get("rate", 2.0))
-    snr_db = np.asarray(opt.get("snr_db", np.arange(15.0, 61.0, 5.0)), dtype=float)
-    modes = _as_list(opt.get("power_control", modes))
-    names = _as_list(opt.get("receivers", receivers))
-    gain_trials = int(opt.get("gain_trials", 200_000))
-    with_asym = bool(opt.get("asymptote", True))
+    with _config_values(cfg):
+        m = int(opt.get("m_rx", 2))
+        n = int(opt.get("n_users", 4))
+        rate = float(opt.get("rate", 2.0))
+        snr_db = np.asarray(opt.get("snr_db", np.arange(15.0, 61.0, 5.0)),
+                            dtype=float)
+        modes = _as_list(opt.get("power_control", modes))
+        names = _as_list(opt.get("receivers", receivers))
+        gain_trials = int(opt.get("gain_trials", 200_000))
+        with_asym = bool(opt.get("asymptote", True))
+        links = [LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
+                            power_control=mode) for mode in modes]
+        specs = [parse_receiver(name) for name in names]
+        for rx in specs:
+            diversity_order(m, n, rx.family)    # refuses N > D M
     files = []
-    for mode in modes:
-        link = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate, power_control=mode)
-        for name in names:
-            rx = parse_receiver(name)
+    for mode, link in zip(modes, links):
+        for name, rx in zip(names, specs):
             gain = None
             if with_asym:
                 gain = gain_for(link, rx, gain_trials,
@@ -250,15 +284,6 @@ def _run_outage(cfg: ExperimentConfig, out: Path, prefix: str, modes,
     return files, counts
 
 
-def _run_fig2(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    return _run_outage(cfg, out, "fig2", ["none", "ppc"],
-                       ["wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic"])
-
-
-def _run_custom(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    return _run_outage(cfg, out, "custom", "none", "wl-zf")
-
-
 # (panel, WL users, CL users, rate); M = 2 receive antennas throughout.
 FIG3_PANELS = (
     ("a", 2, 2, 2.0),
@@ -270,29 +295,34 @@ FIG3_PANELS = (
 
 def _run_fig3(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
-    m = int(opt.get("m_rx", 2))
-    snr_db = np.asarray(opt.get("snr_db", np.arange(10.0, 61.0, 2.0)), dtype=float)
-    gain_trials = int(opt.get("gain_trials", 200_000))
+    with _config_values(cfg):
+        m = int(opt.get("m_rx", 2))
+        snr_db = np.asarray(opt.get("snr_db", np.arange(10.0, 61.0, 2.0)),
+                            dtype=float)
+        gain_trials = int(opt.get("gain_trials", 200_000))
+        curves = []
+        for panel, n_wl, n_cl, rate in FIG3_PANELS:
+            for family, n in (("wl", n_wl), ("cl", n_cl)):
+                diversity_order(m, n, family)    # refuses N > D M
+                curves.append((panel, family, LinkConfig(
+                    m_rx=m, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
     files = []
-    for panel, n_wl, n_cl, rate in FIG3_PANELS:
-        for family, n in (("wl", n_wl), ("cl", n_cl)):
-            link = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
-                              power_control="ppc")
-            for criterion in ("zf", "mmse"):
-                for sic in (False, True):
-                    rx = ReceiverSpec(family, criterion, sic)
-                    gain = gain_for(
-                        link, rx, gain_trials,
-                        derive_rng(cfg.seed, "fig3", panel, family,
-                                   criterion, int(sic)),
-                    )
-                    p = asymptote_curve(gain, snr_db)
-                    name = f"fig3-{panel}-{rx.label.lower()}.csv"
-                    files.append(_write_csv(
-                        out / name,
-                        ["snr_db", "p_asym"],
-                        zip(snr_db, p),
-                    ))
+    for panel, family, link in curves:
+        for criterion in ("zf", "mmse"):
+            for sic in (False, True):
+                rx = ReceiverSpec(family, criterion, sic)
+                gain = gain_for(
+                    link, rx, gain_trials,
+                    derive_rng(cfg.seed, "fig3", panel, family,
+                               criterion, int(sic)),
+                )
+                p = asymptote_curve(gain, snr_db)
+                name = f"fig3-{panel}-{rx.label.lower()}.csv"
+                files.append(_write_csv(
+                    out / name,
+                    ["snr_db", "p_asym"],
+                    zip(snr_db, p),
+                ))
     return files, {"gain_trials": gain_trials}
 
 
@@ -313,78 +343,88 @@ def _geometric_grid(lo: int, hi: int) -> list[int]:
 MMTC_SCENARIOS = (("wl", False), ("cl", False), ("cl", True))
 
 
-def _run_mmtc(cfg: ExperimentConfig, out: Path, prefix: str) -> tuple[list[str], dict]:
+def _run_mmtc(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
-    ttis = int(opt.get("ttis", 20_000))
-    m_list = [int(v) for v in opt.get("m_rx", [1, 2])]
-    if "user_grid" in opt:
-        grid = [int(u) for u in opt["user_grid"]]
-    else:
-        grid = _geometric_grid(int(opt.get("users_lo", 250)),
-                               int(opt.get("users_hi", 128_000)))
+    prefix = cfg.experiment.split("-")[0]
+    with _config_values(cfg):
+        ttis = int(opt.get("ttis", 20_000))
+        m_list = [int(v) for v in opt.get("m_rx", [1, 2])]
+        if "user_grid" in opt:
+            grid = [int(u) for u in opt["user_grid"]]
+        else:
+            grid = _geometric_grid(int(opt.get("users_lo", 250)),
+                                   int(opt.get("users_hi", 128_000)))
+        sweeps = []
+        for m in m_list:
+            for family, half in MMTC_SCENARIOS:
+                base = MmtcConfig(users=grid[0], m_rx=m, family=family)
+                if half:
+                    base = half_tti_mode(base)
+                sweeps.append((m, family, half,
+                               [replace(base, users=users) for users in grid]))
     header = ["users", "family", "half_tti", "drop_prob", "ci_lo", "ci_hi",
               "throughput"]
     files = []
-    for m in m_list:
-        for family, half in MMTC_SCENARIOS:
-            base = MmtcConfig(users=grid[0], m_rx=m, family=family)
-            if half:
-                base = half_tti_mode(base)
-            rows = []
-            for users in grid:
-                rng = derive_rng(cfg.seed, prefix, m, family, int(half), users)
-                res = run_scenario(replace(base, users=users), ttis, rng)
-                rows.append((
-                    users, family, half,
-                    res.drop_prob.value, res.drop_prob.ci_lo,
-                    res.drop_prob.ci_hi, res.throughput.value,
-                ))
-            tag = f"{family}-half" if half else family
-            files.append(_write_csv(out / f"{prefix}-{tag}-m{m}.csv", header, rows))
+    for m, family, half, scenarios in sweeps:
+        rows = []
+        for sc in scenarios:
+            rng = derive_rng(cfg.seed, prefix, m, family, int(half), sc.users)
+            res = run_scenario(sc, ttis, rng)
+            rows.append((
+                sc.users, family, half,
+                res.drop_prob.value, res.drop_prob.ci_lo,
+                res.drop_prob.ci_hi, res.throughput.value,
+            ))
+        tag = f"{family}-half" if half else family
+        files.append(_write_csv(out / f"{prefix}-{tag}-m{m}.csv", header, rows))
     return files, {"ttis": ttis}
 
 
-def _run_fig4(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    return _run_mmtc(cfg, out, "fig4")
+OUTAGE_OPTIONS = ("m_rx", "n_users", "rate", "snr_db", "power_control",
+                  "receivers", "gain_trials", "asymptote")
+MMTC_OPTIONS = ("ttis", "m_rx", "user_grid", "users_lo", "users_hi")
 
-
-def _run_fig5(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    # Same sweep as fig4; kept as a separate id so the drop-rate and
-    # throughput plots can be reseeded independently of each other.
-    return _run_mmtc(cfg, out, "fig5")
-
-
+# name: (runner, description, the option keys the runner reads).  fig5 is
+# the fig4 sweep under its own streams, so the drop-rate and throughput
+# plots can be reseeded independently of each other.
 EXPERIMENTS = {
     "fig1-eig-cdf": (
         _run_fig1,
         "empirical vs asymptotic CDF of the k-th smallest Wishart eigenvalue",
+        ("points",),
     ),
     "fig2-wl-outage": (
-        _run_fig2,
+        _run_outage,
         "WL receiver outage curves with asymptotes, with and without power control",
+        OUTAGE_OPTIONS,
     ),
     "fig3-wl-vs-cl": (
         _run_fig3,
         "asymptotic outage of WL vs CL receivers across user loads and rates",
+        ("m_rx", "snr_db", "gain_trials"),
     ),
     "fig4-mmtc-drop": (
-        _run_fig4,
+        _run_mmtc,
         "machine-type traffic packet-drop sweep over the user population",
+        MMTC_OPTIONS,
     ),
     "fig5-mmtc-throughput": (
-        _run_fig5,
+        _run_mmtc,
         "machine-type traffic throughput sweep over the user population",
+        MMTC_OPTIONS,
     ),
     "custom": (
-        _run_custom,
+        _run_outage,
         "outage curve for a caller-chosen link scenario and receiver list",
+        OUTAGE_OPTIONS,
     ),
 }
 
 
 def list_experiments() -> str:
     width = max(len(name) for name in EXPERIMENTS)
-    lines = [f"{name:<{width}}  {desc}" for name, (_, desc) in sorted(EXPERIMENTS.items())]
+    lines = [f"{name:<{width}}  {desc}"
+             for name, (_, desc, _) in sorted(EXPERIMENTS.items())]
     return "\n".join(lines)
 
 
@@ -392,26 +432,20 @@ def run(cfg: ExperimentConfig) -> list[str]:
     """Execute one experiment; returns the files written (CSVs + sidecar)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner, _ = EXPERIMENTS[cfg.experiment]
+    runner = EXPERIMENTS[cfg.experiment][0]
     files, counts = runner(cfg, out)
     meta = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         **counts,
         "config_hash": config_hash(cfg),
-        "version": _version(),
+        "version": __version__,
         "files": sorted(files),
     }
     meta_name = f"{cfg.experiment}-meta.yaml"
     with open(out / meta_name, "w", encoding="utf-8") as f:
         yaml.safe_dump(meta, f, sort_keys=True)
     return sorted(files) + [meta_name]
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def main(argv=None) -> int:
@@ -451,6 +485,9 @@ def main(argv=None) -> int:
         return 2
     try:
         files = run(cfg)
+    except ConfigError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 1

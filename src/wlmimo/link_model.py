@@ -25,8 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "MIN_DISTANCE_KM",
     "LinkConfig",
-    "PowerProfile",
+    "sample_large_scale",
     "sample_power_profile",
 ]
 
@@ -64,7 +65,8 @@ class LinkConfig:
         if self.shadow_sigma_db < 0:
             raise ValueError("shadowing sigma must be non-negative")
         if self.power_control not in POWER_MODES:
-            raise ValueError(f"power_control must be one of {POWER_MODES}")
+            raise ValueError(f"power_control must be one of {POWER_MODES}, "
+                             f"not {self.power_control!r}")
         if self.xi_ppc <= 0:
             raise ValueError("xi_ppc must be positive")
 

@@ -5,12 +5,13 @@ every TTI each of the `users` devices independently wakes up with
 probability 1 - exp(-arrival_rate) (Poisson arrivals thinned to at most one
 packet per TTI) and transmits its packet on a uniformly chosen tone.  The
 base station resolves a tone carrying n simultaneous packets only when its
-receiver can separate them: n <= 2M for WL, n <= M for CL.  Overloaded
-tones lose every packet on them; packets on resolvable tones still face
-link outage, drawn from the exact per-user SINR law of the zero-forcing
-front end at the tone's operating SNR (23 dBm transmit power against the
-thermal noise of one tone), with an individually drawn pathloss/shadowing
-attenuation per packet.
+receiver can separate them: n <= D M, with the dimension factor D of
+:data:`wlmimo.receivers.DIMS` (2 for WL, 1 for CL).  Overloaded tones lose
+every packet on them; packets on resolvable tones still face link outage,
+drawn from the exact per-user SINR law of the zero-forcing front end,
+snr xi D Gamma((D M - n + 1)/D), at the tone's operating SNR (23 dBm
+transmit power against the thermal noise of one tone), with an
+individually drawn pathloss/shadowing attenuation per packet.
 
 CL devices can alternatively compress each packet into half a TTI at twice
 the rate ("half-TTI mode"), which halves the collision pressure per slot.
@@ -29,19 +30,15 @@ import numpy as np
 
 from .link_model import MIN_DISTANCE_KM, sample_large_scale
 from .montecarlo import Estimate, Z95, wilson_interval
-from .outage_analysis import cl_threshold, wl_threshold
+from .receivers import DIMS, threshold
 
 __all__ = [
     "MmtcConfig",
-    "MmtcResult",
-    "operating_snr",
     "run_scenario",
     "half_tti_mode",
 ]
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
-
-FAMILIES = ("wl", "cl")
 
 # Slots simulated per vectorised step.  The chunk length fixes how the
 # arrival, tone and fading draws interleave, so changing it changes results.
@@ -76,8 +73,9 @@ class MmtcConfig:
             raise ValueError("user count cannot be negative")
         if self.m_rx < 1:
             raise ValueError("need at least one receive antenna")
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
+        if self.family not in DIMS:
+            raise ValueError(
+                f"family must be one of {tuple(DIMS)}, not {self.family!r}")
         if self.tones < 1 or not self.subcarrier_hz > 0:
             raise ValueError("need at least one tone of positive width")
         if not math.isclose(self.tones * self.subcarrier_hz, self.bandwidth_hz,
@@ -101,17 +99,12 @@ class MmtcConfig:
     @property
     def capacity(self) -> int:
         """Largest collision the receiver can still separate."""
-        return 2 * self.m_rx if self.family == "wl" else self.m_rx
+        return DIMS[self.family] * self.m_rx
 
     @property
     def tx_probability(self) -> float:
         """P(a user sends in one slot): Poisson thinned to at most one."""
         return 1.0 - math.exp(-self.arrival_rate)
-
-    @property
-    def sinr_threshold(self) -> float:
-        fn = wl_threshold if self.family == "wl" else cl_threshold
-        return fn(self.rate)
 
 
 def operating_snr(cfg: MmtcConfig) -> float:
@@ -126,8 +119,6 @@ def half_tti_mode(cfg: MmtcConfig) -> MmtcConfig:
     The slot shrinks to TTI/2, so the per-slot arrival rate halves while
     the per-second offered load is unchanged.
     """
-    if cfg.family != "cl":
-        raise ValueError("half-TTI mode applies to the CL family only")
     if cfg.half_tti:
         raise ValueError("config is already in half-TTI mode")
     return replace(
@@ -170,7 +161,7 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     Fully vectorized: slots are processed in chunks of `TTI_CHUNK`, the
     packets sharing each (slot, tone) cell are counted with one bincount
     over the chunk's cells, and link outages are drawn from the exact
-    marginal SINR laws (chi-square for WL, Gamma for CL) rather than
+    marginal ZF SINR law snr xi D Gamma((D M - n + 1)/D) rather than
     per-draw matrix factorizations.  Exactness note: drop
     probability and throughput are expectations of per-packet indicators,
     so the marginal law per packet is all that matters even though packets
@@ -179,7 +170,8 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     if ttis < 1000:
         raise ValueError("need at least 1e3 slots for stable statistics")
     snr = operating_snr(cfg)
-    gamma_t = cfg.sinr_threshold
+    gamma_t = threshold(cfg.family, cfg.rate)
+    dim = DIMS[cfg.family]
     cap = cfg.capacity
     p_tx = cfg.tx_probability
 
@@ -208,10 +200,7 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
         n_ok = collision[resolvable]
         if n_ok.size:
             xi = sample_large_scale(cfg, n_ok.size, rng)
-            if cfg.family == "wl":
-                gain = rng.chisquare(2 * cfg.m_rx - n_ok + 1)
-            else:
-                gain = rng.standard_gamma(cfg.m_rx - n_ok + 1)
+            gain = dim * rng.standard_gamma((cap - n_ok + 1) / dim)
             outage = snr * xi * gain < gamma_t
             dropped_outage += int(np.count_nonzero(outage))
             good_slots = slot[resolvable][~outage]

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "Z95",
     "Estimate",
     "derive_rng",
     "wilson_interval",

@@ -4,13 +4,12 @@ Every receiver here obeys the same high-SNR law
 
     P_out(snr) ~ (C * snr)^(-d)
 
-with diversity d and coding gain C.  For WL receivers d = M - (N-1)/2
-(the smallest-eigenvalue exponent of the real Wishart matrix H'H with
-n = N, m = 2M); for CL receivers d = M - N + 1.  Rate targets translate
-into SINR thresholds
-
-    WL: gamma_T = 2^(2R) - 1      (rate is (1/2) log2(1+gamma))
-    CL: gamma_T = 2^R  - 1        (rate is log2(1+gamma))
+with diversity d and coding gain C.  With the dimension factor D of
+:data:`wlmimo.receivers.DIMS` (2 for WL, 1 for CL), d = (D M - N + 1)/D:
+M - (N-1)/2 for WL (the smallest-eigenvalue exponent of the real Wishart
+matrix H'H with n = N, m = 2M) and M - N + 1 for CL.  A rate target R
+translates into the SINR threshold gamma_T = 2^(D R) - 1
+(:func:`wlmimo.receivers.threshold`).
 
 Coding gains involve expectations over the received-power profile xi, the
 high-SNR MMSE residual eta, and squared entries of Haar-distributed unit
@@ -29,19 +28,13 @@ import numpy as np
 from .link_model import LinkConfig, sample_large_scale, sample_power_profile
 from .montecarlo import wilson_interval
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
-from .receivers import ReceiverSpec, batched_tagged_sinr
+from .receivers import DIMS, ReceiverSpec, batched_tagged_sinr, threshold
 from .stacked import abs2, cholesky_lower, stacked_gram
 from .wishart_asymptotics import beta1
 
 __all__ = [
-    "GainSummary",
-    "OutageCurve",
-    "wl_threshold",
-    "cl_threshold",
     "diversity_order",
     "outage_mc",
-    "linear_gains",
-    "sic_gains",
     "gain_for",
     "asymptote_curve",
     "residual_interference_samples",
@@ -55,27 +48,17 @@ OUTAGE_BATCH = 1 << 15
 RESIDUAL_BATCH = 1 << 14
 
 
-def wl_threshold(rate: float) -> float:
-    """SINR threshold of a WL stream at rate R: 2^(2R) - 1."""
-    return 2.0 ** (2.0 * rate) - 1.0
-
-
-def cl_threshold(rate: float) -> float:
-    """SINR threshold of a CL stream at rate R: 2^R - 1."""
-    return 2.0 ** rate - 1.0
-
-
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
-    """High-SNR outage exponent: M - (N-1)/2 for WL, M - N + 1 for CL."""
-    if family == "wl":
-        if n_users > 2 * m_rx:
-            raise ValueError("WL diversity needs N <= 2M")
-        return m_rx - (n_users - 1) / 2.0
-    if family == "cl":
-        if n_users > m_rx:
-            raise ValueError("CL diversity needs N <= M")
-        return float(m_rx - n_users + 1)
-    raise ValueError("family must be 'wl' or 'cl'")
+    """High-SNR outage exponent (D M - N + 1)/D; refuses N > D M."""
+    if family not in DIMS:
+        raise ValueError(f"family must be one of {tuple(DIMS)}, not {family!r}")
+    dim = DIMS[family]
+    if n_users > dim * m_rx:
+        raise ValueError(
+            f"{family.upper()} receivers separate at most {dim * m_rx} users "
+            f"with {m_rx} antennas, not {n_users}"
+        )
+    return (dim * m_rx - n_users + 1) / dim
 
 
 # ---------------------------------------------------------------------------
@@ -86,13 +69,11 @@ def diversity_order(m_rx: int, n_users: int, family: str) -> float:
 class OutageCurve:
     """Simulated outage of the tagged user over an SNR grid, with CIs."""
 
-    receiver: str
     snr_db: np.ndarray
     p_out: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     trials: int
-    rate: float
     p_asym: np.ndarray | None = None
 
     def __post_init__(self):
@@ -107,10 +88,6 @@ class OutageCurve:
                 raise ValueError(f"{name} does not match the grid")
             if np.any((arr < 0) | (arr > 1)):
                 raise ValueError(f"{name} must stay within [0, 1]")
-
-
-def threshold_for(rx: ReceiverSpec, rate: float) -> float:
-    return wl_threshold(rate) if rx.family == "wl" else cl_threshold(rate)
 
 
 def outage_mc(
@@ -130,10 +107,11 @@ def outage_mc(
     """
     if trials < 1000:
         raise ValueError("need at least 1e3 trials per SNR point")
-    if rx.family == "cl" and cfg.n_users > cfg.m_rx:
-        raise ValueError("CL receivers need N <= M")
+    if cfg.n_users > DIMS[rx.family] * cfg.m_rx:
+        raise ValueError(f"{rx.label} cannot separate {cfg.n_users} users "
+                         f"with {cfg.m_rx} antennas")
     snr_db = np.asarray(snr_db, dtype=float)
-    gamma_t = threshold_for(rx, cfg.rate)
+    gamma_t = threshold(rx.family, cfg.rate)
     counts = np.zeros(len(snr_db), dtype=np.int64)
     for i, point_db in enumerate(snr_db):
         snr = 10.0 ** (point_db / 10.0)
@@ -150,13 +128,11 @@ def outage_mc(
     lo, hi = wilson_interval(counts, trials)
     p_asym = asymptote_curve(gain, snr_db) if gain is not None else None
     return OutageCurve(
-        receiver=rx.label,
         snr_db=snr_db,
         p_out=p,
         ci_lo=lo,
         ci_hi=hi,
         trials=trials,
-        rate=cfg.rate,
         p_asym=p_asym,
     )
 
@@ -266,8 +242,8 @@ def residual_interference_samples(
     where the interferers are near-dependent.
     """
     n = cfg.n_users
-    if family not in ("wl", "cl"):
-        raise ValueError("family must be 'wl' or 'cl'")
+    if family not in DIMS:
+        raise ValueError(f"family must be one of {tuple(DIMS)}, not {family!r}")
     if n == 1:
         return np.zeros(count)
     last = np.roll(np.arange(n), -1)        # interferers, then the tagged user
@@ -292,16 +268,16 @@ def linear_gains(
         C_ZF   = k (d Gamma(d))^(1/d) / gamma_T * [E{xi^-d}]^(-1/d)
         C_MMSE = same prefactor with [E{([1/xi - eta/gamma_T]^+)^d}]^(-1/d)
 
-    with k = 2 for WL and k = 1 for CL; d and gamma_T follow the family
-    (:func:`diversity_order`, :func:`threshold_for`).  Under PPC the ZF
-    expectation is the constant xi_ppc and the result is exact (stderr 0).
+    with k = D, 2 for WL and 1 for CL; d and gamma_T follow the family
+    (:func:`diversity_order`, :func:`wlmimo.receivers.threshold`).  Under
+    PPC the ZF expectation is the constant xi_ppc and the result is exact
+    (stderr 0).
     """
     if rx.sic:
         raise ValueError("linear_gains needs a linear receiver spec")
     d = diversity_order(cfg.m_rx, cfg.n_users, rx.family)
-    gamma_t = threshold_for(rx, cfg.rate)
-    k = 2.0 if rx.family == "wl" else 1.0
-    pre = k * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
+    gamma_t = threshold(rx.family, cfg.rate)
+    pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
     if rx.criterion == "zf" and cfg.power_control == "ppc":
         return GainSummary(rx, d, pre * cfg.xi_ppc)
     if rx.criterion == "zf":
@@ -318,24 +294,6 @@ def linear_gains(
 def _haar_squared(n: int, trials: int, rng, kind: str) -> np.ndarray:
     v = sample_haar_unit_vector(n, rng, size=trials, kind=kind)
     return np.abs(v) ** 2
-
-
-def _wl_beta_root(n_users: int, m_rx: int, d: float) -> float:
-    """beta1(N, 2M)^(-1/d), the Wishart constant entering SIC gains."""
-    return beta1(n_users, 2 * m_rx) ** (-1.0 / d)
-
-
-def _cl_beta_root(n_users: int, d: float) -> float:
-    """CL analogue via the exact complex moment elimination.
-
-    The smallest-eigenvalue constant of the complex Wishart matrix cancels
-    against E{mu^d} with mu = |v_1|^2, v Haar on the complex sphere, and mu
-    is Beta(1, N-1), so E{mu^d} = Gamma(1+d) Gamma(N) / Gamma(N+d) exactly.
-    """
-    log_mu = (
-        math.lgamma(1.0 + d) + math.lgamma(n_users) - math.lgamma(n_users + d)
-    )
-    return math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
 
 
 def sic_gains(
@@ -360,11 +318,17 @@ def sic_gains(
         raise ValueError("sic_gains needs a SIC receiver spec")
     n = cfg.n_users
     d = diversity_order(cfg.m_rx, n, rx.family)
-    gamma_t = threshold_for(rx, cfg.rate)
+    gamma_t = threshold(rx.family, cfg.rate)
     if rx.family == "wl":
-        broot, kind = _wl_beta_root(n, cfg.m_rx, d), "real"
+        # beta1(N, 2M)^(-1/d), the real Wishart constant
+        broot, kind = beta1(n, 2 * cfg.m_rx) ** (-1.0 / d), "real"
     else:
-        broot, kind = _cl_beta_root(n, d), "complex"
+        # The complex Wishart constant cancels against E{mu^d}, where
+        # mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so
+        # E{mu^d} = Gamma(1+d) Gamma(N) / Gamma(N+d) exactly.
+        log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
+        broot = math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
+        kind = "complex"
 
     squared = _haar_squared(n, trials, rng, kind)        # (trials, N)
     xi = sample_power_profile(cfg, rng, size=trials).xi  # (trials, N)

@@ -38,8 +38,9 @@ import numpy as np
 from .stacked import cholesky_lower, inverse_diagonal, stacked_gram
 
 __all__ = [
+    "DIMS",
+    "threshold",
     "ReceiverSpec",
-    "SinrReport",
     "zf_sinr",
     "mmse_sinr",
     "cl_sinr",
@@ -49,8 +50,19 @@ __all__ = [
 
 DUAL_FORM_RTOL = 1e-9
 
-FAMILIES = ("wl", "cl")
+# Dimension factor D of each family: WL sends a real symbol over 2M real
+# dimensions, CL a complex one over M complex dimensions.  D gives the
+# threshold 2^(D R) - 1, the capacity D M, the SINR prefactor D snr, the
+# diversity (D M - N + 1)/D and the ZF law D Gamma((D M - N + 1)/D); only
+# the channel (real stacked or complex), its Haar vectors, the SIC Wishart
+# constant and the CL-only half-TTI mode differ otherwise.
+DIMS = {"wl": 2, "cl": 1}
 CRITERIA = ("zf", "mmse")
+
+
+def threshold(family: str, rate: float) -> float:
+    """SINR threshold of one stream at rate R bits/s/Hz: 2^(D R) - 1."""
+    return 2.0 ** (DIMS[family] * rate) - 1.0
 
 
 @dataclass(frozen=True)
@@ -62,18 +74,17 @@ class ReceiverSpec:
     sic: bool = False
 
     def __post_init__(self):
-        if self.family not in FAMILIES:
-            raise ValueError(f"family must be one of {FAMILIES}")
+        if self.family not in DIMS:
+            raise ValueError(
+                f"family must be one of {tuple(DIMS)}, not {self.family!r}")
         if self.criterion not in CRITERIA:
-            raise ValueError(f"criterion must be one of {CRITERIA}")
+            raise ValueError(
+                f"criterion must be one of {CRITERIA}, not {self.criterion!r}")
 
     @property
     def label(self) -> str:
         name = f"{self.family}-{self.criterion}".upper()
         return name + "-SIC" if self.sic else name
-
-    def max_users(self, m_rx: int) -> int:
-        return 2 * m_rx if self.family == "wl" else m_rx
 
 
 def _check_dims(rx: ReceiverSpec, h: np.ndarray, xi: np.ndarray) -> None:
@@ -81,7 +92,6 @@ def _check_dims(rx: ReceiverSpec, h: np.ndarray, xi: np.ndarray) -> None:
     if xi.shape[-1] != n:
         raise ValueError("xi length does not match the user count")
     rows = h.shape[-2]
-    m_rx = rows // 2 if rx.family == "wl" else rows
     if rx.family == "wl":
         if np.iscomplexobj(h):
             raise TypeError("WL receivers expect the real stacked channel")
@@ -89,15 +99,15 @@ def _check_dims(rx: ReceiverSpec, h: np.ndarray, xi: np.ndarray) -> None:
             raise ValueError("stacked channel must have an even row count")
     elif not np.iscomplexobj(h):
         raise TypeError("CL receivers expect the complex channel")
-    if n > rx.max_users(m_rx):
+    if n > rows:
         raise ValueError(
-            f"{rx.label} cannot separate {n} users with {m_rx} antennas"
+            f"{rx.label} cannot separate {n} users on {rows} receive dimensions"
         )
 
 
 def _scale_and_ridge(xi, snr, rx):
-    """SINR prefactor (2 snr WL, snr CL) and the MMSE loading 1/(pre xi)."""
-    pre = 2.0 * snr if rx.family == "wl" else snr
+    """SINR prefactor D snr and the MMSE loading 1/(pre xi)."""
+    pre = DIMS[rx.family] * snr
     return pre, (1.0 / (pre * xi) if rx.criterion == "mmse" else None)
 
 

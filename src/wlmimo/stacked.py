@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "PIVOT_RATIO_MIN",
     "abs2",
     "stacked_gram",
     "cholesky_lower",

@@ -47,7 +47,6 @@ from .stacked import jacobi_eigenvalues, stacked_gram
 
 __all__ = [
     "diversity_exponent",
-    "pfaffian",
     "beta1",
     "sample_kth_eigenvalue",
 ]

@@ -1,7 +1,9 @@
 """End-to-end tests for the experiment runner and its config handling."""
 
+import ast
 import csv
 import filecmp
+import inspect
 import math
 import os
 import subprocess
@@ -311,3 +313,74 @@ def test_main_bad_config(tmp_path, capsys):
     p = write_yaml(tmp_path / "c.yaml", {"experiment": "not-a-thing"})
     assert main(["run", str(p)]) == 2
     assert "unknown experiment" in capsys.readouterr().err
+
+
+OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
+              "power-control": "ppc", "receivers": ["wl-zf", "cl-zf"],
+              "gain-trials": 1000}
+
+
+@pytest.mark.parametrize("experiment, options, named", [
+    ("custom", {**OUTAGE_RUN, "power-control": "foo"}, "'foo'"),
+    ("custom", {**OUTAGE_RUN, "receivers": ["wl-foo"]}, "'wl-foo'"),
+    ("custom", {**OUTAGE_RUN, "power-control": ["ppc", "foo"]}, "'foo'"),
+    ("custom", {**OUTAGE_RUN, "n-users": 3}, "not 3"),      # CL: N > M
+    ("custom", {**OUTAGE_RUN, "rate": "two"}, "'two'"),
+    ("custom", {**OUTAGE_RUN, "n-user": 3}, "'n_user'"),    # typo of n-users
+    ("fig2-wl-outage", {**OUTAGE_RUN, "receivers": ["wl-zf", "wl-zf-foo"]},
+     "'wl-zf-foo'"),
+    ("fig3-wl-vs-cl", {"m-rx": 1, "gain-trials": 1000}, "not 2"),  # CL: N > M
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": [64, -5]},
+     "negative"),
+])
+def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
+                                                  experiment, options, named):
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": experiment, "seed": 3, "trials": 1000,
+        "out-dir": str(out), "options": options,
+    })
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_experiments_refuse_options_their_runner_does_not_read(experiment):
+    reads = EXPERIMENTS[experiment][2]
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig(experiment, options={"n_user": 2})
+    assert "'n_user'" in str(err.value)
+    assert all(repr(key) in str(err.value) for key in reads)
+
+
+def _option_reads(fn, defs) -> set[str]:
+    """Keys `fn` (and the cli functions it calls) reads from `opt`."""
+    keys = set()
+    for node in ast.walk(defs[fn]):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in defs and node.func.id != fn:
+            keys |= _option_reads(node.func.id, defs)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "get" \
+                and isinstance(node.func.value, (ast.Name, ast.Attribute)) \
+                and ast.unparse(node.func.value) in ("opt", "cfg.options"):
+            keys.add(node.args[0].value)
+        elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "opt":
+            keys.add(node.slice.value)
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) \
+                and ast.unparse(node.comparators[0]) == "opt":
+            keys.add(node.left.value)
+    return keys
+
+
+def test_declared_option_keys_are_the_ones_each_runner_reads():
+    import wlmimo.cli as cli
+
+    tree = ast.parse(inspect.getsource(cli))
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef)}
+    for name, (runner, _, reads) in EXPERIMENTS.items():
+        assert _option_reads(runner.__name__, defs) == set(reads), name

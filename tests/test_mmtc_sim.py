@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from wlmimo.mmtc_sim import (
     TTI_CHUNK,
@@ -16,6 +17,7 @@ from wlmimo.mmtc_sim import (
     run_scenario,
 )
 from wlmimo.montecarlo import Estimate, derive_rng
+from wlmimo.receivers import DIMS, threshold
 
 
 def wl_cfg(**kw):
@@ -82,12 +84,7 @@ def test_config_accepts_numpy_integers():
 
 def test_config_derived_properties():
     cfg = wl_cfg(m_rx=2)
-    assert cfg.capacity == 4
-    assert MmtcConfig(users=1, m_rx=2, family="cl").capacity == 2
     assert cfg.tx_probability == pytest.approx(1 - math.exp(-4.16e-4))
-    assert cfg.sinr_threshold == pytest.approx(2 ** 0.6 - 1)
-    assert MmtcConfig(users=1, m_rx=1, family="cl").sinr_threshold \
-        == pytest.approx(2 ** 0.3 - 1)
 
 
 def test_operating_snr_budget():
@@ -135,11 +132,30 @@ def test_single_user_drop_matches_closed_form():
     cfg = flat_single_tone_cfg()
     res = run_scenario(cfg, 30_000, derive_rng(2, "oracle"))
     snr = operating_snr(cfg)
-    truth = 1.0 - math.exp(-cfg.sinr_threshold / (2.0 * snr))
+    truth = 1.0 - math.exp(-threshold(cfg.family, cfg.rate) / (2.0 * snr))
     assert res.dropped_overload == 0
     se = max(res.drop_prob.stderr, 1e-6)
     assert abs(res.drop_prob.value - truth) < 4 * se
     assert res.drop_prob.ci_lo <= truth <= res.drop_prob.ci_hi
+
+
+@pytest.mark.parametrize("family, n", [
+    ("wl", 1), ("wl", 2), ("wl", 3), ("cl", 1), ("cl", 2),
+])
+def test_collision_drop_matches_zf_link_law(family, n):
+    """n saturated users on one tone, flat attenuation, M = 2: every slot
+    carries the same n-packet collision, so the drop probability is the
+    exact ZF link law P(D Gamma((D M - n + 1)/D) < gamma_T / snr)."""
+    cfg = flat_single_tone_cfg(users=n, m_rx=2, family=family,
+                               tx_power_dbm=-140.0)
+    res = run_scenario(cfg, 20_000, derive_rng(6, "link-law", family, n))
+    d = DIMS[family]
+    x = threshold(family, cfg.rate) / operating_snr(cfg)
+    truth = stats.gamma((d * cfg.m_rx - n + 1) / d).cdf(x / d)
+    assert res.dropped_overload == 0
+    assert res.max_decoded_collision == n
+    assert 0.01 < truth < 0.99
+    assert abs(res.drop_prob.value - truth) < 4 * res.drop_prob.stderr
 
 
 def test_throughput_bookkeeping_identity():

@@ -16,19 +16,16 @@ from wlmimo.outage_analysis import (
     GainSummary,
     OutageCurve,
     asymptote_curve,
-    cl_threshold,
     diversity_order,
     gain_for,
     linear_gains,
     outage_mc,
     residual_interference_samples,
     sic_gains,
-    threshold_for,
-    wl_threshold,
     _solve_residual,
 )
 from wlmimo.random_matrix import sample_channel, wl_transform
-from wlmimo.receivers import ReceiverSpec
+from wlmimo.receivers import ReceiverSpec, threshold
 from wlmimo.stacked import cholesky_lower, stacked_gram
 
 
@@ -46,12 +43,6 @@ def zf_ppc_gain(cfg, family="wl"):
 # ---------------------------------------------------------------------------
 # Scalars
 # ---------------------------------------------------------------------------
-
-def test_thresholds():
-    assert wl_threshold(2.0) == 15.0
-    assert cl_threshold(2.0) == 3.0
-    assert wl_threshold(0.5) == pytest.approx(1.0)
-
 
 def test_coding_gain_ratio_values():
     assert coding_gain_ratio(2.0) == pytest.approx(0.4)
@@ -104,22 +95,17 @@ def test_chi2_poly_coeff():
         chi2_cdf_poly_coeff(0)
 
 
-def test_threshold_for_dispatch():
-    assert threshold_for(ReceiverSpec("wl", "zf"), 2.0) == 15.0
-    assert threshold_for(ReceiverSpec("cl", "mmse"), 2.0) == 3.0
-
-
 # ---------------------------------------------------------------------------
 # Outage curves
 # ---------------------------------------------------------------------------
 
 def test_outage_curve_validation():
     with pytest.raises(ValueError):
-        OutageCurve("WL-ZF", np.array([20.0, 10.0]), np.zeros(2),
-                    np.zeros(2), np.zeros(2), 1000, 2.0)
+        OutageCurve(np.array([20.0, 10.0]), np.zeros(2),
+                    np.zeros(2), np.zeros(2), 1000)
     with pytest.raises(ValueError):
-        OutageCurve("WL-ZF", np.array([10.0, 20.0]), np.array([0.5, 1.2]),
-                    np.zeros(2), np.ones(2), 1000, 2.0)
+        OutageCurve(np.array([10.0, 20.0]), np.array([0.5, 1.2]),
+                    np.zeros(2), np.ones(2), 1000)
 
 
 def test_outage_mc_matches_exact_law():
@@ -129,7 +115,7 @@ def test_outage_mc_matches_exact_law():
     snr_db = np.array([6.0, 10.0, 14.0])
     rng = derive_rng(1001, "outage-oracle")
     curve = outage_mc(rx, cfg, snr_db, trials=100_000, rng=rng)
-    gamma_t = wl_threshold(1.0)
+    gamma_t = threshold("wl", 1.0)
     for i, s in enumerate(snr_db):
         truth = stats.chi2(3).cdf(gamma_t / 10 ** (s / 10))
         halfwidth = (curve.ci_hi[i] - curve.ci_lo[i]) / 2

@@ -13,8 +13,10 @@ import pytest
 from scipy import stats
 
 import exact
+from wlmimo.mmtc_sim import MmtcConfig
 from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import (
+    DIMS,
     ReceiverSpec,
     SinrReport,
     _projector_sinrs,
@@ -22,6 +24,7 @@ from wlmimo.receivers import (
     cl_sinr,
     mmse_sinr,
     sic_sinr_stages,
+    threshold,
     zf_sinr,
 )
 from wlmimo.stacked import cholesky_lower, inverse_diagonal, stacked_gram
@@ -55,9 +58,25 @@ def test_receiver_spec_labels():
     assert ReceiverSpec("cl", "mmse", sic=True).label == "CL-MMSE-SIC"
 
 
-def test_receiver_spec_capacity():
-    assert ReceiverSpec("wl", "zf").max_users(3) == 6
-    assert ReceiverSpec("cl", "zf").max_users(3) == 3
+@pytest.mark.parametrize("family, dims, at_rate_2, near, capacity", [
+    ("wl", 2, 15.0, {0.5: 1.0, 0.3: 2 ** 0.6 - 1}, {2: 4, 3: 6}),
+    ("cl", 1, 3.0, {0.3: 2 ** 0.3 - 1}, {2: 2, 3: 3}),
+], ids=["wl", "cl"])
+def test_dimension_factor_rules(family, dims, at_rate_2, near, capacity):
+    """Threshold 2^(D R) - 1 and capacity D M, in the receivers and the
+    mMTC simulator alike: M antennas separate D M users, not one more."""
+    assert DIMS[family] == dims
+    assert threshold(family, 2.0) == at_rate_2
+    for rate, gamma in near.items():
+        assert threshold(family, rate) == pytest.approx(gamma)
+    rng = np.random.default_rng(31)
+    for m_rx, users in capacity.items():
+        assert MmtcConfig(users=1, m_rx=m_rx, family=family).capacity == users
+        h, xi = random_instance(rng, m_rx, users, family)
+        assert reference(h, xi, SNR, family, "zf").shape == (users,)
+        h, xi = random_instance(rng, m_rx, users + 1, family)
+        with pytest.raises(ValueError, match="cannot separate"):
+            reference(h, xi, SNR, family, "zf")
 
 
 def test_receiver_spec_validation():
