@@ -30,9 +30,10 @@ import yaml
 
 from . import __version__
 from .link_model import LinkConfig
-from .mmtc_sim import MmtcConfig, half_tti_mode, run_scenario
+from .mmtc_sim import MIN_TTIS, MmtcConfig, half_tti_mode, run_scenario
 from .montecarlo import derive_rng, wilson_interval
-from .outage_analysis import asymptote_curve, diversity_order, gain_for, outage_mc
+from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
+                              diversity_order, gain_for, outage_mc)
 from .receivers import ReceiverSpec
 from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalue
 
@@ -161,6 +162,13 @@ def _config_values(cfg: ExperimentConfig):
         raise ConfigError(f"{cfg.experiment}: {exc}") from exc
 
 
+def _at_least(name: str, value: int, minimum: int) -> int:
+    """A count checked against the minimum of the routine that takes it."""
+    if value < minimum:
+        raise ValueError(f"{name} must be at least {minimum}, not {value}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -250,8 +258,8 @@ def _run_outage(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
     prefix = cfg.experiment.split("-")[0]
     modes, receivers = OUTAGE_DEFAULTS[prefix]
-    trials = cfg.trials or 100_000
     with _config_values(cfg):
+        trials = _at_least("trials", cfg.trials or 100_000, MIN_TRIALS)
         m = int(opt.get("m_rx", 2))
         n = int(opt.get("n_users", 4))
         rate = float(opt.get("rate", 2.0))
@@ -259,7 +267,7 @@ def _run_outage(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
                             dtype=float)
         modes = _as_list(opt.get("power_control", modes))
         names = _as_list(opt.get("receivers", receivers))
-        gain_trials = int(opt.get("gain_trials", 200_000))
+        gain_trials = _at_least("gain_trials", int(opt.get("gain_trials", 200_000)), MIN_GAIN_TRIALS)
         with_asym = bool(opt.get("asymptote", True))
         links = [LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
                             power_control=mode) for mode in modes]
@@ -299,7 +307,7 @@ def _run_fig3(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
         m = int(opt.get("m_rx", 2))
         snr_db = np.asarray(opt.get("snr_db", np.arange(10.0, 61.0, 2.0)),
                             dtype=float)
-        gain_trials = int(opt.get("gain_trials", 200_000))
+        gain_trials = _at_least("gain_trials", int(opt.get("gain_trials", 200_000)), MIN_GAIN_TRIALS)
         curves = []
         for panel, n_wl, n_cl, rate in FIG3_PANELS:
             for family, n in (("wl", n_wl), ("cl", n_cl)):
@@ -328,6 +336,8 @@ def _run_fig3(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
 
 def _geometric_grid(lo: int, hi: int) -> list[int]:
     """Ascending integer grid with roughly sqrt(2) steps, lo..hi inclusive."""
+    if not 1 <= lo <= hi:
+        raise ValueError(f"need 1 <= users_lo <= users_hi, not {lo} and {hi}")
     grid = []
     j = 0
     while True:
@@ -347,10 +357,12 @@ def _run_mmtc(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     opt = cfg.options
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
-        ttis = int(opt.get("ttis", 20_000))
+        ttis = _at_least("ttis", int(opt.get("ttis", 20_000)), MIN_TTIS)
         m_list = [int(v) for v in opt.get("m_rx", [1, 2])]
         if "user_grid" in opt:
             grid = [int(u) for u in opt["user_grid"]]
+            if not grid:
+                raise ValueError("user_grid is empty")
         else:
             grid = _geometric_grid(int(opt.get("users_lo", 250)),
                                    int(opt.get("users_hi", 128_000)))

@@ -54,8 +54,6 @@ class LinkConfig:
     def __post_init__(self):
         if self.m_rx < 1 or self.n_users < 1:
             raise ValueError("antenna and user counts must be positive")
-        if self.n_users > 2 * self.m_rx:
-            raise ValueError("more users than virtual receive dimensions (N > 2M)")
         if self.snr <= 0:
             raise ValueError("snr must be positive (linear scale)")
         if self.rate <= 0:
@@ -69,28 +67,6 @@ class LinkConfig:
                              f"not {self.power_control!r}")
         if self.xi_ppc <= 0:
             raise ValueError("xi_ppc must be positive")
-
-
-@dataclass(frozen=True)
-class PowerProfile:
-    """Normalized received powers xi for one channel use (or a batch)."""
-
-    xi: np.ndarray   # (N,) or (batch, N), strictly positive
-    mode: str
-
-    def __post_init__(self):
-        xi = np.asarray(self.xi, dtype=float)
-        if xi.ndim not in (1, 2) or xi.size == 0:
-            raise ValueError("xi must be a (N,) vector or a (batch, N) stack")
-        if not np.all(np.isfinite(xi)) or np.any(xi <= 0):
-            raise ValueError("xi entries must be finite and positive")
-        object.__setattr__(self, "xi", xi)
-        if self.mode not in POWER_MODES:
-            raise ValueError(f"mode must be one of {POWER_MODES}")
-
-    @property
-    def n_users(self) -> int:
-        return self.xi.shape[-1]
 
 
 def sample_large_scale(cfg: LinkConfig, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -108,14 +84,13 @@ def sample_large_scale(cfg: LinkConfig, count: int, rng: np.random.Generator) ->
 
 def sample_power_profile(
     cfg: LinkConfig, rng: np.random.Generator, size: int | None = None
-) -> PowerProfile:
-    """Draw the received-power profile for one instant (or a batch of them)."""
+) -> np.ndarray:
+    """Received powers xi of the N users, (N,) or a (size, N) batch.
+
+    Finite and positive by construction in both power modes.
+    """
     n = cfg.n_users
+    shape = (n,) if size is None else (size, n)
     if cfg.power_control == "ppc":
-        shape = (n,) if size is None else (size, n)
-        return PowerProfile(xi=np.full(shape, cfg.xi_ppc), mode="ppc")
-    count = n if size is None else size * n
-    xi = sample_large_scale(cfg, count, rng)
-    if size is not None:
-        xi = xi.reshape(size, n)
-    return PowerProfile(xi=xi, mode="none")
+        return np.full(shape, cfg.xi_ppc)
+    return sample_large_scale(cfg, n if size is None else size * n, rng).reshape(shape)

@@ -36,10 +36,13 @@ __all__ = [
     "MmtcConfig",
     "run_scenario",
     "half_tti_mode",
+    "MIN_TTIS",
 ]
 
 THERMAL_NOISE_DBM_PER_HZ = -174.0
 
+# Fewest slots run_scenario accepts, for stable statistics.
+MIN_TTIS = 1000
 # Slots simulated per vectorised step.  The chunk length fixes how the
 # arrival, tone and fading draws interleave, so changing it changes results.
 TTI_CHUNK = 4096
@@ -167,8 +170,8 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     so the marginal law per packet is all that matters even though packets
     colliding on one tone have dependent SINRs.
     """
-    if ttis < 1000:
-        raise ValueError("need at least 1e3 slots for stable statistics")
+    if ttis < MIN_TTIS:
+        raise ValueError(f"need at least {MIN_TTIS} slots, not {ttis}")
     snr = operating_snr(cfg)
     gamma_t = threshold(cfg.family, cfg.rate)
     dim = DIMS[cfg.family]

@@ -14,6 +14,9 @@ translates into the SINR threshold gamma_T = 2^(D R) - 1
 Coding gains involve expectations over the received-power profile xi, the
 high-SNR MMSE residual eta, and squared entries of Haar-distributed unit
 vectors; all are Monte Carlo evaluated with a reported standard error.
+eta is drawn without a channel, from the Bartlett factor of the
+interferers' channel (:func:`residual_interference_samples`), for
+N <= D M users.
 Heavy-tailed moment estimates (inverse powers of lognormal shadowing) are
 flagged when the top 10 samples carry more than 5% of the sample sum.
 """
@@ -29,7 +32,7 @@ from .link_model import LinkConfig, sample_large_scale, sample_power_profile
 from .montecarlo import wilson_interval
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from .receivers import DIMS, ReceiverSpec, batched_tagged_sinr, threshold
-from .stacked import abs2, cholesky_lower, stacked_gram
+from .stacked import abs2
 from .wishart_asymptotics import beta1
 
 __all__ = [
@@ -38,14 +41,21 @@ __all__ = [
     "gain_for",
     "asymptote_curve",
     "residual_interference_samples",
+    "MIN_TRIALS",
+    "MIN_GAIN_TRIALS",
 ]
 
 HEAVY_TAIL_TOP = 10
 HEAVY_TAIL_SHARE = 0.05
-# Draws per batch.  The channel and power-profile draws interleave per
-# batch, so a change of either constant changes the none-mode streams.
+# Draws per batch.  Each batch draws its matrix entries, then its power
+# profile, so a change of either constant changes every stream that spans
+# more than one batch.
 OUTAGE_BATCH = 1 << 15
 RESIDUAL_BATCH = 1 << 14
+# Fewest trials per SNR point outage_mc accepts, and fewest gain samples
+# gain_for accepts (a moment's standard error needs two).
+MIN_TRIALS = 1000
+MIN_GAIN_TRIALS = 2
 
 
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
@@ -105,11 +115,10 @@ def outage_mc(
     Outage is SINR strictly below the rate threshold, so a zero-rate target
     yields probability zero.
     """
-    if trials < 1000:
-        raise ValueError("need at least 1e3 trials per SNR point")
-    if cfg.n_users > DIMS[rx.family] * cfg.m_rx:
-        raise ValueError(f"{rx.label} cannot separate {cfg.n_users} users "
-                         f"with {cfg.m_rx} antennas")
+    if trials < MIN_TRIALS:
+        raise ValueError(f"need at least {MIN_TRIALS} trials per SNR point, "
+                         f"not {trials}")
+    diversity_order(cfg.m_rx, cfg.n_users, rx.family)    # refuses N > D M
     snr_db = np.asarray(snr_db, dtype=float)
     gamma_t = threshold(rx.family, cfg.rate)
     counts = np.zeros(len(snr_db), dtype=np.int64)
@@ -120,7 +129,7 @@ def outage_mc(
             b = min(OUTAGE_BATCH, trials - done)
             hbar = sample_channel(cfg.m_rx, cfg.n_users, rng, size=b)
             h = wl_transform(hbar) if rx.family == "wl" else hbar
-            xi = sample_power_profile(cfg, rng, size=b).xi
+            xi = sample_power_profile(cfg, rng, size=b)
             sinr = batched_tagged_sinr(h, xi, snr, rx)
             counts[i] += int(np.count_nonzero(sinr < gamma_t))
             done += b
@@ -196,34 +205,6 @@ def _moment_to_scale(weights: np.ndarray, d: float) -> tuple[float, float, bool]
     return scale, scale_se, _heavy(weights)
 
 
-def _solve_residual(h: np.ndarray, xi_rest: np.ndarray) -> np.ndarray:
-    """(B,) eta for a (B, rows, N) stack whose last column is the tagged user.
-
-    With the interferers first, the last row of the Gram's Cholesky factor
-    is conj(L_11^-1 r), r = H_1* h_1, so one back substitution with L_11*
-    gives coef = G_11^-1 r.  Draws whose interferer pivots fail
-    PIVOT_RATIO_MIN have near-dependent interferers, where the Gram form
-    has lost its accuracy; they take coef by least squares on H_1, as in
-    the receivers.
-    """
-    k = h.shape[-1] - 1                     # interferers
-    low, clear = cholesky_lower(stacked_gram(h))
-    z = [None] * k                          # z = conj(coef)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for i in reversed(range(k)):
-            acc = low[k][i].copy()
-            for j in range(i + 1, k):
-                acc -= low[j][i] * z[j]
-            z[i] = acc / low[i][i]
-        eta = abs2(z[0]) / xi_rest[:, 0]
-        for i in range(1, k):
-            eta += abs2(z[i]) / xi_rest[:, i]
-    for i in np.nonzero(~clear[:k].all(axis=0))[0]:
-        coef = np.linalg.lstsq(h[i, :, :k], h[i, :, k], rcond=None)[0]
-        eta[i] = np.sum(abs2(coef) / xi_rest[i])
-    return eta
-
-
 def residual_interference_samples(
     cfg: LinkConfig,
     family: str,
@@ -232,30 +213,43 @@ def residual_interference_samples(
 ) -> np.ndarray:
     """I.i.d. draws of the high-SNR MMSE residual eta for the tagged user.
 
-    eta = h_1' H_1 (H_1' H_1)^-1 Psi_1^-1 (H_1' H_1)^-1 H_1' h_1 with H_1
-    the interferers' channel and Psi_1 their power profile; WL uses the
-    real stacked channel, CL the complex one.  Each sample gets a fresh
-    channel and a fresh profile, matching the i.i.d. sampling the gain
-    integrals assume; they are drawn in that order, RESIDUAL_BATCH samples
-    at a time.  (H_1' H_1)^-1 H_1' h_1 comes from the stacked Cholesky of
-    the receivers (:mod:`wlmimo.stacked`), or from least squares on H_1
-    where the interferers are near-dependent.
+    eta = sum_i |coef_i|^2 / xi_(i+1), coef = (H_1' H_1)^-1 H_1' h_1, with
+    H_1 the interferers' channel (real stacked for WL, complex for CL).
+    No channel is drawn: with H_1 = Q R, coef = R^-1 z for z = Q' h_1, and
+    by the Bartlett decomposition (Muirhead, Aspects of Multivariate
+    Statistical Theory, 1982, Thm 3.2.14; complex case in Edelman & Rao,
+    Acta Numerica 2005) R and z have independent entries: with K = N - 1
+    and the dimension factor D, R_ii^2 is chi-square with (2/D)(D M - i)
+    degrees of freedom (i from 0), R_ij (i < j) and z_i standard normal,
+    real for WL and with N(0, 1) real and imaginary parts for CL (the
+    common scale cancels in coef).  Each batch of RESIDUAL_BATCH samples,
+    draws last, takes the K diagonal entries, then the rows of [R z] from
+    the last one up, z_i before R_i,i+1 .. R_i,K-1 (a CL entry's real part
+    first), the order one back substitution uses them in; then the power
+    profile.  Refuses N > D M, more users than the receiver separates.
     """
-    n = cfg.n_users
-    if family not in DIMS:
-        raise ValueError(f"family must be one of {tuple(DIMS)}, not {family!r}")
-    if n == 1:
+    diversity_order(cfg.m_rx, cfg.n_users, family)     # refuses N > D M
+    k = cfg.n_users - 1                                # interferers
+    if k == 0:
         return np.zeros(count)
-    last = np.roll(np.arange(n), -1)        # interferers, then the tagged user
+    parts = 2 // DIMS[family]               # real normals per entry of R, z
+    df = parts * (DIMS[family] * cfg.m_rx - np.arange(k))[:, None]
     out = np.empty(count)
     filled = 0
     while filled < count:
         b = min(RESIDUAL_BATCH, count - filled)
-        hbar = sample_channel(cfg.m_rx, n, rng, size=b)
-        h = (wl_transform(hbar) if family == "wl" else hbar)[:, :, last]
-        del hbar
-        xi_rest = sample_power_profile(cfg, rng, size=b).xi[:, 1:]
-        out[filled : filled + b] = _solve_residual(h, xi_rest)
+        diag = np.sqrt(rng.chisquare(df, (k, b)))
+        normals = rng.standard_normal((k * (k + 1) // 2, b, parts))
+        entries = iter(normals[..., 0] if parts == 1
+                       else normals.view(complex)[..., 0])
+        coef = [None] * k
+        for i in reversed(range(k)):
+            acc = next(entries)                         # z_i
+            for j in range(i + 1, k):
+                acc = acc - next(entries) * coef[j]     # R_ij
+            coef[i] = acc / diag[i]
+        xi = sample_power_profile(cfg, rng, size=b)
+        out[filled : filled + b] = sum(abs2(c) / xi[:, i + 1] for i, c in enumerate(coef))
         filled += b
     return out
 
@@ -331,7 +325,7 @@ def sic_gains(
         kind = "complex"
 
     squared = _haar_squared(n, trials, rng, kind)        # (trials, N)
-    xi = sample_power_profile(cfg, rng, size=trials).xi  # (trials, N)
+    xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
 
     if rx.criterion == "zf":
         theta_min = np.min(squared / xi, axis=1)
@@ -388,6 +382,9 @@ def gain_for(
     rng: np.random.Generator,
 ) -> GainSummary:
     """Dispatch to the right gain routine for a receiver spec."""
+    if trials < MIN_GAIN_TRIALS:
+        raise ValueError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
+                         f"not {trials}")
     if rx.sic:
         return sic_gains(cfg, rx, trials, rng)
     return linear_gains(cfg, rx, trials, rng)

@@ -332,14 +332,37 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
     ("fig3-wl-vs-cl", {"m-rx": 1, "gain-trials": 1000}, "not 2"),  # CL: N > M
     ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": [64, -5]},
      "negative"),
+    ("custom", {**OUTAGE_RUN, "gain-trials": 0}, "gain_trials must be at least 2"),
+    ("custom", {**OUTAGE_RUN, "receivers": ["wl-mmse"], "gain-trials": 1},
+     "gain_trials must be at least 2"),
+    ("fig3-wl-vs-cl", {"gain-trials": 1}, "gain_trials must be at least 2"),
+    ("fig4-mmtc-drop", {"ttis": 10, "m-rx": [1], "user-grid": [64]},
+     "ttis must be at least 1000"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": []},
+     "user_grid is empty"),
+    ("fig5-mmtc-throughput",
+     {"ttis": 1000, "m-rx": [1], "users-lo": 500, "users-hi": 250}, "500 and 250"),
+    ("fig4-mmtc-drop",          # a grid from 0 would never reach users-hi
+     {"ttis": 1000, "m-rx": [1], "users-lo": 0, "users-hi": 250}, "0 and 250"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):
+    assert_refused_before_any_draw(tmp_path, capsys, named, {
+        "experiment": experiment, "seed": 3, "trials": 1000, "options": options})
+
+
+@pytest.mark.parametrize("experiment", ["custom", "fig2-wl-outage"])
+def test_main_refuses_too_few_trials_before_any_draw(tmp_path, capsys, experiment):
+    # `trials` is a top-level field, so these cases sit beside the option
+    # cases above rather than among them.
+    assert_refused_before_any_draw(tmp_path, capsys, "trials must be at least 1000", {
+        "experiment": experiment, "seed": 3, "trials": 10, "options": OUTAGE_RUN})
+
+
+def assert_refused_before_any_draw(tmp_path, capsys, named, doc):
+    """Exit 2 with `named` in the diagnostic, no traceback, nothing written."""
     out = tmp_path / "out"
-    p = write_yaml(tmp_path / "c.yaml", {
-        "experiment": experiment, "seed": 3, "trials": 1000,
-        "out-dir": str(out), "options": options,
-    })
+    p = write_yaml(tmp_path / "c.yaml", {**doc, "out-dir": str(out)})
     assert main(["run", str(p)]) == 2
     captured = capsys.readouterr()
     assert named in captured.err and "Traceback" not in captured.err

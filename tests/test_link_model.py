@@ -4,24 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wlmimo.link_model import (
-    LinkConfig,
-    PowerProfile,
-    sample_large_scale,
-    sample_power_profile,
-)
+from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
 
 
 def base_cfg(**kw):
     defaults = dict(m_rx=2, n_users=3, snr=100.0, rate=2.0)
     defaults.update(kw)
     return LinkConfig(**defaults)
-
-
-def test_config_rejects_overloaded_system():
-    with pytest.raises(ValueError):
-        base_cfg(m_rx=2, n_users=5)
-    base_cfg(m_rx=2, n_users=4)   # N = 2M is the boundary and is fine
 
 
 def test_config_rejects_bad_scalars():
@@ -82,28 +71,17 @@ def test_large_scale_shadowing_law():
 def test_power_profile_ppc_is_constant():
     cfg = base_cfg(power_control="ppc", xi_ppc=0.25)
     rng = np.random.default_rng(24)
-    prof = sample_power_profile(cfg, rng)
-    assert prof.mode == "ppc"
-    assert prof.xi.shape == (3,)
-    assert np.all(prof.xi == 0.25)
+    xi = sample_power_profile(cfg, rng)
+    assert xi.shape == (3,)
+    assert np.all(xi == 0.25)
     batch = sample_power_profile(cfg, rng, size=6)
-    assert batch.xi.shape == (6, 3)
-    assert np.all(batch.xi == 0.25)
+    assert batch.shape == (6, 3)
+    assert np.all(batch == 0.25)
 
 
 def test_power_profile_uncontrolled_shapes():
     cfg = base_cfg()
     rng = np.random.default_rng(25)
-    prof = sample_power_profile(cfg, rng, size=8)
-    assert prof.xi.shape == (8, 3)
-    assert np.all(prof.xi > 0)
-    assert prof.n_users == 3
-
-
-def test_power_profile_validation():
-    with pytest.raises(ValueError):
-        PowerProfile(xi=np.array([1.0, -2.0]), mode="none")
-    with pytest.raises(ValueError):
-        PowerProfile(xi=np.ones((2, 2, 2)), mode="none")
-    with pytest.raises(ValueError):
-        PowerProfile(xi=np.ones(2), mode="genie")
+    xi = sample_power_profile(cfg, rng, size=8)
+    assert xi.shape == (8, 3)
+    assert np.all(np.isfinite(xi) & (xi > 0))

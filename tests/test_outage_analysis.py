@@ -9,7 +9,7 @@ from scipy import stats
 
 import exact
 from laws import chi2_cdf_poly_coeff, coding_gain_ratio, moment_ratio_check
-from wlmimo.link_model import LinkConfig, sample_power_profile
+from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
 from wlmimo.montecarlo import derive_rng
 from wlmimo.outage_analysis import (
     RESIDUAL_BATCH,
@@ -22,11 +22,9 @@ from wlmimo.outage_analysis import (
     outage_mc,
     residual_interference_samples,
     sic_gains,
-    _solve_residual,
 )
 from wlmimo.random_matrix import sample_channel, wl_transform
-from wlmimo.receivers import ReceiverSpec, threshold
-from wlmimo.stacked import cholesky_lower, stacked_gram
+from wlmimo.receivers import DIMS, ReceiverSpec, threshold
 
 
 def ppc_cfg(m_rx, n_users, rate, snr=100.0):
@@ -361,103 +359,119 @@ def test_cl_residual_follows_f_law():
     assert stats.kstest(scaled, stats.f(2 * (2 - 1), 2 * (3 - 2 + 2)).cdf).pvalue > 0.01
 
 
-def lapack_residual(h, xi_rest):
-    """The route the stacked kernel replaced: matmul Gram and LAPACK solve.
+def replay_residual_batch(cfg, family, b, rng):
+    """One batch of the sampler's stream as (R, z, xi of the interferers).
 
-    `h` holds the interferers first and the tagged user last.
+    The documented order: the diagonal of R, then the rows of [R z] from
+    the last one up, z_i before R_i,i+1 .. R_i,K-1, then the profile.
     """
-    rest, h1 = h[:, :, :-1], h[:, :, -1]
-    gram = np.swapaxes(rest.conj(), 1, 2) @ rest
-    rhs = np.einsum("bmk,bm->bk", rest.conj(), h1)
-    coef = np.linalg.solve(gram, rhs[:, :, None])[:, :, 0]
-    return np.sum(np.abs(coef) ** 2 / xi_rest, axis=1)
-
-
-def residual_error_bound(h, xi_rest):
-    """RESIDUAL_C eps kappa(G_1) ||h_1||^2 / (lambda_min(G_1) min xi) per draw.
-
-    Two backward-stable routes to coef = G_1^-1 r differ by about
-    eps kappa(G_1) relative to the largest coef the draw allows,
-    ||h_1|| / sqrt(lambda_min); eta squares it.  RESIDUAL_C = 32 covers
-    Gram and r sums over up to four rows, complex products and the
-    squaring.  A plain relative bound does not hold: r = H_1* h_1 cancels
-    on some draws (3.9e-12 relative at WL N=2, where kappa = 1), and
-    kappa(G_1) reaches 1e6 before the least-squares route takes over (9e-11 at
-    WL N=4).  On well-conditioned draws without cancellation the bound
-    is below 1e-13 relative.
-    """
-    rest, h1 = h[:, :, :-1], h[:, :, -1]
-    lam = np.linalg.eigvalsh(np.swapaxes(rest.conj(), 1, 2) @ rest)
-    scale = np.sum(np.abs(h1) ** 2, axis=1) / lam[:, 0] / xi_rest.min(axis=1)
-    return 32.0 * np.finfo(float).eps * lam[:, -1] / lam[:, 0] * scale
-
-
-def near_dependent_interferers(family, m, n, eps, rng, size):
-    """Stacks, tagged user last, whose last interferer repeats the first
-    one plus eps times noise."""
-    hbar = sample_channel(m, n, rng, size=size)
-    hbar[:, :, n - 2] = hbar[:, :, 0] + eps * sample_channel(m, 1, rng, size=size)[:, :, 0]
-    return wl_transform(hbar) if family == "wl" else hbar
+    k, dim = cfg.n_users - 1, DIMS[family]
+    parts = 2 // dim
+    diag = np.sqrt(rng.chisquare(parts * (dim * cfg.m_rx - np.arange(k))[:, None],
+                                 (k, b)))
+    normals = rng.standard_normal((k * (k + 1) // 2, b, parts))
+    entries = iter(normals[..., 0] if parts == 1
+                   else normals[..., 0] + 1j * normals[..., 1])
+    r = np.zeros((b, k, k), dtype=float if parts == 1 else complex)
+    z = np.zeros((b, k), dtype=r.dtype)
+    r[:, np.arange(k), np.arange(k)] = diag.T
+    for i in reversed(range(k)):
+        z[:, i] = next(entries)
+        for j in range(i + 1, k):
+            r[:, i, j] = next(entries)
+    return r, z, sample_power_profile(cfg, rng, size=b)[:, 1:]
 
 
 @pytest.mark.parametrize("family,n", [("wl", 2), ("wl", 3), ("wl", 4), ("cl", 2)])
 @pytest.mark.parametrize("mode", ["ppc", "none"])
-def test_residual_matches_the_lapack_route_on_the_same_draws(family, n, mode):
-    # Replays the sampler's stream (channel, then profile, per batch) into
-    # the LAPACK route; two batches, the second a partial one.
+def test_residual_matches_an_independent_solve_on_the_same_draws(family, n, mode):
+    # Replays the sampler's stream into LAPACK's general solve on each R;
+    # two batches, the second a partial one.  The bound was fixed before
+    # measuring: both routes are backward stable, so coef differs by about
+    # eps kappa(R) ||coef||, and eta by twice that times ||coef|| / min xi;
+    # 32 covers up to three interferers, complex products and the squaring.
     cfg = LinkConfig(m_rx=2, n_users=n, snr=1.0, rate=1.0, power_control=mode)
     count = RESIDUAL_BATCH + 5000
     got = residual_interference_samples(cfg, family, count, derive_rng(9, family, n))
     rng = derive_rng(9, family, n)
-    last = np.roll(np.arange(n), -1)
     for start in (0, RESIDUAL_BATCH):
         b = min(RESIDUAL_BATCH, count - start)
-        hbar = sample_channel(2, n, rng, size=b)
-        h = (wl_transform(hbar) if family == "wl" else hbar)[:, :, last]
-        xi_rest = sample_power_profile(cfg, rng, size=b).xi[:, 1:]
-        expect = lapack_residual(h, xi_rest)
-        err = np.abs(got[start:start + b] - expect)
-        assert np.all(err <= residual_error_bound(h, xi_rest))
+        r, z, xi_rest = replay_residual_batch(cfg, family, b, rng)
+        coef = np.linalg.solve(r, z[:, :, None])[:, :, 0]
+        square = np.abs(coef) ** 2
+        expect = np.sum(square / xi_rest, axis=1)
+        bound = (32.0 * np.finfo(float).eps * np.linalg.cond(r)
+                 * square.sum(axis=1) / xi_rest.min(axis=1))
+        assert np.all(np.abs(got[start:start + b] - expect) <= bound)
 
 
-def exact_residual(h, xi_rest):
-    """eta of one draw, tagged user last, by exact least squares.
+class ReplayRng:
+    """Hands the sampler fixed chi-square and normal draws, in one batch."""
 
-    coef = (H_1* H_1)^-1 H_1* h_1 from the float entries of H taken as
-    exact fractions, rounded once.  A complex system is realified, so its
-    coefficients come as the real parts, then the imaginary ones.
-    """
-    k = h.shape[-1] - 1
-    rest = exact.as_fractions(exact.realify(h[:, :k]))
-    h1 = exact.as_fractions(exact.realify(h[:, k])[:, None])
-    coef = [c for (c,) in exact.solve(exact.gram(rest), exact.gram(rest, h1))]
-    sq = [coef[j] ** 2 + (coef[j + k] ** 2 if len(coef) > k else 0)
-          for j in range(k)]
-    return float(sum(q / Fraction(float(x)) for q, x in zip(sq, xi_rest)))
+    def __init__(self, chi2, normals):
+        self.chi2, self.normals = chi2, normals
+
+    def chisquare(self, df, size):
+        assert self.chi2.shape == size
+        return self.chi2
+
+    def standard_normal(self, size):
+        assert self.normals.shape == size
+        return self.normals
 
 
 @pytest.mark.parametrize("family,m,n", [("wl", 2, 3), ("wl", 2, 4), ("cl", 3, 3)])
-@pytest.mark.parametrize("tagged", ["separate", "near"])
+@pytest.mark.parametrize("small", ["first", "last"])
 @pytest.mark.parametrize("eps", [1e-5, 1e-7])
-def test_residual_matches_the_exact_oracle_on_near_dependent_columns(
-        family, m, n, tagged, eps):
-    # "separate": the last interferer repeats the first plus eps times
-    # noise, which fails the pivot test and takes least squares on H_1.
-    # "near": the tagged user does instead; the interferers stay clear and
-    # keep the Cholesky route.  The bound, 1e-5 relative, was fixed before
-    # measuring: least squares on H_1 loses about kappa(H_1) eps_mach, the
-    # Gram H_1* H_1 its square.
+def test_residual_matches_the_exact_oracle_on_near_singular_factors(
+        family, m, n, small, eps):
+    # R stacks with one diagonal entry eps times the size of the rest go
+    # through the sampler's own back substitution and meet an exact
+    # rational solve of the same R and z.  The bound, 1e-5 relative, was
+    # fixed before measuring: the triangular solve loses about
+    # kappa(R) eps_mach componentwise, never kappa(R)^2.
     rng = np.random.default_rng(61)
-    h = near_dependent_interferers(family, m, n, 1.0 if tagged == "near" else eps,
-                                   rng, 40)
-    if tagged == "near":
-        h[:, :, -1] = h[:, :, 0] + eps * rng.standard_normal(h[:, :, 0].shape)
-    xi_rest = rng.uniform(0.3, 2.0, (40, n - 1))
-    clear = cholesky_lower(stacked_gram(h))[1][:-1].all(axis=0)
-    assert np.all(clear) if tagged == "near" else not np.any(clear)
-    got = _solve_residual(h, xi_rest)
-    expect = np.array([exact_residual(h[i], xi_rest[i]) for i in range(40)])
-    assert np.all(np.abs(got - expect) <= 1e-5 * expect)
+    k, parts, b = n - 1, 2 // DIMS[family], 40
+    chi2 = rng.uniform(0.5, 4.0, (k, b))
+    chi2[0 if small == "first" else k - 1] *= eps ** 2
+    normals = rng.standard_normal((k * (k + 1) // 2, b, parts))
+    cfg = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=1.0,
+                     power_control="ppc", xi_ppc=0.7)
+    got = residual_interference_samples(cfg, family, b, ReplayRng(chi2, normals))
+    r, z, _ = replay_residual_batch(cfg, family, b, ReplayRng(chi2, normals))
+    for i in range(b):
+        rest = exact.as_fractions(exact.realify(r[i]))
+        rhs = exact.as_fractions(exact.realify(z[i])[:, None])
+        coef = [c for (c,) in exact.solve(rest, rhs)]
+        expect = float(sum(c * c for c in coef) / Fraction(0.7))
+        assert abs(got[i] - expect) <= 1e-5 * expect
+
+
+@pytest.mark.parametrize("family,n", [("wl", 2), ("wl", 3), ("wl", 4), ("cl", 2)])
+def test_residual_law_without_power_control(family, n):
+    # Two-sample KS against eta from fresh CN(0, 1) channels by LAPACK,
+    # with xi from the package's large-scale law; the threshold p > 1e-3
+    # was fixed before measuring.
+    cfg = LinkConfig(m_rx=2, n_users=n, snr=1.0, rate=1.0)
+    count = 50_000
+    got = residual_interference_samples(cfg, family, count,
+                                        derive_rng(31, family, n))
+    rng = derive_rng(32, family, n)
+    hbar = sample_channel(2, n, rng, size=count)
+    h = wl_transform(hbar) if family == "wl" else hbar
+    h1, rest = h[:, :, 0], h[:, :, 1:]
+    rest_h = np.swapaxes(rest.conj(), 1, 2)
+    coef = np.linalg.solve(rest_h @ rest, (rest_h @ h1[:, :, None]))[:, :, 0]
+    xi_rest = sample_large_scale(cfg, count * (n - 1), rng).reshape(count, n - 1)
+    expect = np.sum(np.abs(coef) ** 2 / xi_rest, axis=1)
+    assert stats.ks_2samp(got, expect).pvalue > 1e-3
+
+
+@pytest.mark.parametrize("family,n", [("wl", 5), ("cl", 3)])
+def test_residual_refuses_more_users_than_dimensions(family, n):
+    cfg = LinkConfig(m_rx=2, n_users=n, snr=1.0, rate=1.0, power_control="ppc")
+    with pytest.raises(ValueError):
+        residual_interference_samples(cfg, family, 10, derive_rng(0, "over"))
 
 
 def test_residual_rejects_unknown_family():

@@ -164,20 +164,27 @@ def test_beta1_at_the_edge_of_its_domain():
 
 
 def oracle_beta1(n, m, quadrature):
-    """beta_1 at 80 digits with Pf(J) = sqrt(det J).
+    """beta_1 with Pf(J) = sqrt(det J).
 
     J comes from quadrature of its signed two-sided Gamma integrals (the
-    inner integral through the regularized incomplete Gamma function), or
-    from the closed recursion 2^(b_i+b_j) Gamma(b_i) Gamma(b_j) (2I - 1),
-    I = Pr(Gamma(b_i) < Gamma(b_j)).
+    inner integral through the regularized incomplete Gamma function), at
+    30 digits, each integral asserting its own error estimate below 1e-20
+    relative; or from the closed recursion 2^(b_i+b_j) Gamma(b_i)
+    Gamma(b_j) (2I - 1), I = Pr(Gamma(b_i) < Gamma(b_j)), at 80 digits.
     """
     mp = pytest.importorskip("mpmath")
-    with mp.workdps(80):
+
+    def quad(f):
+        value, error = mp.quad(f, [0, mp.inf], error=True)
+        assert error < mp.mpf("1e-20") * abs(value)
+        return value
+
+    with mp.workdps(30 if quadrature else 80):
         b = [mp.mpf(m - n + 1) / 2 + i for i in range(n + 1)]
 
         def border(i):
             if quadrature:
-                return mp.quad(lambda x: x ** (b[i] - 1) * mp.exp(-x / 2), [0, mp.inf])
+                return quad(lambda x: x ** (b[i] - 1) * mp.exp(-x / 2))
             return 2 ** b[i] * mp.gamma(b[i])
 
         def interior(i, j):
@@ -186,7 +193,7 @@ def oracle_beta1(n, m, quadrature):
                 def signed(x):
                     inner = 1 - 2 * mp.gammainc(b[j], 0, x / 2, regularized=True)
                     return x ** (b[i] - 1) * mp.exp(-x / 2) * scale * inner
-                return mp.quad(signed, [0, mp.inf])
+                return quad(signed)
             prob = mp.mpf(1) / 2 + sum(
                 2 ** (k - b[i] - b[j]) * mp.gamma(b[i] + b[j] - k)
                 / (mp.gamma(b[i]) * mp.gamma(b[j] - k + 1))
