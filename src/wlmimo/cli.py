@@ -11,8 +11,10 @@ so curves never perturb each other and can run in any order.
 
 Config keys may be written kebab-case or snake_case; they are normalized
 before use and before hashing.  An experiment refuses option keys it does
-not read, and builds all of its configs before its first draw, so a bad
-value is a `ConfigError` (exit status 2) that leaves no CSV behind.
+not read (and `trials`, unless it reads it), and builds all of its configs
+before its first draw, so a bad value is a `ConfigError` (exit status 2)
+that leaves no CSV behind.  An estimate that cannot be formed
+(`ArithmeticError`) is one line on stderr, exit status 1 and no sidecar.
 """
 
 from __future__ import annotations
@@ -71,9 +73,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; valid names: {known}"
             )
+        _, _, reads, reads_trials = EXPERIMENTS[self.experiment]
+        if self.trials is not None and not reads_trials:
+            raise ConfigError(f"{self.experiment} does not read trials")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        reads = EXPERIMENTS[self.experiment][2]
         if unknown := sorted(set(self.options) - set(reads)):
             raise ConfigError(f"{self.experiment} does not read options "
                               f"{unknown}; it reads {sorted(reads)}")
@@ -193,13 +197,10 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _write_outage_csv(path: Path, curve) -> str:
-    if curve.p_asym is None:
-        header = ["snr_db", "p_out", "ci_lo", "ci_hi"]
-        rows = zip(curve.snr_db, curve.p_out, curve.ci_lo, curve.ci_hi)
-    else:
-        header = ["snr_db", "p_out", "ci_lo", "ci_hi", "p_asym"]
-        rows = zip(curve.snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, curve.p_asym)
-    return _write_csv(path, header, rows)
+    header = ["snr_db", "p_out", "ci_lo", "ci_hi"]
+    if curve.p_asym is not None:
+        header.append("p_asym")
+    return _write_csv(path, header, zip(*(getattr(curve, name) for name in header)))
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +231,7 @@ def _run_fig1(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
             # the polynomial law with a fitted intercept instead.
             intercept = float(np.exp(np.mean(np.log(cdf) - d * np.log(eps))))
         asym = intercept * eps ** d
-        rows = [
-            (k, n, m, eps[i], cdf[i], lo[i], hi[i], asym[i])
-            for i in range(len(eps))
-        ]
+        rows = [(k, n, m, *row) for row in zip(eps, cdf, lo, hi, asym)]
         header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
         files.append(_write_csv(out / f"fig1-k{k}-n{n}-m{m}.csv", header, rows))
     return files, {"trials": trials}
@@ -396,39 +394,39 @@ OUTAGE_OPTIONS = ("m_rx", "n_users", "rate", "snr_db", "power_control",
                   "receivers", "gain_trials", "asymptote")
 MMTC_OPTIONS = ("ttis", "m_rx", "user_grid", "users_lo", "users_hi")
 
-# name: (runner, description, the option keys the runner reads).  fig5 is
-# the fig4 sweep under its own streams, so the drop-rate and throughput
+# name: (runner, description, option keys read, top-level trials read).  fig5
+# is the fig4 sweep under its own streams, so the drop-rate and throughput
 # plots can be reseeded independently of each other.
 EXPERIMENTS = {
     "fig1-eig-cdf": (
         _run_fig1,
         "empirical vs asymptotic CDF of the k-th smallest Wishart eigenvalue",
-        ("points",),
+        ("points",), True,
     ),
     "fig2-wl-outage": (
         _run_outage,
         "WL receiver outage curves with asymptotes, with and without power control",
-        OUTAGE_OPTIONS,
+        OUTAGE_OPTIONS, True,
     ),
     "fig3-wl-vs-cl": (
         _run_fig3,
         "asymptotic outage of WL vs CL receivers across user loads and rates",
-        ("m_rx", "snr_db", "gain_trials"),
+        ("m_rx", "snr_db", "gain_trials"), False,
     ),
     "fig4-mmtc-drop": (
         _run_mmtc,
         "machine-type traffic packet-drop sweep over the user population",
-        MMTC_OPTIONS,
+        MMTC_OPTIONS, False,
     ),
     "fig5-mmtc-throughput": (
         _run_mmtc,
         "machine-type traffic throughput sweep over the user population",
-        MMTC_OPTIONS,
+        MMTC_OPTIONS, False,
     ),
     "custom": (
         _run_outage,
         "outage curve for a caller-chosen link scenario and receiver list",
-        OUTAGE_OPTIONS,
+        OUTAGE_OPTIONS, True,
     ),
 }
 
@@ -436,7 +434,7 @@ EXPERIMENTS = {
 def list_experiments() -> str:
     width = max(len(name) for name in EXPERIMENTS)
     lines = [f"{name:<{width}}  {desc}"
-             for name, (_, desc, _) in sorted(EXPERIMENTS.items())]
+             for name, (_, desc, _, _) in sorted(EXPERIMENTS.items())]
     return "\n".join(lines)
 
 
@@ -481,14 +479,10 @@ def main(argv=None) -> int:
         print(list_experiments())
         return 0
 
+    overrides = {"seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.out_dir is not None:
-            cfg = replace(cfg, out_dir=args.out_dir)
+        cfg = replace(load_config(args.config),
+                      **{k: v for k, v in overrides.items() if v is not None})
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
@@ -502,6 +496,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:
+        print(f"{cfg.experiment}: {exc}", file=sys.stderr)
         return 1
     for name in files:
         print(name)

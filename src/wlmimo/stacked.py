@@ -1,10 +1,10 @@
 """Small-matrix kernels vectorised over a stack of draws, draws last.
 
-A stack of B small matrices is held as (n, n, B) and every kernel step is
-one vector operation over the B draws, entry by entry, instead of one
-LAPACK call per draw.  Each entry sees the same operations in the same
-order for every draw, so a draw's result does not depend on the rest of
-the stack.
+A stack of B small matrices is held with the draws last, (n, n, B) or
+(n, B) for a bidiagonal, and every kernel step is one vector operation
+over the B draws, entry by entry, instead of one LAPACK call per draw.
+Each entry sees the same operations in the same order for every draw, so
+a draw's result does not depend on the rest of the stack.
 
 - :func:`stacked_gram` forms the Gram matrices H* H.
 - :func:`cholesky_lower` factors Hermitian positive definite Grams and
@@ -13,13 +13,13 @@ the stack.
   send those draws to least squares on H itself, since there the Gram
   form has lost its accuracy.
 - :func:`inverse_diagonal` turns a factor into the diagonal of G^-1.
-- :func:`jacobi_eigenvalues` takes the eigenvalues of real symmetric
-  stacks by cyclic Jacobi rotations (Golub & Van Loan, Matrix
-  Computations, 4th ed., Sec. 8.5).  Its cost grows like n^3 per sweep in
-  Python-level operations, so it pays only for the smallest sizes.
+- :func:`kth_eigenvalue` roots B B^T, B a lower bidiagonal, on its
+  shifted LDL^T, accurate relative to the eigenvalue.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -28,15 +28,16 @@ __all__ = [
     "stacked_gram",
     "cholesky_lower",
     "inverse_diagonal",
-    "jacobi_eigenvalues",
+    "kth_eigenvalue",
 ]
 
 # Cholesky pivot / diagonal entry at or below which a draw goes to least
 # squares: its columns are near-dependent and the Gram form cancels.
 PIVOT_RATIO_MIN = 1e-6
-# Sweeps after which a stack that still has off-diagonal mass is refused.
-# Cyclic Jacobi converges quadratically; random 3x3 stacks need about 4.
-JACOBI_SWEEPS = 12
+# Steps after which an unconverged eigenvalue is refused: Newton takes at
+# most 16 on fig1's cases, bisection about log2(trace / lambda_k) + 52.
+ROOT_STEPS = 200
+EPS = np.finfo(float).eps
 
 
 def stacked_gram(h: np.ndarray) -> np.ndarray:
@@ -117,66 +118,84 @@ def inverse_diagonal(low: list) -> np.ndarray:
     return out.T
 
 
-def jacobi_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """(n, B) eigenvalues, unordered, of (n, n, B) real symmetric stacks.
+def kth_eigenvalue(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
+    """(B,) k-th smallest eigenvalue of B B^T, B lower bidiagonal with
+    squared diagonal d2 (n, B) and squared subdiagonal e2 (n-1, B).
 
-    Cyclic Jacobi: each sweep rotates every pair (p, q) once, with the
-    rotation that zeroes a_pq on every draw at the same time.  Stops once
-    every draw's off-diagonal mass sum a_pq^2 is at most eps^2 times its
-    diagonal mass sum a_pp^2; raises ArithmeticError if that takes more
-    than JACOBI_SWEEPS sweeps.  Reads the upper triangle only.  Entries
-    must stay within about 1e+-150, where their squares neither overflow
-    nor underflow (no Wishart draw here comes near); outside that range a
-    rotation misses and the stack is refused, not answered.
+    B B^T - sigma I = L D L^T has the pivots D_i = s_i + d2_i, s_0 = -sigma,
+    s_i+1 = e2_i s_i / D_i - sigma (dstqds; Dhillon & Parlett, SIAM J.
+    Matrix Anal. Appl. 25 (2004)): their product is the determinant, the
+    negative ones count the eigenvalues below sigma, and as they read only
+    squared entries, roots are accurate relative to themselves.  k = 1 or n:
+    Newton from outside the spectrum, monotone to the nearest root, until a
+    step no longer goes that way by over 2 eps sigma; else bisection of
+    [0, trace] to 4 eps relative.  ArithmeticError after ROOT_STEPS steps.
     """
-    n = w.shape[0]
-    a = {(p, q): w[p, q].copy() for p in range(n) for q in range(p, n)}
-    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
-    tol = np.finfo(float).eps ** 2
-    tiny = np.finfo(float).tiny
+    n = d2.shape[0]
+    if n == 1:
+        return d2[0].copy()
+    if n == 2:
+        # trace^2 - 4 det as a sum of positive terms; the small root as
+        # det / big root, so both are accurate relative to themselves.
+        a, b, c = d2[0], d2[1], e2[0]
+        big = 0.5 * (a + b + c + np.sqrt(np.square(a - b) + c * (c + 2.0 * (a + b))))
+        return big if k == 2 else a * b / big
+    if k == 1:
+        return _converge(partial(_newton_step, sign=1.0), d2, e2, np.zeros(d2.shape[1]))
+    if k == n:
+        # From the Gershgorin bound: from the trace Newton needs O(n) steps.
+        off = np.sqrt(d2[:-1] * e2)
+        row = d2.copy()
+        row[1:] += e2 + off
+        row[:-1] += off
+        return _converge(partial(_newton_step, sign=-1.0), d2, e2, row.max(axis=0))
+    trace = d2.sum(axis=0) + e2.sum(axis=0)
+    return _converge(partial(_bisect_step, k=k), d2, e2, np.zeros_like(trace), trace)
 
-    def entry(r, c):
-        return (r, c) if r <= c else (c, r)
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(JACOBI_SWEEPS + 1):
-            off = sum(np.square(a[pq]) for pq in pairs)
-            diag = sum(np.square(a[p, p]) for p in range(n))
-            if np.all(off <= tol * diag):
-                return np.array([a[p, p] for p in range(n)])
-            for p, q in pairs:
-                # t = tan(angle) = x / (sign(d) (|d| + sqrt(d^2 + x^2))) with
-                # d = a_qq - a_pp, x = 2 a_pq: the smaller root of
-                # t^2 + 2 tau t - 1 = 0, tau = d / x, without dividing by
-                # a_pq.  The tiny floor gives t = 0 where d = x = 0.
-                apq = a[p, q]
-                d = a[q, q] - a[p, p]
-                x = 2.0 * apq
-                den = d * d
-                den += x * x
-                np.sqrt(den, out=den)
-                den += np.abs(d)
-                np.maximum(den, tiny, out=den)
-                np.copysign(den, d, out=den)
-                t = np.divide(x, den, out=den)
-                shift = t * apq
-                a[p, p] -= shift
-                a[q, q] += shift
-                apq[:] = 0.0
-                if n == 2:
-                    continue
-                c = t * t                      # cos(angle) = 1 / sqrt(1 + t^2)
-                c += 1.0
-                np.sqrt(c, out=c)
-                np.divide(1.0, c, out=c)
-                for r in range(n):
-                    if r in (p, q):
-                        continue
-                    rp, rq = entry(r, p), entry(r, q)
-                    g, h = a[rp], a[rq]
-                    a[rp] = (g - t * h) * c
-                    a[rq] = (h + t * g) * c
-    raise ArithmeticError(
-        f"Jacobi eigenvalues: off-diagonal mass above eps^2 of the diagonal "
-        f"after {JACOBI_SWEEPS} sweeps"
-    )
+def _converge(step, d2, e2, *state):
+    """Repeat `step -> (go, value, state)` on the draws that go; retire the rest."""
+    out = np.empty(d2.shape[1])
+    idx = np.arange(out.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(ROOT_STEPS):
+            go, value, state = step(d2, e2, *state)
+            if not go.all():
+                out[idx[~go]] = value[~go]
+                if not go.any():
+                    return out
+                idx, d2, e2 = idx[go], d2[:, go], e2[:, go]
+                state = [a[go] for a in state]
+    raise ArithmeticError(f"eigenvalue not converged after {ROOT_STEPS} steps")
+
+
+def _newton_step(d2, e2, sigma, *, sign):
+    """Newton on det(B B^T - sigma I), upwards for sign 1, downwards for -1:
+    f'/f = sum_i D_i' / D_i, s_0' = -1, s_i+1' = (e2_i / D_i) d2_i (s_i' / D_i) - 1."""
+    s, ds, g = -sigma, -1.0, 0.0
+    for i in range(d2.shape[0]):
+        dp = s + d2[i]
+        q = ds / dp
+        g = g + q
+        if i < len(e2):
+            r = e2[i] / dp
+            s = r * s - sigma
+            ds = r * d2[i] * q - 1.0
+    step = -1.0 / g
+    return sign * step > 2.0 * EPS * sigma, sigma, (sigma + step,)
+
+
+def _bisect_step(d2, e2, lo, hi, *, k):
+    """Halve [lo, hi] around lambda_k by the negative-pivot count at its middle."""
+    mid = 0.5 * (lo + hi)
+    s, below = -mid, 0
+    for i in range(d2.shape[0]):
+        dp = s + d2[i]
+        below = below + (dp < 0.0)
+        if i < len(e2):
+            s = e2[i] * s / dp - mid
+    if np.isnan(dp).any():          # a pivot was exactly zero
+        raise ArithmeticError("eigenvalue: zero pivot in the Sturm count")
+    above = below >= k
+    return (hi - lo > 4.0 * EPS * hi, mid,
+            (np.where(above, lo, mid), np.where(above, mid, hi)))

@@ -30,10 +30,11 @@ computed exactly, as a Fraction times sqrt(2)^s sqrt(pi)^t, with the Pfaffian
 taken by Parlett-Reid skew Gaussian elimination on Fractions, and rounded to
 float once at the end.
 
-Samples of lambda_k come from W in bounded blocks of draws: for n <= 3 its
-eigenvalues are taken by cyclic Jacobi rotations vectorised over the
-stack (:func:`wlmimo.stacked.jacobi_eigenvalues`), for larger n by
-LAPACK's eigvalsh, which is then as fast or faster.
+Samples of lambda_k draw no matrix: X X^T has the eigenvalues of B B^T for
+a lower bidiagonal B with independent chi entries (Dumitriu & Edelman, J.
+Math. Phys. 43 (2002)), B_ii^2 ~ chi2(m - i) and B_i+1,i^2 ~ chi2(n - 1 - i),
+and lambda_k is a root of the shifted LDL^T of B B^T
+(:func:`wlmimo.stacked.kth_eigenvalue`), accurate relative to itself.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .stacked import jacobi_eigenvalues, stacked_gram
+from .stacked import kth_eigenvalue
 
 __all__ = [
     "diversity_exponent",
@@ -52,14 +53,8 @@ __all__ = [
 ]
 
 
-# Normals drawn per block of sample_kth_eigenvalue (2 MB of float64).
+# Entries of X one block of sample_kth_eigenvalue stands for (2n - 1 draws per n m).
 EIG_BLOCK_ELEMENTS = 1 << 18
-# Largest n whose eigenvalues come from the stacked Jacobi kernel; LAPACK
-# above.  Smallest eigenvalue of 50k draws, stacked Gram + Jacobi vs
-# matmul + eigvalsh: n=2 10 vs 21 ms, n=3 27 vs 50 ms, n=4 76 vs 82 ms,
-# n=5 129 vs 102 ms, n=6 274 vs 176 ms (2-vCPU Xeon, OpenBLAS); n = 4 is
-# a near tie.
-JACOBI_MAX_N = 3
 
 
 def _check_nm(n: int, m: int, bound: int = 64) -> None:
@@ -177,20 +172,14 @@ def beta1(n: int, m: int) -> float:
 # Eigenvalue sampling
 # ---------------------------------------------------------------------------
 
-def sample_kth_eigenvalue(
-    k: int,
-    n: int,
-    m: int,
-    trials: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def sample_kth_eigenvalue(k: int, n: int, m: int, trials: int,
+                          rng: np.random.Generator) -> np.ndarray:
     """Draw `trials` samples of the kth smallest eigenvalue of X X^T.
 
-    X is drawn in blocks of at most EIG_BLOCK_ELEMENTS normals, which
-    leaves the normal stream, and so every sample, the same as one draw of
-    the whole (trials, n, m) array.  For n <= JACOBI_MAX_N the eigenvalues
-    come from cyclic Jacobi over the stacked Grams (:mod:`wlmimo.stacked`),
-    above it from LAPACK one matrix at a time.
+    A draw is B's n squared diagonal entries, then its n - 1 squared
+    subdiagonal ones.  Blocks of EIG_BLOCK_ELEMENTS // (n m) draws go
+    draws-last to :func:`wlmimo.stacked.kth_eigenvalue`; every sample is
+    that of one draw of the whole (trials, 2n - 1) array.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
@@ -198,16 +187,10 @@ def sample_kth_eigenvalue(
     if trials <= 0:
         raise ValueError("trials must be positive")
     rows = max(1, EIG_BLOCK_ELEMENTS // (n * m))
+    df = np.concatenate([np.arange(m, m - n, -1.0), np.arange(n - 1, 0, -1.0)])
     out = np.empty(trials)
-    done = 0
-    while done < trials:
+    for done in range(0, trials, rows):
         b = min(rows, trials - done)
-        x = rng.standard_normal((b, n, m))
-        if n <= JACOBI_MAX_N:
-            lam = jacobi_eigenvalues(stacked_gram(x.transpose(0, 2, 1)))
-            out[done:done + b] = np.partition(lam, k - 1, axis=0)[k - 1]
-        else:
-            w = x @ x.transpose(0, 2, 1)
-            out[done:done + b] = np.linalg.eigvalsh(w)[:, k - 1]
-        done += b
+        sq = np.ascontiguousarray(rng.chisquare(df, (b, 2 * n - 1)).T)
+        out[done:done + b] = kth_eigenvalue(sq[:n], sq[n:], k)
     return out

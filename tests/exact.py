@@ -51,3 +51,24 @@ def solve(a: list, b: list) -> list:
                 f = rows[r][c]
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
     return [row[size:] for row in rows]
+
+
+def sturm_count(d2: np.ndarray, e2: np.ndarray, sigma: float) -> int:
+    """Eigenvalues of B B^T below sigma, B lower bidiagonal, exactly.
+
+    B B^T is tridiagonal with diagonal d2_i + e2_i-1 and squared
+    off-diagonals d2_i e2_i; the count is the number of negative pivots of
+    its LDL^T minus sigma (Sylvester's law of inertia), taken over the
+    exact fractions the floats store.  A zero pivot raises.
+    """
+    d2, e2, sigma = as_fractions(d2), as_fractions(e2), Fraction(float(sigma))
+    count, pivot = 0, None
+    for i, d in enumerate(d2):
+        q = d - sigma
+        if i:
+            q += e2[i - 1] - d2[i - 1] * e2[i - 1] / pivot
+        if q == 0:
+            raise ZeroDivisionError("zero pivot in the exact Sturm count")
+        count += q < 0
+        pivot = q
+    return count

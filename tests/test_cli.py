@@ -347,8 +347,9 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):
+    trials = {"trials": 1000} if EXPERIMENTS[experiment][3] else {}
     assert_refused_before_any_draw(tmp_path, capsys, named, {
-        "experiment": experiment, "seed": 3, "trials": 1000, "options": options})
+        "experiment": experiment, "seed": 3, **trials, "options": options})
 
 
 @pytest.mark.parametrize("experiment", ["custom", "fig2-wl-outage"])
@@ -357,6 +358,43 @@ def test_main_refuses_too_few_trials_before_any_draw(tmp_path, capsys, experimen
     # cases above rather than among them.
     assert_refused_before_any_draw(tmp_path, capsys, "trials must be at least 1000", {
         "experiment": experiment, "seed": 3, "trials": 10, "options": OUTAGE_RUN})
+
+
+@pytest.mark.parametrize("experiment", ["fig3-wl-vs-cl", "fig4-mmtc-drop",
+                                        "fig5-mmtc-throughput"])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_main_refuses_trials_the_experiment_does_not_read(tmp_path, capsys,
+                                                          experiment, where):
+    # Such a count would change the config hash and nothing else.
+    doc = {"experiment": experiment, "seed": 3}
+    if where == "config":
+        doc["trials"] = 7
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {**doc, "out-dir": str(out)})
+    assert main(["run", str(p), "--trials", "5"] if where == "flag"
+                else ["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert f"{experiment} does not read trials" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
+                                                             seed):
+    # Two gain samples at this load and rate can both clip to zero, which
+    # leaves no moment to take the coding gain from (seeds 1 and 3 do).
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": seed, "trials": 1000, "out-dir": str(out),
+        "options": {"power-control": "ppc", "m-rx": 2, "n-users": 4,
+                    "rate": 0.3, "receivers": ["wl-mmse"], "gain-trials": 2,
+                    "snr-db": [20.0]}})
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("custom: moment estimate vanished")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not (out / "custom-meta.yaml").exists()
 
 
 def assert_refused_before_any_draw(tmp_path, capsys, named, doc):
@@ -405,5 +443,7 @@ def test_declared_option_keys_are_the_ones_each_runner_reads():
     tree = ast.parse(inspect.getsource(cli))
     defs = {node.name: node for node in tree.body
             if isinstance(node, ast.FunctionDef)}
-    for name, (runner, _, reads) in EXPERIMENTS.items():
+    for name, (runner, _, reads, reads_trials) in EXPERIMENTS.items():
         assert _option_reads(runner.__name__, defs) == set(reads), name
+        body = ast.unparse(defs[runner.__name__])
+        assert ("cfg.trials" in body) == reads_trials, name
