@@ -13,8 +13,9 @@ Config keys may be written kebab-case or snake_case; they are normalized
 before use and before hashing.  An experiment refuses option keys it does
 not read (and `trials`, unless it reads it), and builds all of its configs
 before its first draw, so a bad value is a `ConfigError` (exit status 2)
-that leaves no CSV behind.  An estimate that cannot be formed
-(`ArithmeticError`) is one line on stderr, exit status 1 and no sidecar.
+that leaves no CSV behind.  An estimate the draws cannot form
+(`EstimateError`) is one line on stderr and exit status 1; the CSVs
+written before it stay, without a sidecar.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import yaml
 from . import __version__
 from .link_model import LinkConfig
 from .mmtc_sim import MIN_TTIS, MmtcConfig, half_tti_mode, run_scenario
-from .montecarlo import derive_rng, wilson_interval
+from .montecarlo import EstimateError, derive_rng, wilson_interval
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
                               diversity_order, gain_for, outage_mc)
 from .receivers import ReceiverSpec
@@ -197,10 +198,13 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 
 
 def _write_outage_csv(path: Path, curve) -> str:
-    header = ["snr_db", "p_out", "ci_lo", "ci_hi"]
-    if curve.p_asym is not None:
-        header.append("p_asym")
-    return _write_csv(path, header, zip(*(getattr(curve, name) for name in header)))
+    if curve.p_asym is None:
+        header = ["snr_db", "p_out", "ci_lo", "ci_hi"]
+        rows = zip(curve.snr_db, curve.p_out, curve.ci_lo, curve.ci_hi)
+    else:
+        header = ["snr_db", "p_out", "ci_lo", "ci_hi", "p_asym"]
+        rows = zip(curve.snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, curve.p_asym)
+    return _write_csv(path, header, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +235,10 @@ def _run_fig1(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
             # the polynomial law with a fitted intercept instead.
             intercept = float(np.exp(np.mean(np.log(cdf) - d * np.log(eps))))
         asym = intercept * eps ** d
-        rows = [(k, n, m, *row) for row in zip(eps, cdf, lo, hi, asym)]
+        rows = [
+            (k, n, m, eps[i], cdf[i], lo[i], hi[i], asym[i])
+            for i in range(len(eps))
+        ]
         header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
         files.append(_write_csv(out / f"fig1-k{k}-n{n}-m{m}.csv", header, rows))
     return files, {"trials": trials}
@@ -479,10 +486,14 @@ def main(argv=None) -> int:
         print(list_experiments())
         return 0
 
-    overrides = {"seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
     try:
-        cfg = replace(load_config(args.config),
-                      **{k: v for k, v in overrides.items() if v is not None})
+        cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.trials is not None:
+            cfg = replace(cfg, trials=args.trials)
+        if args.out_dir is not None:
+            cfg = replace(cfg, out_dir=args.out_dir)
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2
@@ -497,7 +508,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 1
-    except ArithmeticError as exc:
+    except EstimateError as exc:
+        # The CSVs written so far stay; an earlier run's sidecar would claim them.
+        (Path(cfg.out_dir) / f"{cfg.experiment}-meta.yaml").unlink(missing_ok=True)
         print(f"{cfg.experiment}: {exc}", file=sys.stderr)
         return 1
     for name in files:

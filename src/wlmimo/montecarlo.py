@@ -15,12 +15,17 @@ import numpy as np
 __all__ = [
     "Z95",
     "Estimate",
+    "EstimateError",
     "derive_rng",
     "wilson_interval",
 ]
 
 # 95% two-sided normal quantile, used for every confidence interval here.
 Z95 = 1.959963984540054
+
+
+class EstimateError(ArithmeticError):
+    """The draws of a run cannot form an estimate it needs; the run refuses."""
 
 
 def derive_rng(seed: int, *key) -> np.random.Generator:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .link_model import LinkConfig, sample_large_scale, sample_power_profile
-from .montecarlo import wilson_interval
+from .montecarlo import EstimateError, wilson_interval
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from .receivers import DIMS, ReceiverSpec, batched_tagged_sinr, threshold
 from .stacked import abs2
@@ -195,7 +195,7 @@ def _moment_to_scale(weights: np.ndarray, d: float) -> tuple[float, float, bool]
     """Turn samples of a d-th moment into ([E w]^(-1/d), its stderr, flag)."""
     mean = float(weights.mean())
     if mean <= 0:
-        raise ArithmeticError(
+        raise EstimateError(
             "moment estimate vanished; all samples clipped (increase trials "
             "or the rate target)"
         )

@@ -19,9 +19,9 @@ a draw's result does not depend on the rest of the stack.
 
 from __future__ import annotations
 
-from functools import partial
-
 import numpy as np
+
+from .montecarlo import EstimateError
 
 __all__ = [
     "abs2",
@@ -126,10 +126,10 @@ def kth_eigenvalue(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
     s_i+1 = e2_i s_i / D_i - sigma (dstqds; Dhillon & Parlett, SIAM J.
     Matrix Anal. Appl. 25 (2004)): their product is the determinant, the
     negative ones count the eigenvalues below sigma, and as they read only
-    squared entries, roots are accurate relative to themselves.  k = 1 or n:
-    Newton from outside the spectrum, monotone to the nearest root, until a
-    step no longer goes that way by over 2 eps sigma; else bisection of
-    [0, trace] to 4 eps relative.  ArithmeticError after ROOT_STEPS steps.
+    squared entries, roots are accurate relative to themselves.  k = 1:
+    Newton up from 0, monotone to the smallest root, until a step no longer
+    goes up by over 2 eps sigma; else bisection of [0, trace] to 4 eps
+    relative.  EstimateError after ROOT_STEPS steps.
     """
     n = d2.shape[0]
     if n == 1:
@@ -141,16 +141,10 @@ def kth_eigenvalue(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
         big = 0.5 * (a + b + c + np.sqrt(np.square(a - b) + c * (c + 2.0 * (a + b))))
         return big if k == 2 else a * b / big
     if k == 1:
-        return _converge(partial(_newton_step, sign=1.0), d2, e2, np.zeros(d2.shape[1]))
-    if k == n:
-        # From the Gershgorin bound: from the trace Newton needs O(n) steps.
-        off = np.sqrt(d2[:-1] * e2)
-        row = d2.copy()
-        row[1:] += e2 + off
-        row[:-1] += off
-        return _converge(partial(_newton_step, sign=-1.0), d2, e2, row.max(axis=0))
+        return _converge(_newton_step, d2, e2, np.zeros(d2.shape[1]))
     trace = d2.sum(axis=0) + e2.sum(axis=0)
-    return _converge(partial(_bisect_step, k=k), d2, e2, np.zeros_like(trace), trace)
+    return _converge(lambda d2, e2, lo, hi: _bisect_step(d2, e2, lo, hi, k),
+                     d2, e2, np.zeros_like(trace), trace)
 
 
 def _converge(step, d2, e2, *state):
@@ -166,11 +160,11 @@ def _converge(step, d2, e2, *state):
                     return out
                 idx, d2, e2 = idx[go], d2[:, go], e2[:, go]
                 state = [a[go] for a in state]
-    raise ArithmeticError(f"eigenvalue not converged after {ROOT_STEPS} steps")
+    raise EstimateError(f"eigenvalue not converged after {ROOT_STEPS} steps")
 
 
-def _newton_step(d2, e2, sigma, *, sign):
-    """Newton on det(B B^T - sigma I), upwards for sign 1, downwards for -1:
+def _newton_step(d2, e2, sigma):
+    """Newton up on det(B B^T - sigma I) from below its smallest root:
     f'/f = sum_i D_i' / D_i, s_0' = -1, s_i+1' = (e2_i / D_i) d2_i (s_i' / D_i) - 1."""
     s, ds, g = -sigma, -1.0, 0.0
     for i in range(d2.shape[0]):
@@ -182,10 +176,10 @@ def _newton_step(d2, e2, sigma, *, sign):
             s = r * s - sigma
             ds = r * d2[i] * q - 1.0
     step = -1.0 / g
-    return sign * step > 2.0 * EPS * sigma, sigma, (sigma + step,)
+    return step > 2.0 * EPS * sigma, sigma, (sigma + step,)
 
 
-def _bisect_step(d2, e2, lo, hi, *, k):
+def _bisect_step(d2, e2, lo, hi, k):
     """Halve [lo, hi] around lambda_k by the negative-pivot count at its middle."""
     mid = 0.5 * (lo + hi)
     s, below = -mid, 0
@@ -195,7 +189,7 @@ def _bisect_step(d2, e2, lo, hi, *, k):
         if i < len(e2):
             s = e2[i] * s / dp - mid
     if np.isnan(dp).any():          # a pivot was exactly zero
-        raise ArithmeticError("eigenvalue: zero pivot in the Sturm count")
+        raise EstimateError("eigenvalue: zero pivot in the Sturm count")
     above = below >= k
     return (hi - lo > 4.0 * EPS * hi, mid,
             (np.where(above, lo, mid), np.where(above, mid, hi)))

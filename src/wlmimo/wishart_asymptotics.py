@@ -172,8 +172,13 @@ def beta1(n: int, m: int) -> float:
 # Eigenvalue sampling
 # ---------------------------------------------------------------------------
 
-def sample_kth_eigenvalue(k: int, n: int, m: int, trials: int,
-                          rng: np.random.Generator) -> np.ndarray:
+def sample_kth_eigenvalue(
+    k: int,
+    n: int,
+    m: int,
+    trials: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
     """Draw `trials` samples of the kth smallest eigenvalue of X X^T.
 
     A draw is B's n squared diagonal entries, then its n - 1 squared

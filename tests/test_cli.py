@@ -384,7 +384,10 @@ def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
                                                              seed):
     # Two gain samples at this load and rate can both clip to zero, which
     # leaves no moment to take the coding gain from (seeds 1 and 3 do).
+    # An earlier run's sidecar in the same directory must not survive.
     out = tmp_path / "out"
+    out.mkdir()
+    (out / "custom-meta.yaml").write_text("seed: 0\n")
     p = write_yaml(tmp_path / "c.yaml", {
         "experiment": "custom", "seed": seed, "trials": 1000, "out-dir": str(out),
         "options": {"power-control": "ppc", "m-rx": 2, "n-users": 4,
@@ -395,6 +398,18 @@ def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
     assert captured.err.startswith("custom: moment estimate vanished")
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
     assert not (out / "custom-meta.yaml").exists()
+
+
+def test_main_leaves_other_arithmetic_errors_to_the_traceback(tmp_path,
+                                                               monkeypatch):
+    # Only EstimateError is a refusal; any other ArithmeticError is a fault.
+    def runner(cfg, out):
+        raise ZeroDivisionError("a fault")
+    monkeypatch.setitem(EXPERIMENTS, "custom", (runner, *EXPERIMENTS["custom"][1:]))
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 1, "out-dir": str(tmp_path / "out")})
+    with pytest.raises(ZeroDivisionError):
+        main(["run", str(p)])
 
 
 def assert_refused_before_any_draw(tmp_path, capsys, named, doc):

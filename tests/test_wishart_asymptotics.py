@@ -287,9 +287,10 @@ def replay_bidiagonals(n, m, trials, seed):
 
 
 @pytest.mark.parametrize("k,n,m", [(1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2),
-                                   (3, 3, 5), (1, 1, 3), (2, 3, 6), (1, 64, 64)])
+                                   (3, 3, 5), (1, 1, 3), (2, 3, 6), (1, 64, 64),
+                                   (64, 64, 64)])
 def test_kth_eigenvalue_is_exact_on_the_same_draws(k, n, m):
-    # The fig1 cases, k = n, n = 1, bisection (1 < k < n) and n = 64.
+    # The fig1 cases, n = 1, bisection (1 < k <= n) and n = 64.
     trials = 200 if n == 64 else 20_000
     got = sample_kth_eigenvalue(k, n, m, trials, np.random.default_rng(31))
     d2, e2 = replay_bidiagonals(n, m, trials, 31)
