@@ -10,12 +10,14 @@ curve draws from its own stream derived from (seed, experiment, curve id),
 so curves never perturb each other and can run in any order.
 
 Config keys may be written kebab-case or snake_case; they are normalized
-before use and before hashing.  An experiment refuses option keys it does
-not read (and `trials`, unless it reads it), and builds all of its configs
-before its first draw, so a bad value is a `ConfigError` (exit status 2)
-that leaves no CSV behind.  An estimate the draws cannot form
-(`EstimateError`) is one line on stderr and exit status 1; the CSVs
-written before it stay, without a sidecar.
+before use and before hashing.  An experiment's options are the
+keyword-only parameters of its runner, with their defaults; the top-level
+`trials` is one of them where the experiment reads it.  Any other key is
+refused.  A runner checks every value, SNR grids included (non-empty,
+finite, ascending), before its first draw, so a bad value is a
+`ConfigError` (exit status 2) that leaves no CSV behind.  An estimate the
+draws cannot form (`EstimateError`) is one line on stderr and exit status
+1; the CSVs written before it stay, without a sidecar.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -74,12 +78,14 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown experiment {self.experiment!r}; valid names: {known}"
             )
-        _, _, reads, reads_trials = EXPERIMENTS[self.experiment]
-        if self.trials is not None and not reads_trials:
+        params = inspect.signature(EXPERIMENTS[self.experiment][0]).parameters
+        reads = {key for key, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        if self.trials is not None and "trials" not in reads:
             raise ConfigError(f"{self.experiment} does not read trials")
         if self.trials is not None and self.trials < 1:
             raise ConfigError("trials must be at least 1")
-        if unknown := sorted(set(self.options) - set(reads)):
+        reads.discard("trials")
+        if unknown := sorted(set(self.options) - reads):
             raise ConfigError(f"{self.experiment} does not read options "
                               f"{unknown}; it reads {sorted(reads)}")
 
@@ -174,6 +180,16 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
+def _snr_grid(snr_db) -> np.ndarray:
+    """An SNR grid in dB: a non-empty, finite, strictly ascending list."""
+    grid = np.array(snr_db, dtype=float)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() \
+            or (np.diff(grid) <= 0).any():
+        raise ValueError("snr_db must be a non-empty, finite, ascending list, "
+                         f"not {snr_db!r}")
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # CSV output
 # ---------------------------------------------------------------------------
@@ -197,16 +213,6 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
     return path.name
 
 
-def _write_outage_csv(path: Path, curve) -> str:
-    if curve.p_asym is None:
-        header = ["snr_db", "p_out", "ci_lo", "ci_hi"]
-        rows = zip(curve.snr_db, curve.p_out, curve.ci_lo, curve.ci_hi)
-    else:
-        header = ["snr_db", "p_out", "ci_lo", "ci_hi", "p_asym"]
-        rows = zip(curve.snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, curve.p_asym)
-    return _write_csv(path, header, rows)
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -214,10 +220,10 @@ def _write_outage_csv(path: Path, curve) -> str:
 FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 
 
-def _run_fig1(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    trials = cfg.trials or 1_000_000
+def _run_fig1(cfg: ExperimentConfig, out: Path, *, trials=1_000_000,
+              points=8) -> tuple[list[str], dict]:
     with _config_values(cfg):
-        points = int(cfg.options.get("points", 8))
+        points = _at_least("points", int(points), 1)
     files = []
     for k, n, m in FIG1_CASES:
         rng = derive_rng(cfg.seed, "fig1", k, n, m)
@@ -249,48 +255,42 @@ def _as_list(value) -> list:
     return [value] if isinstance(value, str) else list(value)
 
 
-# Default power modes and receivers of the two outage experiments.
-OUTAGE_DEFAULTS = {
-    "fig2": (["none", "ppc"], ["wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic"]),
-    "custom": ("none", "wl-zf"),
-}
-
-
-def _run_outage(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
+def _run_outage(cfg: ExperimentConfig, out: Path, *, trials=100_000, m_rx=2,
+                n_users=4, rate=2.0, snr_db=np.arange(15.0, 61.0, 5.0),
+                power_control="none", receivers="wl-zf", gain_trials=200_000,
+                asymptote=True) -> tuple[list[str], dict]:
     """Outage curves for every power mode x receiver, with asymptotes
     unless `asymptote: false`; each curve draws from (seed, prefix, mode,
     receiver) streams, the prefix being `fig2` or `custom`."""
-    opt = cfg.options
     prefix = cfg.experiment.split("-")[0]
-    modes, receivers = OUTAGE_DEFAULTS[prefix]
     with _config_values(cfg):
-        trials = _at_least("trials", cfg.trials or 100_000, MIN_TRIALS)
-        m = int(opt.get("m_rx", 2))
-        n = int(opt.get("n_users", 4))
-        rate = float(opt.get("rate", 2.0))
-        snr_db = np.asarray(opt.get("snr_db", np.arange(15.0, 61.0, 5.0)),
-                            dtype=float)
-        modes = _as_list(opt.get("power_control", modes))
-        names = _as_list(opt.get("receivers", receivers))
-        gain_trials = _at_least("gain_trials", int(opt.get("gain_trials", 200_000)), MIN_GAIN_TRIALS)
-        with_asym = bool(opt.get("asymptote", True))
+        trials = _at_least("trials", trials, MIN_TRIALS)
+        m = int(m_rx)
+        n = int(n_users)
+        rate = float(rate)
+        snr_db = _snr_grid(snr_db)
+        modes = _as_list(power_control)
+        names = _as_list(receivers)
+        gain_trials = _at_least("gain_trials", int(gain_trials), MIN_GAIN_TRIALS)
+        with_asym = bool(asymptote)
         links = [LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
                             power_control=mode) for mode in modes]
         specs = [parse_receiver(name) for name in names]
         for rx in specs:
             diversity_order(m, n, rx.family)    # refuses N > D M
+    header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * with_asym
     files = []
     for mode, link in zip(modes, links):
         for name, rx in zip(names, specs):
-            gain = None
+            p_asym = []
             if with_asym:
                 gain = gain_for(link, rx, gain_trials,
                                 derive_rng(cfg.seed, prefix, mode, name, "gain"))
+                p_asym = [asymptote_curve(gain, snr_db)]
             curve = outage_mc(rx, link, snr_db, trials,
-                              derive_rng(cfg.seed, prefix, mode, name, "curve"),
-                              gain=gain)
-            files.append(_write_outage_csv(out / f"{prefix}-{mode}-{name}.csv",
-                                           curve))
+                              derive_rng(cfg.seed, prefix, mode, name, "curve"))
+            rows = zip(snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, *p_asym)
+            files.append(_write_csv(out / f"{prefix}-{mode}-{name}.csv", header, rows))
     counts = {"trials": trials}
     if with_asym:
         counts["gain_trials"] = gain_trials
@@ -306,13 +306,13 @@ FIG3_PANELS = (
 )
 
 
-def _run_fig3(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    opt = cfg.options
+def _run_fig3(cfg: ExperimentConfig, out: Path, *, m_rx=2,
+              snr_db=np.arange(10.0, 61.0, 2.0),
+              gain_trials=200_000) -> tuple[list[str], dict]:
     with _config_values(cfg):
-        m = int(opt.get("m_rx", 2))
-        snr_db = np.asarray(opt.get("snr_db", np.arange(10.0, 61.0, 2.0)),
-                            dtype=float)
-        gain_trials = _at_least("gain_trials", int(opt.get("gain_trials", 200_000)), MIN_GAIN_TRIALS)
+        m = int(m_rx)
+        snr_db = _snr_grid(snr_db)
+        gain_trials = _at_least("gain_trials", int(gain_trials), MIN_GAIN_TRIALS)
         curves = []
         for panel, n_wl, n_cl, rate in FIG3_PANELS:
             for family, n in (("wl", n_wl), ("cl", n_cl)):
@@ -358,19 +358,19 @@ def _geometric_grid(lo: int, hi: int) -> list[int]:
 MMTC_SCENARIOS = (("wl", False), ("cl", False), ("cl", True))
 
 
-def _run_mmtc(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
-    opt = cfg.options
+def _run_mmtc(cfg: ExperimentConfig, out: Path, *, ttis=20_000, m_rx=(1, 2),
+              user_grid=None, users_lo=250,
+              users_hi=128_000) -> tuple[list[str], dict]:
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
-        ttis = _at_least("ttis", int(opt.get("ttis", 20_000)), MIN_TTIS)
-        m_list = [int(v) for v in opt.get("m_rx", [1, 2])]
-        if "user_grid" in opt:
-            grid = [int(u) for u in opt["user_grid"]]
+        ttis = _at_least("ttis", int(ttis), MIN_TTIS)
+        m_list = [int(v) for v in m_rx]
+        if user_grid is not None:
+            grid = [int(u) for u in user_grid]
             if not grid:
                 raise ValueError("user_grid is empty")
         else:
-            grid = _geometric_grid(int(opt.get("users_lo", 250)),
-                                   int(opt.get("users_hi", 128_000)))
+            grid = _geometric_grid(int(users_lo), int(users_hi))
         sweeps = []
         for m in m_list:
             for family, half in MMTC_SCENARIOS:
@@ -397,43 +397,34 @@ def _run_mmtc(cfg: ExperimentConfig, out: Path) -> tuple[list[str], dict]:
     return files, {"ttis": ttis}
 
 
-OUTAGE_OPTIONS = ("m_rx", "n_users", "rate", "snr_db", "power_control",
-                  "receivers", "gain_trials", "asymptote")
-MMTC_OPTIONS = ("ttis", "m_rx", "user_grid", "users_lo", "users_hi")
-
-# name: (runner, description, option keys read, top-level trials read).  fig5
-# is the fig4 sweep under its own streams, so the drop-rate and throughput
-# plots can be reseeded independently of each other.
+# name: (runner, description).  A runner's keyword-only parameters are the
+# experiment's options.  fig5 is the fig4 sweep under its own streams, so the
+# drop-rate and throughput plots can be reseeded independently of each other.
 EXPERIMENTS = {
     "fig1-eig-cdf": (
         _run_fig1,
         "empirical vs asymptotic CDF of the k-th smallest Wishart eigenvalue",
-        ("points",), True,
     ),
     "fig2-wl-outage": (
-        _run_outage,
+        partial(_run_outage, power_control=("none", "ppc"),
+                receivers=("wl-zf", "wl-mmse", "wl-zf-sic", "wl-mmse-sic")),
         "WL receiver outage curves with asymptotes, with and without power control",
-        OUTAGE_OPTIONS, True,
     ),
     "fig3-wl-vs-cl": (
         _run_fig3,
         "asymptotic outage of WL vs CL receivers across user loads and rates",
-        ("m_rx", "snr_db", "gain_trials"), False,
     ),
     "fig4-mmtc-drop": (
         _run_mmtc,
         "machine-type traffic packet-drop sweep over the user population",
-        MMTC_OPTIONS, False,
     ),
     "fig5-mmtc-throughput": (
         _run_mmtc,
         "machine-type traffic throughput sweep over the user population",
-        MMTC_OPTIONS, False,
     ),
     "custom": (
         _run_outage,
         "outage curve for a caller-chosen link scenario and receiver list",
-        OUTAGE_OPTIONS, True,
     ),
 }
 
@@ -441,7 +432,7 @@ EXPERIMENTS = {
 def list_experiments() -> str:
     width = max(len(name) for name in EXPERIMENTS)
     lines = [f"{name:<{width}}  {desc}"
-             for name, (_, desc, _, _) in sorted(EXPERIMENTS.items())]
+             for name, (_, desc) in sorted(EXPERIMENTS.items())]
     return "\n".join(lines)
 
 
@@ -449,8 +440,8 @@ def run(cfg: ExperimentConfig) -> list[str]:
     """Execute one experiment; returns the files written (CSVs + sidecar)."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    runner = EXPERIMENTS[cfg.experiment][0]
-    files, counts = runner(cfg, out)
+    trials = {} if cfg.trials is None else {"trials": cfg.trials}
+    files, counts = EXPERIMENTS[cfg.experiment][0](cfg, out, **cfg.options, **trials)
     meta = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,

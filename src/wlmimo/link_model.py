@@ -20,13 +20,14 @@ alone decides outage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "MIN_DISTANCE_KM",
     "LinkConfig",
+    "check_large_scale",
     "sample_large_scale",
     "sample_power_profile",
 ]
@@ -52,21 +53,34 @@ class LinkConfig:
     xi_ppc: float = 1.0
 
     def __post_init__(self):
+        check_large_scale(self, "snr", "rate", "xi_ppc")
         if self.m_rx < 1 or self.n_users < 1:
             raise ValueError("antenna and user counts must be positive")
         if self.snr <= 0:
             raise ValueError("snr must be positive (linear scale)")
         if self.rate <= 0:
             raise ValueError("rate must be positive")
-        if self.cell_radius_km <= MIN_DISTANCE_KM:
-            raise ValueError("cell radius must exceed the keep-out distance")
-        if self.shadow_sigma_db < 0:
-            raise ValueError("shadowing sigma must be non-negative")
         if self.power_control not in POWER_MODES:
             raise ValueError(f"power_control must be one of {POWER_MODES}, "
                              f"not {self.power_control!r}")
         if self.xi_ppc <= 0:
             raise ValueError("xi_ppc must be positive")
+
+
+def check_large_scale(cfg, *finite: str) -> None:
+    """Refuse a config `sample_large_scale` would draw quietly wrong values from.
+
+    The cell and pathloss fields, and the fields named in `finite`, must be
+    finite: NaN passes every comparison below, and infinities pass most.
+    """
+    names = (*finite, "cell_radius_km", "pathloss_intercept_db",
+             "pathloss_slope_db", "shadow_sigma_db")
+    if bad := [name for name in names if not math.isfinite(getattr(cfg, name))]:
+        raise ValueError(f"{', '.join(bad)} must be finite")
+    if cfg.cell_radius_km <= MIN_DISTANCE_KM:
+        raise ValueError("cell radius must exceed the keep-out distance")
+    if cfg.shadow_sigma_db < 0:
+        raise ValueError("shadowing sigma must be non-negative")
 
 
 def sample_large_scale(cfg: LinkConfig, count: int, rng: np.random.Generator) -> np.ndarray:

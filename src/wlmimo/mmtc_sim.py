@@ -28,7 +28,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .link_model import MIN_DISTANCE_KM, sample_large_scale
+from .link_model import check_large_scale, sample_large_scale
 from .montecarlo import Estimate, Z95, wilson_interval
 from .receivers import DIMS, threshold
 
@@ -58,7 +58,6 @@ class MmtcConfig:
     arrival_rate: float = 4.16e-4   # expected packets per user per TTI
     rate: float = 0.3               # per-user target rate, bits/s/Hz
     tx_power_dbm: float = 23.0
-    bandwidth_hz: float = 180e3
     tones: int = 48
     subcarrier_hz: float = 3.75e3
     tti_ms: float = 32.0
@@ -79,25 +78,20 @@ class MmtcConfig:
         if self.family not in DIMS:
             raise ValueError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
+        check_large_scale(self, "tx_power_dbm", "subcarrier_hz", "rate", "tti_ms")
         if self.tones < 1 or not self.subcarrier_hz > 0:
             raise ValueError("need at least one tone of positive width")
-        if not math.isclose(self.tones * self.subcarrier_hz, self.bandwidth_hz,
-                            rel_tol=1e-9):
-            raise ValueError("tones * subcarrier_hz must equal bandwidth_hz")
         if not self.arrival_rate > 0:
             raise ValueError("arrival rate must be positive")
         if not (self.rate > 0 and self.tti_ms > 0) or self.packet_bits < 1:
             raise ValueError("rate, TTI and packet size must be positive")
-        if not all(map(math.isfinite, (
-                self.tx_power_dbm, self.cell_radius_km, self.pathloss_intercept_db,
-                self.pathloss_slope_db, self.shadow_sigma_db))):
-            raise ValueError("power, cell radius, pathloss and shadowing must be finite")
-        if self.cell_radius_km <= MIN_DISTANCE_KM:
-            raise ValueError("cell radius must exceed the keep-out distance")
-        if self.shadow_sigma_db < 0:
-            raise ValueError("shadowing sigma must be non-negative")
         if self.half_tti and self.family != "cl":
             raise ValueError("half-TTI mode is defined for CL only")
+
+    @property
+    def bandwidth_hz(self) -> float:
+        """System bandwidth: the tone grid fills the band."""
+        return self.tones * self.subcarrier_hz
 
     @property
     def capacity(self) -> int:

@@ -84,7 +84,6 @@ class OutageCurve:
     ci_lo: np.ndarray
     ci_hi: np.ndarray
     trials: int
-    p_asym: np.ndarray | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.snr_db, dtype=float)
@@ -106,7 +105,6 @@ def outage_mc(
     snr_db,
     trials: int,
     rng: np.random.Generator,
-    gain: "GainSummary | None" = None,
 ) -> OutageCurve:
     """Tagged-user outage probability across an SNR grid.
 
@@ -135,14 +133,12 @@ def outage_mc(
             done += b
     p = counts / trials
     lo, hi = wilson_interval(counts, trials)
-    p_asym = asymptote_curve(gain, snr_db) if gain is not None else None
     return OutageCurve(
         snr_db=snr_db,
         p_out=p,
         ci_lo=lo,
         ci_hi=hi,
         trials=trials,
-        p_asym=p_asym,
     )
 
 
@@ -196,7 +192,7 @@ def _moment_to_scale(weights: np.ndarray, d: float) -> tuple[float, float, bool]
     mean = float(weights.mean())
     if mean <= 0:
         raise EstimateError(
-            "moment estimate vanished; all samples clipped (increase trials "
+            "moment estimate vanished; all samples clipped (increase gain_trials "
             "or the rate target)"
         )
     se = float(weights.std(ddof=1) / math.sqrt(len(weights)))
@@ -301,8 +297,9 @@ def sic_gains(
     ZF-SIC averages theta_min^d with theta_n = v_n^2 / xi_n over Haar
     vectors v and independent power profiles.  MMSE-SIC under PPC has the
     closed bracket [u_min - 1/(gamma_T+1)]^+ (the bound pair coincides
-    there, making it exact); when that bracket clips to zero surely (small
-    rates) the reported constant is the residual-based lower bound instead.
+    there, making it exact).  As u_min <= 1/N surely, that bracket is
+    positive with positive probability exactly when N < gamma_T + 1; else
+    (small rates) the reported constant is the residual-based lower bound.
     Without power control the headline constant averages vartheta_min^+
     with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T) and the (lower, upper)
     fields carry the computable bound pair; `upper` is None where that
@@ -333,20 +330,18 @@ def sic_gains(
         c = broot / gamma_t * scale
         return GainSummary(rx, d, c, stderr=broot / gamma_t * se, heavy_tail=heavy)
 
-    if cfg.power_control == "ppc":
+    if cfg.power_control == "ppc" and n < gamma_t + 1.0:
+        # The bound pair coincides under PPC, so this closed bracket is the
+        # exact constant; a sample with no positive draw refuses.
         u_min = np.min(squared, axis=1)
         w = np.clip(u_min - 1.0 / (gamma_t + 1.0), 0.0, None) ** d
-        if w.mean() > 0:
-            # The bound pair coincides under PPC, so this closed bracket is
-            # the exact constant.
-            scale, se, heavy = _moment_to_scale(w, d)
-            pre = broot * cfg.xi_ppc / (gamma_t + 1.0)
-            return GainSummary(rx, d, pre * scale, stderr=pre * se,
-                               heavy_tail=heavy)
-        # Degenerate bracket (small rates make u_min <= 1/N fall below
-        # 1/(gamma_T+1) surely): the outage then decays faster than
-        # snr^-d and no finite exact constant exists at this order.  Fall
-        # through to the residual-based lower bound, which stays finite.
+        scale, se, heavy = _moment_to_scale(w, d)
+        pre = broot * cfg.xi_ppc / (gamma_t + 1.0)
+        return GainSummary(rx, d, pre * scale, stderr=pre * se,
+                           heavy_tail=heavy)
+    # Otherwise (small rates) the bracket clips to zero surely: the outage
+    # decays faster than snr^-d and no finite exact constant exists at this
+    # order.  The residual-based lower bound below stays finite.
 
     eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
     eta = eta.reshape(trials, n)

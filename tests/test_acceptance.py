@@ -30,6 +30,7 @@ from wlmimo.cli import ExperimentConfig, run
 from wlmimo.link_model import LinkConfig
 from wlmimo.montecarlo import derive_rng
 from wlmimo.outage_analysis import (
+    asymptote_curve,
     diversity_order,
     gain_for,
     linear_gains,
@@ -156,14 +157,14 @@ def wl_zf_outage_curve():
     rng = derive_rng(SEED, "wl-zf-curve")
     t0 = time.perf_counter()
     curve = outage_mc(ReceiverSpec("wl", "zf"), cfg, grid,
-                      trials=1_000_000, rng=rng, gain=gain)
-    return curve, time.perf_counter() - t0
+                      trials=1_000_000, rng=rng)
+    return curve, asymptote_curve(gain, grid), time.perf_counter() - t0
 
 
 def test_outage_simulation_tracks_asymptote(wl_zf_outage_curve):
-    curve, elapsed = wl_zf_outage_curve
+    curve, p_asym, elapsed = wl_zf_outage_curve
     band = (curve.p_out >= 1e-2) & (curve.p_out <= 1e-1)
-    ratios = curve.p_out[band] / curve.p_asym[band]
+    ratios = curve.p_out[band] / p_asym[band]
     ok = (int(band.sum()) >= 3
           and bool(np.all((ratios >= 1 / 1.5) & (ratios <= 1.5)))
           and elapsed <= 1200.0)
@@ -182,7 +183,7 @@ def test_wl_outage_decay_matches_claimed_exponent(wl_zf_outage_curve):
     # is the only law under which WL(2N-1 users) = CL(N users)
     # (test_decay_order_relations), the paper's "same diversity with nearly
     # double the users"; the former 2M - (N-1)/2 exceeds M at N = 1.
-    curve, _ = wl_zf_outage_curve
+    curve, _, _ = wl_zf_outage_curve
     fit = fit_diversity(curve.snr_db, curve.p_out, trials=curve.trials)
     m, n = 2, 4
     expected = (2 * m - n + 1) / 2

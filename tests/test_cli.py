@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -32,6 +33,12 @@ from wlmimo.cli import (
 def write_yaml(path: Path, doc) -> Path:
     path.write_text(yaml.safe_dump(doc), encoding="utf-8")
     return path
+
+
+def keywords(experiment: str) -> set[str]:
+    """The keyword-only parameters of an experiment's runner."""
+    params = inspect.signature(EXPERIMENTS[experiment][0]).parameters
+    return {key for key, p in params.items() if p.kind is p.KEYWORD_ONLY}
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +351,21 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
      {"ttis": 1000, "m-rx": [1], "users-lo": 500, "users-hi": 250}, "500 and 250"),
     ("fig4-mmtc-drop",          # a grid from 0 would never reach users-hi
      {"ttis": 1000, "m-rx": [1], "users-lo": 0, "users-hi": 250}, "0 and 250"),
+    ("custom", {**OUTAGE_RUN, "rate": math.nan, "asymptote": False},
+     "rate must be finite"),
+    ("custom", {**OUTAGE_RUN, "rate": math.inf}, "rate must be finite"),
+    ("custom", {**OUTAGE_RUN, "snr-db": [20.0, math.nan]}, "snr_db must be"),
+    ("custom", {**OUTAGE_RUN, "snr-db": []}, "snr_db must be"),
+    ("fig2-wl-outage", {**OUTAGE_RUN, "snr-db": [20.0, 10.0]}, "snr_db must be"),
+    ("fig3-wl-vs-cl", {"gain-trials": 1000, "snr-db": [math.nan, 20.0]},
+     "snr_db must be"),
+    ("fig3-wl-vs-cl", {"gain-trials": 1000, "snr-db": []}, "snr_db must be"),
+    ("fig1-eig-cdf", {"points": 0}, "points must be at least 1, not 0"),
+    ("fig1-eig-cdf", {"points": -1}, "points must be at least 1, not -1"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):
-    trials = {"trials": 1000} if EXPERIMENTS[experiment][3] else {}
+    trials = {"trials": 1000} if "trials" in keywords(experiment) else {}
     assert_refused_before_any_draw(tmp_path, capsys, named, {
         "experiment": experiment, "seed": 3, **trials, "options": options})
 
@@ -396,6 +414,7 @@ def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
     assert main(["run", str(p)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("custom: moment estimate vanished")
+    assert "increase gain_trials" in captured.err
     assert len(captured.err.splitlines()) == 1 and captured.out == ""
     assert not (out / "custom-meta.yaml").exists()
 
@@ -425,40 +444,26 @@ def assert_refused_before_any_draw(tmp_path, capsys, named, doc):
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_experiments_refuse_options_their_runner_does_not_read(experiment):
-    reads = EXPERIMENTS[experiment][2]
+    reads = keywords(experiment) - {"trials"}
     with pytest.raises(ConfigError) as err:
         ExperimentConfig(experiment, options={"n_user": 2})
     assert "'n_user'" in str(err.value)
     assert all(repr(key) in str(err.value) for key in reads)
 
 
-def _option_reads(fn, defs) -> set[str]:
-    """Keys `fn` (and the cli functions it calls) reads from `opt`."""
-    keys = set()
-    for node in ast.walk(defs[fn]):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
-                and node.func.id in defs and node.func.id != fn:
-            keys |= _option_reads(node.func.id, defs)
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr == "get" \
-                and isinstance(node.func.value, (ast.Name, ast.Attribute)) \
-                and ast.unparse(node.func.value) in ("opt", "cfg.options"):
-            keys.add(node.args[0].value)
-        elif isinstance(node, ast.Subscript) and ast.unparse(node.value) == "opt":
-            keys.add(node.slice.value)
-        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In) \
-                and ast.unparse(node.comparators[0]) == "opt":
-            keys.add(node.left.value)
-    return keys
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+@pytest.mark.parametrize("key", ["trials", "cfg", "out"])
+def test_experiments_refuse_a_runner_argument_as_an_option(experiment, key):
+    # `trials` is a top-level field; `cfg` and `out` are not options at all.
+    with pytest.raises(ConfigError, match=f"does not read options \\['{key}'\\]"):
+        ExperimentConfig(experiment, options={key: 1})
 
 
-def test_declared_option_keys_are_the_ones_each_runner_reads():
-    import wlmimo.cli as cli
-
-    tree = ast.parse(inspect.getsource(cli))
-    defs = {node.name: node for node in tree.body
-            if isinstance(node, ast.FunctionDef)}
-    for name, (runner, _, reads, reads_trials) in EXPERIMENTS.items():
-        assert _option_reads(runner.__name__, defs) == set(reads), name
-        body = ast.unparse(defs[runner.__name__])
-        assert ("cfg.trials" in body) == reads_trials, name
+@pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
+def test_each_runner_reads_every_option_it_declares(experiment):
+    runner = EXPERIMENTS[experiment][0]
+    source = textwrap.dedent(inspect.getsource(getattr(runner, "func", runner)))
+    body = ast.parse(source).body[0].body
+    read = {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert keywords(experiment) <= read

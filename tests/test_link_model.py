@@ -22,6 +22,12 @@ def test_config_rejects_bad_scalars():
         base_cfg(power_control="open-loop")
     with pytest.raises(ValueError):
         base_cfg(xi_ppc=0.0)
+    # NaN passes every range test, and outage_mc would then count 0 or 1.
+    for name in ("rate", "snr", "xi_ppc", "cell_radius_km", "pathloss_intercept_db",
+                 "pathloss_slope_db", "shadow_sigma_db"):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                base_cfg(**{name: value})
 
 
 def test_pathloss_point_value():

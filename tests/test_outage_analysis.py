@@ -10,7 +10,7 @@ from scipy import stats
 import exact
 from laws import chi2_cdf_poly_coeff, coding_gain_ratio, moment_ratio_check
 from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
-from wlmimo.montecarlo import derive_rng
+from wlmimo.montecarlo import EstimateError, derive_rng
 from wlmimo.outage_analysis import (
     RESIDUAL_BATCH,
     GainSummary,
@@ -120,17 +120,6 @@ def test_outage_mc_matches_exact_law():
         assert abs(curve.p_out[i] - truth) < 4 * halfwidth
 
 
-def test_outage_mc_attaches_asymptote():
-    cfg = ppc_cfg(2, 4, rate=2.0)
-    rx = ReceiverSpec("wl", "zf")
-    gain = zf_ppc_gain(cfg)
-    rng = derive_rng(1002, "outage-asym")
-    curve = outage_mc(rx, cfg, np.array([30.0, 40.0]), 2_000, rng, gain=gain)
-    assert curve.p_asym is not None
-    assert np.allclose(curve.p_asym,
-                       (gain.coding_gain * 10 ** (np.array([3.0, 4.0]))) ** -0.5)
-
-
 def test_outage_mc_validates_inputs():
     cfg = ppc_cfg(2, 2, rate=1.0)
     rng = derive_rng(0, "x")
@@ -159,9 +148,9 @@ def test_simulation_tracks_asymptote_at_moderate_outage():
     rx = ReceiverSpec("wl", "zf")
     gain = zf_ppc_gain(cfg)
     rng = derive_rng(1004, "factor")
-    curve = outage_mc(rx, cfg, np.array([35.0, 40.0, 45.0]), 100_000, rng,
-                      gain=gain)
-    ratio = curve.p_out / curve.p_asym
+    grid = np.array([35.0, 40.0, 45.0])
+    curve = outage_mc(rx, cfg, grid, 100_000, rng)
+    ratio = curve.p_out / asymptote_curve(gain, grid)
     assert np.all((ratio > 1 / 1.5) & (ratio < 1.5))
 
 
@@ -284,6 +273,33 @@ def test_ppc_small_rate_sic_falls_back_to_residual_bound():
                   rng=rng)
     assert math.isfinite(g.coding_gain) and g.coding_gain > 0
     assert g.lower is None and g.upper is None
+
+
+@pytest.mark.parametrize("seed", range(7))
+def test_ppc_mmse_sic_refuses_an_open_bracket_no_sample_reached(seed):
+    # CL, N = 2 < gamma_T + 1 at R = 1 + 1e-6: the closed bracket is the
+    # exact law, but P(bracket > 0) ~ 7e-7, and 200k draws at these seeds
+    # miss it.  The residual lower bound (~5.9) would be a quietly wrong C.
+    rx = ReceiverSpec("cl", "mmse", sic=True)
+    with pytest.raises(EstimateError, match="increase gain_trials"):
+        sic_gains(ppc_cfg(2, 2, 1 + 1e-6), rx, 200_000, derive_rng(seed, "x"))
+
+
+@pytest.mark.parametrize("family, n, rate, value, exact", [
+    ("cl", 2, 2.0, 2.020499796653929, 2.0),     # N < gamma_T + 1: closed bracket
+    ("cl", 2, 0.5, 37.78291572815889, None),    # N > gamma_T + 1: residual bound
+    ("wl", 3, 2.0, 1.4297844242804043, None),
+    ("wl", 3, 0.3, 451.40789642560867, None),
+])
+def test_ppc_mmse_sic_keeps_its_value_away_from_the_bracket_boundary(
+        family, n, rate, value, exact):
+    # `value` is what the sampled bracket test gave on these draws; the
+    # CL closed bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2.
+    g = sic_gains(ppc_cfg(2, n, rate), ReceiverSpec(family, "mmse", sic=True),
+                  20_000, derive_rng(0, "bracket"))
+    assert g.coding_gain == pytest.approx(value, rel=1e-12)
+    if exact is not None:
+        assert abs(g.coding_gain - exact) < 4 * g.stderr
 
 
 def test_uncontrolled_mmse_sic_reports_bound_pair():
