@@ -13,11 +13,12 @@ Config keys may be written kebab-case or snake_case; they are normalized
 before use and before hashing.  An experiment's options are the
 keyword-only parameters of its runner, with their defaults; the top-level
 `trials` is one of them where the experiment reads it.  Any other key is
-refused.  A runner checks every value, SNR grids included (non-empty,
-finite, ascending), before its first draw, so a bad value is a
-`ConfigError` (exit status 2) that leaves no CSV behind.  An estimate the
-draws cannot form (`EstimateError`) is one line on stderr and exit status
-1; the CSVs written before it stay, without a sidecar.
+refused.  A runner checks every value, SNR grids included
+(`outage_analysis.snr_grid`), before its first draw, and returns its
+tables without writing anything; `run` writes the CSVs and then the
+sidecar once the runner has returned.  So a bad value (`ConfigError`, exit
+status 2) and an estimate the draws cannot form (`EstimateError`, one line
+on stderr and exit status 1) both leave the output directory as it was.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .link_model import LinkConfig
 from .mmtc_sim import MIN_TTIS, MmtcConfig, half_tti_mode, run_scenario
 from .montecarlo import EstimateError, derive_rng, wilson_interval
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
-                              diversity_order, gain_for, outage_mc)
+                              diversity_order, gain_for, outage_mc, snr_grid)
 from .receivers import ReceiverSpec
 from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalue
 
@@ -180,14 +181,12 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-def _snr_grid(snr_db) -> np.ndarray:
-    """An SNR grid in dB: a non-empty, finite, strictly ascending list."""
-    grid = np.array(snr_db, dtype=float)
-    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() \
-            or (np.diff(grid) <= 0).any():
-        raise ValueError("snr_db must be a non-empty, finite, ascending list, "
-                         f"not {snr_db!r}")
-    return grid
+def _distinct(name: str, values: list) -> list:
+    """A list option whose entries each name one curve, checked for repeats."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ValueError(f"{name} names {value!r} twice")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +203,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> str:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    return path.name
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -220,11 +210,11 @@ def _write_csv(path: Path, header: list[str], rows) -> str:
 FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 
 
-def _run_fig1(cfg: ExperimentConfig, out: Path, *, trials=1_000_000,
-              points=8) -> tuple[list[str], dict]:
+def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
+              points=8) -> tuple[dict, dict]:
     with _config_values(cfg):
         points = _at_least("points", int(points), 1)
-    files = []
+    tables = {}
     for k, n, m in FIG1_CASES:
         rng = derive_rng(cfg.seed, "fig1", k, n, m)
         lam = np.sort(sample_kth_eigenvalue(k, n, m, trials, rng))
@@ -246,8 +236,8 @@ def _run_fig1(cfg: ExperimentConfig, out: Path, *, trials=1_000_000,
             for i in range(len(eps))
         ]
         header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
-        files.append(_write_csv(out / f"fig1-k{k}-n{n}-m{m}.csv", header, rows))
-    return files, {"trials": trials}
+        tables[f"fig1-k{k}-n{n}-m{m}.csv"] = (header, rows)
+    return tables, {"trials": trials}
 
 
 def _as_list(value) -> list:
@@ -255,31 +245,32 @@ def _as_list(value) -> list:
     return [value] if isinstance(value, str) else list(value)
 
 
-def _run_outage(cfg: ExperimentConfig, out: Path, *, trials=100_000, m_rx=2,
+def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
                 n_users=4, rate=2.0, snr_db=np.arange(15.0, 61.0, 5.0),
                 power_control="none", receivers="wl-zf", gain_trials=200_000,
-                asymptote=True) -> tuple[list[str], dict]:
+                asymptote=True) -> tuple[dict, dict]:
     """Outage curves for every power mode x receiver, with asymptotes
     unless `asymptote: false`; each curve draws from (seed, prefix, mode,
-    receiver) streams, the prefix being `fig2` or `custom`."""
+    receiver) streams, the prefix being `fig2` or `custom` and the receiver
+    its lower-case label.  Each mode and receiver may be named once."""
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
         trials = _at_least("trials", trials, MIN_TRIALS)
         m = int(m_rx)
         n = int(n_users)
         rate = float(rate)
-        snr_db = _snr_grid(snr_db)
-        modes = _as_list(power_control)
-        names = _as_list(receivers)
+        snr_db = snr_grid(snr_db)
+        modes = _distinct("power_control", _as_list(power_control))
         gain_trials = _at_least("gain_trials", int(gain_trials), MIN_GAIN_TRIALS)
         with_asym = bool(asymptote)
         links = [LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
                             power_control=mode) for mode in modes]
-        specs = [parse_receiver(name) for name in names]
+        specs = [parse_receiver(name) for name in _as_list(receivers)]
+        names = _distinct("receivers", [rx.label.lower() for rx in specs])
         for rx in specs:
             diversity_order(m, n, rx.family)    # refuses N > D M
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * with_asym
-    files = []
+    tables = {}
     for mode, link in zip(modes, links):
         for name, rx in zip(names, specs):
             p_asym = []
@@ -290,11 +281,11 @@ def _run_outage(cfg: ExperimentConfig, out: Path, *, trials=100_000, m_rx=2,
             curve = outage_mc(rx, link, snr_db, trials,
                               derive_rng(cfg.seed, prefix, mode, name, "curve"))
             rows = zip(snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, *p_asym)
-            files.append(_write_csv(out / f"{prefix}-{mode}-{name}.csv", header, rows))
+            tables[f"{prefix}-{mode}-{name}.csv"] = (header, list(rows))
     counts = {"trials": trials}
     if with_asym:
         counts["gain_trials"] = gain_trials
-    return files, counts
+    return tables, counts
 
 
 # (panel, WL users, CL users, rate); M = 2 receive antennas throughout.
@@ -306,12 +297,12 @@ FIG3_PANELS = (
 )
 
 
-def _run_fig3(cfg: ExperimentConfig, out: Path, *, m_rx=2,
+def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
               snr_db=np.arange(10.0, 61.0, 2.0),
-              gain_trials=200_000) -> tuple[list[str], dict]:
+              gain_trials=200_000) -> tuple[dict, dict]:
     with _config_values(cfg):
         m = int(m_rx)
-        snr_db = _snr_grid(snr_db)
+        snr_db = snr_grid(snr_db)
         gain_trials = _at_least("gain_trials", int(gain_trials), MIN_GAIN_TRIALS)
         curves = []
         for panel, n_wl, n_cl, rate in FIG3_PANELS:
@@ -319,7 +310,7 @@ def _run_fig3(cfg: ExperimentConfig, out: Path, *, m_rx=2,
                 diversity_order(m, n, family)    # refuses N > D M
                 curves.append((panel, family, LinkConfig(
                     m_rx=m, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
-    files = []
+    tables = {}
     for panel, family, link in curves:
         for criterion in ("zf", "mmse"):
             for sic in (False, True):
@@ -331,46 +322,25 @@ def _run_fig3(cfg: ExperimentConfig, out: Path, *, m_rx=2,
                 )
                 p = asymptote_curve(gain, snr_db)
                 name = f"fig3-{panel}-{rx.label.lower()}.csv"
-                files.append(_write_csv(
-                    out / name,
-                    ["snr_db", "p_asym"],
-                    zip(snr_db, p),
-                ))
-    return files, {"gain_trials": gain_trials}
-
-
-def _geometric_grid(lo: int, hi: int) -> list[int]:
-    """Ascending integer grid with roughly sqrt(2) steps, lo..hi inclusive."""
-    if not 1 <= lo <= hi:
-        raise ValueError(f"need 1 <= users_lo <= users_hi, not {lo} and {hi}")
-    grid = []
-    j = 0
-    while True:
-        u = int(round(lo * 2 ** (j / 2.0)))
-        if u > hi:
-            break
-        if not grid or u > grid[-1]:
-            grid.append(u)
-        j += 1
-    return grid
+                tables[name] = (["snr_db", "p_asym"], list(zip(snr_db, p)))
+    return tables, {"gain_trials": gain_trials}
 
 
 MMTC_SCENARIOS = (("wl", False), ("cl", False), ("cl", True))
+# The default mMTC population grid, 250 .. 128k users in sqrt(2) steps.
+MMTC_USER_GRID = (250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000, 5657, 8000,
+                  11314, 16000, 22627, 32000, 45255, 64000, 90510, 128000)
 
 
-def _run_mmtc(cfg: ExperimentConfig, out: Path, *, ttis=20_000, m_rx=(1, 2),
-              user_grid=None, users_lo=250,
-              users_hi=128_000) -> tuple[list[str], dict]:
+def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
+              user_grid=MMTC_USER_GRID) -> tuple[dict, dict]:
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
         ttis = _at_least("ttis", int(ttis), MIN_TTIS)
         m_list = [int(v) for v in m_rx]
-        if user_grid is not None:
-            grid = [int(u) for u in user_grid]
-            if not grid:
-                raise ValueError("user_grid is empty")
-        else:
-            grid = _geometric_grid(int(users_lo), int(users_hi))
+        grid = [int(u) for u in user_grid]
+        if not grid:
+            raise ValueError("user_grid is empty")
         sweeps = []
         for m in m_list:
             for family, half in MMTC_SCENARIOS:
@@ -381,7 +351,7 @@ def _run_mmtc(cfg: ExperimentConfig, out: Path, *, ttis=20_000, m_rx=(1, 2),
                                [replace(base, users=users) for users in grid]))
     header = ["users", "family", "half_tti", "drop_prob", "ci_lo", "ci_hi",
               "throughput"]
-    files = []
+    tables = {}
     for m, family, half, scenarios in sweeps:
         rows = []
         for sc in scenarios:
@@ -390,11 +360,11 @@ def _run_mmtc(cfg: ExperimentConfig, out: Path, *, ttis=20_000, m_rx=(1, 2),
             rows.append((
                 sc.users, family, half,
                 res.drop_prob.value, res.drop_prob.ci_lo,
-                res.drop_prob.ci_hi, res.throughput.value,
+                res.drop_prob.ci_hi, res.throughput,
             ))
         tag = f"{family}-half" if half else family
-        files.append(_write_csv(out / f"{prefix}-{tag}-m{m}.csv", header, rows))
-    return files, {"ttis": ttis}
+        tables[f"{prefix}-{tag}-m{m}.csv"] = (header, rows)
+    return tables, {"ttis": ttis}
 
 
 # name: (runner, description).  A runner's keyword-only parameters are the
@@ -437,23 +407,30 @@ def list_experiments() -> str:
 
 
 def run(cfg: ExperimentConfig) -> list[str]:
-    """Execute one experiment; returns the files written (CSVs + sidecar)."""
+    """Execute one experiment, then write its CSVs and its sidecar; returns
+    their names.  A runner that raises leaves `out_dir` as it was."""
+    trials = {} if cfg.trials is None else {"trials": cfg.trials}
+    tables, counts = EXPERIMENTS[cfg.experiment][0](cfg, **cfg.options, **trials)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    trials = {} if cfg.trials is None else {"trials": cfg.trials}
-    files, counts = EXPERIMENTS[cfg.experiment][0](cfg, out, **cfg.options, **trials)
+    for name, (header, rows) in tables.items():
+        with open(out / name, "w", newline="", encoding="utf-8") as f:
+            writer = csv.writer(f, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+    files = sorted(tables)
     meta = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         **counts,
         "config_hash": config_hash(cfg),
         "version": __version__,
-        "files": sorted(files),
+        "files": files,
     }
     meta_name = f"{cfg.experiment}-meta.yaml"
     with open(out / meta_name, "w", encoding="utf-8") as f:
         yaml.safe_dump(meta, f, sort_keys=True)
-    return sorted(files) + [meta_name]
+    return files + [meta_name]
 
 
 def main(argv=None) -> int:
@@ -500,8 +477,6 @@ def main(argv=None) -> int:
         print(f"cannot write results: {exc}", file=sys.stderr)
         return 1
     except EstimateError as exc:
-        # The CSVs written so far stay; an earlier run's sidecar would claim them.
-        (Path(cfg.out_dir) / f"{cfg.experiment}-meta.yaml").unlink(missing_ok=True)
         print(f"{cfg.experiment}: {exc}", file=sys.stderr)
         return 1
     for name in files:

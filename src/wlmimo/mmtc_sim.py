@@ -29,7 +29,7 @@ from numbers import Integral
 import numpy as np
 
 from .link_model import check_large_scale, sample_large_scale
-from .montecarlo import Estimate, Z95, wilson_interval
+from .montecarlo import Estimate, wilson_interval
 from .receivers import DIMS, threshold
 
 __all__ = [
@@ -138,7 +138,7 @@ class MmtcResult:
     dropped_overload: int
     dropped_outage: int
     drop_prob: Estimate
-    throughput: Estimate   # bits/s/Hz over the whole system band
+    throughput: float   # bits/s/Hz over the whole system band
     max_decoded_collision: int
 
     def __post_init__(self):
@@ -215,19 +215,12 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     if offered > 0:
         lo, hi = wilson_interval(dropped, offered)
         p = dropped / offered
-        drop = Estimate(p, math.sqrt(max(p * (1 - p), 0.0) / offered),
-                        lo, hi, offered, "bernoulli")
+        drop = Estimate(p, math.sqrt(max(p * (1 - p), 0.0) / offered), lo, hi)
     else:
-        drop = Estimate(0.0, 0.0, 0.0, 0.0, 0, "bernoulli")
+        drop = Estimate(0.0, 0.0, 0.0, 0.0)
 
     slot_s = cfg.tti_ms / 1000.0
     per_slot = decoded_per_tti * cfg.packet_bits / (slot_s * cfg.bandwidth_hz)
-    tput = float(per_slot.mean())
-    tput_se = float(per_slot.std(ddof=1) / math.sqrt(ttis))
-    throughput = Estimate(
-        tput, tput_se, max(tput - Z95 * tput_se, 0.0), tput + Z95 * tput_se,
-        ttis, "mean",
-    )
     return MmtcResult(
         config=cfg,
         ttis=ttis,
@@ -236,6 +229,6 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
         dropped_overload=dropped_overload,
         dropped_outage=dropped_outage,
         drop_prob=drop,
-        throughput=throughput,
+        throughput=float(per_slot.mean()),
         max_decoded_collision=max_decoded_collision,
     )

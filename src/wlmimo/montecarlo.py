@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Z95",
     "Estimate",
     "EstimateError",
     "derive_rng",
@@ -79,8 +78,6 @@ class Estimate:
     stderr: float
     ci_lo: float
     ci_hi: float
-    trials: int
-    kind: str  # "bernoulli" or "mean"
 
     def __post_init__(self):
         if not (self.ci_lo <= self.value <= self.ci_hi):

@@ -41,6 +41,7 @@ __all__ = [
     "gain_for",
     "asymptote_curve",
     "residual_interference_samples",
+    "snr_grid",
     "MIN_TRIALS",
     "MIN_GAIN_TRIALS",
 ]
@@ -75,6 +76,16 @@ def diversity_order(m_rx: int, n_users: int, family: str) -> float:
 # Monte Carlo outage curves
 # ---------------------------------------------------------------------------
 
+def snr_grid(snr_db) -> np.ndarray:
+    """An SNR grid in dB: a non-empty, finite, strictly ascending list."""
+    grid = np.array(snr_db, dtype=float)
+    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() \
+            or (np.diff(grid) <= 0).any():
+        raise ValueError("snr_db must be a non-empty, finite, ascending list, "
+                         f"not {snr_db!r}")
+    return grid
+
+
 @dataclass(frozen=True)
 class OutageCurve:
     """Simulated outage of the tagged user over an SNR grid, with CIs."""
@@ -86,14 +97,9 @@ class OutageCurve:
     trials: int
 
     def __post_init__(self):
-        grid = np.asarray(self.snr_db, dtype=float)
-        if grid.ndim != 1 or len(grid) == 0:
-            raise ValueError("snr grid must be a non-empty vector")
-        if np.any(np.diff(grid) <= 0):
-            raise ValueError("snr grid must be strictly ascending")
         for name in ("p_out", "ci_lo", "ci_hi"):
             arr = np.asarray(getattr(self, name))
-            if arr.shape != grid.shape:
+            if arr.shape != np.shape(self.snr_db):
                 raise ValueError(f"{name} does not match the grid")
             if np.any((arr < 0) | (arr > 1)):
                 raise ValueError(f"{name} must stay within [0, 1]")
@@ -111,13 +117,13 @@ def outage_mc(
     Per draw the channel, the power profile, and (for SIC) the decode order
     are resampled; user 0 is the tagged user (users are exchangeable).
     Outage is SINR strictly below the rate threshold, so a zero-rate target
-    yields probability zero.
+    yields probability zero.  The grid is checked by :func:`snr_grid`.
     """
+    snr_db = snr_grid(snr_db)
     if trials < MIN_TRIALS:
         raise ValueError(f"need at least {MIN_TRIALS} trials per SNR point, "
                          f"not {trials}")
     diversity_order(cfg.m_rx, cfg.n_users, rx.family)    # refuses N > D M
-    snr_db = np.asarray(snr_db, dtype=float)
     gamma_t = threshold(rx.family, cfg.rate)
     counts = np.zeros(len(snr_db), dtype=np.int64)
     for i, point_db in enumerate(snr_db):

@@ -204,13 +204,31 @@ def test_meta_sidecar_records_resolved_default_counts(tmp_path):
                 == (tmp_path / "e" / name).read_bytes())
 
 
+# experiment -> (trials, options) of a small run
+SMALL_RUNS = {
+    "fig1-eig-cdf": (2000, {"points": 4}),
+    "fig2-wl-outage": (1000, {"snr_db": [20.0, 30.0], "gain_trials": 1000}),
+    "fig3-wl-vs-cl": (None, {"snr_db": [20.0, 30.0], "gain_trials": 1000}),
+    "fig4-mmtc-drop": (None, {"ttis": 1000, "m_rx": [1], "user_grid": [64, 128]}),
+    "fig5-mmtc-throughput": (None, {"ttis": 1000, "m_rx": [1],
+                                    "user_grid": [64, 128]}),
+    "custom": (1000, {"snr_db": [20.0, 30.0], "gain_trials": 1000,
+                      "receivers": ["wl-zf", "wl-mmse-sic"]}),
+}
+
+
 def test_reruns_are_byte_identical(tmp_path):
+    # Every experiment, sidecars included.
+    assert sorted(SMALL_RUNS) == sorted(EXPERIMENTS)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
-    for out in (out_a, out_b):
-        run(ExperimentConfig("fig1-eig-cdf", seed=11, trials=2000,
-                             out_dir=str(out)))
+    for experiment, (trials, options) in SMALL_RUNS.items():
+        for out in (out_a, out_b):
+            run(ExperimentConfig(experiment, seed=11, trials=trials,
+                                 out_dir=str(out), options=options))
     names = sorted(p.name for p in out_a.iterdir())
     assert names == sorted(p.name for p in out_b.iterdir())
+    assert {f"{name}-meta.yaml" for name in SMALL_RUNS} <= set(names)
+    assert len(names) == 4 + 8 + 32 + 3 + 3 + 2 + len(SMALL_RUNS)
     match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names,
                                                shallow=False)
     assert mismatch == [] and errors == []
@@ -347,10 +365,10 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
      "ttis must be at least 1000"),
     ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": []},
      "user_grid is empty"),
-    ("fig5-mmtc-throughput",
-     {"ttis": 1000, "m-rx": [1], "users-lo": 500, "users-hi": 250}, "500 and 250"),
-    ("fig4-mmtc-drop",          # a grid from 0 would never reach users-hi
-     {"ttis": 1000, "m-rx": [1], "users-lo": 0, "users-hi": 250}, "0 and 250"),
+    ("custom", {**OUTAGE_RUN, "power-control": ["ppc", "ppc"],
+                "receivers": ["wl-zf", "WL-ZF"]}, "power_control names 'ppc' twice"),
+    ("custom", {**OUTAGE_RUN, "receivers": ["wl-zf", "WL-ZF"]},
+     "receivers names 'wl-zf' twice"),
     ("custom", {**OUTAGE_RUN, "rate": math.nan, "asymptote": False},
      "rate must be finite"),
     ("custom", {**OUTAGE_RUN, "rate": math.inf}, "rate must be finite"),
@@ -401,28 +419,37 @@ def test_main_refuses_trials_the_experiment_does_not_read(tmp_path, capsys,
 def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
                                                              seed):
     # Two gain samples at this load and rate can both clip to zero, which
-    # leaves no moment to take the coding gain from (seeds 1 and 3 do).
-    # An earlier run's sidecar in the same directory must not survive.
+    # leaves no moment to take the WL-MMSE coding gain from (seeds 1 and 3
+    # do); the WL-ZF curve before it has an exact gain and finishes.  The
+    # refused run leaves an earlier run's CSVs and sidecar as they were,
+    # and makes no directory that did not exist.
+    options = {"power-control": "ppc", "m-rx": 2, "n-users": 4, "rate": 0.3,
+               "receivers": ["wl-zf", "wl-mmse"], "snr-db": [20.0]}
     out = tmp_path / "out"
-    out.mkdir()
-    (out / "custom-meta.yaml").write_text("seed: 0\n")
-    p = write_yaml(tmp_path / "c.yaml", {
-        "experiment": "custom", "seed": seed, "trials": 1000, "out-dir": str(out),
-        "options": {"power-control": "ppc", "m-rx": 2, "n-users": 4,
-                    "rate": 0.3, "receivers": ["wl-mmse"], "gain-trials": 2,
-                    "snr-db": [20.0]}})
-    assert main(["run", str(p)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("custom: moment estimate vanished")
-    assert "increase gain_trials" in captured.err
-    assert len(captured.err.splitlines()) == 1 and captured.out == ""
-    assert not (out / "custom-meta.yaml").exists()
+    earlier = write_yaml(tmp_path / "earlier.yaml", {
+        "experiment": "custom", "seed": seed, "trials": 2000, "out-dir": str(out),
+        "options": {**options, "gain-trials": 1000}})
+    assert main(["run", str(earlier)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(before) == 3
+    capsys.readouterr()
+    for where in (out, tmp_path / "new"):
+        p = write_yaml(tmp_path / "c.yaml", {
+            "experiment": "custom", "seed": seed, "trials": 1000,
+            "out-dir": str(where), "options": {**options, "gain-trials": 2}})
+        assert main(["run", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("custom: moment estimate vanished")
+        assert "increase gain_trials" in captured.err
+        assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert not (tmp_path / "new").exists()
 
 
 def test_main_leaves_other_arithmetic_errors_to_the_traceback(tmp_path,
                                                                monkeypatch):
     # Only EstimateError is a refusal; any other ArithmeticError is a fault.
-    def runner(cfg, out):
+    def runner(cfg):
         raise ZeroDivisionError("a fault")
     monkeypatch.setitem(EXPERIMENTS, "custom", (runner, *EXPERIMENTS["custom"][1:]))
     p = write_yaml(tmp_path / "c.yaml", {
@@ -439,7 +466,7 @@ def assert_refused_before_any_draw(tmp_path, capsys, named, doc):
     captured = capsys.readouterr()
     assert named in captured.err and "Traceback" not in captured.err
     assert captured.out == ""
-    assert not out.exists() or list(out.iterdir()) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))

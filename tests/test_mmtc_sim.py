@@ -119,7 +119,7 @@ def test_empty_population_produces_zeros():
     assert res.offered == 0
     assert res.decoded == 0
     assert res.drop_prob.value == 0.0
-    assert res.throughput.value == 0.0
+    assert res.throughput == 0.0
 
 
 def test_run_scenario_needs_slots():
@@ -163,7 +163,7 @@ def test_throughput_bookkeeping_identity():
     cfg = flat_single_tone_cfg()
     res = run_scenario(cfg, 2_000, derive_rng(3, "tput"))
     per_packet = cfg.packet_bits / (cfg.tti_ms / 1000.0 * cfg.bandwidth_hz)
-    assert res.throughput.value == pytest.approx(
+    assert res.throughput == pytest.approx(
         res.decoded / res.ttis * per_packet, rel=1e-12)
 
 
@@ -186,7 +186,7 @@ def test_bookkeeping_across_chunk_boundary():
     expect = cfg.users * cfg.tx_probability * ttis
     assert abs(res.offered - expect) < 5 * math.sqrt(expect)
     per_packet = cfg.packet_bits / (cfg.tti_ms / 1000.0 * cfg.bandwidth_hz)
-    assert res.throughput.value == pytest.approx(
+    assert res.throughput == pytest.approx(
         res.decoded / ttis * per_packet, rel=1e-12)
 
 
@@ -239,12 +239,12 @@ def test_run_scenario_deterministic():
 
 def test_result_validation():
     cfg = wl_cfg()
-    est = Estimate(0.0, 0.0, 0.0, 0.0, 1, "bernoulli")
+    est = Estimate(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         MmtcResult(config=cfg, ttis=10, offered=5, decoded=3,
                    dropped_overload=1, dropped_outage=0, drop_prob=est,
-                   throughput=est, max_decoded_collision=1)
+                   throughput=0.0, max_decoded_collision=1)
     with pytest.raises(ValueError):
         MmtcResult(config=cfg, ttis=10, offered=5, decoded=4,
                    dropped_overload=1, dropped_outage=0, drop_prob=est,
-                   throughput=est, max_decoded_collision=3)
+                   throughput=0.0, max_decoded_collision=3)

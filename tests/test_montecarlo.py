@@ -65,8 +65,7 @@ def test_wilson_coverage_is_nominal():
 
 def test_estimate_invariant_enforced():
     with pytest.raises(ValueError):
-        Estimate(value=0.5, stderr=0.0, ci_lo=0.6, ci_hi=0.7, trials=10,
-                 kind="mean")
+        Estimate(value=0.5, stderr=0.0, ci_lo=0.6, ci_hi=0.7)
 
 
 def test_fit_diversity_recovers_exact_power_law():

@@ -99,11 +99,22 @@ def test_chi2_poly_coeff():
 
 def test_outage_curve_validation():
     with pytest.raises(ValueError):
-        OutageCurve(np.array([20.0, 10.0]), np.zeros(2),
-                    np.zeros(2), np.zeros(2), 1000)
-    with pytest.raises(ValueError):
         OutageCurve(np.array([10.0, 20.0]), np.array([0.5, 1.2]),
                     np.zeros(2), np.ones(2), 1000)
+
+
+@pytest.mark.parametrize("grid", [[20.0, 10.0], [10.0, 10.0], [math.nan],
+                                  [20.0, math.inf], [], [[10.0, 20.0]]])
+def test_outage_mc_refuses_a_bad_grid_before_any_draw(grid):
+    # A NaN or inf point would read as no outage; every bad grid is refused
+    # before the first draw.
+    rng = derive_rng(0, "grid")
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="snr_db must be"):
+        outage_mc(ReceiverSpec("wl", "zf"),
+                  LinkConfig(2, 4, 1.0, 2.0, power_control="ppc"),
+                  grid, 1000, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_outage_mc_matches_exact_law():
