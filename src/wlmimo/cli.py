@@ -153,6 +153,8 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 def parse_receiver(name: str) -> ReceiverSpec:
     """'wl-zf', 'cl-mmse-sic', ... -> ReceiverSpec."""
+    if not isinstance(name, str):
+        raise ConfigError(f"cannot parse receiver name {name!r}")
     parts = name.strip().lower().split("-")
     sic = parts[-1] == "sic"
     if sic:
@@ -181,8 +183,11 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-def _distinct(name: str, values: list) -> list:
-    """A list option whose entries each name one curve, checked for repeats."""
+def _distinct(name: str, values, kind=None) -> list:
+    """A list option whose entries, as `kind`, each name one curve once."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{name} must be a list, not {values!r}")
+    values = [kind(v) for v in values] if kind else list(values)
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{name} names {value!r} twice")
@@ -241,8 +246,8 @@ def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
 
 
 def _as_list(value) -> list:
-    """A config value that may be one item or a list of them, as a list."""
-    return [value] if isinstance(value, str) else list(value)
+    """A config value: one name as a one-item list, anything else as given."""
+    return [value] if isinstance(value, str) else value
 
 
 def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
@@ -265,8 +270,9 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
         with_asym = bool(asymptote)
         links = [LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
                             power_control=mode) for mode in modes]
-        specs = [parse_receiver(name) for name in _as_list(receivers)]
-        names = _distinct("receivers", [rx.label.lower() for rx in specs])
+        names = _distinct("receivers", _as_list(receivers),
+                          lambda name: parse_receiver(name).label.lower())
+        specs = [parse_receiver(name) for name in names]
         for rx in specs:
             diversity_order(m, n, rx.family)    # refuses N > D M
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * with_asym
@@ -337,8 +343,8 @@ def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
         ttis = _at_least("ttis", int(ttis), MIN_TTIS)
-        m_list = [int(v) for v in m_rx]
-        grid = [int(u) for u in user_grid]
+        m_list = _distinct("m_rx", m_rx, int)
+        grid = _distinct("user_grid", user_grid, int)
         if not grid:
             raise ValueError("user_grid is empty")
         sweeps = []

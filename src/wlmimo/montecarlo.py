@@ -43,8 +43,8 @@ def derive_rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(words))
 
 
-def wilson_interval(successes, trials: int, z: float = Z95):
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes, trials: int):
+    """95% Wilson score interval for a binomial proportion.
 
     Stays inside (0, 1) and behaves sanely at zero counts, which matters for
     outage probabilities down at 1e-6 where the Wald interval collapses.
@@ -56,9 +56,9 @@ def wilson_interval(successes, trials: int, z: float = Z95):
     if np.any((s < 0) | (s > trials)):
         raise ValueError("successes must lie in [0, trials]")
     phat = s / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = (z / denom) * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))
+    denom = 1.0 + Z95 * Z95 / trials
+    center = (phat + Z95 * Z95 / (2 * trials)) / denom
+    half = (Z95 / denom) * np.sqrt(phat * (1 - phat) / trials + Z95 * Z95 / (4 * trials * trials))
     lo = np.maximum(center - half, 0.0)
     hi = np.minimum(center + half, 1.0)
     # center - half is 0 (or 1) in exact arithmetic at the boundary counts;

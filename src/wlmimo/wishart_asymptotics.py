@@ -7,27 +7,27 @@ eigenvalue obeys
     Pr(lambda_k < eps) = beta_k * eps^(k(m-n+k)/2) + o(eps^(k(m-n+k)/2)).
 
 The exponent is available for every k; the leading coefficient has a closed
-form only for k = 1:
+form only for k = 1.  With s = m - n + 1,
 
-    beta_1 = Pf(J) / (K_nm * d1),        d1 = (m - n + 1) / 2,
-    K_nm = 2^(nm/2) pi^(-n/2) prod_i Gamma((m-i+1)/2) Gamma((n-i+1)/2),
+    beta_1 = 2^(s/2) Gamma((m+1)/2) / (Gamma(n/2) s!).
 
-where K_nm normalizes the joint eigenvalue density and J is skew-symmetric.
-With b_i = d1 + i, its entries for i < j <= n-1 are the signed two-sided
-Gamma integrals
+The ordered eigenvalues have the joint density (Muirhead, Aspects of
+Multivariate Statistical Theory, 1982, Thm 3.2.18)
 
-    J_ij = int int sign(y - x) x^(b_i-1) y^(b_j-1) e^(-(x+y)/2) dx dy
-         = 2 sum_{k=1}^{j-i} 2^k Gamma(b_i+b_j-k) Gamma(b_j) / Gamma(b_j-k+1),
+    c(n, m) prod_i lambda_i^((m-n-1)/2) e^(-lambda_i/2) prod_(i<j) (lambda_j - lambda_i).
 
-and even n adds a border column J_in = 2^b_i Gamma(b_i).  For k > 1 the
-coefficient must be fit empirically from :func:`sample_kth_eigenvalue` draws.
+As lambda_1 -> 0, lambda_j - lambda_1 -> lambda_j, so the other n - 1
+eigenvalues carry lambda_j^((m-n+1)/2) e^(-lambda_j/2) times their own
+differences: the unnormalised density of a Wishart matrix with n - 1 rows
+and m + 1 degrees of freedom, whose integral is 1 / c(n-1, m+1).  What is
+left, c(n, m) / c(n-1, m+1) times the integral of lambda_1^(s/2-1) over
+(0, eps), gives beta_1 = c(n, m) / (c(n-1, m+1) s/2), and the multivariate
+Gamma functions in c cancel to the ratio above (with Legendre's duplication
+formula for Gamma(s/2 + 1)).  For k > 1 the coefficient must be fit
+empirically from :func:`sample_kth_eigenvalue` draws.
 
-b_i + b_j is an integer and b_j - 1, b_j - 2, ... are half-integers, so the
-interior entries are integers; the border is a common factor
-2^b_1 Gamma(b_1), which comes out of the Pfaffian, times integers.  K_nm and
-d1 are rational up to powers of sqrt(2) and sqrt(pi).  beta_1 is therefore
-computed exactly, as a Fraction times sqrt(2)^s sqrt(pi)^t, with the Pfaffian
-taken by Parlett-Reid skew Gaussian elimination on Fractions, and rounded to
+beta_1 is rational up to powers of sqrt(2) and sqrt(pi), so it is computed
+exactly, as a Fraction times sqrt(2)^(s mod 2) sqrt(pi)^t, and rounded to
 float once at the end.
 
 Samples of lambda_k draw no matrix: X X^T has the eigenvalues of B B^T for
@@ -71,46 +71,6 @@ def diversity_exponent(k: int, n: int, m: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pfaffian
-# ---------------------------------------------------------------------------
-
-def pfaffian(a: np.ndarray) -> float | Fraction:
-    """Pfaffian of an even-size skew-symmetric matrix, Pf([]) = 1.
-
-    Parlett-Reid skew Gaussian elimination (Wimmer, ACM TOMS 38 (2012),
-    Alg. 923), O(size^3): each step moves the largest-magnitude entry of
-    the eliminated column next to the diagonal and removes two rows and
-    columns.  An object array of Fractions gives the exact Pfaffian; any
-    other input is taken as float.
-    """
-    a = np.array(a)
-    if a.dtype != object:
-        a = a.astype(float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    size = a.shape[0]
-    if size % 2 != 0:
-        raise ValueError("Pfaffian needs an even-size matrix")
-    if not np.array_equal(a, -a.T):
-        raise ValueError("matrix is not skew-symmetric")
-    pf = 1
-    for k in range(0, size, 2):
-        p = k + 1 + int(np.argmax(np.abs(a[k + 1:, k])))
-        if p != k + 1:      # swap rows and columns k+1 and p
-            a[[k + 1, p]] = a[[p, k + 1]]
-            a[:, [k + 1, p]] = a[:, [p, k + 1]]
-            pf = -pf
-        pivot = a[k, k + 1]
-        if pivot == 0:      # the whole column is zero
-            return pf * pivot
-        pf *= pivot
-        tau = a[k, k + 2:] / pivot
-        col = a[k + 2:, k + 1]
-        a[k + 2:, k + 2:] += np.outer(tau, col) - np.outer(col, tau)
-    return pf if a.dtype == object else float(pf)
-
-
-# ---------------------------------------------------------------------------
 # Leading constant of the smallest-eigenvalue CDF
 # ---------------------------------------------------------------------------
 
@@ -123,49 +83,18 @@ def _half_gamma(k: int) -> tuple[Fraction, int]:
     return q, k % 2
 
 
-def _exact_j(n: int, m: int) -> np.ndarray:
-    """J as Fractions, its even-n border divided by 2^b_1 Gamma(b_1).
-
-    Size n - 1 for odd n, n for even n; n = 1 gives the empty matrix.
-    """
-    size = n - n % 2
-    two_b = [m - n + 1 + 2 * i for i in range(size + 1)]     # 2 b_i
-    out = np.full((size, size), Fraction(0), dtype=object)
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            if j < n:
-                # term = 2^k Gamma(b_j) / Gamma(b_j-k+1), an integer
-                s, term, val = (two_b[i] + two_b[j]) // 2, 2, 0
-                for k in range(1, j - i + 1):
-                    val += term * math.factorial(s - k - 1)
-                    term *= two_b[j] - 2 * k
-                val *= 2
-            else:           # 2^b_i Gamma(b_i) / (2^b_1 Gamma(b_1))
-                val = math.prod(two_b[1:i])
-            out[i - 1, j - 1] = Fraction(val)
-            out[j - 1, i - 1] = -out[i - 1, j - 1]
-    return out
-
-
 def beta1(n: int, m: int) -> float:
     """Leading CDF coefficient of the smallest eigenvalue (k = 1).
 
-    beta_1 = Pf(J) / (K_nm d1) = q sqrt(2)^s sqrt(pi)^t with q exact; the
-    even part of s goes into q, so the float result is rounded once.
+    beta_1 = q sqrt(2)^(s mod 2) sqrt(pi)^t with q exact, so the float
+    result is rounded once.
     """
     _check_nm(n, m)
-    # Pf(J) / d1 times 2^(-nm/2) pi^(n/2), then over K_nm's Gamma factors
-    q = Fraction(pfaffian(_exact_j(n, m))) / Fraction(m - n + 1, 2)
-    s, t = -n * m, n
-    for i in range(1, n + 1):
-        for k in (m - i + 1, n - i + 1):
-            g, odd = _half_gamma(k)
-            q, t = q / g, t - odd
-    if n % 2 == 0:          # the border factor 2^b_1 Gamma(b_1), 2 b_1 = m-n+3
-        g, odd = _half_gamma(m - n + 3)
-        q, s, t = q * g, s + m - n + 3, t + odd
-    q *= Fraction(2) ** (s // 2)
-    return float(q) * math.sqrt(2.0) ** (s % 2) * math.sqrt(math.pi) ** t
+    s = m - n + 1
+    num, t = _half_gamma(m + 1)
+    den, odd = _half_gamma(n)
+    q = num / den / math.factorial(s) * Fraction(2) ** (s // 2)
+    return float(q) * math.sqrt(2.0) ** (s % 2) * math.sqrt(math.pi) ** (t - odd)
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,22 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
     ("fig3-wl-vs-cl", {"gain-trials": 1000, "snr-db": []}, "snr_db must be"),
     ("fig1-eig-cdf", {"points": 0}, "points must be at least 1, not 0"),
     ("fig1-eig-cdf", {"points": -1}, "points must be at least 1, not -1"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": [64, 64]},
+     "user_grid names 64 twice"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1, 1], "user-grid": [64]},
+     "m_rx names 1 twice"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": None},
+     "user_grid must be a list, not None"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": 500},
+     "user_grid must be a list, not 500"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": None, "user-grid": [64]},
+     "m_rx must be a list, not None"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": 2, "user-grid": [64]},
+     "m_rx must be a list, not 2"),
+    ("custom", {**OUTAGE_RUN, "power-control": None},
+     "power_control must be a list, not None"),
+    ("custom", {**OUTAGE_RUN, "receivers": 5}, "receivers must be a list, not 5"),
+    ("custom", {**OUTAGE_RUN, "receivers": [5]}, "cannot parse receiver name 5"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):

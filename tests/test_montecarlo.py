@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laws import default_fit_window, fit_diversity
-from wlmimo.montecarlo import Estimate, derive_rng, wilson_interval
+from wlmimo.montecarlo import Z95, Estimate, derive_rng, wilson_interval
 
 
 def test_derive_rng_is_deterministic():
@@ -29,9 +29,9 @@ def test_wilson_interval_edges():
 
 
 def test_wilson_interval_known_value():
-    # closed form for 5/10 at z=1.96: centre 0.5, halfwidth z*sqrt(...)/(1+z^2/n)
-    z = 1.96
-    lo, hi = wilson_interval(5, 10, z=z)
+    # closed form for 5/10 at z = Z95: centre 0.5, halfwidth z*sqrt(...)/(1+z^2/n)
+    z = Z95
+    lo, hi = wilson_interval(5, 10)
     denom = 1 + z * z / 10
     centre = (0.5 + z * z / 20) / denom
     half = z * np.sqrt(0.25 / 10 + z * z / 400) / denom

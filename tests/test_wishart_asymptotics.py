@@ -1,16 +1,16 @@
 """Tests for the small-eigenvalue machinery.
 
-The Pfaffian is checked against closed forms and determinants, float and
-exact; beta_1 against the chi-square law, exact rational values, an mpmath
-oracle (quadrature and the closed incomplete-Gamma recursion, 80 digits)
-and empirical eigenvalue CDFs; the eigenvalue sampler against exact Sturm
-counts and LAPACK on its own draws, and against LAPACK eigenvalues of
-Gaussian X X^T in law.
+The closed form of beta_1 is checked against the chi-square law, exact
+rational values, an mpmath oracle that takes beta_1 as the Pfaffian of a
+skew matrix J of Gamma integrals over the density's normaliser (J by
+quadrature, 30 digits, or by the closed incomplete-Gamma recursion, 80
+digits), and empirical eigenvalue CDFs; the eigenvalue sampler against
+exact Sturm counts and LAPACK on its own draws, and against LAPACK
+eigenvalues of Gaussian X X^T in law.
 """
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,92 +21,8 @@ from wlmimo import wishart_asymptotics
 from wlmimo.wishart_asymptotics import (
     beta1,
     diversity_exponent,
-    pfaffian,
     sample_kth_eigenvalue,
 )
-
-
-# ---------------------------------------------------------------------------
-# Pfaffian
-# ---------------------------------------------------------------------------
-
-def test_pfaffian_2x2():
-    a = 3.7
-    assert pfaffian(np.array([[0.0, a], [-a, 0.0]])) == pytest.approx(a)
-
-
-def test_pfaffian_4x4_closed_form():
-    # pf = a*f - b*e + c*d for the generic 4x4 skew matrix
-    rng = np.random.default_rng(13)
-    a, b, c, d, e, f = rng.standard_normal(6)
-    m = np.array([
-        [0.0, a, b, c],
-        [-a, 0.0, d, e],
-        [-b, -d, 0.0, f],
-        [-c, -e, -f, 0.0],
-    ])
-    assert pfaffian(m) == pytest.approx(a * f - b * e + c * d, rel=1e-12)
-
-
-def test_pfaffian_empty_is_one():
-    assert pfaffian(np.zeros((0, 0))) == 1.0
-
-
-@pytest.mark.parametrize("size", [2, 4, 6, 8, 10, 12])
-def test_pfaffian_squares_to_determinant(size):
-    rng = np.random.default_rng(100 + size)
-    for _ in range(20):
-        x = rng.standard_normal((size, size))
-        s = x - x.T
-        assert pfaffian(s) ** 2 == pytest.approx(np.linalg.det(s), rel=1e-9)
-
-
-def test_pfaffian_rejects_bad_input():
-    with pytest.raises(ValueError):
-        pfaffian(np.zeros((3, 3)))
-    with pytest.raises(ValueError):
-        pfaffian(np.ones((2, 2)))
-
-
-def test_pfaffian_many_matrices_fast():
-    """A thousand small matrices stay well under the time budget."""
-    rng = np.random.default_rng(14)
-    for _ in range(1000):
-        x = rng.standard_normal((6, 6))
-        s = x - x.T
-        assert pfaffian(s) ** 2 == pytest.approx(np.linalg.det(s), rel=1e-9)
-
-
-@pytest.mark.parametrize("size", [2, 4, 6, 8])
-def test_pfaffian_of_fractions_squares_to_the_exact_determinant(size):
-    rng = np.random.default_rng(200 + size)
-    for _ in range(5):
-        a = np.full((size, size), Fraction(0), dtype=object)
-        for i in range(size):
-            for j in range(i + 1, size):
-                a[i, j] = Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-                a[j, i] = -a[i, j]
-        pf = pfaffian(a)
-        assert isinstance(pf, Fraction)
-        assert pf ** 2 == fraction_det(a)
-
-
-def fraction_det(a):
-    """Determinant by exact Gaussian elimination over Fractions."""
-    rows = [list(r) for r in a]
-    det = Fraction(1)
-    for c in range(len(rows)):
-        p = next((r for r in range(c, len(rows)) if rows[r][c] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            rows[c], rows[p] = rows[p], rows[c]
-            det = -det
-        det *= rows[c][c]
-        for r in range(c + 1, len(rows)):
-            f = rows[r][c] / rows[c][c]
-            rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    return det
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +71,7 @@ def test_beta1_exact_rational_values(n, m, expect):
 
 
 def test_beta1_positive_over_the_old_failure_range():
-    # float J entries and a float Pfaffian failed on 85 of these pairs
+    # an earlier float Pfaffian of J failed on 85 of these pairs
     for n in range(1, 19):
         for m in range(n, 2 * n + 9):
             assert 0.0 < beta1(n, m) < math.inf
