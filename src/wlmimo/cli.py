@@ -13,8 +13,9 @@ Config keys may be written kebab-case or snake_case; they are normalized
 before use and before hashing.  An experiment's options are the
 keyword-only parameters of its runner, with their defaults; the top-level
 `trials` is one of them where the experiment reads it.  Any other key is
-refused.  A runner checks every value, SNR grids included
-(`outage_analysis.snr_grid`), before its first draw, and returns its
+refused, and so is a value of another kind than its default's.  A runner
+checks every value, SNR grids included (`outage_analysis.snr_grid`),
+before its first draw, and returns its
 tables without writing anything; `run` writes the CSVs and then the
 sidecar once the runner has returned.  So a bad value (`ConfigError`, exit
 status 2) and an estimate the draws cannot form (`EstimateError`, one line
@@ -27,6 +28,7 @@ import argparse
 import csv
 import hashlib
 import inspect
+import numbers
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -76,19 +78,46 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             known = ", ".join(sorted(EXPERIMENTS))
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; valid names: {known}"
-            )
+            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+                              f"valid names: {known}")
         params = inspect.signature(EXPERIMENTS[self.experiment][0]).parameters
         reads = {key for key, p in params.items() if p.kind is p.KEYWORD_ONLY}
+        _option("seed", self.seed, 0)
         if self.trials is not None and "trials" not in reads:
             raise ConfigError(f"{self.experiment} does not read trials")
-        if self.trials is not None and self.trials < 1:
+        if self.trials is not None and _option("trials", self.trials, 1) < 1:
             raise ConfigError("trials must be at least 1")
         reads.discard("trials")
         if unknown := sorted(set(self.options) - reads):
             raise ConfigError(f"{self.experiment} does not read options "
                               f"{unknown}; it reads {sorted(reads)}")
+        for key, value in self.options.items():
+            _option(key, value, params[key].default)
+
+
+# Option value kinds, in the order that classes a value.
+_KINDS = {"true or false": bool, "a name": str, "an integer": numbers.Integral,
+          "a real number": numbers.Real, "a list": (list, tuple, np.ndarray)}
+
+
+def _option(name: str, value, default):
+    """`value` if it is of the kind of its runner's `default`: a flag takes
+    a bool, a count an int but no bool, a rate a real number, names a string
+    or a list (whose names their parser checks), a grid a list of its
+    default's kind.  Else a ConfigError that names the option."""
+    kind = next(k for k, t in _KINDS.items() if isinstance(default, t))
+    if kind == "a name" or kind == "a list" and isinstance(default[0], str):
+        kind, ok = "a list", isinstance(value, (str, list, tuple))
+    elif kind == "a list":
+        ok = isinstance(value, (list, tuple))
+        for entry in value if ok else ():
+            _option(f"{name} entries", entry, default[0])
+    else:
+        ok = isinstance(value, _KINDS[kind]) and (
+            kind == "true or false" or not isinstance(value, bool))
+    if not ok:
+        raise ConfigError(f"{name} must be {kind}, not {value!r}")
+    return value
 
 
 def normalize_options(obj):
@@ -118,8 +147,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: top level must be a mapping")
     norm = normalize_options(raw)
     known = {"experiment", "seed", "trials", "out_dir", "options"}
-    extra = set(norm) - known
-    if extra:
+    if extra := set(norm) - known:
         raise ConfigError(f"{path}: unknown top-level fields {sorted(extra)}")
     if "experiment" not in norm:
         raise ConfigError(f"{path}: missing required field 'experiment'")
@@ -128,8 +156,8 @@ def load_config(path: str | Path) -> ExperimentConfig:
         raise ConfigError(f"{path}: 'options' must be a mapping")
     return ExperimentConfig(
         experiment=str(norm["experiment"]).strip().lower().replace("_", "-"),
-        seed=int(norm.get("seed", 1234)),
-        trials=None if norm.get("trials") is None else int(norm["trials"]),
+        seed=norm.get("seed", 1234),
+        trials=norm.get("trials"),
         out_dir=str(norm.get("out_dir", ".")),
         options=options,
     )
@@ -141,25 +169,17 @@ def config_hash(cfg: ExperimentConfig) -> str:
     The output directory is deliberately left out: it changes where results
     land, not what they are.
     """
-    doc = {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "options": cfg.options,
-    }
+    doc = {"experiment": cfg.experiment, "seed": cfg.seed,
+           "trials": cfg.trials, "options": cfg.options}
     canonical = yaml.safe_dump(doc, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def parse_receiver(name: str) -> ReceiverSpec:
     """'wl-zf', 'cl-mmse-sic', ... -> ReceiverSpec."""
-    if not isinstance(name, str):
-        raise ConfigError(f"cannot parse receiver name {name!r}")
-    parts = name.strip().lower().split("-")
-    sic = parts[-1] == "sic"
-    if sic:
-        parts = parts[:-1]
-    if len(parts) != 2:
+    parts = name.strip().lower().split("-") if isinstance(name, str) else []
+    sic = parts[-1:] == ["sic"]
+    if len(parts) - sic != 2:
         raise ConfigError(f"cannot parse receiver name {name!r}")
     try:
         return ReceiverSpec(family=parts[0], criterion=parts[1], sic=sic)
@@ -184,9 +204,8 @@ def _at_least(name: str, value: int, minimum: int) -> int:
 
 
 def _distinct(name: str, values, kind=None) -> list:
-    """A list option whose entries, as `kind`, each name one curve once."""
-    if not isinstance(values, (list, tuple)):
-        raise ValueError(f"{name} must be a list, not {values!r}")
+    """A list option, or one name, whose entries as `kind` differ."""
+    values = [values] if isinstance(values, str) else values
     values = [kind(v) for v in values] if kind else list(values)
     for i, value in enumerate(values):
         if value in values[:i]:
@@ -218,7 +237,7 @@ FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
               points=8) -> tuple[dict, dict]:
     with _config_values(cfg):
-        points = _at_least("points", int(points), 1)
+        points = _at_least("points", points, 1)
     tables = {}
     for k, n, m in FIG1_CASES:
         rng = derive_rng(cfg.seed, "fig1", k, n, m)
@@ -245,11 +264,6 @@ def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
     return tables, {"trials": trials}
 
 
-def _as_list(value) -> list:
-    """A config value: one name as a one-item list, anything else as given."""
-    return [value] if isinstance(value, str) else value
-
-
 def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
                 n_users=4, rate=2.0, snr_db=np.arange(15.0, 61.0, 5.0),
                 power_control="none", receivers="wl-zf", gain_trials=200_000,
@@ -261,26 +275,22 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
         trials = _at_least("trials", trials, MIN_TRIALS)
-        m = int(m_rx)
-        n = int(n_users)
-        rate = float(rate)
         snr_db = snr_grid(snr_db)
-        modes = _distinct("power_control", _as_list(power_control))
-        gain_trials = _at_least("gain_trials", int(gain_trials), MIN_GAIN_TRIALS)
-        with_asym = bool(asymptote)
-        links = [LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
+        modes = _distinct("power_control", power_control)
+        gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
+        links = [LinkConfig(m_rx=m_rx, n_users=n_users, snr=1.0, rate=rate,
                             power_control=mode) for mode in modes]
-        names = _distinct("receivers", _as_list(receivers),
+        names = _distinct("receivers", receivers,
                           lambda name: parse_receiver(name).label.lower())
         specs = [parse_receiver(name) for name in names]
         for rx in specs:
-            diversity_order(m, n, rx.family)    # refuses N > D M
-    header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * with_asym
+            diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
+    header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):
         for name, rx in zip(names, specs):
             p_asym = []
-            if with_asym:
+            if asymptote:
                 gain = gain_for(link, rx, gain_trials,
                                 derive_rng(cfg.seed, prefix, mode, name, "gain"))
                 p_asym = [asymptote_curve(gain, snr_db)]
@@ -289,7 +299,7 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
             rows = zip(snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, *p_asym)
             tables[f"{prefix}-{mode}-{name}.csv"] = (header, list(rows))
     counts = {"trials": trials}
-    if with_asym:
+    if asymptote:
         counts["gain_trials"] = gain_trials
     return tables, counts
 
@@ -307,15 +317,14 @@ def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
               snr_db=np.arange(10.0, 61.0, 2.0),
               gain_trials=200_000) -> tuple[dict, dict]:
     with _config_values(cfg):
-        m = int(m_rx)
         snr_db = snr_grid(snr_db)
-        gain_trials = _at_least("gain_trials", int(gain_trials), MIN_GAIN_TRIALS)
+        gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
         curves = []
         for panel, n_wl, n_cl, rate in FIG3_PANELS:
             for family, n in (("wl", n_wl), ("cl", n_cl)):
-                diversity_order(m, n, family)    # refuses N > D M
+                diversity_order(m_rx, n, family)    # refuses N > D M
                 curves.append((panel, family, LinkConfig(
-                    m_rx=m, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
+                    m_rx=m_rx, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
     tables = {}
     for panel, family, link in curves:
         for criterion in ("zf", "mmse"):
@@ -342,9 +351,9 @@ def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
               user_grid=MMTC_USER_GRID) -> tuple[dict, dict]:
     prefix = cfg.experiment.split("-")[0]
     with _config_values(cfg):
-        ttis = _at_least("ttis", int(ttis), MIN_TTIS)
-        m_list = _distinct("m_rx", m_rx, int)
-        grid = _distinct("user_grid", user_grid, int)
+        ttis = _at_least("ttis", ttis, MIN_TTIS)
+        m_list = _distinct("m_rx", m_rx)
+        grid = _distinct("user_grid", user_grid)
         if not grid:
             raise ValueError("user_grid is empty")
         sweeps = []
@@ -363,11 +372,9 @@ def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
         for sc in scenarios:
             rng = derive_rng(cfg.seed, prefix, m, family, int(half), sc.users)
             res = run_scenario(sc, ttis, rng)
-            rows.append((
-                sc.users, family, half,
-                res.drop_prob.value, res.drop_prob.ci_lo,
-                res.drop_prob.ci_hi, res.throughput,
-            ))
+            drop = res.drop_prob
+            rows.append((sc.users, family, half, drop.value, drop.ci_lo,
+                         drop.ci_hi, res.throughput))
         tag = f"{family}-half" if half else family
         tables[f"{prefix}-{tag}-m{m}.csv"] = (header, rows)
     return tables, {"ttis": ttis}
@@ -448,12 +455,9 @@ def main(argv=None) -> int:
     sub.add_parser("list", help="list available experiments")
     runp = sub.add_parser("run", help="run an experiment from a YAML config")
     runp.add_argument("config", help="path to the YAML experiment config")
-    runp.add_argument("--seed", type=int, default=None,
-                      help="override the config seed")
-    runp.add_argument("--trials", type=int, default=None,
-                      help="override the trial count")
-    runp.add_argument("--out-dir", default=None,
-                      help="override the output directory")
+    runp.add_argument("--seed", type=int, help="override the config seed")
+    runp.add_argument("--trials", type=int, help="override the trial count")
+    runp.add_argument("--out-dir", help="override the output directory")
     args = parser.parse_args(argv)
 
     if args.command == "list":
@@ -461,13 +465,9 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.trials is not None:
-            cfg = replace(cfg, trials=args.trials)
-        if args.out_dir is not None:
-            cfg = replace(cfg, out_dir=args.out_dir)
+        given = {"seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
+        cfg = replace(load_config(args.config),
+                      **{key: v for key, v in given.items() if v is not None})
     except FileNotFoundError:
         print(f"config file not found: {args.config}", file=sys.stderr)
         return 2

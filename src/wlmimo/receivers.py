@@ -20,13 +20,17 @@ batched helpers used inside Monte Carlo loops take one of two routes per
 draw: the Gram form, by a Cholesky of the Gram vectorised over the stack
 (:mod:`wlmimo.stacked`), where every pivot is clear; and the projector
 form, by least squares on H itself, on draws with near-dependent columns,
-where the Gram form has lost its accuracy.
+where the Gram form has lost its accuracy.  One stacked SVD solves the
+least squares of all such draws at once.
 
 SIC variants decode greedily by largest SINR (equal SINRs to the lowest
 user index; the reference refuses near ties), assume genie-aided
-cancellation, and recompute the detector from scratch on the remaining
-columns after every stage.  The batched SIC path stops working on a draw
-once its tagged user is decoded.
+cancellation, and rebuild the detector on the remaining columns after
+every stage.  The reference recomputes it from the reduced channel.  The
+batched path forms the Gram and its MMSE ridge once, and gives each stage
+the principal sub-Gram of the users a draw has left, which is entry for
+entry the Gram of its reduced channel.  It stops working on a draw once
+its tagged user is decoded.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stacked import cholesky_lower, inverse_diagonal, stacked_gram
+from .stacked import abs2, cholesky_lower, inverse_diagonal, stacked_gram
 
 __all__ = [
     "DIMS",
@@ -112,24 +116,29 @@ def _scale_and_ridge(xi, snr, rx):
 
 
 def _projector_sinrs(h, xi, pre, ridge) -> np.ndarray:
-    """(N,) projector-form SINRs pre xi_n h_n* Pperp_n h_n of one draw.
+    """(F, N) projector-form SINRs pre xi_n h_n* Pperp_n h_n of F draws.
 
-    Least squares against the other columns, so dependent interferers are
-    fine.  `ridge` (None for ZF) enters as extra rows, which turns the
-    residual into the regularized MMSE form.
+    Each user's residual against the other columns of its draw, for all
+    F N (draw, user) pairs from one stacked SVD.  Singular values at or
+    below lstsq's cutoff eps max(shape) s_max count as zero, so dependent
+    interferers project correctly.  `ridge` (None for ZF) enters as extra
+    rows, which turns the residual into the regularized MMSE form.
     """
-    n = h.shape[1]
-    q = np.empty(n)
-    for i in range(n):
-        others = np.delete(h, i, axis=1)
-        target = h[:, i]
-        if ridge is not None:
-            others = np.vstack([others, np.diag(np.sqrt(np.delete(ridge, i)))])
-            target = np.concatenate([target, np.zeros(n - 1)])
-        coef = np.linalg.lstsq(others, target, rcond=None)[0]
-        resid = target - others @ coef
-        q[i] = np.real(np.vdot(resid, resid))
-    return pre * xi * q
+    n = h.shape[-1]
+    others = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    target = np.swapaxes(h, 1, 2)                        # (F, N, rows)
+    a = np.moveaxis(h[:, :, others], 1, 2)               # (F, N, rows, N-1)
+    if ridge is not None:
+        loads = np.sqrt(ridge)[:, others]                # (F, N, N-1)
+        a = np.concatenate([a, loads[..., None] * np.eye(n - 1)], axis=2)
+        target = np.concatenate([target, np.zeros(loads.shape, target.dtype)],
+                                axis=2)
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    cutoff = np.finfo(float).eps * max(a.shape[-2:]) * s.max(-1, initial=0.0)
+    coef = np.where(s > cutoff[..., None],
+                    (u.conj().swapaxes(-1, -2) @ target[..., None])[..., 0], 0.0)
+    resid = target - (u @ coef[..., None])[..., 0]
+    return pre * xi * abs2(resid).sum(axis=-1)
 
 
 def _reference_sinrs(h, xi, snr: float, rx: ReceiverSpec) -> np.ndarray:
@@ -150,7 +159,8 @@ def _reference_sinrs(h, xi, snr: float, rx: ReceiverSpec) -> np.ndarray:
         raise ValueError("snr must be positive")
     pre, ridge = _scale_and_ridge(xi, snr, rx)
     gram = h.conj().T @ h
-    by_projector = _projector_sinrs(h, xi, pre, ridge)
+    by_projector = _projector_sinrs(
+        h[None], xi[None], pre, None if ridge is None else ridge[None])[0]
     if ridge is not None:
         gram = gram + np.diag(ridge)
         by_projector = by_projector + 1.0
@@ -238,32 +248,6 @@ def sic_sinr_stages(
 # Batched engine paths (one route per draw; the dual check lives above)
 # ---------------------------------------------------------------------------
 
-def _batched_linear_sinrs(h, xi, snr, rx) -> np.ndarray:
-    """(B, N) per-user SINRs for the linear receivers on stacked draws.
-
-    A draw whose Cholesky pivots all clear PIVOT_RATIO_MIN takes the Gram
-    form.  Any other draw has near-dependent columns, where the Gram form
-    has lost up to twice the digits of a least-squares solve on H, so it
-    takes the projector form: accurate, and SINR ~ 0 for the users it
-    cannot separate instead of an aborted batch.
-    """
-    gram = stacked_gram(h)
-    pre, ridge = _scale_and_ridge(xi, snr, rx)
-    if ridge is not None:
-        step = np.arange(gram.shape[0])
-        gram[step, step] += ridge.T
-    low, clear = cholesky_lower(gram)
-    with np.errstate(divide="ignore"):
-        out = pre * xi / inverse_diagonal(low)
-    if ridge is not None:
-        out = np.maximum(np.real(out - 1.0), 0.0)
-    for i in np.nonzero(~clear.all(axis=0))[0]:
-        out[i] = _projector_sinrs(
-            h[i], xi[i], pre, None if ridge is None else ridge[i]
-        )
-    return out
-
-
 def batched_tagged_sinr(
     h: np.ndarray, xi: np.ndarray, snr: float, rx: ReceiverSpec
 ) -> np.ndarray:
@@ -271,7 +255,11 @@ def batched_tagged_sinr(
 
     `h` is (B, 2M, N) real for WL or (B, M, N) complex for CL; `xi` is
     (B, N) or a shared (N,).  Users are exchangeable, so tracking index 0
-    is enough for outage statistics.
+    is enough for outage statistics.  The Gram and its MMSE ridge are
+    formed once; each SIC stage takes the principal sub-Gram of the users
+    a draw has left, which holds the same numbers as the Gram of its
+    reduced channel.  Draws that fail the pivot test take the projector
+    form on their remaining columns, all of a stage's in one call.
     """
     h = np.asarray(h)
     xi = np.asarray(xi, dtype=float)
@@ -281,23 +269,46 @@ def batched_tagged_sinr(
     b, _, n = h.shape
     if xi.ndim == 1:
         xi = np.broadcast_to(xi, (b, n))
-    if not rx.sic:
-        return _batched_linear_sinrs(h, xi, snr, rx)[:, 0]
-
-    # Removing decoded interferers keeps the column order, so the tagged
-    # user stays column 0; a draw leaves the loop once it is decoded.
+    pre, ridge = _scale_and_ridge(xi, snr, rx)
+    gram = stacked_gram(h)
+    if ridge is not None:
+        step = np.arange(n)
+        gram[step, step] += ridge.T
+    # The draws still decoding and, per draw, its remaining users in their
+    # original order, so the tagged user stays column 0 of every stage.
     rows = np.arange(b)
+    cols = np.arange(n)[None].repeat(b, axis=0)
     tagged = np.zeros(b)
-    while len(rows):
-        gams = _batched_linear_sinrs(h, xi, snr, rx)
+    while True:
+        low, clear = cholesky_lower(gram)
+        with np.errstate(divide="ignore"):
+            gams = pre * xi / inverse_diagonal(low)
+        if ridge is not None:
+            gams = np.maximum(gams - 1.0, 0.0)
+        # A draw with a pivot at or below PIVOT_RATIO_MIN has near-dependent
+        # columns, where the Gram form has lost up to twice the digits of a
+        # least-squares solve on H, so it takes the projector form.
+        clear = clear.all(axis=0)
+        if not clear.all():
+            bad = np.nonzero(~clear)[0]
+            sub = np.take_along_axis(h[rows[bad]], cols[bad, None, :], axis=2)
+            gams[bad] = _projector_sinrs(
+                sub, xi[bad], pre,
+                None if ridge is None else ridge[rows[bad, None], cols[bad]])
+        if not rx.sic:
+            return gams[:, 0]
         pick = np.argmax(gams, axis=1)    # ties go to the lowest index
         done = pick == 0
         tagged[rows[done]] = gams[done, 0]
-        go = ~done
-        rows = rows[go]
-        k = h.shape[-1]
-        keep = np.arange(k) != pick[go, None]
-        cols = np.nonzero(keep)[1].reshape(len(rows), k - 1)
-        h = np.take_along_axis(h[go], cols[:, None, :], axis=2)
-        xi = np.take_along_axis(xi[go], cols, axis=1)
-    return tagged
+        go = np.nonzero(~done)[0]
+        if not len(go):
+            return tagged
+        # Flat gathers keep, for each draw that goes on, the k - 1 stage
+        # positions it has not decoded: its xi and users, and the rows and
+        # columns of its Gram.
+        k, stack = len(gram), len(rows)
+        keep = np.arange(k - 1) + (np.arange(k - 1) >= pick[go, None])
+        at = go[:, None] * k + keep
+        rows, cols, xi = rows[go], cols.ravel()[at], xi.ravel()[at]
+        keep = keep.T * stack
+        gram = gram.ravel()[(keep * k)[:, None] + (keep + go)[None]]

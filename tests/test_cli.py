@@ -396,12 +396,46 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
      "power_control must be a list, not None"),
     ("custom", {**OUTAGE_RUN, "receivers": 5}, "receivers must be a list, not 5"),
     ("custom", {**OUTAGE_RUN, "receivers": [5]}, "cannot parse receiver name 5"),
+    # A value of another kind than its default's is refused, not coerced.
+    ("custom", {**OUTAGE_RUN, "seed": 1.7}, "seed must be an integer, not 1.7"),
+    ("custom", {**OUTAGE_RUN, "trials": 1000.9},
+     "trials must be an integer, not 1000.9"),
+    ("custom", {**OUTAGE_RUN, "m-rx": 2.7}, "m_rx must be an integer, not 2.7"),
+    ("custom", {**OUTAGE_RUN, "n-users": 2.9},
+     "n_users must be an integer, not 2.9"),
+    ("custom", {**OUTAGE_RUN, "gain-trials": 10.5},
+     "gain_trials must be an integer, not 10.5"),
+    ("custom", {**OUTAGE_RUN, "asymptote": "no"},
+     "asymptote must be true or false, not 'no'"),
+    ("custom", {**OUTAGE_RUN, "m-rx": True, "receivers": ["wl-zf"]},
+     "m_rx must be an integer, not True"),
+    ("custom", {**OUTAGE_RUN, "trials": "lots"},
+     "trials must be an integer, not 'lots'"),
+    ("custom", {**OUTAGE_RUN, "seed": "lots"}, "seed must be an integer, not 'lots'"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1.5], "user-grid": [64]},
+     "m_rx entries must be an integer, not 1.5"),
+    ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": [64.9]},
+     "user_grid entries must be an integer, not 64.9"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):
+    # A case's `seed` and `trials` are the config's top-level fields.
+    top = {key: options[key] for key in ("seed", "trials") if key in options}
     trials = {"trials": 1000} if "trials" in keywords(experiment) else {}
     assert_refused_before_any_draw(tmp_path, capsys, named, {
-        "experiment": experiment, "seed": 3, **trials, "options": options})
+        "experiment": experiment, "seed": 3, **trials, **top,
+        "options": {key: v for key, v in options.items() if key not in top}})
+
+
+def test_options_take_values_of_their_default_kind():
+    # A rate or grid default of floats takes ints too; a name list takes
+    # one name; flags, counts and lists take their own kind.
+    ExperimentConfig("custom", trials=1000, options={
+        "m_rx": 2, "n_users": 2, "rate": 2, "snr_db": [10, 20.5],
+        "receivers": "wl-zf", "power_control": ["ppc"], "asymptote": False,
+        "gain_trials": 1000})
+    ExperimentConfig("fig4-mmtc-drop", options={"ttis": 1000, "m_rx": [1, 2],
+                                                "user_grid": [64, 128]})
 
 
 @pytest.mark.parametrize("experiment", ["custom", "fig2-wl-outage"])

@@ -330,6 +330,12 @@ def lstsq_sinrs(h, xi, pre, ridge=None):
     return out
 
 
+def one_draw_projector(h, xi, pre, ridge=None):
+    """The package's projector-form SINRs of one draw, as a stack of one."""
+    return _projector_sinrs(h[None], xi[None], pre,
+                            None if ridge is None else ridge[None])[0]
+
+
 def dependent_stack(family, m, n):
     """12 draws whose interferers 1 and 2 share a column, with their powers."""
     hbar = sample_channel(m, n, np.random.default_rng(50), size=12)
@@ -434,9 +440,68 @@ def test_least_squares_fallback_matches_reference(family, criterion):
     for _ in range(20):
         h, xi = random_instance(rng, m_rx=3, n_users=3, family=family)
         ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
-        got = _projector_sinrs(h, xi, pre, ridge)
+        got = one_draw_projector(h, xi, pre, ridge)
         expect = reference(h, xi, SNR, family, criterion)
         np.testing.assert_allclose(got, expect, rtol=1e-9)
+
+
+@pytest.mark.parametrize("family,criterion", LINEAR)
+def test_stacked_projector_matches_per_draw_calls(family, criterion):
+    # One stacked SVD gives each draw the numbers a stack of one gives it,
+    # bit for bit, whatever else shares its stack: regular draws, repeated
+    # columns and near-dependent ones, ridge rows included for MMSE.
+    rng = np.random.default_rng(57)
+    m, n = (2, 4) if family == "wl" else (3, 3)
+    parts = [near_dependent_stack(family, m, n, eps, rng, 8)
+             for eps in (1.0, 0.0, 1e-7)]
+    h = np.concatenate([p[0] for p in parts])
+    xi = np.concatenate([p[1] for p in parts])
+    pre = 2.0 * SNR if family == "wl" else SNR
+    ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
+
+    def rows(a, z):
+        return _projector_sinrs(h[a:z], xi[a:z], pre,
+                                None if ridge is None else ridge[a:z])
+
+    whole = rows(0, len(h))
+    assert whole.shape == (len(h), n)
+    each = [one_draw_projector(h[i], xi[i], pre,
+                               None if ridge is None else ridge[i])
+            for i in range(len(h))]
+    np.testing.assert_array_equal(np.array(each), whole)
+    split = [rows(a, z) for a, z in [(0, 5), (5, 17), (17, 24)]]
+    np.testing.assert_array_equal(np.concatenate(split), whole)
+
+
+@pytest.mark.parametrize("family,criterion", LINEAR)
+def test_projector_single_user_is_matched_filter(family, criterion):
+    # With no interferer there is nothing to project out and no ridge row.
+    rng = np.random.default_rng(58)
+    hbar = sample_channel(2, 1, rng, size=6)
+    h = wl_transform(hbar) if family == "wl" else hbar
+    xi = rng.uniform(0.3, 2.0, (6, 1))
+    pre = 2.0 * SNR if family == "wl" else SNR
+    ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
+    got = _projector_sinrs(h, xi, pre, ridge)
+    expect = pre * xi * np.sum(np.abs(h) ** 2, axis=1)
+    np.testing.assert_allclose(got, expect, rtol=1e-14)
+
+
+@pytest.mark.parametrize("family,criterion", LINEAR)
+def test_stacked_projector_on_dependent_interferers_matches_lstsq(family,
+                                                                  criterion):
+    # Interferers 1 and 2 share a column: ZF needs lstsq's rank cutoff to
+    # drop the repeated direction, and MMSE's ridge rows keep it regular.
+    pre = 2.0 * SNR if family == "wl" else SNR
+    for m, n in {"wl": [(2, 4), (2, 3)], "cl": [(3, 3)]}[family]:
+        h, xi = dependent_stack(family, m, n)
+        xi = np.broadcast_to(xi, (len(h), n))
+        ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
+        got = _projector_sinrs(h, xi, pre, ridge)
+        for i in range(len(h)):
+            expect = lstsq_sinrs(h[i], xi[i], pre,
+                                 None if ridge is None else ridge[i])
+            np.testing.assert_allclose(got[i], expect, rtol=1e-9, atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -525,6 +590,69 @@ def test_batched_draws_do_not_depend_on_their_stack(family, criterion, sic):
     np.testing.assert_array_equal(split, whole)
 
 
+def gram_per_stage_sic_tagged(h, xi, snr, rx):
+    """User 0's decode-stage SINR under greedy SIC, by a loop that forms
+    the Gram of the remaining columns from scratch at every stage.
+
+    Each stage takes `stacked_gram` of the reduced channel, adds the ridge
+    of the remaining powers, and gives each draw that fails the pivot test
+    its projector form on its own.
+    """
+    pre = DIMS[rx.family] * snr
+    xi = np.broadcast_to(xi, (len(h), h.shape[-1]))
+    rows = np.arange(len(h))
+    tagged = np.zeros(len(h))
+    while len(rows):
+        k = h.shape[-1]
+        gram = stacked_gram(h)
+        ridge = 1.0 / (pre * xi) if rx.criterion == "mmse" else None
+        if ridge is not None:
+            gram[np.arange(k), np.arange(k)] += ridge.T
+        low, clear = cholesky_lower(gram)
+        with np.errstate(divide="ignore"):
+            gams = pre * xi / inverse_diagonal(low)
+        if ridge is not None:
+            gams = np.maximum(gams - 1.0, 0.0)
+        for i in np.nonzero(~clear.all(axis=0))[0]:
+            gams[i] = one_draw_projector(h[i], xi[i], pre,
+                                         None if ridge is None else ridge[i])
+        pick = np.argmax(gams, axis=1)
+        done = pick == 0
+        tagged[rows[done]] = gams[done, 0]
+        rows, h, xi, pick = rows[~done], h[~done], xi[~done], pick[~done]
+        keep = np.arange(k) != pick[:, None]
+        cols = np.nonzero(keep)[1].reshape(len(rows), k - 1)
+        h = np.take_along_axis(h, cols[:, None, :], axis=2)
+        xi = np.take_along_axis(xi, cols, axis=1)
+    return tagged
+
+
+SIC_RECEIVERS = [(f, c, True) for f, c in LINEAR]
+
+
+@pytest.mark.parametrize("family,criterion,sic", SIC_RECEIVERS)
+@pytest.mark.parametrize("stack", ["regular", "repeated", "near"])
+@pytest.mark.parametrize("snr_db", [15.0, 90.0])
+def test_sic_sub_gram_stages_match_gram_per_stage_loop(family, criterion, sic,
+                                                       stack, snr_db):
+    # A stage's principal sub-Gram holds the numbers the Gram of its
+    # reduced channel would, so every tagged SINR is bit-identical.  At
+    # 90 dB the MMSE ridge is too small to clear the near-dependent draws,
+    # so the projector form runs inside the stages too.
+    rng = np.random.default_rng(59)
+    m, n = (2, 4) if family == "wl" else (3, 3)
+    if stack == "repeated":
+        h, xi = dependent_stack(family, m, n)
+    else:
+        h, xi = near_dependent_stack(family, m, n,
+                                     1.0 if stack == "regular" else 1e-7,
+                                     rng, 40)
+    snr = 10.0 ** (snr_db / 10.0)
+    rx = ReceiverSpec(family, criterion, sic=sic)
+    np.testing.assert_array_equal(batched_tagged_sinr(h, xi, snr, rx),
+                                  gram_per_stage_sic_tagged(h, xi, snr, rx))
+
+
 def near_stack_and_ridge(family, m, n, eps, snr, criterion, rng, size):
     """A near-dependent stack, its SINR prefactor and its MMSE ridge, after
     checking that no draw of it clears the pivot test."""
@@ -549,8 +677,8 @@ def test_near_dependent_draws_take_the_projector_form(family, m, n, criterion,
         family, m, n, 1e-5, snr, criterion, np.random.default_rng(55), 50)
     got = batched_tagged_sinr(h, xi, snr, ReceiverSpec(family, criterion))
     for i in range(len(h)):
-        expect = _projector_sinrs(h[i], xi[i], pre,
-                                  None if ridge is None else ridge[i])
+        expect = one_draw_projector(h[i], xi[i], pre,
+                                    None if ridge is None else ridge[i])
         assert got[i] == expect[0]
 
 
