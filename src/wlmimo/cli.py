@@ -16,10 +16,11 @@ keyword-only parameters of its runner, with their defaults; the top-level
 refused, and so is a value of another kind than its default's.  A runner
 checks every value, SNR grids included (`outage_analysis.snr_grid`),
 before its first draw, and returns its
-tables without writing anything; `run` writes the CSVs and then the
-sidecar once the runner has returned.  So a bad value (`ConfigError`, exit
-status 2) and an estimate the draws cannot form (`EstimateError`, one line
-on stderr and exit status 1) both leave the output directory as it was.
+tables without writing anything; `run` forms the config hash before the
+runner draws, and writes the CSVs and then the sidecar once the runner has
+returned.  So a bad value (`ConfigError`, exit status 2), a config the hash
+cannot dump, and an estimate the draws cannot form (`EstimateError`, one
+line on stderr and exit status 1) all leave the output directory as it was.
 """
 
 from __future__ import annotations
@@ -285,6 +286,8 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
         specs = [parse_receiver(name) for name in names]
         for rx in specs:
             diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
+            if asymptote and rx.sic and rx.family == "wl":
+                beta1(n_users, 2 * m_rx)                 # refuses 2M > 64
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):
@@ -323,6 +326,8 @@ def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
         for panel, n_wl, n_cl, rate in FIG3_PANELS:
             for family, n in (("wl", n_wl), ("cl", n_cl)):
                 diversity_order(m_rx, n, family)    # refuses N > D M
+                if family == "wl":
+                    beta1(n, 2 * m_rx)                  # refuses 2M > 64
                 curves.append((panel, family, LinkConfig(
                     m_rx=m_rx, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
     tables = {}
@@ -421,7 +426,10 @@ def list_experiments() -> str:
 
 def run(cfg: ExperimentConfig) -> list[str]:
     """Execute one experiment, then write its CSVs and its sidecar; returns
-    their names.  A runner that raises leaves `out_dir` as it was."""
+    their names.  The config hash is formed before the runner draws, so a
+    config it cannot dump, like a runner that raises, leaves `out_dir` as
+    it was."""
+    digest = config_hash(cfg)
     trials = {} if cfg.trials is None else {"trials": cfg.trials}
     tables, counts = EXPERIMENTS[cfg.experiment][0](cfg, **cfg.options, **trials)
     out = Path(cfg.out_dir)
@@ -436,7 +444,7 @@ def run(cfg: ExperimentConfig) -> list[str]:
         "experiment": cfg.experiment,
         "seed": cfg.seed,
         **counts,
-        "config_hash": config_hash(cfg),
+        "config_hash": digest,
         "version": __version__,
         "files": files,
     }

@@ -11,9 +11,12 @@ matrix H'H with n = N, m = 2M) and M - N + 1 for CL.  A rate target R
 translates into the SINR threshold gamma_T = 2^(D R) - 1
 (:func:`wlmimo.receivers.threshold`).
 
-Coding gains involve expectations over the received-power profile xi, the
-high-SNR MMSE residual eta, and squared entries of Haar-distributed unit
-vectors; all are Monte Carlo evaluated with a reported standard error.
+One routine, :func:`gain_for`, gives every receiver's coding gain as
+C = K [E w]^(-1/d), a prefactor K times a d-th moment E w over the
+received-power profile xi, the high-SNR MMSE residual eta, and squared
+entries of Haar-distributed unit vectors; the moment is Monte Carlo
+evaluated with a reported standard error.  The MMSE-SIC bracket bounds C
+from both sides, and under PPC the two bounds coincide in the exact C.
 eta is drawn without a channel, from the Bartlett factor of the
 interferers' channel (:func:`residual_interference_samples`), for
 N <= D M users.
@@ -186,25 +189,22 @@ def asymptote_curve(gain: GainSummary, snr_db) -> np.ndarray:
     return (gain.coding_gain * snr) ** (-gain.diversity)
 
 
-def _heavy(weights: np.ndarray) -> bool:
-    if len(weights) <= HEAVY_TAIL_TOP:
-        return False
-    top = np.sort(weights)[-HEAVY_TAIL_TOP:]
-    return bool(top.sum() > HEAVY_TAIL_SHARE * weights.sum())
-
-
-def _moment_to_scale(weights: np.ndarray, d: float) -> tuple[float, float, bool]:
-    """Turn samples of a d-th moment into ([E w]^(-1/d), its stderr, flag)."""
-    mean = float(weights.mean())
+def _gain(rx: ReceiverSpec, d: float, pre: float, w: np.ndarray,
+          **bounds) -> GainSummary:
+    """C = pre [E w]^(-1/d) from samples w of a d-th moment, with the
+    moment's standard error carried to C, and the heavy-tail flag."""
+    mean = float(w.mean())
     if mean <= 0:
         raise EstimateError(
             "moment estimate vanished; all samples clipped (increase gain_trials "
             "or the rate target)"
         )
-    se = float(weights.std(ddof=1) / math.sqrt(len(weights)))
+    se = float(w.std(ddof=1) / math.sqrt(len(w)))
     scale = mean ** (-1.0 / d)
-    scale_se = scale / (d * mean) * se
-    return scale, scale_se, _heavy(weights)
+    heavy = len(w) > HEAVY_TAIL_TOP and bool(
+        np.sort(w)[-HEAVY_TAIL_TOP:].sum() > HEAVY_TAIL_SHARE * w.sum())
+    return GainSummary(rx, d, pre * scale, stderr=pre * (scale / (d * mean) * se),
+                       heavy_tail=heavy, **bounds)
 
 
 def residual_interference_samples(
@@ -256,136 +256,80 @@ def residual_interference_samples(
     return out
 
 
-def linear_gains(
-    cfg: LinkConfig, rx: ReceiverSpec, trials: int, rng: np.random.Generator
-) -> GainSummary:
-    """Diversity and coding gain of the linear receivers, WL and CL.
-
-        C_ZF   = k (d Gamma(d))^(1/d) / gamma_T * [E{xi^-d}]^(-1/d)
-        C_MMSE = same prefactor with [E{([1/xi - eta/gamma_T]^+)^d}]^(-1/d)
-
-    with k = D, 2 for WL and 1 for CL; d and gamma_T follow the family
-    (:func:`diversity_order`, :func:`wlmimo.receivers.threshold`).  Under
-    PPC the ZF expectation is the constant xi_ppc and the result is exact
-    (stderr 0).
-    """
-    if rx.sic:
-        raise ValueError("linear_gains needs a linear receiver spec")
-    d = diversity_order(cfg.m_rx, cfg.n_users, rx.family)
-    gamma_t = threshold(rx.family, cfg.rate)
-    pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
-    if rx.criterion == "zf" and cfg.power_control == "ppc":
-        return GainSummary(rx, d, pre * cfg.xi_ppc)
-    if rx.criterion == "zf":
-        weights = sample_large_scale(cfg, trials, rng) ** (-d)
-    else:
-        xi = (np.full(trials, cfg.xi_ppc) if cfg.power_control == "ppc"
-              else sample_large_scale(cfg, trials, rng))
-        eta = residual_interference_samples(cfg, rx.family, trials, rng)
-        weights = np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d
-    scale, scale_se, heavy = _moment_to_scale(weights, d)
-    return GainSummary(rx, d, pre * scale, stderr=pre * scale_se, heavy_tail=heavy)
-
-
-def _haar_squared(n: int, trials: int, rng, kind: str) -> np.ndarray:
-    v = sample_haar_unit_vector(n, rng, size=trials, kind=kind)
-    return np.abs(v) ** 2
-
-
-def sic_gains(
-    cfg: LinkConfig,
-    rx: ReceiverSpec,
-    trials: int,
-    rng: np.random.Generator,
-) -> GainSummary:
-    """Coding gains of the SIC receivers (diversity is unchanged by SIC).
-
-    ZF-SIC averages theta_min^d with theta_n = v_n^2 / xi_n over Haar
-    vectors v and independent power profiles.  MMSE-SIC under PPC has the
-    closed bracket [u_min - 1/(gamma_T+1)]^+ (the bound pair coincides
-    there, making it exact).  As u_min <= 1/N surely, that bracket is
-    positive with positive probability exactly when N < gamma_T + 1; else
-    (small rates) the reported constant is the residual-based lower bound.
-    Without power control the headline constant averages vartheta_min^+
-    with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T) and the (lower, upper)
-    fields carry the computable bound pair; `upper` is None where that
-    bracket vanishes on every draw, i.e. there is no finite upper bound.
-    """
-    if not rx.sic:
-        raise ValueError("sic_gains needs a SIC receiver spec")
-    n = cfg.n_users
-    d = diversity_order(cfg.m_rx, n, rx.family)
-    gamma_t = threshold(rx.family, cfg.rate)
-    if rx.family == "wl":
-        # beta1(N, 2M)^(-1/d), the real Wishart constant
-        broot, kind = beta1(n, 2 * cfg.m_rx) ** (-1.0 / d), "real"
-    else:
-        # The complex Wishart constant cancels against E{mu^d}, where
-        # mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so
-        # E{mu^d} = Gamma(1+d) Gamma(N) / Gamma(N+d) exactly.
-        log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
-        broot = math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
-        kind = "complex"
-
-    squared = _haar_squared(n, trials, rng, kind)        # (trials, N)
-    xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
-
-    if rx.criterion == "zf":
-        theta_min = np.min(squared / xi, axis=1)
-        scale, se, heavy = _moment_to_scale(theta_min ** d, d)
-        c = broot / gamma_t * scale
-        return GainSummary(rx, d, c, stderr=broot / gamma_t * se, heavy_tail=heavy)
-
-    if cfg.power_control == "ppc" and n < gamma_t + 1.0:
-        # The bound pair coincides under PPC, so this closed bracket is the
-        # exact constant; a sample with no positive draw refuses.
-        u_min = np.min(squared, axis=1)
-        w = np.clip(u_min - 1.0 / (gamma_t + 1.0), 0.0, None) ** d
-        scale, se, heavy = _moment_to_scale(w, d)
-        pre = broot * cfg.xi_ppc / (gamma_t + 1.0)
-        return GainSummary(rx, d, pre * scale, stderr=pre * se,
-                           heavy_tail=heavy)
-    # Otherwise (small rates) the bracket clips to zero surely: the outage
-    # decays faster than snr^-d and no finite exact constant exists at this
-    # order.  The residual-based lower bound below stays finite.
-
-    eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
-    eta = eta.reshape(trials, n)
-    vartheta_min = np.min(squared * (1.0 / xi - eta / gamma_t), axis=1)
-    w = np.clip(vartheta_min, 0.0, None) ** d
-    scale, se, heavy = _moment_to_scale(w, d)
-    headline = broot / gamma_t * scale
-    if cfg.power_control == "ppc":
-        return GainSummary(rx, d, headline, stderr=broot / gamma_t * se,
-                           heavy_tail=heavy)
-
-    # Bound pair: subtracting the larger 1/xi_min shrinks the bracket and
-    # raises C (upper bound); subtracting 1/xi_max does the opposite.
-    theta_min = np.min(squared / xi, axis=1)
-    ub_w = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0), 0.0, None) ** d
-    lb_w = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0), 0.0, None) ** d
-    pre = broot / (gamma_t + 1.0)
-    # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
-    # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
-    upper = pre * _moment_to_scale(ub_w, d)[0] if ub_w.any() else None
-    lower = pre * _moment_to_scale(lb_w, d)[0]
-    return GainSummary(
-        rx, d, headline,
-        lower=lower, upper=upper,
-        stderr=broot / gamma_t * se, heavy_tail=heavy,
-    )
-
-
 def gain_for(
     cfg: LinkConfig,
     rx: ReceiverSpec,
     trials: int,
     rng: np.random.Generator,
 ) -> GainSummary:
-    """Dispatch to the right gain routine for a receiver spec."""
+    """Diversity d and coding gain C of any receiver spec, WL or CL.
+
+    Every C is K [E w]^(-1/d) for `trials` samples w of a d-th moment; D,
+    d and gamma_T follow the family (:func:`diversity_order`,
+    :func:`wlmimo.receivers.threshold`):
+
+    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC the
+      moment is xi_ppc^-d and C is exact (stderr 0).
+    * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.
+    * SIC (diversity unchanged): K carries b = beta1(N, 2M)^(-1/d) for WL;
+      for CL the complex Wishart constant cancels against E{mu^d}, where
+      mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so b
+      is closed.  ZF-SIC takes K = b / gamma_T, w = theta_min^d with
+      theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles.
+    * MMSE-SIC: the bracket [theta_min - (1/xi_min)/(gamma_T+1)]^+ with
+      K = b / (gamma_T+1) bounds C from above, and with xi_max from below.
+      At constant xi (PPC) the pair coincides, so the bracket is the exact
+      C; as min_n v_n^2 <= 1/N surely, it is positive with positive
+      probability exactly when N < gamma_T + 1.  Otherwise the headline is
+      the residual-based K = b / gamma_T, w = ([vartheta_min]^+)^d with
+      vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), and without power
+      control `lower`/`upper` carry the bound pair; `upper` is None where
+      the upper bracket vanishes on every draw (no finite upper bound).
+
+    SIC draws the Haar vectors, then the profile, then eta where the
+    headline reads it.
+    """
     if trials < MIN_GAIN_TRIALS:
         raise ValueError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
                          f"not {trials}")
-    if rx.sic:
-        return sic_gains(cfg, rx, trials, rng)
-    return linear_gains(cfg, rx, trials, rng)
+    n = cfg.n_users
+    d = diversity_order(cfg.m_rx, n, rx.family)
+    gamma_t = threshold(rx.family, cfg.rate)
+    ppc = cfg.power_control == "ppc"
+    if not rx.sic:
+        pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
+        if rx.criterion == "zf" and ppc:
+            return GainSummary(rx, d, pre * cfg.xi_ppc)
+        if rx.criterion == "zf":
+            return _gain(rx, d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
+        xi = np.full(trials, cfg.xi_ppc) if ppc else sample_large_scale(cfg, trials, rng)
+        eta = residual_interference_samples(cfg, rx.family, trials, rng)
+        return _gain(rx, d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
+
+    if rx.family == "wl":
+        broot, kind = beta1(n, 2 * cfg.m_rx) ** (-1.0 / d), "real"
+    else:
+        log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
+        broot = math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
+        kind = "complex"
+    squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
+    xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
+    if rx.criterion == "zf":
+        return _gain(rx, d, broot / gamma_t, np.min(squared / xi, axis=1) ** d)
+
+    pre, bounds = broot / (gamma_t + 1.0), {}
+    if not ppc or n < gamma_t + 1.0:
+        theta_min = np.min(squared / xi, axis=1)
+        upper = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0),
+                        0.0, None) ** d
+        if ppc:             # a sample with no positive draw refuses
+            return _gain(rx, d, pre, upper)
+        lower = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0),
+                        0.0, None) ** d
+        # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
+        # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
+        bounds = {"lower": _gain(rx, d, pre, lower).coding_gain,
+                  "upper": _gain(rx, d, pre, upper).coding_gain if upper.any() else None}
+    eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
+    vartheta_min = np.min(squared * (1.0 / xi - eta.reshape(trials, n) / gamma_t), axis=1)
+    return _gain(rx, d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d, **bounds)

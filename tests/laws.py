@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from wlmimo.outage_analysis import _haar_squared
+from wlmimo.random_matrix import sample_haar_unit_vector
 
 
 def coding_gain_ratio(rate: float) -> float:
@@ -51,6 +51,10 @@ class MomentRatio:
     @property
     def ci95(self) -> tuple[float, float]:
         return self.ratio - 1.96 * self.stderr, self.ratio + 1.96 * self.stderr
+
+
+def _haar_squared(n: int, trials: int, rng, kind: str) -> np.ndarray:
+    return np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
 
 
 def moment_ratio_check(

@@ -33,10 +33,8 @@ from wlmimo.outage_analysis import (
     asymptote_curve,
     diversity_order,
     gain_for,
-    linear_gains,
     outage_mc,
     residual_interference_samples,
-    sic_gains,
 )
 from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import ReceiverSpec, batched_tagged_sinr
@@ -180,12 +178,12 @@ def test_zf_gain_ratio_follows_rate_law():
     ok = True
     parts = []
     for rate in (0.3, 2.0, 4.0):
-        wl = linear_gains(LinkConfig(2, 3, 1.0, rate, power_control="ppc"),
-                          ReceiverSpec("wl", "zf"), 1_000_000,
-                          derive_rng(SEED, "gain-ratio", "wl", str(rate)))
-        cl = linear_gains(LinkConfig(2, 2, 1.0, rate, power_control="ppc"),
-                          ReceiverSpec("cl", "zf"), 1_000_000,
-                          derive_rng(SEED, "gain-ratio", "cl", str(rate)))
+        wl = gain_for(LinkConfig(2, 3, 1.0, rate, power_control="ppc"),
+                      ReceiverSpec("wl", "zf"), 1_000_000,
+                      derive_rng(SEED, "gain-ratio", "wl", str(rate)))
+        cl = gain_for(LinkConfig(2, 2, 1.0, rate, power_control="ppc"),
+                      ReceiverSpec("cl", "zf"), 1_000_000,
+                      derive_rng(SEED, "gain-ratio", "cl", str(rate)))
         assert wl.diversity == cl.diversity == 1.0
         assert wl.stderr == cl.stderr == 0.0  # both exact under PPC
         ratio = wl.coding_gain / cl.coding_gain
@@ -247,13 +245,13 @@ def test_sic_gain_ratio_trend_at_low_rate():
     floors, ratios = [], []
     for n_cl in (2, 3, 4):
         m = n_cl
-        wl = sic_gains(LinkConfig(m, 2 * n_cl - 1, 1.0, rate,
-                                  power_control="ppc"),
-                       ReceiverSpec("wl", "zf", sic=True), trials=200_000,
-                       rng=derive_rng(SEED, "sic-ratio", "wl", n_cl))
-        cl = sic_gains(LinkConfig(m, n_cl, 1.0, rate, power_control="ppc"),
-                       ReceiverSpec("cl", "zf", sic=True), trials=200_000,
-                       rng=derive_rng(SEED, "sic-ratio", "cl", n_cl))
+        wl = gain_for(LinkConfig(m, 2 * n_cl - 1, 1.0, rate,
+                                 power_control="ppc"),
+                      ReceiverSpec("wl", "zf", sic=True), trials=200_000,
+                      rng=derive_rng(SEED, "sic-ratio", "wl", n_cl))
+        cl = gain_for(LinkConfig(m, n_cl, 1.0, rate, power_control="ppc"),
+                      ReceiverSpec("cl", "zf", sic=True), trials=200_000,
+                      rng=derive_rng(SEED, "sic-ratio", "cl", n_cl))
         assert wl.diversity == cl.diversity == 1.0
         floors.append(coding_gain_ratio(rate) * (2 * n_cl - 1) / n_cl)
         ratios.append(wl.coding_gain / cl.coding_gain)

@@ -12,6 +12,7 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -202,6 +203,21 @@ def test_meta_sidecar_records_resolved_default_counts(tmp_path):
     for name in meta["files"]:
         assert ((tmp_path / "d" / name).read_bytes()
                 == (tmp_path / "e" / name).read_bytes())
+
+
+def test_run_refuses_a_config_it_cannot_hash_before_any_draw(tmp_path,
+                                                            monkeypatch):
+    # A numpy count passes the option checks, but the sidecar's YAML cannot
+    # dump it; the run refuses before its first stream and writes nothing.
+    monkeypatch.setattr("wlmimo.cli.derive_rng",
+                        lambda *key: pytest.fail(f"drew from {key}"))
+    cfg = ExperimentConfig("custom", seed=1, trials=1000,
+                           out_dir=str(tmp_path / "out"), options={
+                               "m_rx": np.int64(2), "n_users": 2,
+                               "snr_db": [10.0], "gain_trials": 1000})
+    with pytest.raises(yaml.representer.RepresenterError):
+        run(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 # experiment -> (trials, options) of a small run
@@ -416,6 +432,10 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
      "m_rx entries must be an integer, not 1.5"),
     ("fig4-mmtc-drop", {"ttis": 1000, "m-rx": [1], "user-grid": [64.9]},
      "user_grid entries must be an integer, not 64.9"),
+    # WL-SIC gains need beta1(N, 2M), which takes 2M <= 64.
+    ("custom", {**OUTAGE_RUN, "m-rx": 33, "receivers": ["wl-zf", "wl-zf-sic"]},
+     "m <= 64, got n=2, m=66"),
+    ("fig3-wl-vs-cl", {"m-rx": 33}, "m <= 64, got n=2, m=66"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):

@@ -18,10 +18,8 @@ from wlmimo.outage_analysis import (
     asymptote_curve,
     diversity_order,
     gain_for,
-    linear_gains,
     outage_mc,
     residual_interference_samples,
-    sic_gains,
 )
 from wlmimo.random_matrix import sample_channel, wl_transform
 from wlmimo.receivers import DIMS, ReceiverSpec, threshold
@@ -34,8 +32,8 @@ def ppc_cfg(m_rx, n_users, rate, snr=100.0):
 
 def zf_ppc_gain(cfg, family="wl"):
     """ZF gain under PPC: exact, so the sample count and stream go unused."""
-    return linear_gains(cfg, ReceiverSpec(family, "zf"), 1_000_000,
-                        derive_rng(0, "zf-ppc"))
+    return gain_for(cfg, ReceiverSpec(family, "zf"), 1_000_000,
+                    derive_rng(0, "zf-ppc"))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,7 @@ def test_linear_gain_ratio_is_exact_at_matched_diversity(rate):
 def test_wl_mmse_gain_beats_zf():
     cfg = ppc_cfg(2, 4, 2.0)
     rng = derive_rng(1005, "mmse-gain")
-    g = linear_gains(cfg, ReceiverSpec("wl", "mmse"), 200_000, rng)
+    g = gain_for(cfg, ReceiverSpec("wl", "mmse"), 200_000, rng)
     assert g.coding_gain == pytest.approx(0.158, rel=0.05)
     assert g.coding_gain > zf_ppc_gain(cfg).coding_gain
     assert g.stderr > 0
@@ -226,7 +224,7 @@ def test_wl_mmse_gain_beats_zf():
 def test_cl_mmse_gain_beats_zf():
     cfg = ppc_cfg(2, 2, 2.0)
     rng = derive_rng(1005, "cl-mmse-gain")
-    g = linear_gains(cfg, ReceiverSpec("cl", "mmse"), 200_000, rng)
+    g = gain_for(cfg, ReceiverSpec("cl", "mmse"), 200_000, rng)
     assert g.coding_gain > zf_ppc_gain(cfg, "cl").coding_gain
     assert g.stderr > 0
 
@@ -237,15 +235,15 @@ def test_mmse_gain_equals_zf_when_no_interference():
     for family in ("wl", "cl"):
         rng = derive_rng(1006, "single")
         zf = zf_ppc_gain(cfg, family)
-        mmse = linear_gains(cfg, ReceiverSpec(family, "mmse"), 2_000, rng)
+        mmse = gain_for(cfg, ReceiverSpec(family, "mmse"), 2_000, rng)
         assert mmse.coding_gain == pytest.approx(zf.coding_gain, rel=1e-12)
 
 
 def test_wl_zf_sic_gain_reference_value():
     cfg = ppc_cfg(2, 4, 2.0)
     rng = derive_rng(1007, "zsic")
-    g = sic_gains(cfg, ReceiverSpec("wl", "zf", sic=True), trials=300_000,
-                  rng=rng)
+    g = gain_for(cfg, ReceiverSpec("wl", "zf", sic=True), trials=300_000,
+                 rng=rng)
     assert g.coding_gain == pytest.approx(0.9716, rel=0.03)
     assert g.coding_gain > zf_ppc_gain(cfg).coding_gain
 
@@ -253,8 +251,8 @@ def test_wl_zf_sic_gain_reference_value():
 def test_wl_mmse_sic_gain_reference_value():
     cfg = ppc_cfg(2, 4, 2.0)
     rng = derive_rng(1008, "msic")
-    g = sic_gains(cfg, ReceiverSpec("wl", "mmse", sic=True), trials=300_000,
-                  rng=rng)
+    g = gain_for(cfg, ReceiverSpec("wl", "mmse", sic=True), trials=300_000,
+                 rng=rng)
     assert g.coding_gain == pytest.approx(19.42, rel=0.05)
     assert g.lower is None and g.upper is None
 
@@ -270,8 +268,8 @@ def test_sic_equals_linear_for_single_user():
         cfg = ppc_cfg(m, 1, 2.0)
         rng = derive_rng(1009, "collapse", m)
         zf = zf_ppc_gain(cfg)
-        zsic = sic_gains(cfg, ReceiverSpec("wl", "zf", sic=True),
-                         trials=2_000, rng=rng)
+        zsic = gain_for(cfg, ReceiverSpec("wl", "zf", sic=True),
+                        trials=2_000, rng=rng)
         assert zsic.coding_gain == pytest.approx(zf.coding_gain, rel=1e-9)
 
 
@@ -280,8 +278,8 @@ def test_ppc_small_rate_sic_falls_back_to_residual_bound():
     constant must stay finite and come without a bound pair."""
     cfg = ppc_cfg(2, 3, 0.3)
     rng = derive_rng(1010, "degenerate")
-    g = sic_gains(cfg, ReceiverSpec("wl", "mmse", sic=True), trials=50_000,
-                  rng=rng)
+    g = gain_for(cfg, ReceiverSpec("wl", "mmse", sic=True), trials=50_000,
+                 rng=rng)
     assert math.isfinite(g.coding_gain) and g.coding_gain > 0
     assert g.lower is None and g.upper is None
 
@@ -293,7 +291,7 @@ def test_ppc_mmse_sic_refuses_an_open_bracket_no_sample_reached(seed):
     # miss it.  The residual lower bound (~5.9) would be a quietly wrong C.
     rx = ReceiverSpec("cl", "mmse", sic=True)
     with pytest.raises(EstimateError, match="increase gain_trials"):
-        sic_gains(ppc_cfg(2, 2, 1 + 1e-6), rx, 200_000, derive_rng(seed, "x"))
+        gain_for(ppc_cfg(2, 2, 1 + 1e-6), rx, 200_000, derive_rng(seed, "x"))
 
 
 @pytest.mark.parametrize("family, n, rate, value, exact", [
@@ -301,13 +299,14 @@ def test_ppc_mmse_sic_refuses_an_open_bracket_no_sample_reached(seed):
     ("cl", 2, 0.5, 37.78291572815889, None),    # N > gamma_T + 1: residual bound
     ("wl", 3, 2.0, 1.4297844242804043, None),
     ("wl", 3, 0.3, 451.40789642560867, None),
+    ("wl", 4, 2.0, 19.675181893764552, None),   # fig2's PPC WL-MMSE-SIC
 ])
 def test_ppc_mmse_sic_keeps_its_value_away_from_the_bracket_boundary(
         family, n, rate, value, exact):
     # `value` is what the sampled bracket test gave on these draws; the
     # CL closed bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2.
-    g = sic_gains(ppc_cfg(2, n, rate), ReceiverSpec(family, "mmse", sic=True),
-                  20_000, derive_rng(0, "bracket"))
+    g = gain_for(ppc_cfg(2, n, rate), ReceiverSpec(family, "mmse", sic=True),
+                 20_000, derive_rng(0, "bracket"))
     assert g.coding_gain == pytest.approx(value, rel=1e-12)
     if exact is not None:
         assert abs(g.coding_gain - exact) < 4 * g.stderr
@@ -316,10 +315,14 @@ def test_ppc_mmse_sic_keeps_its_value_away_from_the_bracket_boundary(
 def test_uncontrolled_mmse_sic_reports_bound_pair():
     cfg = LinkConfig(m_rx=2, n_users=3, snr=100.0, rate=2.0)
     rng = derive_rng(1011, "bounds")
-    g = sic_gains(cfg, ReceiverSpec("wl", "mmse", sic=True), trials=50_000,
-                  rng=rng)
+    g = gain_for(cfg, ReceiverSpec("wl", "mmse", sic=True), trials=50_000,
+                 rng=rng)
     assert g.lower is not None and g.upper is not None
     assert g.lower <= g.upper
+    # The headline and the bound pair these draws give, pinned to 1e-12.
+    assert g.coding_gain == pytest.approx(5.141453961401396e-12, rel=1e-12)
+    assert g.lower == pytest.approx(5.066412914257087e-12, rel=1e-12)
+    assert g.upper == pytest.approx(5.219621021413891e-11, rel=1e-12)
 
 
 @pytest.mark.parametrize("m", [3, 2])
@@ -328,8 +331,8 @@ def test_uncontrolled_mmse_sic_without_finite_upper_bound(m):
     # v_n^2 above 1/2, so it vanishes on every draw; the headline and the
     # lower bound stay finite.
     cfg = LinkConfig(m_rx=m, n_users=2, snr=1.0, rate=1.0)
-    g = sic_gains(cfg, ReceiverSpec("cl", "mmse", sic=True), 20_000,
-                  derive_rng(1012, "no-upper", m))
+    g = gain_for(cfg, ReceiverSpec("cl", "mmse", sic=True), 20_000,
+                 derive_rng(1012, "no-upper", m))
     assert math.isfinite(g.coding_gain) and g.coding_gain > 0
     assert g.lower is not None and math.isfinite(g.lower) and g.lower > 0
     assert g.upper is None
@@ -344,18 +347,13 @@ def test_gain_for_dispatches_by_spec():
     sic = gain_for(cfg, ReceiverSpec("cl", "zf", sic=True), trials=2_000,
                    rng=derive_rng(1, "b"))
     assert sic.receiver.sic
-    with pytest.raises(ValueError):
-        linear_gains(cfg, ReceiverSpec("wl", "zf", sic=True), 2_000,
-                     derive_rng(1, "c"))
-    with pytest.raises(ValueError):
-        sic_gains(cfg, ReceiverSpec("wl", "zf"), 2_000, derive_rng(1, "c"))
 
 
 def test_heavy_tail_flag_trips_on_wild_shadowing():
     cfg = LinkConfig(m_rx=2, n_users=1, snr=100.0, rate=2.0,
                      shadow_sigma_db=30.0)
     rng = derive_rng(1012, "heavy")
-    g = linear_gains(cfg, ReceiverSpec("wl", "zf"), 50_000, rng)
+    g = gain_for(cfg, ReceiverSpec("wl", "zf"), 50_000, rng)
     assert g.heavy_tail is True
 
 
