@@ -5,6 +5,8 @@ Each experiment writes one CSV per curve plus a metadata sidecar
 with defaults filled in (`trials`, `gain_trials`, `ttis`, whichever the
 experiment has), a hash of the normalized config, the package version, and
 the list of files produced.
+The simulators return the events they count; one helper here writes each
+count as its proportion p and the 95% Wilson interval of p.
 Identical config and seed always reproduce byte-identical CSVs: every
 curve draws from its own stream derived from (seed, experiment, curve id),
 so curves never perturb each other and can run in any order.
@@ -45,7 +47,7 @@ from .mmtc_sim import MIN_TTIS, MmtcConfig, half_tti_mode, run_scenario
 from .montecarlo import EstimateError, derive_rng, wilson_interval
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
                               diversity_order, gain_for, outage_mc, snr_grid)
-from .receivers import ReceiverSpec
+from .receivers import ReceiverSpec, threshold
 from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalue
 
 __all__ = [
@@ -204,6 +206,15 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
+def _wl_sic_domain(m_rx: int, n_users: int) -> None:
+    """beta1(N, 2M)'s refusal of a WL-SIC asymptote, naming the options."""
+    try:
+        beta1(n_users, 2 * m_rx)
+    except ValueError as exc:
+        raise ValueError(f"{exc}: the WL-SIC asymptote takes n = n_users = "
+                         f"{n_users} and m = 2 m_rx = {2 * m_rx}") from exc
+
+
 def _distinct(name: str, values, kind=None) -> list:
     """A list option, or one name, whose entries as `kind` differ."""
     values = [values] if isinstance(values, str) else values
@@ -228,6 +239,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _proportion(events, trials: int):
+    """The written columns of an event count, or of an array of them: the
+    proportion events / trials and its 95% Wilson interval.  A point with
+    no trials, an mMTC population that offered no packet, is 0, 0, 0."""
+    if not trials:
+        return 0.0, 0.0, 0.0
+    return events / trials, *wilson_interval(events, trials)
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -239,15 +259,15 @@ def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
               points=8) -> tuple[dict, dict]:
     with _config_values(cfg):
         points = _at_least("points", points, 1)
+    header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
     tables = {}
     for k, n, m in FIG1_CASES:
         rng = derive_rng(cfg.seed, "fig1", k, n, m)
         lam = np.sort(sample_kth_eigenvalue(k, n, m, trials, rng))
         probs = np.logspace(-4, -2, points)
         eps = np.quantile(lam, probs)
-        counts = np.searchsorted(lam, eps, side="right")
-        cdf = counts / trials
-        lo, hi = wilson_interval(counts, trials)
+        cdf, lo, hi = _proportion(np.searchsorted(lam, eps, side="right"),
+                                  trials)
         d = diversity_exponent(k, n, m)
         if k == 1:
             intercept = beta1(n, m)
@@ -256,11 +276,7 @@ def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
             # the polynomial law with a fitted intercept instead.
             intercept = float(np.exp(np.mean(np.log(cdf) - d * np.log(eps))))
         asym = intercept * eps ** d
-        rows = [
-            (k, n, m, eps[i], cdf[i], lo[i], hi[i], asym[i])
-            for i in range(len(eps))
-        ]
-        header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
+        rows = [(k, n, m, *row) for row in zip(eps, cdf, lo, hi, asym)]
         tables[f"fig1-k{k}-n{n}-m{m}.csv"] = (header, rows)
     return tables, {"trials": trials}
 
@@ -286,8 +302,9 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
         specs = [parse_receiver(name) for name in names]
         for rx in specs:
             diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
+            threshold(rx.family, rate)                   # refuses a huge rate
             if asymptote and rx.sic and rx.family == "wl":
-                beta1(n_users, 2 * m_rx)                 # refuses 2M > 64
+                _wl_sic_domain(m_rx, n_users)
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):
@@ -299,7 +316,7 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
                 p_asym = [asymptote_curve(gain, snr_db)]
             curve = outage_mc(rx, link, snr_db, trials,
                               derive_rng(cfg.seed, prefix, mode, name, "curve"))
-            rows = zip(snr_db, curve.p_out, curve.ci_lo, curve.ci_hi, *p_asym)
+            rows = zip(snr_db, *_proportion(curve.events, trials), *p_asym)
             tables[f"{prefix}-{mode}-{name}.csv"] = (header, list(rows))
     counts = {"trials": trials}
     if asymptote:
@@ -327,7 +344,7 @@ def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
             for family, n in (("wl", n_wl), ("cl", n_cl)):
                 diversity_order(m_rx, n, family)    # refuses N > D M
                 if family == "wl":
-                    beta1(n, 2 * m_rx)                  # refuses 2M > 64
+                    _wl_sic_domain(m_rx, n)
                 curves.append((panel, family, LinkConfig(
                     m_rx=m_rx, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
     tables = {}
@@ -377,9 +394,8 @@ def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
         for sc in scenarios:
             rng = derive_rng(cfg.seed, prefix, m, family, int(half), sc.users)
             res = run_scenario(sc, ttis, rng)
-            drop = res.drop_prob
-            rows.append((sc.users, family, half, drop.value, drop.ci_lo,
-                         drop.ci_hi, res.throughput))
+            rows.append((sc.users, family, half,
+                         *_proportion(res.dropped, res.offered), res.throughput))
         tag = f"{family}-half" if half else family
         tables[f"{prefix}-{tag}-m{m}.csv"] = (header, rows)
     return tables, {"ttis": ttis}

@@ -29,7 +29,6 @@ from numbers import Integral
 import numpy as np
 
 from .link_model import check_large_scale, sample_large_scale
-from .montecarlo import Estimate, wilson_interval
 from .receivers import DIMS, threshold
 
 __all__ = [
@@ -129,7 +128,7 @@ def half_tti_mode(cfg: MmtcConfig) -> MmtcConfig:
 
 @dataclass(frozen=True)
 class MmtcResult:
-    """Aggregated outcome of one scenario run."""
+    """Aggregated outcome of one scenario run: packet counts and throughput."""
 
     config: MmtcConfig
     ttis: int
@@ -137,7 +136,6 @@ class MmtcResult:
     decoded: int
     dropped_overload: int
     dropped_outage: int
-    drop_prob: Estimate
     throughput: float   # bits/s/Hz over the whole system band
     max_decoded_collision: int
 
@@ -153,7 +151,8 @@ class MmtcResult:
 
 
 def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcResult:
-    """Simulate `ttis` slots and aggregate drop and throughput statistics.
+    """Count the packets offered, decoded and dropped over `ttis` slots, and
+    the throughput; the CLI writes the drop rate with its Wilson interval.
 
     Fully vectorized: slots are processed in chunks of `TTI_CHUNK`, the
     packets sharing each (slot, tone) cell are counted with one bincount
@@ -210,25 +209,15 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
                 )
         start += nt
 
-    decoded = int(decoded_per_tti.sum())
-    dropped = dropped_overload + dropped_outage
-    if offered > 0:
-        lo, hi = wilson_interval(dropped, offered)
-        p = dropped / offered
-        drop = Estimate(p, math.sqrt(max(p * (1 - p), 0.0) / offered), lo, hi)
-    else:
-        drop = Estimate(0.0, 0.0, 0.0, 0.0)
-
     slot_s = cfg.tti_ms / 1000.0
     per_slot = decoded_per_tti * cfg.packet_bits / (slot_s * cfg.bandwidth_hz)
     return MmtcResult(
         config=cfg,
         ttis=ttis,
         offered=offered,
-        decoded=decoded,
+        decoded=int(decoded_per_tti.sum()),
         dropped_overload=dropped_overload,
         dropped_outage=dropped_outage,
-        drop_prob=drop,
         throughput=float(per_slot.mean()),
         max_decoded_collision=max_decoded_collision,
     )

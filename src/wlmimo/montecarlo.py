@@ -8,12 +8,9 @@ and tasks can be reordered or parallelized without changing results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "Estimate",
     "EstimateError",
     "derive_rng",
     "wilson_interval",
@@ -68,17 +65,3 @@ def wilson_interval(successes, trials: int):
     if s.ndim == 0:
         return float(lo), float(hi)
     return lo, hi
-
-
-@dataclass(frozen=True)
-class Estimate:
-    """A Monte Carlo point estimate with a 95% confidence interval."""
-
-    value: float
-    stderr: float
-    ci_lo: float
-    ci_hi: float
-
-    def __post_init__(self):
-        if not (self.ci_lo <= self.value <= self.ci_hi):
-            raise ValueError("estimate must lie inside its own interval")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .link_model import LinkConfig, sample_large_scale, sample_power_profile
-from .montecarlo import EstimateError, wilson_interval
+from .montecarlo import EstimateError
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from .receivers import DIMS, ReceiverSpec, batched_tagged_sinr, threshold
 from .stacked import abs2
@@ -91,21 +91,12 @@ def snr_grid(snr_db) -> np.ndarray:
 
 @dataclass(frozen=True)
 class OutageCurve:
-    """Simulated outage of the tagged user over an SNR grid, with CIs."""
+    """Tagged-user outage events over an SNR grid, of `trials` draws each;
+    the CLI writes each count as a proportion with its Wilson interval."""
 
     snr_db: np.ndarray
-    p_out: np.ndarray
-    ci_lo: np.ndarray
-    ci_hi: np.ndarray
+    events: np.ndarray
     trials: int
-
-    def __post_init__(self):
-        for name in ("p_out", "ci_lo", "ci_hi"):
-            arr = np.asarray(getattr(self, name))
-            if arr.shape != np.shape(self.snr_db):
-                raise ValueError(f"{name} does not match the grid")
-            if np.any((arr < 0) | (arr > 1)):
-                raise ValueError(f"{name} must stay within [0, 1]")
 
 
 def outage_mc(
@@ -115,12 +106,13 @@ def outage_mc(
     trials: int,
     rng: np.random.Generator,
 ) -> OutageCurve:
-    """Tagged-user outage probability across an SNR grid.
+    """Count the tagged user's outage events at each point of an SNR grid;
+    the CLI writes each count as a proportion with its Wilson interval.
 
     Per draw the channel, the power profile, and (for SIC) the decode order
     are resampled; user 0 is the tagged user (users are exchangeable).
     Outage is SINR strictly below the rate threshold, so a zero-rate target
-    yields probability zero.  The grid is checked by :func:`snr_grid`.
+    counts no event.  The grid is checked by :func:`snr_grid`.
     """
     snr_db = snr_grid(snr_db)
     if trials < MIN_TRIALS:
@@ -140,15 +132,7 @@ def outage_mc(
             sinr = batched_tagged_sinr(h, xi, snr, rx)
             counts[i] += int(np.count_nonzero(sinr < gamma_t))
             done += b
-    p = counts / trials
-    lo, hi = wilson_interval(counts, trials)
-    return OutageCurve(
-        snr_db=snr_db,
-        p_out=p,
-        ci_lo=lo,
-        ci_hi=hi,
-        trials=trials,
-    )
+    return OutageCurve(snr_db, counts, trials)
 
 
 # ---------------------------------------------------------------------------

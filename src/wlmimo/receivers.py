@@ -66,7 +66,11 @@ CRITERIA = ("zf", "mmse")
 
 def threshold(family: str, rate: float) -> float:
     """SINR threshold of one stream at rate R bits/s/Hz: 2^(D R) - 1."""
-    return 2.0 ** (DIMS[family] * rate) - 1.0
+    try:
+        return 2.0 ** (DIMS[family] * float(rate)) - 1.0
+    except OverflowError:
+        raise ValueError(f"rate {rate} is too large: the {family.upper()} "
+                         f"threshold 2^({DIMS[family]} R) overflows") from None
 
 
 @dataclass(frozen=True)

@@ -137,8 +137,9 @@ def wl_zf_outage_curve():
 
 def test_outage_simulation_tracks_asymptote(wl_zf_outage_curve):
     curve, p_asym, elapsed = wl_zf_outage_curve
-    band = (curve.p_out >= 1e-2) & (curve.p_out <= 1e-1)
-    ratios = curve.p_out[band] / p_asym[band]
+    p_out = curve.events / curve.trials
+    band = (p_out >= 1e-2) & (p_out <= 1e-1)
+    ratios = p_out[band] / p_asym[band]
     ok = (int(band.sum()) >= 3
           and bool(np.all((ratios >= 1 / 1.5) & (ratios <= 1.5)))
           and elapsed <= 1200.0)
@@ -158,7 +159,8 @@ def test_wl_outage_decay_matches_claimed_exponent(wl_zf_outage_curve):
     # (test_decay_order_relations), the paper's "same diversity with nearly
     # double the users"; the former 2M - (N-1)/2 exceeds M at N = 1.
     curve, _, _ = wl_zf_outage_curve
-    fit = fit_diversity(curve.snr_db, curve.p_out, trials=curve.trials)
+    fit = fit_diversity(curve.snr_db, curve.events / curve.trials,
+                        trials=curve.trials)
     m, n = 2, 4
     expected = (2 * m - n + 1) / 2
     assert diversity_order(m, n, "wl") == expected
@@ -227,7 +229,7 @@ def test_zf_sic_keeps_slope_and_lifts_gain():
         rx = ReceiverSpec("wl", "zf", sic=sic)
         rng = derive_rng(SEED, "sic-curve", int(sic))
         curve = outage_mc(rx, cfg, grid, trials=400_000, rng=rng)
-        fits[sic] = fit_diversity(curve.snr_db, curve.p_out,
+        fits[sic] = fit_diversity(curve.snr_db, curve.events / curve.trials,
                                   trials=curve.trials)
     shift_db = 10.0 * math.log10(fits[True].c_hat / fits[False].c_hat)
     ok = (abs(fits[True].d_hat - fits[False].d_hat) <= 0.15

@@ -305,6 +305,20 @@ def test_mmtc_run_formats_booleans(tmp_path):
     assert rows[0][2] == "false"
 
 
+def test_mmtc_point_with_nothing_offered_writes_zeros(tmp_path):
+    # No packet is offered at 0 users, nor at 1 user in 1000 slots at seed
+    # 1: the drop rate and its interval are written as 0.0 on both rows.
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "fig4-mmtc-drop", "seed": 1, "out-dir": str(tmp_path),
+        "options": {"ttis": 1000, "m-rx": [1], "user-grid": [0, 1]}})
+    assert main(["run", str(p)]) == 0
+    for name in ("fig4-wl-m1.csv", "fig4-cl-m1.csv", "fig4-cl-half-m1.csv"):
+        header, rows = read_csv(tmp_path / name)
+        cols = [header.index(key) for key in ("drop_prob", "ci_lo", "ci_hi")]
+        assert [row[0] for row in rows] == ["0", "1"]
+        assert [[row[i] for i in cols] for row in rows] == [["0.0"] * 3] * 2
+
+
 # ---------------------------------------------------------------------------
 # Command-line entry point
 # ---------------------------------------------------------------------------
@@ -359,6 +373,8 @@ def test_main_bad_config(tmp_path, capsys):
 OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
               "power-control": "ppc", "receivers": ["wl-zf", "cl-zf"],
               "gain-trials": 1000}
+M_RX_33 = ("m <= 64, got n=2, m=66: the WL-SIC asymptote takes "
+           "n = n_users = 2 and m = 2 m_rx = 66")
 
 
 @pytest.mark.parametrize("experiment, options, named", [
@@ -434,8 +450,11 @@ OUTAGE_RUN = {"m-rx": 2, "n-users": 2, "rate": 1.0, "snr-db": [10.0],
      "user_grid entries must be an integer, not 64.9"),
     # WL-SIC gains need beta1(N, 2M), which takes 2M <= 64.
     ("custom", {**OUTAGE_RUN, "m-rx": 33, "receivers": ["wl-zf", "wl-zf-sic"]},
-     "m <= 64, got n=2, m=66"),
-    ("fig3-wl-vs-cl", {"m-rx": 33}, "m <= 64, got n=2, m=66"),
+     M_RX_33),
+    ("fig3-wl-vs-cl", {"m-rx": 33}, M_RX_33),
+    # 2^(D R) - 1 overflows a float above R = 512 for WL.
+    ("custom", {**OUTAGE_RUN, "rate": 600, "receivers": ["wl-zf"],
+                "gain-trials": 100}, "rate 600 is too large"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):

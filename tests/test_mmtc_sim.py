@@ -16,8 +16,14 @@ from wlmimo.mmtc_sim import (
     operating_snr,
     run_scenario,
 )
-from wlmimo.montecarlo import Estimate, derive_rng
+from wlmimo.montecarlo import derive_rng, wilson_interval
 from wlmimo.receivers import DIMS, threshold
+
+
+def drop_rate(res):
+    """A run's drop proportion and its binomial standard error."""
+    p = res.dropped / res.offered
+    return p, math.sqrt(p * (1 - p) / res.offered)
 
 
 def wl_cfg(**kw):
@@ -118,7 +124,7 @@ def test_empty_population_produces_zeros():
     res = run_scenario(wl_cfg(users=0), 1000, derive_rng(1, "empty"))
     assert res.offered == 0
     assert res.decoded == 0
-    assert res.drop_prob.value == 0.0
+    assert res.dropped == 0
     assert res.throughput == 0.0
 
 
@@ -135,9 +141,10 @@ def test_single_user_drop_matches_closed_form():
     snr = operating_snr(cfg)
     truth = 1.0 - math.exp(-threshold(cfg.family, cfg.rate) / (2.0 * snr))
     assert res.dropped_overload == 0
-    se = max(res.drop_prob.stderr, 1e-6)
-    assert abs(res.drop_prob.value - truth) < 4 * se
-    assert res.drop_prob.ci_lo <= truth <= res.drop_prob.ci_hi
+    p, se = drop_rate(res)
+    assert abs(p - truth) < 4 * max(se, 1e-6)
+    lo, hi = wilson_interval(res.dropped, res.offered)
+    assert lo <= truth <= hi
 
 
 @pytest.mark.parametrize("family, n", [
@@ -156,7 +163,8 @@ def test_collision_drop_matches_zf_link_law(family, n):
     assert res.dropped_overload == 0
     assert res.max_decoded_collision == n
     assert 0.01 < truth < 0.99
-    assert abs(res.drop_prob.value - truth) < 4 * res.drop_prob.stderr
+    p, se = drop_rate(res)
+    assert abs(p - truth) < 4 * se
 
 
 def test_throughput_bookkeeping_identity():
@@ -214,20 +222,20 @@ def test_saturated_single_tone_overloads():
     cfg = flat_single_tone_cfg(users=8, family="cl", tx_power_dbm=23.0)
     res = run_scenario(cfg, 1_000, derive_rng(5, "overload"))
     assert res.dropped_overload > 0
-    assert res.drop_prob.value > 0.9
+    assert res.dropped / res.offered > 0.9
 
 
 def test_drop_grows_with_population():
     small = run_scenario(wl_cfg(users=2_000), 2_000, derive_rng(6, "mono", 0))
     large = run_scenario(wl_cfg(users=64_000), 2_000, derive_rng(6, "mono", 1))
-    assert large.drop_prob.value > small.drop_prob.value
+    assert drop_rate(large)[0] > drop_rate(small)[0]
 
 
 def test_half_tti_relieves_collision_pressure():
     base = MmtcConfig(users=50_000, m_rx=1, family="cl")
     full = run_scenario(base, 2_000, derive_rng(7, "half", 0))
     half = run_scenario(half_tti_mode(base), 2_000, derive_rng(7, "half", 1))
-    assert half.drop_prob.value < full.drop_prob.value
+    assert drop_rate(half)[0] < drop_rate(full)[0]
 
 
 def test_run_scenario_deterministic():
@@ -239,12 +247,11 @@ def test_run_scenario_deterministic():
 
 def test_result_validation():
     cfg = wl_cfg()
-    est = Estimate(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         MmtcResult(config=cfg, ttis=10, offered=5, decoded=3,
-                   dropped_overload=1, dropped_outage=0, drop_prob=est,
+                   dropped_overload=1, dropped_outage=0,
                    throughput=0.0, max_decoded_collision=1)
     with pytest.raises(ValueError):
         MmtcResult(config=cfg, ttis=10, offered=5, decoded=4,
-                   dropped_overload=1, dropped_outage=0, drop_prob=est,
+                   dropped_overload=1, dropped_outage=0,
                    throughput=0.0, max_decoded_collision=3)

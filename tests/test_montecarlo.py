@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from laws import default_fit_window, fit_diversity
-from wlmimo.montecarlo import Z95, Estimate, derive_rng, wilson_interval
+from wlmimo.montecarlo import Z95, derive_rng, wilson_interval
 
 
 def test_derive_rng_is_deterministic():
@@ -61,11 +61,6 @@ def test_wilson_coverage_is_nominal():
     lo, hi = wilson_interval(hits, n)
     coverage = np.mean((lo <= p) & (p <= hi))
     assert abs(coverage - 0.95) < 0.02
-
-
-def test_estimate_invariant_enforced():
-    with pytest.raises(ValueError):
-        Estimate(value=0.5, stderr=0.0, ci_lo=0.6, ci_hi=0.7)
 
 
 def test_fit_diversity_recovers_exact_power_law():

@@ -6,6 +6,7 @@ strong test; the rest pins shapes, closed-form special cases, marginal
 distributions, and the batched engine against the reference ops.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -64,11 +65,16 @@ def test_receiver_spec_labels():
 ], ids=["wl", "cl"])
 def test_dimension_factor_rules(family, dims, at_rate_2, near, capacity):
     """Threshold 2^(D R) - 1 and capacity D M, in the receivers and the
-    mMTC simulator alike: M antennas separate D M users, not one more."""
+    mMTC simulator alike: M antennas separate D M users, not one more.
+    2^(D R) overflows a float from D R = 1024 on, and is refused there."""
     assert DIMS[family] == dims
     assert threshold(family, 2.0) == at_rate_2
     for rate, gamma in near.items():
         assert threshold(family, rate) == pytest.approx(gamma)
+    assert math.isfinite(threshold(family, 1023.5 / dims))
+    for rate in (1024 // dims, np.float64(1024 // dims)):
+        with pytest.raises(ValueError, match=f"rate {rate} is too large"):
+            threshold(family, rate)
     rng = np.random.default_rng(31)
     for m_rx, users in capacity.items():
         assert MmtcConfig(users=1, m_rx=m_rx, family=family).capacity == users
