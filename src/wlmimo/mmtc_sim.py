@@ -11,7 +11,10 @@ every packet on them; packets on resolvable tones still face link outage,
 drawn from the exact per-user SINR law of the zero-forcing front end,
 snr xi D Gamma((D M - n + 1)/D), at the tone's operating SNR (23 dBm
 transmit power against the thermal noise of one tone), with an
-individually drawn pathloss/shadowing attenuation per packet.
+individually drawn pathloss/shadowing attenuation per packet.  Packets are
+not tracked one by one: the occupancy histogram of the (slot, tone) cells
+says how many packets sit in collisions of each size, and each size draws
+its gains in one batch (see :func:`run_scenario` for the draw order).
 
 CL devices can alternatively compress each packet into half a TTI at twice
 the rate ("half-TTI mode"), which halves the collision pressure per slot.
@@ -154,14 +157,18 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     """Count the packets offered, decoded and dropped over `ttis` slots, and
     the throughput; the CLI writes the drop rate with its Wilson interval.
 
-    Fully vectorized: slots are processed in chunks of `TTI_CHUNK`, the
-    packets sharing each (slot, tone) cell are counted with one bincount
-    over the chunk's cells, and link outages are drawn from the exact
-    marginal ZF SINR law snr xi D Gamma((D M - n + 1)/D) rather than
-    per-draw matrix factorizations.  Exactness note: drop
-    probability and throughput are expectations of per-packet indicators,
-    so the marginal law per packet is all that matters even though packets
-    colliding on one tone have dependent SINRs.
+    Slots are processed in chunks of `TTI_CHUNK`.  Each chunk draws its
+    arrivals and their tones, then reduces them to the occupancy histogram
+    of its (slot, tone) cells: h[n] cells hold n packets, so n h[n] packets
+    sit in collisions of size n.  Those above the capacity are dropped; the
+    resolvable ones get one attenuation xi each from a single
+    `sample_large_scale` call, then, size by size in ascending order, the
+    exact marginal ZF gain D Gamma(k/D) with k = D M - n + 1, drawn as
+    D Gamma(floor(k/D)) plus a squared standard normal when k/D is a
+    half-integer.  A packet is in outage when snr xi gain < gamma_T.
+    Exactness note: drop probability and throughput are expectations of
+    per-packet indicators, so the marginal law per packet is all that
+    matters even though packets colliding on one tone have dependent SINRs.
     """
     if ttis < MIN_TTIS:
         raise ValueError(f"need at least {MIN_TTIS} slots, not {ttis}")
@@ -169,55 +176,39 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     gamma_t = threshold(cfg.family, cfg.rate)
     dim = DIMS[cfg.family]
     cap = cfg.capacity
-    p_tx = cfg.tx_probability
 
-    decoded_per_tti = np.zeros(ttis)
-    offered = 0
-    dropped_overload = 0
-    dropped_outage = 0
+    offered = decoded = dropped_overload = dropped_outage = 0
     max_decoded_collision = 0
-
-    start = 0
-    while start < ttis:
-        nt = min(TTI_CHUNK, ttis - start)
-        arrivals = rng.binomial(cfg.users, p_tx, size=nt)
-        total = int(arrivals.sum())
-        offered += total
-        if total == 0:
-            start += nt
-            continue
-        slot = np.repeat(np.arange(nt), arrivals)
-        tone = rng.integers(0, cfg.tones, size=total)
-        key = slot * cfg.tones + tone
-        collision = np.bincount(key)[key]
-
-        resolvable = collision <= cap
-        dropped_overload += total - int(np.count_nonzero(resolvable))
-        n_ok = collision[resolvable]
-        if n_ok.size:
-            xi = sample_large_scale(cfg, n_ok.size, rng)
-            gain = dim * rng.standard_gamma((cap - n_ok + 1) / dim)
-            outage = snr * xi * gain < gamma_t
-            dropped_outage += int(np.count_nonzero(outage))
-            good_slots = slot[resolvable][~outage]
-            decoded_per_tti[start : start + nt] += np.bincount(
-                good_slots, minlength=nt
-            )
-            if np.any(~outage):
-                max_decoded_collision = max(
-                    max_decoded_collision, int(n_ok[~outage].max())
-                )
-        start += nt
+    for start in range(0, ttis, TTI_CHUNK):
+        arrivals = rng.binomial(cfg.users, cfg.tx_probability,
+                                size=min(TTI_CHUNK, ttis - start))
+        slot = np.repeat(np.arange(arrivals.size), arrivals)
+        tone = rng.integers(0, cfg.tones, size=slot.size)
+        h = np.bincount(np.bincount(slot * cfg.tones + tone), minlength=cap + 1)
+        packets = np.arange(h.size) * h
+        offered += slot.size
+        dropped_overload += int(packets[cap + 1 :].sum())
+        resolvable = packets[1 : cap + 1]
+        xi = sample_large_scale(cfg, int(resolvable.sum()), rng)
+        for n, xi_n in enumerate(np.split(xi, np.cumsum(resolvable)[:-1]), start=1):
+            k = cap - n + 1
+            gain = dim * rng.standard_gamma(k // dim, xi_n.size)
+            if k % dim:
+                gain += rng.standard_normal(xi_n.size) ** 2
+            outage = int(np.count_nonzero(snr * xi_n * gain < gamma_t))
+            dropped_outage += outage
+            decoded += xi_n.size - outage
+            if outage < xi_n.size:
+                max_decoded_collision = max(max_decoded_collision, n)
 
     slot_s = cfg.tti_ms / 1000.0
-    per_slot = decoded_per_tti * cfg.packet_bits / (slot_s * cfg.bandwidth_hz)
     return MmtcResult(
         config=cfg,
         ttis=ttis,
         offered=offered,
-        decoded=int(decoded_per_tti.sum()),
+        decoded=decoded,
         dropped_overload=dropped_overload,
         dropped_outage=dropped_outage,
-        throughput=float(per_slot.mean()),
+        throughput=decoded * cfg.packet_bits / (slot_s * cfg.bandwidth_hz * ttis),
         max_decoded_collision=max_decoded_collision,
     )

@@ -168,9 +168,15 @@ class GainSummary:
 
 
 def asymptote_curve(gain: GainSummary, snr_db) -> np.ndarray:
-    """(C * snr)^(-d) over a dB grid."""
-    snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
-    return (gain.coding_gain * snr) ** (-gain.diversity)
+    """(C * snr)^(-d) over a dB grid; EstimateError if a value overflows."""
+    with np.errstate(all="ignore"):
+        snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+        curve = (gain.coding_gain * snr) ** (-gain.diversity)
+    if not np.isfinite(curve).all():
+        raise EstimateError(
+            f"asymptote (C snr)^(-d) overflows a float: C = {gain.coding_gain:.3g}, "
+            f"d = {gain.diversity:g}")
+    return curve
 
 
 def _gain(rx: ReceiverSpec, d: float, pre: float, w: np.ndarray,

@@ -535,6 +535,22 @@ def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
     assert not (tmp_path / "new").exists()
 
 
+def test_main_refuses_an_asymptote_that_overflows(tmp_path, capsys):
+    # At rate 400 the PPC WL-ZF coding gain is about 1e-240, so (C snr)^(-d)
+    # overflows to inf at every SNR of the grid; that is no probability.
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 1, "out-dir": str(out),
+        "options": {"m-rx": 2, "n-users": 2, "rate": 400,
+                    "receivers": ["wl-zf"], "power-control": "ppc",
+                    "snr-db": [10.0, 60.0], "gain-trials": 100}})
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("custom: asymptote (C snr)^(-d) overflows")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_main_leaves_other_arithmetic_errors_to_the_traceback(tmp_path,
                                                                monkeypatch):
     # Only EstimateError is a refusal; any other ArithmeticError is a fault.

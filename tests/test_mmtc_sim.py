@@ -148,7 +148,7 @@ def test_single_user_drop_matches_closed_form():
 
 
 @pytest.mark.parametrize("family, n", [
-    ("wl", 1), ("wl", 2), ("wl", 3), ("cl", 1), ("cl", 2),
+    ("wl", 1), ("wl", 2), ("wl", 3), ("cl", 1), ("cl", 2), ("wl", 4),
 ])
 def test_collision_drop_matches_zf_link_law(family, n):
     """n saturated users on one tone, flat attenuation, M = 2: every slot
