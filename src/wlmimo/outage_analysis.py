@@ -169,8 +169,8 @@ class GainSummary:
 
 def asymptote_curve(gain: GainSummary, snr_db) -> np.ndarray:
     """(C * snr)^(-d) over a dB grid; EstimateError if a value overflows."""
-    with np.errstate(all="ignore"):
-        snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+    snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+    with np.errstate(over="ignore", divide="ignore"):
         curve = (gain.coding_gain * snr) ** (-gain.diversity)
     if not np.isfinite(curve).all():
         raise EstimateError(
