@@ -302,7 +302,7 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
         specs = [parse_receiver(name) for name in names]
         for rx in specs:
             diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
-            threshold(rx.family, rate)                   # refuses a huge rate
+            threshold(rx.family, rate)                   # refuses a huge or tiny rate
             if asymptote and rx.sic and rx.family == "wl":
                 _wl_sic_domain(m_rx, n_users)
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote

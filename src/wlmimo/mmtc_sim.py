@@ -1,6 +1,8 @@
 """Grant-free machine-type traffic over a narrowband multi-tone uplink.
 
-The system occupies 180 kHz split into 48 single tones of 3.75 kHz.  In
+The system occupies 180 kHz split into 48 single tones of 3.75 kHz, sends
+32-bit packets at 23 dBm and shares the cell of :class:`wlmimo.link_model.Cell`;
+the paper fixes these, so they are class constants of :class:`MmtcConfig`.  In
 every TTI each of the `users` devices independently wakes up with
 probability 1 - exp(-arrival_rate) (Poisson arrivals thinned to at most one
 packet per TTI) and transmits its packet on a uniformly chosen tone.  The
@@ -9,8 +11,8 @@ receiver can separate them: n <= D M, with the dimension factor D of
 :data:`wlmimo.receivers.DIMS` (2 for WL, 1 for CL).  Overloaded tones lose
 every packet on them; packets on resolvable tones still face link outage,
 drawn from the exact per-user SINR law of the zero-forcing front end,
-snr xi D Gamma((D M - n + 1)/D), at the tone's operating SNR (23 dBm
-transmit power against the thermal noise of one tone), with an
+snr xi D Gamma((D M - n + 1)/D), at the tone's operating SNR (the transmit
+power against the thermal noise of one tone), with an
 individually drawn pathloss/shadowing attenuation per packet.  Packets are
 not tracked one by one: the occupancy histogram of the (slot, tone) cells
 says how many packets sit in collisions of each size, and each size draws
@@ -28,10 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from numbers import Integral
+from typing import ClassVar
 
 import numpy as np
 
-from .link_model import check_large_scale, sample_large_scale
+from .link_model import Cell, sample_large_scale
 from .receivers import DIMS, threshold
 
 __all__ = [
@@ -51,7 +54,7 @@ TTI_CHUNK = 4096
 
 
 @dataclass(frozen=True)
-class MmtcConfig:
+class MmtcConfig(Cell):
     """One machine-type traffic scenario."""
 
     users: int
@@ -59,20 +62,17 @@ class MmtcConfig:
     family: str
     arrival_rate: float = 4.16e-4   # expected packets per user per TTI
     rate: float = 0.3               # per-user target rate, bits/s/Hz
-    tx_power_dbm: float = 23.0
-    tones: int = 48
-    subcarrier_hz: float = 3.75e3
     tti_ms: float = 32.0
-    packet_bits: int = 32
     half_tti: bool = False
-    cell_radius_km: float = 0.91
-    pathloss_intercept_db: float = -120.9
-    pathloss_slope_db: float = -37.6
-    shadow_sigma_db: float = 8.0
+
+    tx_power_dbm: ClassVar[float] = 23.0
+    tones: ClassVar[int] = 48
+    subcarrier_hz: ClassVar[float] = 3.75e3
+    packet_bits: ClassVar[int] = 32
 
     def __post_init__(self):
-        if not all(isinstance(v, Integral) for v in (self.users, self.m_rx, self.tones)):
-            raise ValueError("users, m_rx and tones must be integers")
+        if not all(isinstance(v, Integral) for v in (self.users, self.m_rx)):
+            raise ValueError("users and m_rx must be integers")
         if self.users < 0:
             raise ValueError("user count cannot be negative")
         if self.m_rx < 1:
@@ -80,13 +80,11 @@ class MmtcConfig:
         if self.family not in DIMS:
             raise ValueError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
-        check_large_scale(self, "tx_power_dbm", "subcarrier_hz", "rate", "tti_ms")
-        if self.tones < 1 or not self.subcarrier_hz > 0:
-            raise ValueError("need at least one tone of positive width")
+        for name in ("rate", "tti_ms"):           # NaN fails the test too
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not self.arrival_rate > 0:
             raise ValueError("arrival rate must be positive")
-        if not (self.rate > 0 and self.tti_ms > 0) or self.packet_bits < 1:
-            raise ValueError("rate, TTI and packet size must be positive")
         if self.half_tti and self.family != "cl":
             raise ValueError("half-TTI mode is defined for CL only")
 

@@ -60,6 +60,9 @@ RESIDUAL_BATCH = 1 << 14
 # gain_for accepts (a moment's standard error needs two).
 MIN_TRIALS = 1000
 MIN_GAIN_TRIALS = 2
+# Largest |SNR| in dB a grid may hold: beyond it the linear SNR under- or
+# overflows on the way through the kernel.
+MAX_SNR_DB = 300.0
 
 
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
@@ -80,12 +83,13 @@ def diversity_order(m_rx: int, n_users: int, family: str) -> float:
 # ---------------------------------------------------------------------------
 
 def snr_grid(snr_db) -> np.ndarray:
-    """An SNR grid in dB: a non-empty, finite, strictly ascending list."""
+    """An SNR grid in dB: a non-empty, strictly ascending list of points
+    within +-MAX_SNR_DB (NaN fails that test too)."""
     grid = np.array(snr_db, dtype=float)
-    if grid.ndim != 1 or not grid.size or not np.isfinite(grid).all() \
+    if grid.ndim != 1 or not grid.size or not (abs(grid) <= MAX_SNR_DB).all() \
             or (np.diff(grid) <= 0).any():
-        raise ValueError("snr_db must be a non-empty, finite, ascending list, "
-                         f"not {snr_db!r}")
+        raise ValueError(f"snr_db must be a non-empty, ascending list of points "
+                         f"within +-{MAX_SNR_DB:g} dB, not {snr_db!r}")
     return grid
 
 
@@ -111,8 +115,9 @@ def outage_mc(
 
     Per draw the channel, the power profile, and (for SIC) the decode order
     are resampled; user 0 is the tagged user (users are exchangeable).
-    Outage is SINR strictly below the rate threshold, so a zero-rate target
-    counts no event.  The grid is checked by :func:`snr_grid`.
+    Outage is SINR strictly below the rate threshold, which
+    :func:`wlmimo.receivers.threshold` keeps positive.  The grid is checked
+    by :func:`snr_grid`.
     """
     snr_db = snr_grid(snr_db)
     if trials < MIN_TRIALS:
@@ -258,8 +263,8 @@ def gain_for(
     d and gamma_T follow the family (:func:`diversity_order`,
     :func:`wlmimo.receivers.threshold`):
 
-    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC the
-      moment is xi_ppc^-d and C is exact (stderr 0).
+    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC
+      xi = 1, so C = K exactly (stderr 0).
     * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.
     * SIC (diversity unchanged): K carries b = beta1(N, 2M)^(-1/d) for WL;
       for CL the complex Wishart constant cancels against E{mu^d}, where
@@ -289,10 +294,10 @@ def gain_for(
     if not rx.sic:
         pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
         if rx.criterion == "zf" and ppc:
-            return GainSummary(rx, d, pre * cfg.xi_ppc)
+            return GainSummary(rx, d, pre)
         if rx.criterion == "zf":
             return _gain(rx, d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
-        xi = np.full(trials, cfg.xi_ppc) if ppc else sample_large_scale(cfg, trials, rng)
+        xi = np.ones(trials) if ppc else sample_large_scale(cfg, trials, rng)
         eta = residual_interference_samples(cfg, rx.family, trials, rng)
         return _gain(rx, d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
 

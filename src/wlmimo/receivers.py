@@ -65,12 +65,17 @@ CRITERIA = ("zf", "mmse")
 
 
 def threshold(family: str, rate: float) -> float:
-    """SINR threshold of one stream at rate R bits/s/Hz: 2^(D R) - 1."""
+    """SINR threshold of one stream at rate R bits/s/Hz: 2^(D R) - 1, refused
+    where it overflows or rounds to zero."""
     try:
-        return 2.0 ** (DIMS[family] * float(rate)) - 1.0
+        gamma_t = 2.0 ** (DIMS[family] * float(rate)) - 1.0
     except OverflowError:
         raise ValueError(f"rate {rate} is too large: the {family.upper()} "
                          f"threshold 2^({DIMS[family]} R) overflows") from None
+    if not gamma_t > 0:
+        raise ValueError(f"rate {rate} is too small: the {family.upper()} "
+                         f"threshold 2^({DIMS[family]} R) - 1 is not positive")
+    return gamma_t
 
 
 @dataclass(frozen=True)

@@ -455,6 +455,15 @@ M_RX_33 = ("m <= 64, got n=2, m=66: the WL-SIC asymptote takes "
     # 2^(D R) - 1 overflows a float above R = 512 for WL.
     ("custom", {**OUTAGE_RUN, "rate": 600, "receivers": ["wl-zf"],
                 "gain-trials": 100}, "rate 600 is too large"),
+    # ... and rounds to 1 below about R = 1e-16, which would leave gamma_T = 0.
+    ("custom", {"rate": 1.0e-17, "m-rx": 2, "n-users": 2,
+                "receivers": ["wl-zf", "wl-mmse-sic"], "power-control": ["ppc", "none"],
+                "snr-db": [10.0, 20.0], "gain-trials": 100},
+     "rate 1e-17 is too small"),
+    # The linear SNR of a point beyond 300 dB under- or overflows in the kernel.
+    ("custom", {"receivers": ["wl-mmse"], "power-control": "ppc", "asymptote": False,
+                "snr-db": [-4000.0]}, "snr_db must be"),
+    ("custom", {"receivers": ["wl-zf"], "snr-db": [10.0, 4000.0]}, "snr_db must be"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):

@@ -1,10 +1,13 @@
 """Tests for the cell geometry, attenuation law, and power profiles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
+from wlmimo.mmtc_sim import MmtcConfig
 
 
 def base_cfg(**kw):
@@ -20,14 +23,19 @@ def test_config_rejects_bad_scalars():
         base_cfg(rate=-1.0)
     with pytest.raises(ValueError):
         base_cfg(power_control="open-loop")
-    with pytest.raises(ValueError):
-        base_cfg(xi_ppc=0.0)
     # NaN passes every range test, and outage_mc would then count 0 or 1.
-    for name in ("rate", "snr", "xi_ppc", "cell_radius_km", "pathloss_intercept_db",
-                 "pathloss_slope_db", "shadow_sigma_db"):
+    for name in ("rate", "snr"):
         for value in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match=f"{name} must be finite"):
                 base_cfg(**{name: value})
+
+
+def test_configs_set_only_what_a_run_varies():
+    # The cell, the mMTC band, power and packet size are model constants.
+    assert [f.name for f in dataclasses.fields(LinkConfig)] == [
+        "m_rx", "n_users", "snr", "rate", "power_control"]
+    assert [f.name for f in dataclasses.fields(MmtcConfig)] == [
+        "users", "m_rx", "family", "arrival_rate", "rate", "tti_ms", "half_tti"]
 
 
 def test_pathloss_point_value():
@@ -53,9 +61,18 @@ def test_large_scale_mean_attenuation_db():
     assert mean_db == pytest.approx(expect, abs=0.15)
 
 
+class Unshadowed(LinkConfig):
+    shadow_sigma_db = 0.0
+
+
+class FlatPathloss(LinkConfig):
+    pathloss_intercept_db = 0.0
+    pathloss_slope_db = 0.0
+
+
 def test_large_scale_distance_law():
     # with shadowing off, the distance is recoverable and (r/R)^2 is uniform
-    cfg = base_cfg(shadow_sigma_db=0.0)
+    cfg = Unshadowed(m_rx=2, n_users=3, snr=100.0, rate=2.0)
     rng = np.random.default_rng(22)
     g = sample_large_scale(cfg, 50_000, rng)
     r = 10.0 ** ((10.0 * np.log10(g) - cfg.pathloss_intercept_db)
@@ -66,8 +83,8 @@ def test_large_scale_distance_law():
 
 def test_large_scale_shadowing_law():
     # flat pathloss isolates the shadowing term
-    cfg = base_cfg(pathloss_intercept_db=0.0, pathloss_slope_db=0.0,
-                   shadow_sigma_db=8.0)
+    cfg = FlatPathloss(m_rx=2, n_users=3, snr=100.0, rate=2.0)
+    assert cfg.shadow_sigma_db == 8.0
     rng = np.random.default_rng(23)
     g = sample_large_scale(cfg, 50_000, rng)
     db = 10.0 * np.log10(g)
@@ -75,14 +92,16 @@ def test_large_scale_shadowing_law():
 
 
 def test_power_profile_ppc_is_constant():
-    cfg = base_cfg(power_control="ppc", xi_ppc=0.25)
+    cfg = base_cfg(power_control="ppc")
     rng = np.random.default_rng(24)
+    state = rng.bit_generator.state
     xi = sample_power_profile(cfg, rng)
     assert xi.shape == (3,)
-    assert np.all(xi == 0.25)
+    assert np.all(xi == 1.0)
     batch = sample_power_profile(cfg, rng, size=6)
     assert batch.shape == (6, 3)
-    assert np.all(batch == 0.25)
+    assert np.all(batch == 1.0)
+    assert rng.bit_generator.state == state
 
 
 def test_power_profile_uncontrolled_shapes():

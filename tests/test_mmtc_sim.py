@@ -32,16 +32,33 @@ def wl_cfg(**kw):
     return MmtcConfig(**defaults)
 
 
-def flat_single_tone_cfg(**kw):
+class FlatSingleTone(MmtcConfig):
+    """One tone at -120 dBm with deterministic unit attenuation."""
+
+    tones = 1
+    tx_power_dbm = -120.0
+    pathloss_intercept_db = 0.0
+    pathloss_slope_db = 0.0
+    shadow_sigma_db = 0.0
+
+
+class FaintFlatSingleTone(FlatSingleTone):
+    tx_power_dbm = -140.0
+
+
+class LoudFlatSingleTone(FlatSingleTone):
+    tx_power_dbm = 23.0
+
+
+class FourTones(MmtcConfig):
+    tones = 4
+
+
+def flat_single_tone_cfg(kind=FlatSingleTone, **kw):
     """One user, one tone, deterministic unit attenuation, saturated arrivals."""
-    defaults = dict(
-        users=1, m_rx=1, family="wl", arrival_rate=20.0,
-        tones=1, subcarrier_hz=3.75e3,
-        tx_power_dbm=-120.0, pathloss_intercept_db=0.0,
-        pathloss_slope_db=0.0, shadow_sigma_db=0.0,
-    )
+    defaults = dict(users=1, m_rx=1, family="wl", arrival_rate=20.0)
     defaults.update(kw)
-    return MmtcConfig(**defaults)
+    return kind(**defaults)
 
 
 # ---------------------------------------------------------------------------
@@ -58,25 +75,19 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kw", [
-    dict(cell_radius_km=0.0),                 # every user at the keep-out
-    dict(cell_radius_km=float("nan")),
-    dict(tx_power_dbm=float("nan")),          # every outage test reads False
-    dict(tx_power_dbm=float("inf")),
-    dict(pathloss_intercept_db=float("nan")),
-    dict(pathloss_slope_db=float("-inf")),
-    dict(shadow_sigma_db=float("nan")),
-    dict(shadow_sigma_db=-1.0),
     dict(rate=float("nan")),
     dict(rate=float("inf")),                  # every packet in outage
-    dict(subcarrier_hz=float("inf")),         # an infinite band
     dict(tti_ms=float("nan")),
     dict(arrival_rate=float("nan")),
     dict(users=1000.7),
     dict(users=1000.0),
     dict(m_rx=1.5),
-    dict(tones=48.0),
-    dict(tones=0),
-    dict(subcarrier_hz=-3.75e3),
+    dict(m_rx=0),
+    dict(rate=0.0),
+    dict(tti_ms=0.0),
+    dict(tti_ms=float("inf")),                # a throughput of 0
+    dict(arrival_rate=0.0),
+    dict(arrival_rate=-1e-3),
 ])
 def test_config_refuses_quietly_wrong_inputs(kw):
     with pytest.raises(ValueError):
@@ -84,14 +95,16 @@ def test_config_refuses_quietly_wrong_inputs(kw):
 
 
 def test_config_accepts_numpy_integers():
-    cfg = wl_cfg(users=np.int64(1000), m_rx=np.int32(2), tones=np.int64(48))
+    cfg = wl_cfg(users=np.int64(1000), m_rx=np.int32(2))
     assert cfg.capacity == 4
+    assert FourTones(users=np.int64(1000), m_rx=1, family="wl").tones == 4
 
 
 def test_config_derived_properties():
     cfg = wl_cfg(m_rx=2)
     assert cfg.tx_probability == pytest.approx(1 - math.exp(-4.16e-4))
-    assert cfg.bandwidth_hz == 180e3 and wl_cfg(tones=4).bandwidth_hz == 15e3
+    assert cfg.bandwidth_hz == 180e3
+    assert FourTones(users=1000, m_rx=1, family="wl").bandwidth_hz == 15e3
 
 
 def test_operating_snr_budget():
@@ -154,8 +167,7 @@ def test_collision_drop_matches_zf_link_law(family, n):
     """n saturated users on one tone, flat attenuation, M = 2: every slot
     carries the same n-packet collision, so the drop probability is the
     exact ZF link law P(D Gamma((D M - n + 1)/D) < gamma_T / snr)."""
-    cfg = flat_single_tone_cfg(users=n, m_rx=2, family=family,
-                               tx_power_dbm=-140.0)
+    cfg = flat_single_tone_cfg(FaintFlatSingleTone, users=n, m_rx=2, family=family)
     res = run_scenario(cfg, 20_000, derive_rng(6, "link-law", family, n))
     d = DIMS[family]
     x = threshold(family, cfg.rate) / operating_snr(cfg)
@@ -202,8 +214,7 @@ def test_bookkeeping_across_chunk_boundary():
 def test_overload_count_matches_counter_oracle(family):
     """Replay the arrival and tone draws of a one-chunk run and count the
     occupancy of each (slot, tone) cell independently."""
-    cfg = MmtcConfig(users=2_000, m_rx=1, family=family, arrival_rate=0.01,
-                     tones=4)
+    cfg = FourTones(users=2_000, m_rx=1, family=family, arrival_rate=0.01)
     ttis = 1_000
     res = run_scenario(cfg, ttis, derive_rng(9, "oracle", family))
 
@@ -219,7 +230,7 @@ def test_overload_count_matches_counter_oracle(family):
 
 
 def test_saturated_single_tone_overloads():
-    cfg = flat_single_tone_cfg(users=8, family="cl", tx_power_dbm=23.0)
+    cfg = flat_single_tone_cfg(LoudFlatSingleTone, users=8, family="cl")
     res = run_scenario(cfg, 1_000, derive_rng(5, "overload"))
     assert res.dropped_overload > 0
     assert res.dropped / res.offered > 0.9

@@ -1,7 +1,6 @@
 """Tests for thresholds, exponents, outage simulation, and the gain formulas."""
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -343,9 +342,12 @@ def test_gain_for_dispatches_by_spec():
     assert sic.receiver.sic
 
 
+class WildShadowing(LinkConfig):
+    shadow_sigma_db = 30.0
+
+
 def test_heavy_tail_flag_trips_on_wild_shadowing():
-    cfg = LinkConfig(m_rx=2, n_users=1, snr=100.0, rate=2.0,
-                     shadow_sigma_db=30.0)
+    cfg = WildShadowing(m_rx=2, n_users=1, snr=100.0, rate=2.0)
     rng = derive_rng(1012, "heavy")
     g = gain_for(cfg, ReceiverSpec("wl", "zf"), 50_000, rng)
     assert g.heavy_tail is True
@@ -362,11 +364,11 @@ def test_residual_zero_for_single_user():
 
 
 def test_wl_residual_follows_f_law():
-    """(2M-N+2)/(N-1) xi eta is F-distributed under PPC."""
+    """(2M-N+2)/(N-1) eta is F-distributed under PPC, where xi = 1."""
     cfg = ppc_cfg(2, 3, 2.0)
     rng = derive_rng(1013, "fwl")
     eta = residual_interference_samples(cfg, "wl", 40_000, rng)
-    scaled = (2 * 2 - 3 + 2) / (3 - 1) * cfg.xi_ppc * eta
+    scaled = (2 * 2 - 3 + 2) / (3 - 1) * eta
     assert stats.kstest(scaled, stats.f(2, 3).cdf).pvalue > 0.01
 
 
@@ -374,7 +376,7 @@ def test_cl_residual_follows_f_law():
     cfg = ppc_cfg(3, 2, 2.0)
     rng = derive_rng(1014, "fcl")
     eta = residual_interference_samples(cfg, "cl", 40_000, rng)
-    scaled = (3 - 2 + 2) / (2 - 1) * cfg.xi_ppc * eta
+    scaled = (3 - 2 + 2) / (2 - 1) * eta
     assert stats.kstest(scaled, stats.f(2 * (2 - 1), 2 * (3 - 2 + 2)).cdf).pvalue > 0.01
 
 
@@ -454,15 +456,14 @@ def test_residual_matches_the_exact_oracle_on_near_singular_factors(
     chi2 = rng.uniform(0.5, 4.0, (k, b))
     chi2[0 if small == "first" else k - 1] *= eps ** 2
     normals = rng.standard_normal((k * (k + 1) // 2, b, parts))
-    cfg = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=1.0,
-                     power_control="ppc", xi_ppc=0.7)
+    cfg = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=1.0, power_control="ppc")
     got = residual_interference_samples(cfg, family, b, ReplayRng(chi2, normals))
     r, z, _ = replay_residual_batch(cfg, family, b, ReplayRng(chi2, normals))
     for i in range(b):
         rest = exact.as_fractions(exact.realify(r[i]))
         rhs = exact.as_fractions(exact.realify(z[i])[:, None])
         coef = [c for (c,) in exact.solve(rest, rhs)]
-        expect = float(sum(c * c for c in coef) / Fraction(0.7))
+        expect = float(sum(c * c for c in coef))        # over xi = 1
         assert abs(got[i] - expect) <= 1e-5 * expect
 
 

@@ -66,7 +66,8 @@ def test_receiver_spec_labels():
 def test_dimension_factor_rules(family, dims, at_rate_2, near, capacity):
     """Threshold 2^(D R) - 1 and capacity D M, in the receivers and the
     mMTC simulator alike: M antennas separate D M users, not one more.
-    2^(D R) overflows a float from D R = 1024 on, and is refused there."""
+    2^(D R) overflows a float from D R = 1024 on, and is refused there; a
+    rate so small that 2^(D R) rounds to 1 is refused too."""
     assert DIMS[family] == dims
     assert threshold(family, 2.0) == at_rate_2
     for rate, gamma in near.items():
@@ -74,6 +75,10 @@ def test_dimension_factor_rules(family, dims, at_rate_2, near, capacity):
     assert math.isfinite(threshold(family, 1023.5 / dims))
     for rate in (1024 // dims, np.float64(1024 // dims)):
         with pytest.raises(ValueError, match=f"rate {rate} is too large"):
+            threshold(family, rate)
+    assert threshold(family, 1e-15) > 0
+    for rate in (1e-17, 0.0):
+        with pytest.raises(ValueError, match=f"rate {rate} is too small"):
             threshold(family, rate)
     rng = np.random.default_rng(31)
     for m_rx, users in capacity.items():
