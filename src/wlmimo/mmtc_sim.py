@@ -12,11 +12,11 @@ receiver can separate them: n <= D M, with the dimension factor D of
 every packet on them; packets on resolvable tones still face link outage,
 drawn from the exact per-user SINR law of the zero-forcing front end,
 snr xi D Gamma((D M - n + 1)/D), at the tone's operating SNR (the transmit
-power against the thermal noise of one tone), with an
-individually drawn pathloss/shadowing attenuation per packet.  Packets are
-not tracked one by one: the occupancy histogram of the (slot, tone) cells
-says how many packets sit in collisions of each size, and each size draws
-its gains in one batch (see :func:`run_scenario` for the draw order).
+power against the thermal noise of one tone), with an individually drawn
+pathloss/shadowing attenuation per packet.  Packets are not tracked one by
+one: each (slot, tone) cell holds Binomial(users, p_tx / tones) packets, drawn
+independently, the tones of one slot too, and each size draws its gains in one
+batch (:func:`run_scenario` says why this is exact).
 
 CL devices can alternatively compress each packet into half a TTI at twice
 the rate ("half-TTI mode"), which halves the collision pressure per slot.
@@ -49,7 +49,7 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 # Fewest slots run_scenario accepts, for stable statistics.
 MIN_TTIS = 1000
 # Slots simulated per vectorised step.  The chunk length fixes how the
-# arrival, tone and fading draws interleave, so changing it changes results.
+# occupancy, attenuation and gain draws interleave, so changing it changes results.
 TTI_CHUNK = 4096
 
 
@@ -101,7 +101,7 @@ class MmtcConfig(Cell):
     @property
     def tx_probability(self) -> float:
         """P(a user sends in one slot): Poisson thinned to at most one."""
-        return 1.0 - math.exp(-self.arrival_rate)
+        return -math.expm1(-self.arrival_rate)
 
 
 def operating_snr(cfg: MmtcConfig) -> float:
@@ -151,22 +151,39 @@ class MmtcResult:
         return self.dropped_overload + self.dropped_outage
 
 
+def _occupancy_pmf(users: int, q: float) -> tuple[np.ndarray, np.ndarray]:
+    """Binomial(users, q) on a run of sizes holding all that reach the least
+    normal float, the mode last: it takes `Generator.multinomial`'s remainder."""
+    if q in (0.0, 1.0):                       # a point mass: a log below is -inf
+        return np.array([users if q else 0]), np.ones(1)
+    mode = min(users, math.floor((users + 1) * q))
+    peak = math.exp(math.log(math.comb(users, mode)) + mode * math.log(q)
+                    + (users - mode) * math.log1p(-q))
+    a = -math.log(np.finfo(float).tiny)       # Bernstein: rarer beyond `reach`
+    reach = a / 3 + math.sqrt(a * a / 9 + 2 * a * users * q * (1 - q)) + 1
+    up = np.arange(mode, min(users, math.ceil(users * q + reach)))
+    down = np.arange(mode, max(0, math.floor(users * q - reach)), -1)
+    return np.concatenate((up + 1, down - 1, [mode])), peak * np.concatenate((
+        np.cumprod((users - up) / (up + 1) * q / (1 - q)),
+        np.cumprod(down / (users - down + 1) * (1 - q) / q), [1.0]))
+
+
 def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcResult:
     """Count the packets offered, decoded and dropped over `ttis` slots, and
     the throughput; the CLI writes the drop rate with its Wilson interval.
 
-    Slots are processed in chunks of `TTI_CHUNK`.  Each chunk draws its
-    arrivals and their tones, then reduces them to the occupancy histogram
-    of its (slot, tone) cells: h[n] cells hold n packets, so n h[n] packets
-    sit in collisions of size n.  Those above the capacity are dropped; the
-    resolvable ones get one attenuation xi each from a single
-    `sample_large_scale` call, then, size by size in ascending order, the
-    exact marginal ZF gain D Gamma(k/D) with k = D M - n + 1, drawn as
-    D Gamma(floor(k/D)) plus a squared standard normal when k/D is a
+    Slots are processed in chunks of `TTI_CHUNK`.  Each chunk draws the
+    occupancy histogram h of its cells in one multinomial: h[n] cells hold
+    n packets, so n h[n] packets sit in collisions of size n.  Those above
+    the capacity are dropped; the resolvable ones get one attenuation xi
+    each from one `sample_large_scale` call, then, size by size in ascending
+    order, the exact marginal ZF gain D Gamma(k/D), k = D M - n + 1, drawn
+    as D Gamma(floor(k/D)) plus a squared standard normal when k/D is a
     half-integer.  A packet is in outage when snr xi gain < gamma_T.
     Exactness note: drop probability and throughput are expectations of
-    per-packet indicators, so the marginal law per packet is all that
-    matters even though packets colliding on one tone have dependent SINRs.
+    per-packet indicators, which depend only on the law of the packet's own
+    cell; so drawing a slot's tones independently moves neither, and nor do
+    the dependent SINRs of packets colliding on one tone.
     """
     if ttis < MIN_TTIS:
         raise ValueError(f"need at least {MIN_TTIS} slots, not {ttis}")
@@ -175,16 +192,14 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     dim = DIMS[cfg.family]
     cap = cfg.capacity
 
+    sizes, pmf = _occupancy_pmf(cfg.users, cfg.tx_probability / cfg.tones)
     offered = decoded = dropped_overload = dropped_outage = 0
     max_decoded_collision = 0
     for start in range(0, ttis, TTI_CHUNK):
-        arrivals = rng.binomial(cfg.users, cfg.tx_probability,
-                                size=min(TTI_CHUNK, ttis - start))
-        slot = np.repeat(np.arange(arrivals.size), arrivals)
-        tone = rng.integers(0, cfg.tones, size=slot.size)
-        h = np.bincount(np.bincount(slot * cfg.tones + tone), minlength=cap + 1)
+        h = np.zeros(max(cap, sizes.max()) + 1, dtype=np.int64)
+        h[sizes] = rng.multinomial(min(TTI_CHUNK, ttis - start) * cfg.tones, pmf)
         packets = np.arange(h.size) * h
-        offered += slot.size
+        offered += int(packets.sum())
         dropped_overload += int(packets[cap + 1 :].sum())
         resolvable = packets[1 : cap + 1]
         xi = sample_large_scale(cfg, int(resolvable.sum()), rng)

@@ -19,6 +19,7 @@ import yaml
 import wlmimo
 from wlmimo.cli import (
     EXPERIMENTS,
+    MMTC_SCENARIOS,
     ConfigError,
     ExperimentConfig,
     config_hash,
@@ -29,6 +30,8 @@ from wlmimo.cli import (
     parse_receiver,
     run,
 )
+from wlmimo.mmtc_sim import MmtcConfig, half_tti_mode, run_scenario
+from wlmimo.montecarlo import derive_rng
 
 
 def write_yaml(path: Path, doc) -> Path:
@@ -307,9 +310,17 @@ def test_mmtc_run_formats_booleans(tmp_path):
 
 def test_mmtc_point_with_nothing_offered_writes_zeros(tmp_path):
     # No packet is offered at 0 users, nor at 1 user in 1000 slots at seed
-    # 1: the drop rate and its interval are written as 0.0 on both rows.
+    # 9: the drop rate and its interval are written as 0.0 on both rows.
+    # One user stays silent for 1000 slots with probability about 0.66
+    # (0.81 in half-TTI mode), so the seed is chosen, and replaying the
+    # runner's streams first shows that it still is one that offers nothing.
+    for family, half in MMTC_SCENARIOS:
+        sc = MmtcConfig(users=1, m_rx=1, family=family)
+        sc = half_tti_mode(sc) if half else sc
+        rng = derive_rng(9, "fig4", 1, family, int(half), 1)
+        assert run_scenario(sc, 1000, rng).offered == 0, (family, half)
     p = write_yaml(tmp_path / "c.yaml", {
-        "experiment": "fig4-mmtc-drop", "seed": 1, "out-dir": str(tmp_path),
+        "experiment": "fig4-mmtc-drop", "seed": 9, "out-dir": str(tmp_path),
         "options": {"ttis": 1000, "m-rx": [1], "user-grid": [0, 1]}})
     assert main(["run", str(p)]) == 0
     for name in ("fig4-wl-m1.csv", "fig4-cl-m1.csv", "fig4-cl-half-m1.csv"):

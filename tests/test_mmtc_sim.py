@@ -1,8 +1,10 @@
 """Tests for the grant-free machine-type traffic simulator."""
 
 import math
+import sys
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy import stats
 
 from wlmimo.mmtc_sim import (
     TTI_CHUNK,
+    _occupancy_pmf,
     MmtcConfig,
     MmtcResult,
     half_tti_mode,
@@ -129,6 +132,65 @@ def test_half_tti_mode_transform():
 
 
 # ---------------------------------------------------------------------------
+# Occupancy law of one (slot, tone) cell
+# ---------------------------------------------------------------------------
+
+TINY = sys.float_info.min
+# Per-cell send probabilities q = p_tx / tones the runs use: full and half
+# TTI on 48 tones, FourTones at arrival rate 0.01, one saturated tone.
+FULL_Q = MmtcConfig(users=1, m_rx=1, family="cl").tx_probability / 48
+HALF_Q = half_tti_mode(MmtcConfig(users=1, m_rx=1, family="cl")).tx_probability / 48
+RUN_QS = [FULL_Q, HALF_Q, -math.expm1(-0.01) / 4, -math.expm1(-20.0), 0.5]
+
+
+def exact_binomial_pmf(users, q, sizes):
+    """Fraction(comb(users, n)) q^n (1 - q)^(users - n) for the exact
+    rational a/b of the float q, rounded once to a float."""
+    a, b = Fraction(q).as_integer_ratio()
+    den = b ** users
+    return np.array([math.comb(users, n) * a**n * (b - a) ** (users - n) / den
+                     for n in sizes])
+
+
+def check_pmf(sizes, pmf, users, truth):
+    """The sizes form one run lo..hi; `truth(n)` gives the exact pmf."""
+    lo, hi = int(sizes.min()), int(sizes.max())
+    assert sorted(sizes.tolist()) == list(range(lo, hi + 1))
+    # the pmf is unimodal, so the sizes beyond its neighbours are rarer still
+    outside = [n for n in (lo - 1, hi + 1) if 0 <= n <= users]
+    assert all(p < TINY for p in truth(outside))
+    exact = truth(sizes.tolist())
+    kept = exact >= 1e-300
+    assert np.all(np.abs(pmf[kept] - exact[kept]) <= 1e-12 * exact[kept])
+    assert pmf[-1] == pmf.max() and exact[-1] == exact.max()
+
+
+@pytest.mark.parametrize("q", RUN_QS, ids=["full", "half", "four-tones", "saturated", "even"])
+@pytest.mark.parametrize("users", [1, 2, 7, 250, 2000])
+def test_occupancy_pmf_matches_exact_binomial(users, q):
+    sizes, pmf = _occupancy_pmf(users, q)
+    check_pmf(sizes, pmf, users, lambda ns: exact_binomial_pmf(users, q, ns))
+
+
+@pytest.mark.parametrize("q", [FULL_Q, HALF_Q], ids=["full", "half"])
+def test_occupancy_pmf_at_the_largest_population(q):
+    mpmath = pytest.importorskip("mpmath")
+    users = 128_000
+    sizes, pmf = _occupancy_pmf(users, q)
+    with mpmath.workdps(40):
+        qm = mpmath.mpf(q)
+
+        def truth(ns):
+            return np.array([float(mpmath.binomial(users, n) * qm**n
+                                   * (1 - qm) ** (users - n)) for n in ns])
+
+        check_pmf(sizes, pmf, users, truth)
+    # the last category takes numpy's remainder, so no cell count is refused
+    counts = np.random.default_rng(0).multinomial(TTI_CHUNK * 48, pmf)
+    assert counts.sum() == TTI_CHUNK * 48
+
+
+# ---------------------------------------------------------------------------
 # Scenario runs
 # ---------------------------------------------------------------------------
 
@@ -211,21 +273,47 @@ def test_bookkeeping_across_chunk_boundary():
 
 @pytest.mark.parametrize("family", ["wl", "cl"])
 def test_overload_count_matches_counter_oracle(family):
-    """Replay the arrival and tone draws of a one-chunk run and count the
-    occupancy of each (slot, tone) cell independently."""
+    """Replay the occupancy draw of a one-chunk run and count the packets
+    offered and overloaded from the replayed histogram."""
     cfg = FourTones(users=2_000, m_rx=1, family=family, arrival_rate=0.01)
     ttis = 1_000
     res = run_scenario(cfg, ttis, derive_rng(9, "oracle", family))
 
     rng = derive_rng(9, "oracle", family)
-    arrivals = rng.binomial(cfg.users, cfg.tx_probability, size=ttis)
-    tones = rng.integers(0, cfg.tones, size=int(arrivals.sum()))
-    slots = [s for s, a in enumerate(arrivals) for _ in range(a)]
-    cells = Counter(zip(slots, tones.tolist()))
-    overloaded = sum(n for n in cells.values() if n > cfg.capacity)
-    assert res.offered == len(slots)
+    sizes, pmf = _occupancy_pmf(cfg.users, cfg.tx_probability / cfg.tones)
+    cells = Counter(dict(zip(sizes.tolist(), rng.multinomial(ttis * cfg.tones, pmf).tolist())))
+    assert cells.total() == ttis * cfg.tones
+    overloaded = sum(n * c for n, c in cells.items() if n > cfg.capacity)
+    assert res.offered == sum(n * c for n, c in cells.items())
     assert overloaded > 0
     assert res.dropped_overload == overloaded
+
+
+@pytest.mark.parametrize("users, arrival_rate, offered", [
+    (5, 50.0, 5 * 1_000),        # every user sends in every slot
+    (2, 50.0, 2 * 1_000),
+    (0, 50.0, 0),
+])
+def test_certain_arrivals_on_one_tone(users, arrival_rate, offered):
+    """At arrival rate 50 the send probability rounds to 1, so the one tone
+    holds every user in every slot: a point mass, not a binomial."""
+    cfg = flat_single_tone_cfg(users=users, arrival_rate=arrival_rate)
+    assert cfg.tx_probability == 1.0
+    res = run_scenario(cfg, 1_000, derive_rng(10, "certain", users))
+    assert res.offered == offered
+    if users > cfg.capacity:
+        assert res.dropped_overload == res.offered
+    else:
+        assert res.dropped_overload == 0
+    if users == 0:
+        assert (res.decoded, res.dropped, res.throughput) == (0, 0, 0.0)
+
+
+def test_vanishing_send_probability_offers_nothing():
+    cfg = wl_cfg(arrival_rate=5e-324)      # p_tx / tones underflows to 0
+    assert cfg.tx_probability / cfg.tones == 0.0
+    res = run_scenario(cfg, 1_000, derive_rng(10, "vanishing"))
+    assert (res.offered, res.throughput) == (0, 0.0)
 
 
 def test_saturated_single_tone_overloads():
