@@ -136,8 +136,8 @@ def test_half_tti_mode_transform():
 # ---------------------------------------------------------------------------
 
 TINY = sys.float_info.min
-# Per-cell send probabilities q = p_tx / tones the runs use: full and half
-# TTI on 48 tones, FourTones at arrival rate 0.01, one saturated tone.
+# Per-cell send probabilities q = p_tx / tones the runs use (full and half
+# TTI on 48 tones, FourTones at arrival rate 0.01, one saturated tone), and 1/2.
 FULL_Q = MmtcConfig(users=1, m_rx=1, family="cl").tx_probability / 48
 HALF_Q = half_tti_mode(MmtcConfig(users=1, m_rx=1, family="cl")).tx_probability / 48
 RUN_QS = [FULL_Q, HALF_Q, -math.expm1(-0.01) / 4, -math.expm1(-20.0), 0.5]
@@ -289,18 +289,14 @@ def test_overload_count_matches_counter_oracle(family):
     assert res.dropped_overload == overloaded
 
 
-@pytest.mark.parametrize("users, arrival_rate, offered", [
-    (5, 50.0, 5 * 1_000),        # every user sends in every slot
-    (2, 50.0, 2 * 1_000),
-    (0, 50.0, 0),
-])
-def test_certain_arrivals_on_one_tone(users, arrival_rate, offered):
+@pytest.mark.parametrize("users", [5, 2, 0])
+def test_certain_arrivals_on_one_tone(users):
     """At arrival rate 50 the send probability rounds to 1, so the one tone
     holds every user in every slot: a point mass, not a binomial."""
-    cfg = flat_single_tone_cfg(users=users, arrival_rate=arrival_rate)
+    cfg = flat_single_tone_cfg(users=users, arrival_rate=50.0)
     assert cfg.tx_probability == 1.0
     res = run_scenario(cfg, 1_000, derive_rng(10, "certain", users))
-    assert res.offered == offered
+    assert res.offered == users * 1_000
     if users > cfg.capacity:
         assert res.dropped_overload == res.offered
     else:
