@@ -14,12 +14,14 @@ translates into the SINR threshold gamma_T = 2^(D R) - 1
 One routine, :func:`gain_for`, gives every receiver's coding gain as
 C = K [E w]^(-1/d), a prefactor K times a d-th moment E w over the
 received-power profile xi, the high-SNR MMSE residual eta, and squared
-entries of Haar-distributed unit vectors; the moment is Monte Carlo
-evaluated with a reported standard error.  The MMSE-SIC bracket bounds C
-from both sides, and under PPC the two bounds coincide in the exact C.
-eta is drawn without a channel, from the Bartlett factor of the
-interferers' channel (:func:`residual_interference_samples`), for
-N <= D M users.
+entries of Haar-distributed unit vectors.  Under PPC (xi = 1) the moment
+is exact, with no draws, for every receiver but WL-MMSE-SIC and, where
+N >= gamma_T + 1, CL-MMSE-SIC: closed Gamma ratios, or one tanh-sinh
+quadrature in pure `math`.  Elsewhere it is Monte Carlo evaluated with a
+reported standard error.  The MMSE-SIC bracket bounds C from both sides,
+and under PPC the two bounds coincide in the exact C.  eta is drawn
+without a channel, from the Bartlett factor of the interferers' channel
+(:func:`residual_interference_samples`), for N <= D M users.
 Heavy-tailed moment estimates (inverse powers of lognormal shadowing) are
 flagged when the top 10 samples carry more than 5% of the sample sum.
 """
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -63,6 +66,10 @@ MIN_GAIN_TRIALS = 2
 # Largest |SNR| in dB a grid may hold: beyond it the linear SNR under- or
 # overflows on the way through the kernel.
 MAX_SNR_DB = 300.0
+# Step and half-width in t of the tanh-sinh rule for the exact PPC moments;
+# beyond |t| = 4.5 a node lies within e^-141 of its end point.
+TANH_SINH_STEP = 1.0 / 64.0
+TANH_SINH_SPAN = 4.5
 
 
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
@@ -151,7 +158,7 @@ class GainSummary:
     `lower`/`upper` hold the coding-gain bound pair where the analysis only
     brackets the constant (MMSE-SIC without power control); elsewhere they
     are None.  `stderr` propagates the MC error of the moment estimate to C
-    (zero when the moment is exact, e.g. ZF under PPC).
+    (zero when the moment is exact, as for most receivers under PPC).
     """
 
     receiver: ReceiverSpec
@@ -251,6 +258,98 @@ def residual_interference_samples(
     return out
 
 
+# ---------------------------------------------------------------------------
+# Exact moments under power control
+# ---------------------------------------------------------------------------
+
+@cache
+def _tanh_sinh_nodes() -> tuple:
+    """Nodes (y, 1 - y, weight) of the tanh-sinh rule on (0, 1) (Takahasi &
+    Mori, 1974): y = 1/(1 + e^s), s = -pi sinh t, t = k TANH_SINH_STEP.
+    Both y and 1 - y come from e^s, so neither loses digits next to its end
+    point.  Built on first use."""
+    half = round(TANH_SINH_SPAN / TANH_SINH_STEP)
+    nodes = []
+    for k in range(-half, half + 1):
+        t = k * TANH_SINH_STEP
+        e = math.exp(-math.pi * math.sinh(t))
+        y, yc = 1.0 / (1.0 + e), e / (1.0 + e)
+        nodes.append((y, yc, TANH_SINH_STEP * math.pi * math.cosh(t) * y * yc))
+    return tuple(nodes)
+
+
+def _integral01(f) -> float:
+    """The integral of f(y, 1 - y) over (0, 1)."""
+    return math.fsum(w * f(y, yc) for y, yc, w in _tanh_sinh_nodes())
+
+
+def _log_complex_min_moment(n: int, d: float, excess: float) -> float:
+    """log E[(min_i |v_i|^2 - c)_+^d] for v Haar on the unit sphere of C^N,
+    given excess = 1 - N c > 0.
+
+    The |v_i|^2 are uniform spacings, P(min > t) = (1 - N t)^(N-1) (Feller,
+    An Introduction to Probability Theory, vol. II, sec. I.7), so given
+    min > c, min - c is `excess` times a minimum of the same law, and
+    E[min^d] = N^-d Gamma(d+1) Gamma(N)/Gamma(N+d).
+    """
+    return (d * math.log(excess / n) + (n - 1) * math.log(excess)
+            + math.lgamma(d + 1.0) + math.lgamma(n) - math.lgamma(n + d))
+
+
+@lru_cache(maxsize=256)
+def _log_real_min_moment(n: int, d: float) -> float:
+    """log E[(min_i v_i^2)^d] for v Haar on the unit sphere of R^N.
+
+    v = g/|g| for standard normal g, independent of S = |g|^2, so
+    E[(min g_i^2)^d] = E[S^d] E[(min v_i^2)^d]; with P(min g_i^2 > 2u^2) =
+    erfc(u)^N that gives Gamma(N/2)/Gamma(N/2+d) times the integral of
+    2d u^(2d-1) erfc(u)^N over u > 0, taken here over u = y/(1 - y).
+    """
+    def f(y, yc):
+        u = y / yc
+        tail = math.erfc(u)
+        if tail == 0.0:
+            return 0.0
+        return 2.0 * d * math.exp((2.0 * d - 1.0) * math.log(u) + n * math.log(tail)) / yc ** 2
+    return math.lgamma(n / 2) - math.lgamma(n / 2 + d) + math.log(_integral01(f))
+
+
+@lru_cache(maxsize=256)
+def _log_mmse_moment(family: str, n: int, d: float, gamma_t: float) -> float:
+    """log E[(1 - eta/gamma_T)_+^d] for the MMSE residual eta at xi = 1.
+
+    eta = z' W^-1 z, with z standard normal in K = N - 1 dimensions and
+    independent of the K x K Wishart W = H_1' H_1 (real with 2M degrees of
+    freedom for WL, complex with M for CL), so eta ~ BetaPrime(a, b),
+    a = K/D, b = d + 1/D (Muirhead, Aspects of Multivariate Statistical
+    Theory, 1982, Thm 3.2.12).  x = eta/(1 + eta) is Beta(a, b); writing
+    x = y q, q = gamma_T/(gamma_T + 1), the moment is
+    q^a/B(a, b) times the integral of (1-y)^d y^(a-1) (1 - q y)^(1/D - 1)
+    over (0, 1).  For CL the last factor is 1 and the integral is
+    B(a, d + 1) = B(a, b), so the moment is q^K.
+    """
+    k = n - 1
+    log_q = -math.log1p(1.0 / gamma_t)
+    if family == "cl" or k == 0:
+        return k * log_q
+    a, b = k / 2, d + 0.5
+
+    def f(y, yc):                   # 1 - q y = yc + y/(gamma_T + 1)
+        return math.exp(d * math.log(yc) + (a - 1.0) * math.log(y)
+                        - 0.5 * math.log(yc + y / (gamma_t + 1.0)))
+    return (a * log_q + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+            + math.log(_integral01(f)))
+
+
+def _exact_gain(rx: ReceiverSpec, d: float, pre: float,
+                log_moment: float) -> GainSummary:
+    """C = pre [E w]^(-1/d) from an exact log-moment, with stderr 0."""
+    log_gain = math.log(pre) - log_moment / d
+    if not -700.0 < log_gain < 700.0:           # e^+-700 is a normal float
+        raise EstimateError(f"coding gain e^{log_gain:.6g} is outside the float range")
+    return GainSummary(rx, d, math.exp(log_gain))
+
+
 def gain_for(
     cfg: LinkConfig,
     rx: ReceiverSpec,
@@ -259,30 +358,34 @@ def gain_for(
 ) -> GainSummary:
     """Diversity d and coding gain C of any receiver spec, WL or CL.
 
-    Every C is K [E w]^(-1/d) for `trials` samples w of a d-th moment; D,
-    d and gamma_T follow the family (:func:`diversity_order`,
-    :func:`wlmimo.receivers.threshold`):
+    Every C is K [E w]^(-1/d) for a d-th moment E w; D, d and gamma_T
+    follow the family (:func:`diversity_order`,
+    :func:`wlmimo.receivers.threshold`).  Under PPC (xi = 1) E w is exact,
+    with stderr 0 and no draws, except for WL-MMSE-SIC and for CL-MMSE-SIC
+    at N >= gamma_T + 1; otherwise it is the mean of `trials` samples w.
 
-    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC
-      xi = 1, so C = K exactly (stderr 0).
-    * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.
+    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC C = K.
+    * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.  Under PPC eta is
+      beta-prime (:func:`_log_mmse_moment`).
     * SIC (diversity unchanged): K carries b = beta1(N, 2M)^(-1/d) for WL;
       for CL the complex Wishart constant cancels against E{mu^d}, where
       mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so b
       is closed.  ZF-SIC takes K = b / gamma_T, w = theta_min^d with
-      theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles.
+      theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles;
+      under PPC E w is a closed Gamma ratio for CL and one quadrature for
+      WL (:func:`_log_complex_min_moment`, :func:`_log_real_min_moment`).
     * MMSE-SIC: the bracket [theta_min - (1/xi_min)/(gamma_T+1)]^+ with
       K = b / (gamma_T+1) bounds C from above, and with xi_max from below.
       At constant xi (PPC) the pair coincides, so the bracket is the exact
-      C; as min_n v_n^2 <= 1/N surely, it is positive with positive
-      probability exactly when N < gamma_T + 1.  Otherwise the headline is
-      the residual-based K = b / gamma_T, w = ([vartheta_min]^+)^d with
-      vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), and without power
+      C (closed for CL); as min_n v_n^2 <= 1/N surely, it is positive with
+      positive probability exactly when N < gamma_T + 1.  Otherwise the
+      headline is the residual-based K = b / gamma_T, w = ([vartheta_min]^+)^d
+      with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), and without power
       control `lower`/`upper` carry the bound pair; `upper` is None where
       the upper bracket vanishes on every draw (no finite upper bound).
 
-    SIC draws the Haar vectors, then the profile, then eta where the
-    headline reads it.
+    A sampled SIC gain draws the Haar vectors, then the profile, then eta
+    where the headline reads it.
     """
     if trials < MIN_GAIN_TRIALS:
         raise ValueError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
@@ -295,9 +398,11 @@ def gain_for(
         pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
         if rx.criterion == "zf" and ppc:
             return GainSummary(rx, d, pre)
+        if ppc:
+            return _exact_gain(rx, d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
         if rx.criterion == "zf":
             return _gain(rx, d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
-        xi = np.ones(trials) if ppc else sample_large_scale(cfg, trials, rng)
+        xi = sample_large_scale(cfg, trials, rng)
         eta = residual_interference_samples(cfg, rx.family, trials, rng)
         return _gain(rx, d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
 
@@ -307,6 +412,14 @@ def gain_for(
         log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
         broot = math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
         kind = "complex"
+    if ppc and rx.criterion == "zf":
+        log_w = (_log_real_min_moment(n, d) if kind == "real"
+                 else _log_complex_min_moment(n, d, 1.0))
+        return _exact_gain(rx, d, broot / gamma_t, log_w)
+    if ppc and kind == "complex" and n < gamma_t + 1.0:
+        excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
+        return _exact_gain(rx, d, broot / (gamma_t + 1.0),
+                           _log_complex_min_moment(n, d, excess))
     squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
     xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
     if rx.criterion == "zf":

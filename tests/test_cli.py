@@ -528,12 +528,12 @@ def test_main_refuses_trials_the_experiment_does_not_read(tmp_path, capsys,
 def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
                                                              seed):
     # Two gain samples at this load and rate can both clip to zero, which
-    # leaves no moment to take the WL-MMSE coding gain from (seeds 1 and 3
-    # do); the WL-ZF curve before it has an exact gain and finishes.  The
+    # leaves no moment to take the WL-MMSE-SIC coding gain from (seeds 1 and
+    # 3 do); the WL-ZF curve before it has an exact gain and finishes.  The
     # refused run leaves an earlier run's CSVs and sidecar as they were,
     # and makes no directory that did not exist.
     options = {"power-control": "ppc", "m-rx": 2, "n-users": 4, "rate": 0.3,
-               "receivers": ["wl-zf", "wl-mmse"], "snr-db": [20.0]}
+               "receivers": ["wl-zf", "wl-mmse-sic"], "snr-db": [20.0]}
     out = tmp_path / "out"
     earlier = write_yaml(tmp_path / "earlier.yaml", {
         "experiment": "custom", "seed": seed, "trials": 2000, "out-dir": str(out),

@@ -13,6 +13,9 @@ from wlmimo.montecarlo import EstimateError, derive_rng, wilson_interval
 from wlmimo.outage_analysis import (
     RESIDUAL_BATCH,
     GainSummary,
+    _log_complex_min_moment,
+    _log_mmse_moment,
+    _log_real_min_moment,
     asymptote_curve,
     diversity_order,
     gain_for,
@@ -205,21 +208,60 @@ def test_linear_gain_ratio_is_exact_at_matched_diversity(rate):
         coding_gain_ratio(rate), rel=1e-12)
 
 
+def oracle_mmse_moment(family, m, n, gamma_t):
+    """E[(1 - eta/gamma_T)_+^d] for eta ~ BetaPrime(K/D, (D M - K + 1)/D),
+    by mpmath quadrature of the beta-prime density over eta = gamma_T s."""
+    mp = pytest.importorskip("mpmath")
+    dim, k = DIMS[family], n - 1
+    if k == 0:
+        return 1.0
+    with mp.workdps(30):
+        a, b = mp.mpf(k) / dim, mp.mpf(dim * m - k + 1) / dim
+        d, g = mp.mpf(dim * m - n + 1) / dim, mp.mpf(gamma_t)
+        f = lambda s: (1 - s) ** d * s ** (a - 1) * (1 + g * s) ** (-a - b)
+        return float(g ** a / mp.beta(a, b) * mp.quad(f, [0, min(1 / g, 0.5), 1]))
+
+
+def oracle_min_moment(family, n, d, c=0.0):
+    """E[(min_i |v_i|^2 - c)_+^d] for v Haar on the unit sphere, as the
+    integral of d t^(d-1) P(min - c > t) by mpmath quadrature: uniform
+    spacings for CL; for WL (c = 0 only) E[(min g_i^2)^d] / E[|g|^(2d)] with
+    P(g_i^2 > t) = erfc(sqrt(t/2))."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        if family == "cl":
+            c = mp.mpf(c)
+            f = lambda t: d * t ** (d - 1) * (1 - n * (c + t)) ** (n - 1)
+            return float(mp.quad(f, [0, (1 - n * c) / n]))
+        peak = max((2 * d - 1) / n, 0.1)
+        f = lambda t: d * t ** (d - 1) * mp.erfc(mp.sqrt(t / 2)) ** n
+        half = mp.mpf(n) / 2                     # E[|g|^(2d)] = 2^d Gamma(half+d)/Gamma(half)
+        return float(mp.quad(f, [0, peak, mp.inf]) * mp.gamma(half)
+                     / (2 ** mp.mpf(d) * mp.gamma(half + d)))
+
+
 def test_wl_mmse_gain_beats_zf():
     cfg = ppc_cfg(2, 4, 2.0)
     rng = derive_rng(1005, "mmse-gain")
     g = gain_for(cfg, ReceiverSpec("wl", "mmse"), 200_000, rng)
+    zf = zf_ppc_gain(cfg).coding_gain
     assert g.coding_gain == pytest.approx(0.158, rel=0.05)
-    assert g.coding_gain > zf_ppc_gain(cfg).coding_gain
-    assert g.stderr > 0
+    assert g.coding_gain > zf
+    assert g.stderr == 0.0
+    # Linear MMSE shares ZF's prefactor, so C = C_ZF [E w]^(-1/d).
+    moment = oracle_mmse_moment("wl", 2, 4, threshold("wl", 2.0))
+    assert g.coding_gain == pytest.approx(zf * moment ** (-1 / g.diversity), rel=1e-12)
 
 
 def test_cl_mmse_gain_beats_zf():
     cfg = ppc_cfg(2, 2, 2.0)
     rng = derive_rng(1005, "cl-mmse-gain")
     g = gain_for(cfg, ReceiverSpec("cl", "mmse"), 200_000, rng)
-    assert g.coding_gain > zf_ppc_gain(cfg, "cl").coding_gain
-    assert g.stderr > 0
+    zf = zf_ppc_gain(cfg, "cl").coding_gain
+    assert g.coding_gain > zf
+    assert g.stderr == 0.0
+    moment = oracle_mmse_moment("cl", 2, 2, threshold("cl", 2.0))
+    assert g.coding_gain == pytest.approx(zf * moment ** (-1 / g.diversity), rel=1e-12)
 
 
 def test_mmse_gain_equals_zf_when_no_interference():
@@ -279,30 +321,35 @@ def test_ppc_small_rate_sic_falls_back_to_residual_bound():
 
 @pytest.mark.parametrize("seed", range(7))
 def test_ppc_mmse_sic_refuses_an_open_bracket_no_sample_reached(seed):
-    # CL, N = 2 < gamma_T + 1 at R = 1 + 1e-6: the closed bracket is the
-    # exact law, but P(bracket > 0) ~ 7e-7, and 200k draws at these seeds
-    # miss it.  The residual lower bound (~5.9) would be a quietly wrong C.
-    rx = ReceiverSpec("cl", "mmse", sic=True)
-    with pytest.raises(EstimateError, match="increase gain_trials"):
-        gain_for(ppc_cfg(2, 2, 1 + 1e-6), rx, 200_000, derive_rng(seed, "x"))
+    # CL, N = 2 < gamma_T + 1 at R = 1 + 1e-6: P(bracket > 0) ~ 7e-7, so
+    # 200k draws would mostly miss it, but the closed form needs none.
+    # M = 2 gives d = 1, b = 1/2 and E w = (1 - 2c)^2/4, c = 1/(gamma_T+1),
+    # so C = 2 (gamma_T + 1)/(gamma_T - 1)^2, about 2.1e12.
+    rng = derive_rng(seed, "x")
+    state = rng.bit_generator.state
+    g = gain_for(ppc_cfg(2, 2, 1 + 1e-6), ReceiverSpec("cl", "mmse", sic=True),
+                 200_000, rng)
+    gamma_t = threshold("cl", 1 + 1e-6)
+    assert g.coding_gain == pytest.approx(2 * (gamma_t + 1) / (gamma_t - 1) ** 2,
+                                          rel=1e-12)
+    assert g.stderr == 0.0 and rng.bit_generator.state == state
 
 
-@pytest.mark.parametrize("family, n, rate, value, exact", [
-    ("cl", 2, 2.0, 2.020499796653929, 2.0),     # N < gamma_T + 1: closed bracket
-    ("cl", 2, 0.5, 37.78291572815889, None),    # N > gamma_T + 1: residual bound
-    ("wl", 3, 2.0, 1.4297844242804043, None),
-    ("wl", 3, 0.3, 451.40789642560867, None),
-    ("wl", 4, 2.0, 19.675181893764552, None),   # fig2's PPC WL-MMSE-SIC
+@pytest.mark.parametrize("family, n, rate, value, sampled", [
+    ("cl", 2, 2.0, 2.0, False),                 # N < gamma_T + 1: closed bracket
+    ("cl", 2, 0.5, 37.78291572815889, True),    # N > gamma_T + 1: residual bound
+    ("wl", 3, 2.0, 1.4297844242804043, True),
+    ("wl", 3, 0.3, 451.40789642560867, True),
+    ("wl", 4, 2.0, 19.675181893764552, True),   # fig2's PPC WL-MMSE-SIC
 ])
 def test_ppc_mmse_sic_keeps_its_value_away_from_the_bracket_boundary(
-        family, n, rate, value, exact):
-    # `value` is what the sampled bracket test gave on these draws; the
-    # CL closed bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2.
+        family, n, rate, value, sampled):
+    # `value` is what the sampled estimates give on these draws; the CL
+    # closed bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2.
     g = gain_for(ppc_cfg(2, n, rate), ReceiverSpec(family, "mmse", sic=True),
                  20_000, derive_rng(0, "bracket"))
     assert g.coding_gain == pytest.approx(value, rel=1e-12)
-    if exact is not None:
-        assert abs(g.coding_gain - exact) < 4 * g.stderr
+    assert (g.stderr > 0) == sampled
 
 
 def test_uncontrolled_mmse_sic_reports_bound_pair():
@@ -354,6 +401,85 @@ def test_heavy_tail_flag_trips_on_wild_shadowing():
 
 
 # ---------------------------------------------------------------------------
+# Exact moments under PPC
+# ---------------------------------------------------------------------------
+
+# Every (family, M, N) with M, N <= 8 that the receivers separate, and the
+# rates whose thresholds the closed forms are checked at.
+ORACLE_DOMAIN = [(family, m, n) for family in ("wl", "cl") for m in range(1, 9)
+                 for n in range(1, min(8, DIMS[family] * m) + 1)]
+ORACLE_RATES = (0.3, 1.0, 2.0, 4.0)
+
+
+def worst_relative_error(pairs):
+    """The largest |got/want - 1| over (case, got, want), with its case."""
+    return max((abs(got / want - 1.0), case) for case, got, want in pairs)
+
+
+def test_haar_min_moments_match_the_oracle():
+    pairs = []
+    for family, m, n in ORACLE_DOMAIN:
+        d = diversity_order(m, n, family)
+        if family == "wl":
+            pairs.append(((n, d), math.exp(_log_real_min_moment(n, d)),
+                          oracle_min_moment("wl", n, d)))
+            continue
+        pairs.append(((n, d), math.exp(_log_complex_min_moment(n, d, 1.0)),
+                      oracle_min_moment("cl", n, d)))
+        for rate in ORACLE_RATES:
+            gamma_t = threshold("cl", rate)
+            if n < gamma_t + 1:         # the MMSE-SIC bracket c = 1/(gamma_T+1)
+                excess = (gamma_t + 1 - n) / (gamma_t + 1)
+                pairs.append(((n, d, rate), math.exp(_log_complex_min_moment(n, d, excess)),
+                              oracle_min_moment("cl", n, d, 1 / (gamma_t + 1))))
+    err, case = worst_relative_error(pairs)
+    assert err < 1e-12, (err, case)
+
+
+def test_mmse_moments_match_the_oracle():
+    pairs = []
+    for family, m, n in ORACLE_DOMAIN:
+        d = diversity_order(m, n, family)
+        for rate in ORACLE_RATES:
+            gamma_t = threshold(family, rate)
+            pairs.append(((family, m, n, rate),
+                          math.exp(_log_mmse_moment(family, n, d, gamma_t)),
+                          oracle_mmse_moment(family, m, n, gamma_t)))
+    err, case = worst_relative_error(pairs)
+    assert err < 1e-12, (err, case)
+
+
+# (family, criterion, sic, N, rate) at M = 2: every PPC gain with an exact
+# moment, then the two that stay sampled (WL-MMSE-SIC, and CL-MMSE-SIC at
+# N >= gamma_T + 1).
+EXACT_PPC = [("wl", "zf", False, 4, 2.0), ("cl", "zf", False, 2, 2.0),
+             ("wl", "mmse", False, 4, 2.0), ("cl", "mmse", False, 2, 2.0),
+             ("wl", "zf", True, 4, 2.0), ("cl", "zf", True, 2, 2.0),
+             ("cl", "mmse", True, 2, 2.0)]
+SAMPLED_PPC = [("wl", "mmse", True, 4, 2.0), ("cl", "mmse", True, 2, 0.3)]
+
+
+@pytest.mark.parametrize("family, criterion, sic, n, rate",
+                         EXACT_PPC + SAMPLED_PPC)
+def test_exact_ppc_gains_draw_nothing(family, criterion, sic, n, rate):
+    rng = derive_rng(1019, "draw-free")
+    state = rng.bit_generator.state
+    g = gain_for(ppc_cfg(2, n, rate), ReceiverSpec(family, criterion, sic),
+                 1_000, rng)
+    exact = (family, criterion, sic, n, rate) in EXACT_PPC
+    assert (rng.bit_generator.state == state) == exact
+    assert (g.stderr == 0.0) == exact
+
+
+def test_exact_gain_beyond_the_float_range_is_refused():
+    # CL-MMSE-SIC with N = M = 24 just above the bracket boundary N = 2^R:
+    # 1 - N c is about 6e-16, so C = K [E w]^(-1/d) is about e^842.
+    cfg = ppc_cfg(24, 24, math.log2(24) + 1e-15)
+    with pytest.raises(EstimateError, match="outside the float range"):
+        gain_for(cfg, ReceiverSpec("cl", "mmse", sic=True), 100, derive_rng(0, "huge"))
+
+
+# ---------------------------------------------------------------------------
 # Residual interference law
 # ---------------------------------------------------------------------------
 
@@ -363,21 +489,22 @@ def test_residual_zero_for_single_user():
     assert np.all(out == 0)
 
 
-def test_wl_residual_follows_f_law():
-    """(2M-N+2)/(N-1) eta is F-distributed under PPC, where xi = 1."""
-    cfg = ppc_cfg(2, 3, 2.0)
-    rng = derive_rng(1013, "fwl")
-    eta = residual_interference_samples(cfg, "wl", 40_000, rng)
-    scaled = (2 * 2 - 3 + 2) / (3 - 1) * eta
-    assert stats.kstest(scaled, stats.f(2, 3).cdf).pvalue > 0.01
-
-
-def test_cl_residual_follows_f_law():
-    cfg = ppc_cfg(3, 2, 2.0)
-    rng = derive_rng(1014, "fcl")
-    eta = residual_interference_samples(cfg, "cl", 40_000, rng)
-    scaled = (3 - 2 + 2) / (2 - 1) * eta
-    assert stats.kstest(scaled, stats.f(2 * (2 - 1), 2 * (3 - 2 + 2)).cdf).pvalue > 0.01
+@pytest.mark.parametrize("family, m, n, stream", [
+    ("wl", 2, 3, (1013, "fwl")),
+    ("cl", 3, 2, (1014, "fcl")),
+    ("wl", 1, 2, (1018, "beta-prime", "wl", 1)),
+    ("wl", 3, 5, (1018, "beta-prime", "wl", 3)),
+    ("cl", 2, 2, (1018, "beta-prime", "cl", 2)),
+    ("cl", 4, 3, (1018, "beta-prime", "cl", 4)),
+])
+def test_ppc_residual_follows_the_beta_prime_law(family, m, n, stream):
+    """Under PPC (xi = 1) eta is BetaPrime(K/D, (D M - K + 1)/D), K = N - 1,
+    the law the exact MMSE moment integrates."""
+    dim, k = DIMS[family], n - 1
+    eta = residual_interference_samples(ppc_cfg(m, n, 2.0), family, 40_000,
+                                        derive_rng(*stream))
+    law = stats.betaprime(k / dim, (dim * m - k + 1) / dim)
+    assert stats.kstest(eta, law.cdf).pvalue > 0.01
 
 
 def replay_residual_batch(cfg, family, b, rng):
