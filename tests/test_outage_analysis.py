@@ -344,8 +344,8 @@ def test_ppc_mmse_sic_refuses_an_open_bracket_no_sample_reached(seed):
 ])
 def test_ppc_mmse_sic_keeps_its_value_away_from_the_bracket_boundary(
         family, n, rate, value, sampled):
-    # `value` is what the sampled estimates give on these draws; the CL
-    # closed bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2.
+    # `value` is what the sampled rows give on these draws; the CL closed
+    # bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2 with no draws.
     g = gain_for(ppc_cfg(2, n, rate), ReceiverSpec(family, "mmse", sic=True),
                  20_000, derive_rng(0, "bracket"))
     assert g.coding_gain == pytest.approx(value, rel=1e-12)
