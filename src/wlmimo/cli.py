@@ -43,7 +43,7 @@ import yaml
 
 from . import __version__
 from .link_model import LinkConfig
-from .mmtc_sim import MIN_TTIS, MmtcConfig, half_tti_mode, run_scenario
+from .mmtc_sim import MIN_TTIS, MmtcConfig, run_scenario
 from .montecarlo import EstimateError, derive_rng, wilson_interval
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
                               diversity_order, gain_for, outage_mc, snr_grid)
@@ -381,11 +381,8 @@ def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
         sweeps = []
         for m in m_list:
             for family, half in MMTC_SCENARIOS:
-                base = MmtcConfig(users=grid[0], m_rx=m, family=family)
-                if half:
-                    base = half_tti_mode(base)
-                sweeps.append((m, family, half,
-                               [replace(base, users=users) for users in grid]))
+                sweeps.append((m, family, half, [MmtcConfig(users, m, family, half)
+                                                 for users in grid]))
     header = ["users", "family", "half_tti", "drop_prob", "ci_lo", "ci_hi",
               "throughput"]
     tables = {}

@@ -82,15 +82,13 @@ def sample_large_scale(cfg: Cell, count: int, rng: np.random.Generator) -> np.nd
     return 10.0 ** ((beta_db + psi_db) / 10.0)
 
 
-def sample_power_profile(
-    cfg: LinkConfig, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Received powers xi of the N users, (N,) or a (size, N) batch.
+def sample_power_profile(cfg: LinkConfig, rng: np.random.Generator,
+                         size: int) -> np.ndarray:
+    """Received powers xi of the N users in a (size, N) batch.
 
     Finite and positive by construction in both power modes.
     """
-    n = cfg.n_users
-    shape = (n,) if size is None else (size, n)
+    shape = (size, cfg.n_users)
     if cfg.power_control == "ppc":
         return np.ones(shape)
-    return sample_large_scale(cfg, n if size is None else size * n, rng).reshape(shape)
+    return sample_large_scale(cfg, size * cfg.n_users, rng).reshape(shape)

@@ -18,8 +18,11 @@ one: each (slot, tone) cell holds Binomial(users, p_tx / tones) packets, drawn
 independently, the tones of one slot too, and each size draws its gains in one
 batch (:func:`run_scenario` says why this is exact).
 
-CL devices can alternatively compress each packet into half a TTI at twice
-the rate ("half-TTI mode"), which halves the collision pressure per slot.
+The traffic is fixed too: 4.16e-4 expected packets per user per 32 ms TTI
+at 0.3 bits/s/Hz.  The one traffic input is the `half_tti` flag: CL devices
+can compress each packet into half a TTI at twice the rate ("half-TTI
+mode"), so the slot and the per-slot arrival rate halve, which halves the
+collision pressure per slot at the same per-second load.
 
 Drop probability counts both loss mechanisms; throughput is correctly
 decoded payload normalized per second and hertz of system bandwidth.
@@ -60,15 +63,16 @@ class MmtcConfig(Cell):
     users: int
     m_rx: int
     family: str
-    arrival_rate: float = 4.16e-4   # expected packets per user per TTI
-    rate: float = 0.3               # per-user target rate, bits/s/Hz
-    tti_ms: float = 32.0
     half_tti: bool = False
 
     tx_power_dbm: ClassVar[float] = 23.0
     tones: ClassVar[int] = 48
     subcarrier_hz: ClassVar[float] = 3.75e3
     packet_bits: ClassVar[int] = 32
+    # The traffic at the full TTI; half-TTI mode derives its own from these.
+    full_tti_arrival_rate: ClassVar[float] = 4.16e-4   # packets per user per TTI
+    full_tti_rate: ClassVar[float] = 0.3               # per-user target, bits/s/Hz
+    full_tti_ms: ClassVar[float] = 32.0
 
     def __post_init__(self):
         if not all(isinstance(v, Integral) for v in (self.users, self.m_rx)):
@@ -80,13 +84,23 @@ class MmtcConfig(Cell):
         if self.family not in DIMS:
             raise ValueError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
-        for name in ("rate", "tti_ms"):           # NaN fails the test too
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        if not self.arrival_rate > 0:
-            raise ValueError("arrival rate must be positive")
         if self.half_tti and self.family != "cl":
             raise ValueError("half-TTI mode is defined for CL only")
+
+    @property
+    def arrival_rate(self) -> float:
+        """Expected packets per user per slot; half a TTI holds half."""
+        return self.full_tti_arrival_rate / (2.0 if self.half_tti else 1.0)
+
+    @property
+    def rate(self) -> float:
+        """Per-user target rate, bits/s/Hz; doubled in half a TTI."""
+        return self.full_tti_rate * (2.0 if self.half_tti else 1.0)
+
+    @property
+    def tti_ms(self) -> float:
+        """Slot length in ms."""
+        return self.full_tti_ms / (2.0 if self.half_tti else 1.0)
 
     @property
     def bandwidth_hz(self) -> float:
@@ -111,20 +125,9 @@ def operating_snr(cfg: MmtcConfig) -> float:
 
 
 def half_tti_mode(cfg: MmtcConfig) -> MmtcConfig:
-    """CL variant sending each packet in half a TTI at twice the rate.
-
-    The slot shrinks to TTI/2, so the per-slot arrival rate halves while
-    the per-second offered load is unchanged.
-    """
-    if cfg.half_tti:
-        raise ValueError("config is already in half-TTI mode")
-    return replace(
-        cfg,
-        rate=2.0 * cfg.rate,
-        arrival_rate=cfg.arrival_rate / 2.0,
-        tti_ms=cfg.tti_ms / 2.0,
-        half_tti=True,
-    )
+    """The same scenario in half-TTI mode: `cfg` with the flag set, which
+    halves the slot and the per-slot arrival rate and doubles the rate."""
+    return replace(cfg, half_tti=True)
 
 
 @dataclass(frozen=True)

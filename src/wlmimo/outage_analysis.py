@@ -153,7 +153,7 @@ def outage_mc(
 
 @dataclass(frozen=True)
 class GainSummary:
-    """Diversity exponent and coding gain of one receiver variant.
+    """Diversity exponent and coding gain of one receiver.
 
     `lower`/`upper` hold the coding-gain bound pair where the analysis only
     brackets the constant (MMSE-SIC without power control); elsewhere they
@@ -161,7 +161,6 @@ class GainSummary:
     (zero when the moment is exact, as for most receivers under PPC).
     """
 
-    receiver: ReceiverSpec
     diversity: float
     coding_gain: float
     lower: float | None = None
@@ -191,22 +190,31 @@ def asymptote_curve(gain: GainSummary, snr_db) -> np.ndarray:
     return curve
 
 
-def _gain(rx: ReceiverSpec, d: float, pre: float, w: np.ndarray,
-          **bounds) -> GainSummary:
+def _check_log_gain(log_gain: float) -> None:
+    """Refuse a coding gain e^log_gain outside e^+-700, where floats are normal."""
+    if not -700.0 < log_gain < 700.0:
+        raise EstimateError(f"coding gain e^{log_gain:.6g} is outside the float range")
+
+
+def _gain(d: float, pre: float, w: np.ndarray, **bounds) -> GainSummary:
     """C = pre [E w]^(-1/d) from samples w of a d-th moment, with the
-    moment's standard error carried to C, and the heavy-tail flag."""
+    moment's standard error carried to C, and the heavy-tail flag.  Both
+    come from w / E w, which cannot overflow where E w does not."""
     mean = float(w.mean())
     if mean <= 0:
         raise EstimateError(
             "moment estimate vanished; all samples clipped (increase gain_trials "
             "or the rate target)"
         )
-    se = float(w.std(ddof=1) / math.sqrt(len(w)))
-    scale = mean ** (-1.0 / d)
+    if not mean < math.inf:
+        raise EstimateError(f"moment estimate overflows a float at order d = {d:g}")
+    _check_log_gain(math.log(pre) - math.log(mean) / d)
+    gain = pre * mean ** (-1.0 / d)
+    rel = w / mean
+    rel_se = float(rel.std(ddof=1)) / math.sqrt(len(w))
     heavy = len(w) > HEAVY_TAIL_TOP and bool(
-        np.sort(w)[-HEAVY_TAIL_TOP:].sum() > HEAVY_TAIL_SHARE * w.sum())
-    return GainSummary(rx, d, pre * scale, stderr=pre * (scale / (d * mean) * se),
-                       heavy_tail=heavy, **bounds)
+        np.sort(rel)[-HEAVY_TAIL_TOP:].sum() > HEAVY_TAIL_SHARE * rel.sum())
+    return GainSummary(d, gain, stderr=gain / d * rel_se, heavy_tail=heavy, **bounds)
 
 
 def residual_interference_samples(
@@ -341,15 +349,14 @@ def _log_mmse_moment(family: str, n: int, d: float, gamma_t: float) -> float:
             + math.log(_integral01(f)))
 
 
-def _exact_gain(rx: ReceiverSpec, d: float, pre: float,
-                log_moment: float) -> GainSummary:
+def _exact_gain(d: float, pre: float, log_moment: float) -> GainSummary:
     """C = pre [E w]^(-1/d) from an exact log-moment, with stderr 0."""
     log_gain = math.log(pre) - log_moment / d
-    if not -700.0 < log_gain < 700.0:           # e^+-700 is a normal float
-        raise EstimateError(f"coding gain e^{log_gain:.6g} is outside the float range")
-    return GainSummary(rx, d, math.exp(log_gain))
+    _check_log_gain(log_gain)
+    return GainSummary(d, math.exp(log_gain))
 
 
+@np.errstate(over="ignore")       # an infinite sample is refused by _gain
 def gain_for(
     cfg: LinkConfig,
     rx: ReceiverSpec,
@@ -397,14 +404,14 @@ def gain_for(
     if not rx.sic:
         pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
         if rx.criterion == "zf" and ppc:
-            return GainSummary(rx, d, pre)
+            return GainSummary(d, pre)
         if ppc:
-            return _exact_gain(rx, d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
+            return _exact_gain(d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
         if rx.criterion == "zf":
-            return _gain(rx, d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
+            return _gain(d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
         xi = sample_large_scale(cfg, trials, rng)
         eta = residual_interference_samples(cfg, rx.family, trials, rng)
-        return _gain(rx, d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
+        return _gain(d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
 
     if rx.family == "wl":
         broot, kind = beta1(n, 2 * cfg.m_rx) ** (-1.0 / d), "real"
@@ -415,15 +422,15 @@ def gain_for(
     if ppc and rx.criterion == "zf":
         log_w = (_log_real_min_moment(n, d) if kind == "real"
                  else _log_complex_min_moment(n, d, 1.0))
-        return _exact_gain(rx, d, broot / gamma_t, log_w)
+        return _exact_gain(d, broot / gamma_t, log_w)
     if ppc and kind == "complex" and n < gamma_t + 1.0:
         excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
-        return _exact_gain(rx, d, broot / (gamma_t + 1.0),
+        return _exact_gain(d, broot / (gamma_t + 1.0),
                            _log_complex_min_moment(n, d, excess))
     squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
     xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
     if rx.criterion == "zf":
-        return _gain(rx, d, broot / gamma_t, np.min(squared / xi, axis=1) ** d)
+        return _gain(d, broot / gamma_t, np.min(squared / xi, axis=1) ** d)
 
     pre, bounds = broot / (gamma_t + 1.0), {}
     if not ppc or n < gamma_t + 1.0:
@@ -431,13 +438,13 @@ def gain_for(
         upper = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0),
                         0.0, None) ** d
         if ppc:             # a sample with no positive draw refuses
-            return _gain(rx, d, pre, upper)
+            return _gain(d, pre, upper)
         lower = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0),
                         0.0, None) ** d
         # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
         # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
-        bounds = {"lower": _gain(rx, d, pre, lower).coding_gain,
-                  "upper": _gain(rx, d, pre, upper).coding_gain if upper.any() else None}
+        bounds = {"lower": _gain(d, pre, lower).coding_gain,
+                  "upper": _gain(d, pre, upper).coding_gain if upper.any() else None}
     eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
     vartheta_min = np.min(squared * (1.0 / xi - eta.reshape(trials, n) / gamma_t), axis=1)
-    return _gain(rx, d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d, **bounds)
+    return _gain(d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d, **bounds)

@@ -22,14 +22,12 @@ __all__ = [
     "sample_haar_unit_vector",
 ]
 
-def sample_channel(m_rx: int, n_users: int, rng: np.random.Generator, size: int | None = None):
-    """Draw a complex (m_rx, n_users) channel with i.i.d. CN(0, 1) entries.
-
-    With `size` given, returns a (size, m_rx, n_users) stack.
-    """
+def sample_channel(m_rx: int, n_users: int, rng: np.random.Generator, size: int):
+    """Draw a (size, m_rx, n_users) stack of complex channels with i.i.d.
+    CN(0, 1) entries."""
     if m_rx < 1 or n_users < 1:
         raise ValueError("channel dimensions must be positive")
-    shape = (m_rx, n_users) if size is None else (size, m_rx, n_users)
+    shape = (size, m_rx, n_users)
     out = np.empty(shape, dtype=complex)
     out.real = rng.standard_normal(shape)
     out.imag = rng.standard_normal(shape)
@@ -52,22 +50,18 @@ def wl_transform(hbar: np.ndarray) -> np.ndarray:
     return np.concatenate([hbar.real, hbar.imag], axis=-2)
 
 
-def sample_haar_unit_vector(
-    n: int,
-    rng: np.random.Generator,
-    size: int | None = None,
-    kind: str = "real",
-) -> np.ndarray:
-    """Draw unit vectors uniform on the real or complex unit sphere.
+def sample_haar_unit_vector(n: int, rng: np.random.Generator, size: int,
+                            kind: str) -> np.ndarray:
+    """Draw `size` unit vectors uniform on the real or complex unit sphere,
+    as a (size, n) array.
 
     Standard normal draws normalized to unit length.  `kind="real"` matches
     the eigenvector statistics of real Wishart matrices (the widely-linear
     case); `kind="complex"` matches complex Wishart (the conventional case).
-    Returns shape (n,) or (size, n).
     """
     if n < 1:
         raise ValueError("dimension must be positive")
-    shape = (n,) if size is None else (size, n)
+    shape = (size, n)
     if kind == "real":
         alpha = rng.standard_normal(shape)
     elif kind == "complex":

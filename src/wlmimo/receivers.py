@@ -263,8 +263,8 @@ def batched_tagged_sinr(
     """SINR of user 0 for a stack of draws; SIC uses its decode-stage SINR.
 
     `h` is (B, 2M, N) real for WL or (B, M, N) complex for CL; `xi` is
-    (B, N) or a shared (N,).  Users are exchangeable, so tracking index 0
-    is enough for outage statistics.  The Gram and its MMSE ridge are
+    (B, N), one power profile per draw.  Users are exchangeable, so tracking
+    index 0 is enough for outage statistics.  The Gram and its MMSE ridge are
     formed once; each SIC stage takes the principal sub-Gram of the users
     a draw has left, which holds the same numbers as the Gram of its
     reduced channel.  Draws that fail the pivot test take the projector
@@ -272,12 +272,11 @@ def batched_tagged_sinr(
     """
     h = np.asarray(h)
     xi = np.asarray(xi, dtype=float)
-    if h.ndim != 3:
-        raise ValueError("expected a (batch, rows, users) channel stack")
-    _check_dims(rx, h, np.atleast_2d(xi)[0])
+    if h.ndim != 3 or xi.shape[:-1] != h.shape[:1]:
+        raise ValueError("expected a (batch, rows, users) channel stack and "
+                         "a (batch, users) power profile")
+    _check_dims(rx, h, xi)
     b, _, n = h.shape
-    if xi.ndim == 1:
-        xi = np.broadcast_to(xi, (b, n))
     pre, ridge = _scale_and_ridge(xi, snr, rx)
     gram = stacked_gram(h)
     if ridge is not None:

@@ -100,7 +100,7 @@ def test_sinr_component_distribution_laws():
         rng = derive_rng(SEED, "laws", m, n)
         snr = 50.0
         h = wl_transform(sample_channel(m, n, rng, size=100_000))
-        g = batched_tagged_sinr(h, np.ones(n), snr, ReceiverSpec("wl", "zf"))
+        g = batched_tagged_sinr(h, np.ones((len(h), n)), snr, ReceiverSpec("wl", "zf"))
         p_chi = stats.kstest(g / snr, "chi2", args=(2 * m - n + 1,)).pvalue
         cfg = LinkConfig(m, n, 1.0, 2.0, power_control="ppc")
         eta = residual_interference_samples(cfg, "wl", 100_000, rng)

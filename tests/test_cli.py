@@ -555,6 +555,24 @@ def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
     assert not (tmp_path / "new").exists()
 
 
+@pytest.mark.parametrize("receiver, n_users", [("wl-zf", 1), ("wl-mmse", 2), ("cl-zf", 2)])
+def test_main_reports_a_moment_that_overflows_in_one_line(tmp_path, capsys,
+                                                          receiver, n_users):
+    # Without power control at M = 24 some samples xi^-d overflow a float,
+    # so the sampled coding gain has no moment: one line, no warning, and
+    # nothing written.
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 1, "trials": 1000, "out-dir": str(out),
+        "options": {"gain-trials": 2000, "snr-db": [20], "power-control": "none",
+                    "m-rx": 24, "n-users": n_users, "receivers": [receiver]}})
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("custom: moment estimate overflows a float")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not out.exists()
+
+
 def test_main_refuses_an_asymptote_that_overflows(tmp_path, capsys):
     # At rate 400 the PPC WL-ZF coding gain is about 1e-240, so (C snr)^(-d)
     # overflows to inf at every SNR of the grid; that is no probability.

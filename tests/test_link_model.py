@@ -35,7 +35,7 @@ def test_configs_set_only_what_a_run_varies():
     assert [f.name for f in dataclasses.fields(LinkConfig)] == [
         "m_rx", "n_users", "snr", "rate", "power_control"]
     assert [f.name for f in dataclasses.fields(MmtcConfig)] == [
-        "users", "m_rx", "family", "arrival_rate", "rate", "tti_ms", "half_tti"]
+        "users", "m_rx", "family", "half_tti"]
 
 
 def test_pathloss_point_value():
@@ -95,8 +95,8 @@ def test_power_profile_ppc_is_constant():
     cfg = base_cfg(power_control="ppc")
     rng = np.random.default_rng(24)
     state = rng.bit_generator.state
-    xi = sample_power_profile(cfg, rng)
-    assert xi.shape == (3,)
+    xi = sample_power_profile(cfg, rng, size=1)
+    assert xi.shape == (1, 3)
     assert np.all(xi == 1.0)
     batch = sample_power_profile(cfg, rng, size=6)
     assert batch.shape == (6, 3)

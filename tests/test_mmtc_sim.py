@@ -1,9 +1,9 @@
 """Tests for the grant-free machine-type traffic simulator."""
 
+import dataclasses
 import math
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,9 +36,11 @@ def wl_cfg(**kw):
 
 
 class FlatSingleTone(MmtcConfig):
-    """One tone at -120 dBm with deterministic unit attenuation."""
+    """One tone at -120 dBm with deterministic unit attenuation and
+    saturated arrivals."""
 
     tones = 1
+    full_tti_arrival_rate = 20.0
     tx_power_dbm = -120.0
     pathloss_intercept_db = 0.0
     pathloss_slope_db = 0.0
@@ -53,13 +55,22 @@ class LoudFlatSingleTone(FlatSingleTone):
     tx_power_dbm = 23.0
 
 
+class CertainFlatSingleTone(FlatSingleTone):
+    full_tti_arrival_rate = 50.0      # the send probability rounds to 1
+
+
+class VanishingArrivals(MmtcConfig):
+    full_tti_arrival_rate = 5e-324    # p_tx / tones underflows to 0
+
+
 class FourTones(MmtcConfig):
     tones = 4
+    full_tti_arrival_rate = 0.01
 
 
 def flat_single_tone_cfg(kind=FlatSingleTone, **kw):
     """One user, one tone, deterministic unit attenuation, saturated arrivals."""
-    defaults = dict(users=1, m_rx=1, family="wl", arrival_rate=20.0)
+    defaults = dict(users=1, m_rx=1, family="wl")
     defaults.update(kw)
     return kind(**defaults)
 
@@ -78,20 +89,11 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kw", [
-    dict(rate=float("nan")),
-    dict(rate=float("inf")),                  # every packet in outage
-    dict(tti_ms=float("nan")),
-    dict(arrival_rate=float("nan")),
     dict(users=1000.7),
     dict(users=1000.0),
     dict(m_rx=1.5),
     dict(m_rx=0),
-    dict(rate=0.0),
-    dict(tti_ms=0.0),
-    dict(tti_ms=float("inf")),                # a throughput of 0
-    dict(arrival_rate=0.0),
-    dict(arrival_rate=-1e-3),
-])
+], ids=["kw4", "kw5", "kw6", "kw7"])
 def test_config_refuses_quietly_wrong_inputs(kw):
     with pytest.raises(ValueError):
         wl_cfg(**kw)
@@ -104,6 +106,7 @@ def test_config_accepts_numpy_integers():
 
 def test_config_derived_properties():
     cfg = wl_cfg(m_rx=2)
+    assert (cfg.arrival_rate, cfg.rate, cfg.tti_ms) == (4.16e-4, 0.3, 32.0)
     assert cfg.tx_probability == pytest.approx(1 - math.exp(-4.16e-4))
     assert cfg.bandwidth_hz == 180e3
     assert FourTones(users=1000, m_rx=1, family="wl").bandwidth_hz == 15e3
@@ -125,10 +128,23 @@ def test_half_tti_mode_transform():
     assert half.rate == 0.6
     assert half.arrival_rate == pytest.approx(cfg.arrival_rate / 2)
     assert half.tti_ms == 16.0
-    with pytest.raises(ValueError):
-        half_tti_mode(half)
+    assert half_tti_mode(half) == half
     with pytest.raises(ValueError):
         half_tti_mode(wl_cfg())
+
+
+def test_half_tti_flag_is_the_one_traffic_input():
+    """A config built with the flag is the one half_tti_mode makes: the
+    rate doubles, the slot and the per-slot arrival rate halve, and a run
+    on one stream gives the same result."""
+    direct = MmtcConfig(16_000, 1, "cl", True)
+    derived = half_tti_mode(MmtcConfig(16_000, 1, "cl"))
+    assert direct == derived
+    assert (direct.rate, direct.arrival_rate, direct.tti_ms) == (0.6, 2.08e-4, 16.0)
+    assert ([f.name for f in dataclasses.fields(MmtcConfig)]
+            == ["users", "m_rx", "family", "half_tti"])
+    assert (run_scenario(direct, TTI_CHUNK, derive_rng(11, "half-flag"))
+            == run_scenario(derived, TTI_CHUNK, derive_rng(11, "half-flag")))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +153,11 @@ def test_half_tti_mode_transform():
 
 TINY = sys.float_info.min
 # Per-cell send probabilities q = p_tx / tones the runs use (full and half
-# TTI on 48 tones, FourTones at arrival rate 0.01, one saturated tone), and 1/2.
+# TTI on 48 tones, FourTones, one saturated tone), and 1/2.
 FULL_Q = MmtcConfig(users=1, m_rx=1, family="cl").tx_probability / 48
-HALF_Q = half_tti_mode(MmtcConfig(users=1, m_rx=1, family="cl")).tx_probability / 48
-RUN_QS = [FULL_Q, HALF_Q, -math.expm1(-0.01) / 4, -math.expm1(-20.0), 0.5]
+HALF_Q = MmtcConfig(users=1, m_rx=1, family="cl", half_tti=True).tx_probability / 48
+RUN_QS = [FULL_Q, HALF_Q, FourTones(users=1, m_rx=1, family="cl").tx_probability / 4,
+          FlatSingleTone(users=1, m_rx=1, family="cl").tx_probability, 0.5]
 
 
 def exact_binomial_pmf(users, q, sizes):
@@ -275,7 +292,7 @@ def test_bookkeeping_across_chunk_boundary():
 def test_overload_count_matches_counter_oracle(family):
     """Replay the occupancy draw of a one-chunk run and count the packets
     offered and overloaded from the replayed histogram."""
-    cfg = FourTones(users=2_000, m_rx=1, family=family, arrival_rate=0.01)
+    cfg = FourTones(users=2_000, m_rx=1, family=family)
     ttis = 1_000
     res = run_scenario(cfg, ttis, derive_rng(9, "oracle", family))
 
@@ -293,7 +310,7 @@ def test_overload_count_matches_counter_oracle(family):
 def test_certain_arrivals_on_one_tone(users):
     """At arrival rate 50 the send probability rounds to 1, so the one tone
     holds every user in every slot: a point mass, not a binomial."""
-    cfg = flat_single_tone_cfg(users=users, arrival_rate=50.0)
+    cfg = flat_single_tone_cfg(CertainFlatSingleTone, users=users)
     assert cfg.tx_probability == 1.0
     res = run_scenario(cfg, 1_000, derive_rng(10, "certain", users))
     assert res.offered == users * 1_000
@@ -306,7 +323,7 @@ def test_certain_arrivals_on_one_tone(users):
 
 
 def test_vanishing_send_probability_offers_nothing():
-    cfg = wl_cfg(arrival_rate=5e-324)      # p_tx / tones underflows to 0
+    cfg = VanishingArrivals(users=1000, m_rx=1, family="wl")
     assert cfg.tx_probability / cfg.tones == 0.0
     res = run_scenario(cfg, 1_000, derive_rng(10, "vanishing"))
     assert (res.offered, res.throughput) == (0, 0.0)

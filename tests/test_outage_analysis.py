@@ -13,6 +13,7 @@ from wlmimo.montecarlo import EstimateError, derive_rng, wilson_interval
 from wlmimo.outage_analysis import (
     RESIDUAL_BATCH,
     GainSummary,
+    _gain,
     _log_complex_min_moment,
     _log_mmse_moment,
     _log_real_min_moment,
@@ -164,22 +165,21 @@ def test_simulation_tracks_asymptote_at_moderate_outage():
 # ---------------------------------------------------------------------------
 
 def test_gain_summary_validation():
-    rx = ReceiverSpec("wl", "zf")
     with pytest.raises(ValueError):
-        GainSummary(rx, 0.5, -1.0)
+        GainSummary(0.5, -1.0)
     with pytest.raises(ValueError):
-        GainSummary(rx, 0.5, 1.0, lower=2.0, upper=1.0)
+        GainSummary(0.5, 1.0, lower=2.0, upper=1.0)
     with pytest.raises(ValueError):
-        GainSummary(rx, 0.0, 1.0)
+        GainSummary(0.0, 1.0)
 
 
 def test_asymptote_curve_values():
-    g = GainSummary(ReceiverSpec("wl", "zf"), 3.0, 2.0)
+    g = GainSummary(3.0, 2.0)
     out = asymptote_curve(g, [0.0, 10.0])
     assert out[0] == pytest.approx(0.125)
     assert out[1] == pytest.approx(0.125e-3)
     # doubling the gain scales a diversity-d curve by 2^-d
-    g2 = GainSummary(ReceiverSpec("wl", "zf"), 3.0, 4.0)
+    g2 = GainSummary(3.0, 4.0)
     assert asymptote_curve(g2, [7.0]) == pytest.approx(
         asymptote_curve(g, [7.0]) / 8.0)
 
@@ -386,7 +386,9 @@ def test_gain_for_dispatches_by_spec():
         zf_ppc_gain(cfg).coding_gain, rel=1e-12)
     sic = gain_for(cfg, ReceiverSpec("cl", "zf", sic=True), trials=2_000,
                    rng=derive_rng(1, "b"))
-    assert sic.receiver.sic
+    # CL ZF-SIC at N = 2: b = 1/2 and E min_n |v_n|^2 = 1/4, so C = 2/gamma_T,
+    # twice the linear CL-ZF gain.
+    assert sic.coding_gain == pytest.approx(2.0 / threshold("cl", 2.0), rel=1e-12)
 
 
 class WildShadowing(LinkConfig):
@@ -477,6 +479,37 @@ def test_exact_gain_beyond_the_float_range_is_refused():
     cfg = ppc_cfg(24, 24, math.log2(24) + 1e-15)
     with pytest.raises(EstimateError, match="outside the float range"):
         gain_for(cfg, ReceiverSpec("cl", "mmse", sic=True), 100, derive_rng(0, "huge"))
+
+
+@pytest.mark.parametrize("label, n", [("wl-zf", 1), ("wl-mmse", 2), ("cl-zf", 2)])
+def test_sampled_gain_whose_moment_overflows_is_refused(label, n):
+    # Without power control at M = 24, xi^-d overflows a float for some of
+    # 2000 samples: the moment is refused, with no warning on the way.
+    family, criterion = label.split("-")
+    cfg = LinkConfig(m_rx=24, n_users=n, snr=1.0, rate=2.0)
+    with pytest.raises(EstimateError, match="moment estimate overflows a float"):
+        gain_for(cfg, ReceiverSpec(family, criterion), 2_000,
+                 derive_rng(1019, "overflow", label))
+
+
+def test_sampled_gain_outside_the_float_range_is_refused():
+    # A finite moment of 1e-300 at d = 1/2 gives C = 1e600.
+    with pytest.raises(EstimateError, match="outside the float range"):
+        _gain(0.5, 1.0, np.full(4, 1e-300))
+
+
+def test_sampled_gain_stderr_survives_samples_whose_squares_overflow():
+    # At M = 16 the samples xi^-16 reach about 1e300 and their squares
+    # overflow, but C and its stderr are formed from w / E w.
+    cfg = LinkConfig(m_rx=16, n_users=1, snr=1.0, rate=2.0)
+    g = gain_for(cfg, ReceiverSpec("wl", "zf"), 2_000, derive_rng(1019, "squares"))
+    w = sample_large_scale(cfg, 2_000, derive_rng(1019, "squares")) ** -16.0
+    assert w.max() > 1e160 and np.isfinite(w.mean())
+    assert g.coding_gain == pytest.approx(
+        2 * (16 * math.gamma(16)) ** (1 / 16) / 15 * w.mean() ** (-1 / 16), rel=1e-14)
+    rel = w / w.max()
+    rel_se = rel.std(ddof=1) / rel.mean() / math.sqrt(len(w))
+    assert g.stderr == pytest.approx(g.coding_gain / 16 * rel_se, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------

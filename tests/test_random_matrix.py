@@ -13,9 +13,9 @@ from wlmimo.random_matrix import (
 
 def test_sample_channel_shapes():
     rng = np.random.default_rng(1)
-    single = sample_channel(3, 2, rng)
+    single = sample_channel(3, 2, rng, size=1)
     stack = sample_channel(3, 2, rng, size=5)
-    assert single.shape == (3, 2) and np.iscomplexobj(single)
+    assert single.shape == (1, 3, 2) and np.iscomplexobj(single)
     assert stack.shape == (5, 3, 2)
 
 
@@ -29,14 +29,14 @@ def test_sample_channel_moments():
     assert np.mean(np.abs(h) ** 2) == pytest.approx(1.0, rel=0.02)
 
 
-@pytest.mark.parametrize("size", [None, 2000, 16384])
+@pytest.mark.parametrize("size", [1, 2000, 16384])
 @pytest.mark.parametrize("n_users", [2, 4])
 def test_sample_channel_is_bitwise_the_out_of_place_expression(size, n_users):
     # The in-place build must give the same bits as sqrt(1/2) (re + 1j im)
     # on the same stream, so no CSV moves with it.
     got = sample_channel(2, n_users, np.random.default_rng(5), size=size)
     rng = np.random.default_rng(5)
-    shape = (2, n_users) if size is None else (size, 2, n_users)
+    shape = (size, 2, n_users)
     re = rng.standard_normal(shape)
     im = rng.standard_normal(shape)
     expect = np.sqrt(0.5) * (re + 1j * im)
@@ -47,12 +47,12 @@ def test_sample_channel_is_bitwise_the_out_of_place_expression(size, n_users):
 def test_sample_channel_rejects_bad_dims():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        sample_channel(0, 2, rng)
+        sample_channel(0, 2, rng, size=1)
 
 
 def test_wl_transform_layout():
     rng = np.random.default_rng(3)
-    hbar = sample_channel(3, 2, rng)
+    hbar = sample_channel(3, 2, rng, size=1)[0]
     h = wl_transform(hbar)
     assert h.shape == (6, 2)
     assert not np.iscomplexobj(h)
@@ -73,7 +73,7 @@ def test_wl_transform_rejects_real_input():
 
 def test_wl_transform_preserves_column_energy():
     rng = np.random.default_rng(5)
-    hbar = sample_channel(3, 2, rng)
+    hbar = sample_channel(3, 2, rng, size=1)[0]
     h = wl_transform(hbar)
     assert np.linalg.norm(h, axis=0) == pytest.approx(
         np.linalg.norm(hbar, axis=0))
@@ -89,7 +89,7 @@ def test_haar_vectors_unit_norm(kind):
 
 def test_haar_vector_single_shape():
     rng = np.random.default_rng(8)
-    assert sample_haar_unit_vector(4, rng).shape == (4,)
+    assert sample_haar_unit_vector(4, rng, size=1, kind="real").shape == (1, 4)
 
 
 def test_haar_first_coordinate_law_real():
@@ -121,4 +121,4 @@ def test_haar_coordinates_exchangeable():
 def test_haar_rejects_unknown_kind():
     rng = np.random.default_rng(12)
     with pytest.raises(ValueError):
-        sample_haar_unit_vector(3, rng, kind="quaternion")
+        sample_haar_unit_vector(3, rng, size=1, kind="quaternion")

@@ -34,7 +34,7 @@ SNR = 31.6227766
 
 
 def random_instance(rng, m_rx=3, n_users=4, family="wl"):
-    hbar = sample_channel(m_rx, n_users, rng)
+    hbar = sample_channel(m_rx, n_users, rng, size=1)[0]
     h = wl_transform(hbar) if family == "wl" else hbar
     xi = rng.uniform(0.2, 3.0, n_users)
     return h, xi
@@ -99,7 +99,7 @@ def test_receiver_spec_validation():
 
 def test_family_channel_type_enforced():
     rng = np.random.default_rng(30)
-    hbar = sample_channel(2, 2, rng)
+    hbar = sample_channel(2, 2, rng, size=1)[0]
     with pytest.raises(TypeError):
         zf_sinr(hbar, np.ones(2), SNR)          # complex into WL
     with pytest.raises(TypeError):
@@ -107,7 +107,7 @@ def test_family_channel_type_enforced():
     with pytest.raises(ValueError):
         cl_sinr(hbar, np.ones(3), SNR)          # xi length mismatch
     with pytest.raises(ValueError):
-        cl_sinr(sample_channel(2, 3, rng), np.ones(3), SNR)   # N > M
+        cl_sinr(sample_channel(2, 3, rng, size=1)[0], np.ones(3), SNR)   # N > M
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +141,7 @@ def test_orthonormal_columns_give_closed_form_sinr():
 
 def test_single_user_sinr_is_matched_filter():
     rng = np.random.default_rng(36)
-    hbar = sample_channel(2, 1, rng)
+    hbar = sample_channel(2, 1, rng, size=1)[0]
     h = wl_transform(hbar)
     xi = np.array([1.7])
     expect = 2 * SNR * 1.7 * float(h[:, 0] @ h[:, 0])
@@ -195,7 +195,7 @@ def test_wl_zf_sinr_marginal_law(m, n):
     rng = np.random.default_rng(40 + n)
     snr = 10.0
     h = wl_transform(sample_channel(m, n, rng, size=30_000))
-    gam = batched_tagged_sinr(h, np.ones(n), snr, ReceiverSpec("wl", "zf"))
+    gam = batched_tagged_sinr(h, np.ones((len(h), n)), snr, ReceiverSpec("wl", "zf"))
     assert stats.kstest(gam / snr, stats.chi2(2 * m - n + 1).cdf).pvalue > 0.01
 
 
@@ -205,7 +205,7 @@ def test_cl_zf_sinr_marginal_law(m, n):
     rng = np.random.default_rng(50 + n)
     snr = 10.0
     hbar = sample_channel(m, n, rng, size=30_000)
-    gam = batched_tagged_sinr(hbar, np.ones(n), snr, ReceiverSpec("cl", "zf"))
+    gam = batched_tagged_sinr(hbar, np.ones((len(hbar), n)), snr, ReceiverSpec("cl", "zf"))
     assert stats.kstest(gam / snr, stats.gamma(m - n + 1).cdf).pvalue > 0.01
 
 
@@ -299,18 +299,17 @@ def test_batched_tagged_matches_reference(family, criterion, sic):
         assert got[i] == pytest.approx(expect, rel=1e-9, abs=1e-12)
 
 
-def test_batched_shared_profile_broadcasts():
+def test_batched_refuses_a_shared_profile():
+    # xi holds one power profile per draw; a single (N,) profile is refused.
     rng = np.random.default_rng(47)
     h = wl_transform(sample_channel(2, 3, rng, size=10))
-    xi = np.array([0.5, 1.0, 2.0])
-    got = batched_tagged_sinr(h, xi, SNR, ReceiverSpec("wl", "zf"))
-    assert got.shape == (10,)
-    assert got[3] == pytest.approx(zf_sinr(h[3], xi, SNR, n=0))
+    with pytest.raises(ValueError, match="power profile"):
+        batched_tagged_sinr(h, np.array([0.5, 1.0, 2.0]), SNR, ReceiverSpec("wl", "zf"))
 
 
 def test_batched_rejects_flat_channel():
     rng = np.random.default_rng(48)
-    h = wl_transform(sample_channel(2, 3, rng))
+    h = wl_transform(sample_channel(2, 3, rng, size=1)[0])
     with pytest.raises(ValueError):
         batched_tagged_sinr(h, np.ones(3), SNR, ReceiverSpec("wl", "zf"))
 
@@ -352,7 +351,7 @@ def dependent_stack(family, m, n):
     hbar = sample_channel(m, n, np.random.default_rng(50), size=12)
     hbar[:, :, 2] = hbar[:, :, 1]
     h = wl_transform(hbar) if family == "wl" else hbar
-    return h, np.array([1.0, 0.7, 1.3, 0.4][:n])
+    return h, np.tile([1.0, 0.7, 1.3, 0.4][:n], (12, 1))
 
 
 def lstsq_sic_tagged(h, xi, pre):
@@ -383,9 +382,9 @@ def test_batched_zf_survives_dependent_interferers(family, m, n):
     sic = batched_tagged_sinr(h, xi, SNR, ReceiverSpec(family, "zf", sic=True))
     assert np.all(np.isfinite(linear)) and np.all(np.isfinite(sic))
     for i in range(len(h)):
-        assert linear[i] == pytest.approx(lstsq_sinrs(h[i], xi, pre)[0],
+        assert linear[i] == pytest.approx(lstsq_sinrs(h[i], xi[i], pre)[0],
                                           rel=1e-9)
-        assert sic[i] == pytest.approx(lstsq_sic_tagged(h[i], xi, pre),
+        assert sic[i] == pytest.approx(lstsq_sic_tagged(h[i], xi[i], pre),
                                        rel=1e-9)
         assert sic[i] >= linear[i]
 
@@ -393,7 +392,7 @@ def test_batched_zf_survives_dependent_interferers(family, m, n):
 def test_batched_cl_zf_square_channel_with_repeated_column():
     hbar = sample_channel(2, 2, np.random.default_rng(51), size=8)
     hbar[5, :, 1] = hbar[5, :, 0]
-    xi = np.array([0.8, 1.2])
+    xi = np.tile([0.8, 1.2], (8, 1))
     with pytest.raises(np.linalg.LinAlgError):
         gram_inverse_tagged(hbar, xi, SNR)
     got = batched_tagged_sinr(hbar, xi, SNR, ReceiverSpec("cl", "zf"))
@@ -403,7 +402,7 @@ def test_batched_cl_zf_square_channel_with_repeated_column():
     # the other draws get what they get in a stack without the singular one
     rest = np.arange(8) != 5
     np.testing.assert_array_equal(
-        got[rest], batched_tagged_sinr(hbar[rest], xi, SNR,
+        got[rest], batched_tagged_sinr(hbar[rest], xi[rest], SNR,
                                        ReceiverSpec("cl", "zf")))
 
 
@@ -415,13 +414,13 @@ def test_reference_on_dependent_interferers_raises_or_projects(family, criterion
     for m, n in {"wl": [(2, 4), (2, 3)], "cl": [(3, 3)]}[family]:
         h, xi = dependent_stack(family, m, n)
         ridge = 1.0 / (pre * xi) if criterion == "mmse" else None
-        for draw in h:
+        for i, draw in enumerate(h):
             try:
-                got = reference(draw, xi, SNR, family, criterion)
+                got = reference(draw, xi[i], SNR, family, criterion)
             except (ArithmeticError, np.linalg.LinAlgError):
                 continue
-            np.testing.assert_allclose(got, lstsq_sinrs(draw, xi, pre, ridge),
-                                       rtol=1e-9, atol=1e-9)
+            expect = lstsq_sinrs(draw, xi[i], pre, None if ridge is None else ridge[i])
+            np.testing.assert_allclose(got, expect, rtol=1e-9, atol=1e-9)
 
 
 @pytest.mark.parametrize("eps,snr_db,sic", [(1e-7, 50.0, False),
@@ -610,7 +609,6 @@ def gram_per_stage_sic_tagged(h, xi, snr, rx):
     its projector form on its own.
     """
     pre = DIMS[rx.family] * snr
-    xi = np.broadcast_to(xi, (len(h), h.shape[-1]))
     rows = np.arange(len(h))
     tagged = np.zeros(len(h))
     while len(rows):
