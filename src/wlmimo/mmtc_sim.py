@@ -84,6 +84,8 @@ class MmtcConfig(Cell):
         if self.family not in DIMS:
             raise ValueError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
+        if not isinstance(self.half_tti, (bool, np.bool_)):
+            raise ValueError(f"half_tti must be a bool, not {self.half_tti!r}")
         if self.half_tti and self.family != "cl":
             raise ValueError("half-TTI mode is defined for CL only")
 

@@ -15,15 +15,16 @@ One routine, :func:`gain_for`, gives every receiver's coding gain as
 C = K [E w]^(-1/d), a prefactor K times a d-th moment E w over the
 received-power profile xi, the high-SNR MMSE residual eta, and squared
 entries of Haar-distributed unit vectors.  Under PPC (xi = 1) the moment
-is exact, with no draws, for every receiver but WL-MMSE-SIC and, where
-N >= gamma_T + 1, CL-MMSE-SIC: closed Gamma ratios, or one tanh-sinh
-quadrature in pure `math`.  Elsewhere it is Monte Carlo evaluated with a
-reported standard error.  The MMSE-SIC bracket bounds C from both sides,
-and under PPC the two bounds coincide in the exact C.  eta is drawn
-without a channel, from the Bartlett factor of the interferers' channel
-(:func:`residual_interference_samples`), for N <= D M users.
-Heavy-tailed moment estimates (inverse powers of lognormal shadowing) are
-flagged when the top 10 samples carry more than 5% of the sample sum.
+is exact, with no draws, for every receiver but WL-MMSE-SIC at
+N < gamma_T + 1: closed Gamma ratios, or tanh-sinh quadrature in one
+dimension (pure `math`) or two (numpy).  Elsewhere it is Monte Carlo
+evaluated with a reported standard error.  The MMSE-SIC bracket bounds C
+from both sides, and under PPC the two bounds coincide in the exact C.
+eta is drawn without a channel, from the Bartlett factor of the
+interferers' channel (:func:`residual_interference_samples`), for
+N <= D M users.  Heavy-tailed moment estimates (inverse powers of
+lognormal shadowing) are flagged when the top 10 samples carry more than
+5% of the sample sum.
 """
 
 from __future__ import annotations
@@ -349,6 +350,47 @@ def _log_mmse_moment(family: str, n: int, d: float, gamma_t: float) -> float:
             + math.log(_integral01(f)))
 
 
+@lru_cache(maxsize=256)
+def _log_mmse_sic_moment(family: str, n: int, d: float, gamma_t: float) -> float:
+    """log E[(min_n v_n^2 c_n)_+^d], c_n = 1 - eta_n/gamma_T, for v Haar on
+    the unit sphere and i.i.d. MMSE residuals eta_n at xi = 1.
+
+    With v = g/|g| as in :func:`_log_real_min_moment`, E w = E[S^d]^-1 times
+    the integral of d x^(d-1) phi(x)^N over x > 0, phi(x) = P(g_n^2 c_n > x).
+    Taking eta_n/(1 + eta_n) = q y as in :func:`_log_mmse_moment` gives
+    c_n = (1 - y)/(1 - q y), so phi(x) is q^a/B(a, b) times the integral of
+    y^(a-1) (1 - q y)^(b-1) T(x (1 - q y)/(1 - y)) over (0, 1), with
+    T(u) = P(g_n^2 > u): e^-u for CL, erfc(sqrt(u/2)) for WL.  The outer
+    integral, over x = s/(1 - s) and summed in logs, takes the whole
+    tanh-sinh rule: its integrand peaks with a width of about d^-1/2 in
+    log x.  The inner one is smooth enough for every fourth node (step 1/16).
+    """
+    s, sc, ws = np.array(_tanh_sinh_nodes()).T
+    y, yc, w = s[::4], sc[::4], 4.0 * ws[::4]
+    dim = DIMS[family]
+    a, b = (n - 1) / dim, d + 1.0 / dim
+    one_qy = yc + y / (gamma_t + 1.0)                   # 1 - q y
+    ratio = one_qy / yc
+    x = s / sc
+    if family == "wl":                  # T(x ratio) = erfc(sqrt(x) sqrt(ratio/2))
+        root = np.sqrt(0.5 * ratio)
+        rows = (np.fromiter(map(math.erfc, (math.sqrt(v) * root).tolist()), float, len(y))
+                for v in x)
+        log_es = d * math.log(2.0) + math.lgamma(n / 2 + d) - math.lgamma(n / 2)
+    else:
+        rows = (np.exp(-v * ratio) for v in x)
+        log_es = math.lgamma(n + d) - math.lgamma(n)
+    weights = w * np.exp((a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy))
+    phi = np.array([row @ weights for row in rows])     # one row of x at a time
+    log_scale = -a * math.log1p(1.0 / gamma_t) + math.lgamma(a + b) \
+        - math.lgamma(a) - math.lgamma(b)
+    with np.errstate(divide="ignore"):                  # phi is 0 at large x
+        terms = (np.log(ws * d) + (d - 1.0) * np.log(x) - 2.0 * np.log(sc)
+                 + n * (log_scale + np.log(phi)))
+    top = float(terms.max())
+    return top + math.log(np.exp(terms - top).sum()) - log_es
+
+
 def _exact_gain(d: float, pre: float, log_moment: float) -> GainSummary:
     """C = pre [E w]^(-1/d) from an exact log-moment, with stderr 0."""
     log_gain = math.log(pre) - log_moment / d
@@ -368,8 +410,8 @@ def gain_for(
     Every C is K [E w]^(-1/d) for a d-th moment E w; D, d and gamma_T
     follow the family (:func:`diversity_order`,
     :func:`wlmimo.receivers.threshold`).  Under PPC (xi = 1) E w is exact,
-    with stderr 0 and no draws, except for WL-MMSE-SIC and for CL-MMSE-SIC
-    at N >= gamma_T + 1; otherwise it is the mean of `trials` samples w.
+    with stderr 0 and no draws, except for WL-MMSE-SIC at N < gamma_T + 1;
+    otherwise it is the mean of `trials` samples w.
 
     * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC C = K.
     * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.  Under PPC eta is
@@ -387,9 +429,10 @@ def gain_for(
       C (closed for CL); as min_n v_n^2 <= 1/N surely, it is positive with
       positive probability exactly when N < gamma_T + 1.  Otherwise the
       headline is the residual-based K = b / gamma_T, w = ([vartheta_min]^+)^d
-      with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), and without power
-      control `lower`/`upper` carry the bound pair; `upper` is None where
-      the upper bracket vanishes on every draw (no finite upper bound).
+      with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), exact under PPC
+      (:func:`_log_mmse_sic_moment`), and without power control
+      `lower`/`upper` carry the bound pair; `upper` is None where the upper
+      bracket vanishes on every draw (no finite upper bound).
 
     A sampled SIC gain draws the Haar vectors, then the profile, then eta
     where the headline reads it.
@@ -423,7 +466,10 @@ def gain_for(
         log_w = (_log_real_min_moment(n, d) if kind == "real"
                  else _log_complex_min_moment(n, d, 1.0))
         return _exact_gain(d, broot / gamma_t, log_w)
-    if ppc and kind == "complex" and n < gamma_t + 1.0:
+    if ppc and n >= gamma_t + 1.0:
+        return _exact_gain(d, broot / gamma_t,
+                           _log_mmse_sic_moment(rx.family, n, d, gamma_t))
+    if ppc and kind == "complex":
         excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
         return _exact_gain(d, broot / (gamma_t + 1.0),
                            _log_complex_min_moment(n, d, excess))
@@ -432,19 +478,18 @@ def gain_for(
     if rx.criterion == "zf":
         return _gain(d, broot / gamma_t, np.min(squared / xi, axis=1) ** d)
 
-    pre, bounds = broot / (gamma_t + 1.0), {}
-    if not ppc or n < gamma_t + 1.0:
-        theta_min = np.min(squared / xi, axis=1)
-        upper = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0),
-                        0.0, None) ** d
-        if ppc:             # a sample with no positive draw refuses
-            return _gain(d, pre, upper)
-        lower = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0),
-                        0.0, None) ** d
-        # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
-        # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
-        bounds = {"lower": _gain(d, pre, lower).coding_gain,
-                  "upper": _gain(d, pre, upper).coding_gain if upper.any() else None}
+    pre = broot / (gamma_t + 1.0)
+    theta_min = np.min(squared / xi, axis=1)
+    upper = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0),
+                    0.0, None) ** d
+    if ppc:         # WL at N < gamma_T + 1; a sample with no positive draw refuses
+        return _gain(d, pre, upper)
+    lower = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0),
+                    0.0, None) ** d
+    # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
+    # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
+    bounds = {"lower": _gain(d, pre, lower).coding_gain,
+              "upper": _gain(d, pre, upper).coding_gain if upper.any() else None}
     eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
     vartheta_min = np.min(squared * (1.0 / xi - eta.reshape(trials, n) / gamma_t), axis=1)
     return _gain(d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d, **bounds)

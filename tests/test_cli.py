@@ -527,12 +527,13 @@ def test_main_refuses_trials_the_experiment_does_not_read(tmp_path, capsys,
 @pytest.mark.parametrize("seed", [1, 3])
 def test_main_reports_an_estimate_it_cannot_form_in_one_line(tmp_path, capsys,
                                                              seed):
-    # Two gain samples at this load and rate can both clip to zero, which
-    # leaves no moment to take the WL-MMSE-SIC coding gain from (seeds 1 and
-    # 3 do); the WL-ZF curve before it has an exact gain and finishes.  The
-    # refused run leaves an earlier run's CSVs and sidecar as they were,
-    # and makes no directory that did not exist.
-    options = {"power-control": "ppc", "m-rx": 2, "n-users": 4, "rate": 0.3,
+    # At N = 4 < gamma_T + 1 = 8 the PPC WL-MMSE-SIC gain is the sampled
+    # bracket, and two gain samples can both clip to zero, which leaves no
+    # moment to take the coding gain from (seeds 1 and 3 do); the WL-ZF
+    # curve before it has an exact gain and finishes.  The refused run
+    # leaves an earlier run's CSVs and sidecar as they were, and makes no
+    # directory that did not exist.
+    options = {"power-control": "ppc", "m-rx": 2, "n-users": 4, "rate": 1.5,
                "receivers": ["wl-zf", "wl-mmse-sic"], "snr-db": [20.0]}
     out = tmp_path / "out"
     earlier = write_yaml(tmp_path / "earlier.yaml", {

@@ -93,7 +93,10 @@ def test_config_validation():
     dict(users=1000.0),
     dict(m_rx=1.5),
     dict(m_rx=0),
-], ids=["kw4", "kw5", "kw6", "kw7"])
+    dict(family="cl", half_tti="no"),         # truthy: it ran in half-TTI mode
+    dict(family="cl", half_tti=1),
+    dict(family="cl", half_tti=None),
+], ids=["kw4", "kw5", "kw6", "kw7", "cl-half-str", "cl-half-int", "cl-half-none"])
 def test_config_refuses_quietly_wrong_inputs(kw):
     with pytest.raises(ValueError):
         wl_cfg(**kw)
@@ -102,6 +105,11 @@ def test_config_refuses_quietly_wrong_inputs(kw):
 def test_config_accepts_numpy_integers():
     cfg = wl_cfg(users=np.int64(1000), m_rx=np.int32(2))
     assert cfg.capacity == 4
+
+
+def test_config_accepts_a_numpy_bool():
+    cfg = wl_cfg(family="cl", half_tti=np.bool_(True))
+    assert cfg.tti_ms == MmtcConfig.full_tti_ms / 2
 
 
 def test_config_derived_properties():

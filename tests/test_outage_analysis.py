@@ -8,6 +8,7 @@ from scipy import stats
 
 import exact
 from laws import chi2_cdf_poly_coeff, coding_gain_ratio, moment_ratio_check
+from wlmimo import outage_analysis
 from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
 from wlmimo.montecarlo import EstimateError, derive_rng, wilson_interval
 from wlmimo.outage_analysis import (
@@ -16,6 +17,7 @@ from wlmimo.outage_analysis import (
     _gain,
     _log_complex_min_moment,
     _log_mmse_moment,
+    _log_mmse_sic_moment,
     _log_real_min_moment,
     asymptote_curve,
     diversity_order,
@@ -23,7 +25,7 @@ from wlmimo.outage_analysis import (
     outage_mc,
     residual_interference_samples,
 )
-from wlmimo.random_matrix import sample_channel, wl_transform
+from wlmimo.random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from wlmimo.receivers import DIMS, ReceiverSpec, threshold
 
 
@@ -337,15 +339,16 @@ def test_ppc_mmse_sic_refuses_an_open_bracket_no_sample_reached(seed):
 
 @pytest.mark.parametrize("family, n, rate, value, sampled", [
     ("cl", 2, 2.0, 2.0, False),                 # N < gamma_T + 1: closed bracket
-    ("cl", 2, 0.5, 37.78291572815889, True),    # N > gamma_T + 1: residual bound
+    ("cl", 2, 0.5, 38.21007117482161, False),   # N > gamma_T + 1: residual moment
     ("wl", 3, 2.0, 1.4297844242804043, True),
-    ("wl", 3, 0.3, 451.40789642560867, True),
+    ("wl", 3, 0.3, 423.73620508316947, False),
     ("wl", 4, 2.0, 19.675181893764552, True),   # fig2's PPC WL-MMSE-SIC
 ])
 def test_ppc_mmse_sic_keeps_its_value_away_from_the_bracket_boundary(
         family, n, rate, value, sampled):
-    # `value` is what the sampled rows give on these draws; the CL closed
-    # bracket has E[(u_min - 1/4)+] = 1/16 exactly, so C = 2 with no draws.
+    # `value` is what the sampled rows give on these draws, and what the
+    # exact rows give with none; the CL closed bracket has
+    # E[(u_min - 1/4)+] = 1/16 exactly, so C = 2.
     g = gain_for(ppc_cfg(2, n, rate), ReceiverSpec(family, "mmse", sic=True),
                  20_000, derive_rng(0, "bracket"))
     assert g.coding_gain == pytest.approx(value, rel=1e-12)
@@ -451,14 +454,98 @@ def test_mmse_moments_match_the_oracle():
     assert err < 1e-12, (err, case)
 
 
+def oracle_mmse_sic_moment(family, m, n, rate):
+    """E[(min_n v_n^2 c_n)_+^d], c_n = 1 - eta_n/gamma_T, by mpmath nested
+    quadrature over the beta-prime density of eta itself: E[S^d]^-1 times
+    the integral of d t^(d-1) P(g_n^2 c_n > t)^N, over t = 2 u^2 for WL so
+    that P(g_n^2 c_n > t) = E erfc(u/sqrt(c_n)) has no square root at 0."""
+    mp = pytest.importorskip("mpmath")
+    dim = DIMS[family]
+    with mp.workdps(15):
+        g = mp.mpf(threshold(family, rate))
+        d = mp.mpf(dim * m - n + 1) / dim
+        a, b = mp.mpf(n - 1) / dim, d + mp.mpf(1) / dim
+        law = lambda e: e ** (a - 1) * (1 + e) ** (-a - b) / mp.beta(a, b)
+        if family == "wl":
+            phi = lambda u: mp.quad(lambda e: law(e) * mp.erfc(u / mp.sqrt(1 - e / g)), [0, g])
+            f = lambda u: 4 * d * u * (2 * u * u) ** (d - 1) * phi(u) ** n
+            e_sd = 2 ** d * mp.gamma(mp.mpf(n) / 2 + d) / mp.gamma(mp.mpf(n) / 2)
+        else:
+            phi = lambda t: mp.quad(lambda e: law(e) * mp.exp(-t / (1 - e / g)), [0, g])
+            f = lambda t: d * t ** (d - 1) * phi(t) ** n
+            e_sd = mp.gamma(n + d) / mp.gamma(n)
+        return float(mp.quad(f, [0, 1, mp.inf]) / e_sd)
+
+
+@pytest.mark.parametrize("family, m, n, rate", [("cl", 2, 2, 0.3), ("wl", 2, 3, 0.3)])
+def test_mmse_sic_moment_matches_the_oracle(family, m, n, rate):
+    d, gamma_t = diversity_order(m, n, family), threshold(family, rate)
+    got = math.exp(_log_mmse_sic_moment(family, n, d, gamma_t))
+    assert got == pytest.approx(oracle_mmse_sic_moment(family, m, n, rate), rel=1e-12)
+
+
+def test_mmse_sic_moments_hold_at_half_the_step(monkeypatch):
+    # Every oracle case with N >= gamma_T + 1, against the same formula on
+    # a tanh-sinh rule of half the step (outer 1/128, inner 1/32).
+    cases = [(family, n, diversity_order(m, n, family), threshold(family, rate))
+             for family, m, n in ORACLE_DOMAIN for rate in ORACLE_RATES
+             if n >= threshold(family, rate) + 1]
+    coarse = [_log_mmse_sic_moment.__wrapped__(*case) for case in cases]
+    monkeypatch.setattr(outage_analysis, "TANH_SINH_STEP",
+                        outage_analysis.TANH_SINH_STEP / 2)
+    fine_nodes = outage_analysis._tanh_sinh_nodes.__wrapped__()
+    monkeypatch.setattr(outage_analysis, "_tanh_sinh_nodes", lambda: fine_nodes)
+    err, case = max((abs(math.expm1(_log_mmse_sic_moment.__wrapped__(*case) - log_w)), case)
+                    for case, log_w in zip(cases, coarse))
+    assert len(cases) > 100 and err < 1e-13, (err, case)
+
+
+@pytest.mark.parametrize("family, n", [("wl", 2), ("wl", 5), ("cl", 2), ("cl", 5)])
+def test_mmse_sic_moment_without_residual_is_the_haar_minimum(family, n):
+    # As gamma_T grows every c_n tends to 1, and the moment to E[(min v_n^2)^d].
+    d = 1.5
+    haar = (_log_real_min_moment(n, d) if family == "wl"
+            else _log_complex_min_moment(n, d, 1.0))
+    assert math.exp(_log_mmse_sic_moment(family, n, d, 1e15)) == pytest.approx(
+        math.exp(haar), rel=1e-12)
+
+
+@pytest.mark.parametrize("family, n, rate", [("cl", 2, 0.3), ("wl", 3, 0.3)])
+def test_mmse_sic_moment_matches_monte_carlo(family, n, rate):
+    # w = (min_n v_n^2 (1 - eta_n/gamma_T))_+^d from the sampler's eta and
+    # Haar vectors, as gain_for drew it before the moment was exact.
+    cfg, count = ppc_cfg(2, n, rate), 200_000
+    d, gamma_t = diversity_order(2, n, family), threshold(family, rate)
+    rng = derive_rng(1020, "mmse-sic-mc", family)
+    kind = "real" if family == "wl" else "complex"
+    squared = np.abs(sample_haar_unit_vector(n, rng, size=count, kind=kind)) ** 2
+    eta = residual_interference_samples(cfg, family, count * n, rng).reshape(count, n)
+    w = np.clip(np.min(squared * (1.0 - eta / gamma_t), axis=1), 0.0, None) ** d
+    exact_w = math.exp(_log_mmse_sic_moment(family, n, d, gamma_t))
+    assert abs(w.mean() - exact_w) < 4 * w.std(ddof=1) / math.sqrt(count)
+
+
+@pytest.mark.parametrize("family, m", [("wl", 32), ("cl", 64)])
+def test_exact_mmse_sic_gain_beyond_the_float_range_is_refused(family, m):
+    # N = D M users at R = 0.3: the moment is about e^-2182 at d = 1/2 (WL)
+    # and e^-6505 at d = 1 (CL), so C is far beyond e^700.
+    cfg = ppc_cfg(m, DIMS[family] * m, 0.3)
+    rng = derive_rng(0, "huge-sic")
+    state = rng.bit_generator.state
+    with pytest.raises(EstimateError, match="outside the float range"):
+        gain_for(cfg, ReceiverSpec(family, "mmse", sic=True), 100, rng)
+    assert rng.bit_generator.state == state
+
+
 # (family, criterion, sic, N, rate) at M = 2: every PPC gain with an exact
-# moment, then the two that stay sampled (WL-MMSE-SIC, and CL-MMSE-SIC at
-# N >= gamma_T + 1).
+# moment, MMSE-SIC on both sides of N = gamma_T + 1, then the one that stays
+# sampled (WL-MMSE-SIC at N < gamma_T + 1).
 EXACT_PPC = [("wl", "zf", False, 4, 2.0), ("cl", "zf", False, 2, 2.0),
              ("wl", "mmse", False, 4, 2.0), ("cl", "mmse", False, 2, 2.0),
              ("wl", "zf", True, 4, 2.0), ("cl", "zf", True, 2, 2.0),
-             ("cl", "mmse", True, 2, 2.0)]
-SAMPLED_PPC = [("wl", "mmse", True, 4, 2.0), ("cl", "mmse", True, 2, 0.3)]
+             ("cl", "mmse", True, 2, 2.0), ("cl", "mmse", True, 2, 0.3),
+             ("wl", "mmse", True, 3, 0.3)]
+SAMPLED_PPC = [("wl", "mmse", True, 4, 2.0)]
 
 
 @pytest.mark.parametrize("family, criterion, sic, n, rate",
