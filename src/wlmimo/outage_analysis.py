@@ -381,7 +381,7 @@ def _log_mmse_sic_moment(family: str, n: int, d: float, gamma_t: float) -> float
         rows = (np.exp(-v * ratio) for v in x)
         log_es = math.lgamma(n + d) - math.lgamma(n)
     weights = w * np.exp((a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy))
-    phi = np.array([row @ weights for row in rows])     # one row of x at a time
+    phi = np.array([row @ weights for row in rows])     # no whole grid in memory
     log_scale = -a * math.log1p(1.0 / gamma_t) + math.lgamma(a + b) \
         - math.lgamma(a) - math.lgamma(b)
     with np.errstate(divide="ignore"):                  # phi is 0 at large x
