@@ -16,15 +16,15 @@ C = K [E w]^(-1/d), a prefactor K times a d-th moment E w over the
 received-power profile xi, the high-SNR MMSE residual eta, and squared
 entries of Haar-distributed unit vectors.  Under PPC (xi = 1) the moment
 is exact, with no draws, for every receiver but WL-MMSE-SIC at
-N < gamma_T + 1: closed Gamma ratios, or tanh-sinh quadrature in one
-dimension (pure `math`) or two (numpy).  Elsewhere it is Monte Carlo
-evaluated with a reported standard error.  The MMSE-SIC bracket bounds C
-from both sides, and under PPC the two bounds coincide in the exact C.
-eta is drawn without a channel, from the Bartlett factor of the
-interferers' channel (:func:`residual_interference_samples`), for
-N <= D M users.  Heavy-tailed moment estimates (inverse powers of
-lognormal shadowing) are flagged when the top 10 samples carry more than
-5% of the sample sum.
+N < gamma_T + 1: closed Gamma ratios, or one numpy tanh-sinh rule over
+the residual's beta-prime law and the minimum of a Haar vector's squared
+entries.  Elsewhere it is Monte Carlo evaluated with a reported standard
+error.  The MMSE-SIC bracket bounds C from both sides, and under PPC the
+two bounds coincide in the exact C.  eta is drawn without a channel,
+from the Bartlett factor of the interferers' channel
+(:func:`residual_interference_samples`), for N <= D M users.
+Heavy-tailed moment estimates (inverse powers of lognormal shadowing) are
+flagged when the top 10 samples carry more than 5% of the sample sum.
 """
 
 from __future__ import annotations
@@ -273,10 +273,10 @@ def residual_interference_samples(
 
 @cache
 def _tanh_sinh_nodes() -> tuple:
-    """Nodes (y, 1 - y, weight) of the tanh-sinh rule on (0, 1) (Takahasi &
-    Mori, 1974): y = 1/(1 + e^s), s = -pi sinh t, t = k TANH_SINH_STEP.
-    Both y and 1 - y come from e^s, so neither loses digits next to its end
-    point.  Built on first use."""
+    """Node arrays y, 1 - y and weight of the tanh-sinh rule on (0, 1)
+    (Takahasi & Mori, 1974): y = 1/(1 + e^s), s = -pi sinh t,
+    t = k TANH_SINH_STEP.  Both y and 1 - y come from e^s, so neither loses
+    digits next to its end point.  Built on first use."""
     half = round(TANH_SINH_SPAN / TANH_SINH_STEP)
     nodes = []
     for k in range(-half, half + 1):
@@ -284,12 +284,32 @@ def _tanh_sinh_nodes() -> tuple:
         e = math.exp(-math.pi * math.sinh(t))
         y, yc = 1.0 / (1.0 + e), e / (1.0 + e)
         nodes.append((y, yc, TANH_SINH_STEP * math.pi * math.cosh(t) * y * yc))
+    nodes = np.array(nodes).T
+    nodes.flags.writeable = False           # every caller shares the cached arrays
     return tuple(nodes)
 
 
-def _integral01(f) -> float:
-    """The integral of f(y, 1 - y) over (0, 1)."""
-    return math.fsum(w * f(y, yc) for y, yc, w in _tanh_sinh_nodes())
+def _residual_law(family: str, n: int, d: float, gamma_t: float, every: int) -> tuple:
+    """Nodes c = 1 - eta/gamma_T and weights of the MMSE residual eta at
+    xi = 1, on every `every`-th node of the tanh-sinh rule, for N >= 2.
+
+    eta = z' W^-1 z, with z standard normal in K = N - 1 dimensions and
+    independent of the K x K Wishart W = H_1' H_1 (real with 2M degrees of
+    freedom for WL, complex with M for CL), so eta ~ BetaPrime(a, b),
+    a = K/D, b = d + 1/D (Muirhead, Aspects of Multivariate Statistical
+    Theory, 1982, Thm 3.2.12).  x = eta/(1 + eta) is Beta(a, b); writing
+    x = q y, q = gamma_T/(gamma_T + 1), gives c = (1 - y)/(1 - q y) and
+    E[f(c); eta <= gamma_T] = q^a/B(a, b) times the integral of
+    y^(a-1) (1 - q y)^(b-1) f(c) over (0, 1).
+    """
+    y, yc, w = (nodes[::every] for nodes in _tanh_sinh_nodes())
+    dim = DIMS[family]
+    a, b = (n - 1) / dim, d + 1.0 / dim
+    one_qy = yc + y / (gamma_t + 1.0)                   # 1 - q y
+    log_scale = -a * math.log1p(1.0 / gamma_t) + math.lgamma(a + b) \
+        - math.lgamma(a) - math.lgamma(b)
+    return yc / one_qy, every * w * np.exp(
+        log_scale + (a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy))
 
 
 def _log_complex_min_moment(n: int, d: float, excess: float) -> float:
@@ -306,87 +326,50 @@ def _log_complex_min_moment(n: int, d: float, excess: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _log_real_min_moment(n: int, d: float) -> float:
-    """log E[(min_i v_i^2)^d] for v Haar on the unit sphere of R^N.
-
-    v = g/|g| for standard normal g, independent of S = |g|^2, so
-    E[(min g_i^2)^d] = E[S^d] E[(min v_i^2)^d]; with P(min g_i^2 > 2u^2) =
-    erfc(u)^N that gives Gamma(N/2)/Gamma(N/2+d) times the integral of
-    2d u^(2d-1) erfc(u)^N over u > 0, taken here over u = y/(1 - y).
-    """
-    def f(y, yc):
-        u = y / yc
-        tail = math.erfc(u)
-        if tail == 0.0:
-            return 0.0
-        return 2.0 * d * math.exp((2.0 * d - 1.0) * math.log(u) + n * math.log(tail)) / yc ** 2
-    return math.lgamma(n / 2) - math.lgamma(n / 2 + d) + math.log(_integral01(f))
-
-
-@lru_cache(maxsize=256)
 def _log_mmse_moment(family: str, n: int, d: float, gamma_t: float) -> float:
-    """log E[(1 - eta/gamma_T)_+^d] for the MMSE residual eta at xi = 1.
+    """log E[(1 - eta/gamma_T)_+^d] = log E[c^d] for the MMSE residual eta
+    at xi = 1 (:func:`_residual_law`).  For CL the integral is
+    B(a, d + 1) = B(a, b), so the moment is q^K."""
+    if family == "cl" or n == 1:
+        return -(n - 1) * math.log1p(1.0 / gamma_t)
+    c, w = _residual_law(family, n, d, gamma_t, 1)
+    return math.log(w @ c ** d)
 
-    eta = z' W^-1 z, with z standard normal in K = N - 1 dimensions and
-    independent of the K x K Wishart W = H_1' H_1 (real with 2M degrees of
-    freedom for WL, complex with M for CL), so eta ~ BetaPrime(a, b),
-    a = K/D, b = d + 1/D (Muirhead, Aspects of Multivariate Statistical
-    Theory, 1982, Thm 3.2.12).  x = eta/(1 + eta) is Beta(a, b); writing
-    x = y q, q = gamma_T/(gamma_T + 1), the moment is
-    q^a/B(a, b) times the integral of (1-y)^d y^(a-1) (1 - q y)^(1/D - 1)
-    over (0, 1).  For CL the last factor is 1 and the integral is
-    B(a, d + 1) = B(a, b), so the moment is q^K.
-    """
-    k = n - 1
-    log_q = -math.log1p(1.0 / gamma_t)
-    if family == "cl" or k == 0:
-        return k * log_q
-    a, b = k / 2, d + 0.5
 
-    def f(y, yc):                   # 1 - q y = yc + y/(gamma_T + 1)
-        return math.exp(d * math.log(yc) + (a - 1.0) * math.log(y)
-                        - 0.5 * math.log(yc + y / (gamma_t + 1.0)))
-    return (a * log_q + math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            + math.log(_integral01(f)))
+def _tail(family: str, u: np.ndarray) -> np.ndarray:
+    """P(g^2 > u) for a standard normal g: erfc(sqrt(u/2)) for WL (real),
+    e^-u for CL (complex, E|g|^2 = 1)."""
+    if family == "cl":
+        return np.exp(-u)
+    return np.fromiter(map(math.erfc, np.sqrt(0.5 * u).tolist()), float, u.size)
 
 
 @lru_cache(maxsize=256)
-def _log_mmse_sic_moment(family: str, n: int, d: float, gamma_t: float) -> float:
+def _log_min_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     """log E[(min_n v_n^2 c_n)_+^d], c_n = 1 - eta_n/gamma_T, for v Haar on
-    the unit sphere and i.i.d. MMSE residuals eta_n at xi = 1.
+    the unit sphere and i.i.d. MMSE residuals eta_n at xi = 1; at
+    gamma_T = inf every c_n is 1 (the ZF-SIC moment).
 
-    With v = g/|g| as in :func:`_log_real_min_moment`, E w = E[S^d]^-1 times
-    the integral of d x^(d-1) phi(x)^N over x > 0, phi(x) = P(g_n^2 c_n > x).
-    Taking eta_n/(1 + eta_n) = q y as in :func:`_log_mmse_moment` gives
-    c_n = (1 - y)/(1 - q y), so phi(x) is q^a/B(a, b) times the integral of
-    y^(a-1) (1 - q y)^(b-1) T(x (1 - q y)/(1 - y)) over (0, 1), with
-    T(u) = P(g_n^2 > u): e^-u for CL, erfc(sqrt(u/2)) for WL.  The outer
+    v = g/|g| for standard normal g, independent of S = |g|^2, so E w =
+    E[S^d]^-1 times the integral of d x^(d-1) phi(x)^N over x > 0, with
+    phi(x) = P(g_n^2 c_n > x) = E T(x/c_n) and T = :func:`_tail`.  The
     integral, over x = s/(1 - s) and summed in logs, takes the whole
     tanh-sinh rule: its integrand peaks with a width of about d^-1/2 in
-    log x.  The inner one is smooth enough for every fourth node (step 1/16).
+    log x.  The expectation over c_n (:func:`_residual_law`) is smooth
+    enough for every fourth node (step 1/16).
     """
-    s, sc, ws = np.array(_tanh_sinh_nodes()).T
-    y, yc, w = s[::4], sc[::4], 4.0 * ws[::4]
-    dim = DIMS[family]
-    a, b = (n - 1) / dim, d + 1.0 / dim
-    one_qy = yc + y / (gamma_t + 1.0)                   # 1 - q y
-    ratio = one_qy / yc
+    s, sc, ws = _tanh_sinh_nodes()
     x = s / sc
-    if family == "wl":                  # T(x ratio) = erfc(sqrt(x) sqrt(ratio/2))
-        root = np.sqrt(0.5 * ratio)
-        rows = (np.fromiter(map(math.erfc, (math.sqrt(v) * root).tolist()), float, len(y))
-                for v in x)
-        log_es = d * math.log(2.0) + math.lgamma(n / 2 + d) - math.lgamma(n / 2)
+    if gamma_t == math.inf:
+        phi = _tail(family, x)
     else:
-        rows = (np.exp(-v * ratio) for v in x)
-        log_es = math.lgamma(n + d) - math.lgamma(n)
-    weights = w * np.exp((a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy))
-    phi = np.array([row @ weights for row in rows])     # no whole grid in memory
-    log_scale = -a * math.log1p(1.0 / gamma_t) + math.lgamma(a + b) \
-        - math.lgamma(a) - math.lgamma(b)
+        c, w = _residual_law(family, n, d, gamma_t, 4)
+        phi = np.array([_tail(family, v / c) @ w for v in x])   # no whole grid in memory
+    dim = DIMS[family]                  # S is D times a Gamma(N/D) variable
+    log_es = d * math.log(dim) + math.lgamma(n / dim + d) - math.lgamma(n / dim)
     with np.errstate(divide="ignore"):                  # phi is 0 at large x
         terms = (np.log(ws * d) + (d - 1.0) * np.log(x) - 2.0 * np.log(sc)
-                 + n * (log_scale + np.log(phi)))
+                 + n * np.log(phi))
     top = float(terms.max())
     return top + math.log(np.exp(terms - top).sum()) - log_es
 
@@ -421,16 +404,17 @@ def gain_for(
       mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so b
       is closed.  ZF-SIC takes K = b / gamma_T, w = theta_min^d with
       theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles;
-      under PPC E w is a closed Gamma ratio for CL and one quadrature for
-      WL (:func:`_log_complex_min_moment`, :func:`_log_real_min_moment`).
+      under PPC E w is the Haar-minimum integral
+      (:func:`_log_min_moment` at gamma_T = inf).
     * MMSE-SIC: the bracket [theta_min - (1/xi_min)/(gamma_T+1)]^+ with
       K = b / (gamma_T+1) bounds C from above, and with xi_max from below.
       At constant xi (PPC) the pair coincides, so the bracket is the exact
-      C (closed for CL); as min_n v_n^2 <= 1/N surely, it is positive with
-      positive probability exactly when N < gamma_T + 1.  Otherwise the
+      C (closed for CL, :func:`_log_complex_min_moment`); as
+      min_n v_n^2 <= 1/N surely, it is positive with positive probability
+      exactly when N < gamma_T + 1.  Otherwise the
       headline is the residual-based K = b / gamma_T, w = ([vartheta_min]^+)^d
       with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), exact under PPC
-      (:func:`_log_mmse_sic_moment`), and without power control
+      (:func:`_log_min_moment`), and without power control
       `lower`/`upper` carry the bound pair; `upper` is None where the upper
       bracket vanishes on every draw (no finite upper bound).
 
@@ -462,13 +446,9 @@ def gain_for(
         log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
         broot = math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
         kind = "complex"
-    if ppc and rx.criterion == "zf":
-        log_w = (_log_real_min_moment(n, d) if kind == "real"
-                 else _log_complex_min_moment(n, d, 1.0))
-        return _exact_gain(d, broot / gamma_t, log_w)
-    if ppc and n >= gamma_t + 1.0:
-        return _exact_gain(d, broot / gamma_t,
-                           _log_mmse_sic_moment(rx.family, n, d, gamma_t))
+    if ppc and (rx.criterion == "zf" or n >= gamma_t + 1.0):
+        residual = math.inf if rx.criterion == "zf" else gamma_t    # ZF: c_n = 1
+        return _exact_gain(d, broot / gamma_t, _log_min_moment(rx.family, n, d, residual))
     if ppc and kind == "complex":
         excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
         return _exact_gain(d, broot / (gamma_t + 1.0),

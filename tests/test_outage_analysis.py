@@ -16,9 +16,8 @@ from wlmimo.outage_analysis import (
     GainSummary,
     _gain,
     _log_complex_min_moment,
+    _log_min_moment,
     _log_mmse_moment,
-    _log_mmse_sic_moment,
-    _log_real_min_moment,
     asymptote_curve,
     diversity_order,
     gain_for,
@@ -266,14 +265,18 @@ def test_cl_mmse_gain_beats_zf():
     assert g.coding_gain == pytest.approx(zf * moment ** (-1 / g.diversity), rel=1e-12)
 
 
-def test_mmse_gain_equals_zf_when_no_interference():
-    # a lone user has no residual interference, so the bracket collapses
-    cfg = ppc_cfg(2, 1, 2.0)
-    for family in ("wl", "cl"):
-        rng = derive_rng(1006, "single")
-        zf = zf_ppc_gain(cfg, family)
-        mmse = gain_for(cfg, ReceiverSpec(family, "mmse"), 2_000, rng)
-        assert mmse.coding_gain == pytest.approx(zf.coding_gain, rel=1e-12)
+@pytest.mark.parametrize("family", ["wl", "cl"])
+@pytest.mark.parametrize("m", [1, 2, 5])
+@pytest.mark.parametrize("rate", [0.3, 2.0])
+def test_every_receiver_has_the_zf_gain_with_one_user(family, m, rate):
+    # A lone user meets no interference, so every receiver is linear ZF.  At
+    # N = 1 the residual law's a = K/D is 0, so no gain may reach it.
+    cfg = ppc_cfg(m, 1, rate)
+    zf = zf_ppc_gain(cfg, family).coding_gain
+    for criterion, sic in (("mmse", False), ("zf", True), ("mmse", True)):
+        g = gain_for(cfg, ReceiverSpec(family, criterion, sic), 1_000,
+                     derive_rng(1021, "one-user"))
+        assert g.coding_gain == pytest.approx(zf, rel=1e-12), (criterion, sic)
 
 
 def test_wl_zf_sic_gain_reference_value():
@@ -425,17 +428,16 @@ def test_haar_min_moments_match_the_oracle():
     pairs = []
     for family, m, n in ORACLE_DOMAIN:
         d = diversity_order(m, n, family)
+        pairs.append(((family, n, d), math.exp(_log_min_moment(family, n, d, math.inf)),
+                      oracle_min_moment(family, n, d)))
         if family == "wl":
-            pairs.append(((n, d), math.exp(_log_real_min_moment(n, d)),
-                          oracle_min_moment("wl", n, d)))
             continue
-        pairs.append(((n, d), math.exp(_log_complex_min_moment(n, d, 1.0)),
-                      oracle_min_moment("cl", n, d)))
         for rate in ORACLE_RATES:
             gamma_t = threshold("cl", rate)
             if n < gamma_t + 1:         # the MMSE-SIC bracket c = 1/(gamma_T+1)
                 excess = (gamma_t + 1 - n) / (gamma_t + 1)
-                pairs.append(((n, d, rate), math.exp(_log_complex_min_moment(n, d, excess)),
+                pairs.append(((family, n, d, rate),
+                              math.exp(_log_complex_min_moment(n, d, excess)),
                               oracle_min_moment("cl", n, d, 1 / (gamma_t + 1))))
     err, case = worst_relative_error(pairs)
     assert err < 1e-12, (err, case)
@@ -480,22 +482,25 @@ def oracle_mmse_sic_moment(family, m, n, rate):
 @pytest.mark.parametrize("family, m, n, rate", [("cl", 2, 2, 0.3), ("wl", 2, 3, 0.3)])
 def test_mmse_sic_moment_matches_the_oracle(family, m, n, rate):
     d, gamma_t = diversity_order(m, n, family), threshold(family, rate)
-    got = math.exp(_log_mmse_sic_moment(family, n, d, gamma_t))
+    got = math.exp(_log_min_moment(family, n, d, gamma_t))
     assert got == pytest.approx(oracle_mmse_sic_moment(family, m, n, rate), rel=1e-12)
 
 
 def test_mmse_sic_moments_hold_at_half_the_step(monkeypatch):
-    # Every oracle case with N >= gamma_T + 1, against the same formula on
-    # a tanh-sinh rule of half the step (outer 1/128, inner 1/32).
+    # Every oracle case with N >= gamma_T + 1, and every oracle case at
+    # gamma_T = inf (the ZF-SIC moment), against the same formula on a
+    # tanh-sinh rule of half the step (outer 1/128, inner 1/32).
     cases = [(family, n, diversity_order(m, n, family), threshold(family, rate))
              for family, m, n in ORACLE_DOMAIN for rate in ORACLE_RATES
              if n >= threshold(family, rate) + 1]
-    coarse = [_log_mmse_sic_moment.__wrapped__(*case) for case in cases]
+    cases += [(family, n, diversity_order(m, n, family), math.inf)
+              for family, m, n in ORACLE_DOMAIN]
+    coarse = [_log_min_moment.__wrapped__(*case) for case in cases]
     monkeypatch.setattr(outage_analysis, "TANH_SINH_STEP",
                         outage_analysis.TANH_SINH_STEP / 2)
     fine_nodes = outage_analysis._tanh_sinh_nodes.__wrapped__()
     monkeypatch.setattr(outage_analysis, "_tanh_sinh_nodes", lambda: fine_nodes)
-    err, case = max((abs(math.expm1(_log_mmse_sic_moment.__wrapped__(*case) - log_w)), case)
+    err, case = max((abs(math.expm1(_log_min_moment.__wrapped__(*case) - log_w)), case)
                     for case, log_w in zip(cases, coarse))
     assert len(cases) > 100 and err < 1e-13, (err, case)
 
@@ -504,10 +509,8 @@ def test_mmse_sic_moments_hold_at_half_the_step(monkeypatch):
 def test_mmse_sic_moment_without_residual_is_the_haar_minimum(family, n):
     # As gamma_T grows every c_n tends to 1, and the moment to E[(min v_n^2)^d].
     d = 1.5
-    haar = (_log_real_min_moment(n, d) if family == "wl"
-            else _log_complex_min_moment(n, d, 1.0))
-    assert math.exp(_log_mmse_sic_moment(family, n, d, 1e15)) == pytest.approx(
-        math.exp(haar), rel=1e-12)
+    assert math.exp(_log_min_moment(family, n, d, 1e15)) == pytest.approx(
+        oracle_min_moment(family, n, d), rel=1e-12)
 
 
 @pytest.mark.parametrize("family, n, rate", [("cl", 2, 0.3), ("wl", 3, 0.3)])
@@ -521,7 +524,7 @@ def test_mmse_sic_moment_matches_monte_carlo(family, n, rate):
     squared = np.abs(sample_haar_unit_vector(n, rng, size=count, kind=kind)) ** 2
     eta = residual_interference_samples(cfg, family, count * n, rng).reshape(count, n)
     w = np.clip(np.min(squared * (1.0 - eta / gamma_t), axis=1), 0.0, None) ** d
-    exact_w = math.exp(_log_mmse_sic_moment(family, n, d, gamma_t))
+    exact_w = math.exp(_log_min_moment(family, n, d, gamma_t))
     assert abs(w.mean() - exact_w) < 4 * w.std(ddof=1) / math.sqrt(count)
 
 
