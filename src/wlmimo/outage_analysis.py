@@ -16,15 +16,12 @@ C = K [E w]^(-1/d), a prefactor K times a d-th moment E w over the
 received-power profile xi, the high-SNR MMSE residual eta, and squared
 entries of Haar-distributed unit vectors.  Under PPC (xi = 1) the moment
 is exact, with no draws, for every receiver but WL-MMSE-SIC at
-N < gamma_T + 1: closed Gamma ratios, or one numpy tanh-sinh rule over
-the residual's beta-prime law and the minimum of a Haar vector's squared
-entries.  Elsewhere it is Monte Carlo evaluated with a reported standard
-error.  The MMSE-SIC bracket bounds C from both sides, and under PPC the
-two bounds coincide in the exact C.  eta is drawn without a channel,
-from the Bartlett factor of the interferers' channel
-(:func:`residual_interference_samples`), for N <= D M users.
-Heavy-tailed moment estimates (inverse powers of lognormal shadowing) are
-flagged when the top 10 samples carry more than 5% of the sample sum.
+1 < N < gamma_T + 1: closed Gamma ratios, or one numpy tanh-sinh rule
+over the residual's beta-prime law and the minimum of a Haar vector's
+squared entries.  Elsewhere it is Monte Carlo evaluated with a reported
+standard error.  eta is drawn without a channel, from the Bartlett factor
+of the interferers' channel (:func:`residual_interference_samples`), for
+N <= D M users.
 """
 
 from __future__ import annotations
@@ -53,8 +50,6 @@ __all__ = [
     "MIN_GAIN_TRIALS",
 ]
 
-HEAVY_TAIL_TOP = 10
-HEAVY_TAIL_SHARE = 0.05
 # Draws per batch.  Each batch draws its matrix entries, then its power
 # profile, so a change of either constant changes every stream that spans
 # more than one batch.
@@ -156,27 +151,19 @@ def outage_mc(
 class GainSummary:
     """Diversity exponent and coding gain of one receiver.
 
-    `lower`/`upper` hold the coding-gain bound pair where the analysis only
-    brackets the constant (MMSE-SIC without power control); elsewhere they
-    are None.  `stderr` propagates the MC error of the moment estimate to C
-    (zero when the moment is exact, as for most receivers under PPC).
+    `stderr` propagates the MC error of the moment estimate to C (zero when
+    the moment is exact, as for most receivers under PPC).
     """
 
     diversity: float
     coding_gain: float
-    lower: float | None = None
-    upper: float | None = None
     stderr: float = 0.0
-    heavy_tail: bool = False
 
     def __post_init__(self):
         if self.diversity <= 0:
             raise ValueError("diversity exponent must be positive")
         if not (self.coding_gain > 0 and math.isfinite(self.coding_gain)):
             raise ValueError("coding gain must be positive and finite")
-        if self.lower is not None and self.upper is not None:
-            if self.lower > self.upper:
-                raise ValueError("coding-gain bounds are crossed")
 
 
 def asymptote_curve(gain: GainSummary, snr_db) -> np.ndarray:
@@ -197,10 +184,10 @@ def _check_log_gain(log_gain: float) -> None:
         raise EstimateError(f"coding gain e^{log_gain:.6g} is outside the float range")
 
 
-def _gain(d: float, pre: float, w: np.ndarray, **bounds) -> GainSummary:
+def _gain(d: float, pre: float, w: np.ndarray) -> GainSummary:
     """C = pre [E w]^(-1/d) from samples w of a d-th moment, with the
-    moment's standard error carried to C, and the heavy-tail flag.  Both
-    come from w / E w, which cannot overflow where E w does not."""
+    moment's standard error carried to C.  That comes from w / E w, which
+    cannot overflow where E w does not."""
     mean = float(w.mean())
     if mean <= 0:
         raise EstimateError(
@@ -211,11 +198,8 @@ def _gain(d: float, pre: float, w: np.ndarray, **bounds) -> GainSummary:
         raise EstimateError(f"moment estimate overflows a float at order d = {d:g}")
     _check_log_gain(math.log(pre) - math.log(mean) / d)
     gain = pre * mean ** (-1.0 / d)
-    rel = w / mean
-    rel_se = float(rel.std(ddof=1)) / math.sqrt(len(w))
-    heavy = len(w) > HEAVY_TAIL_TOP and bool(
-        np.sort(rel)[-HEAVY_TAIL_TOP:].sum() > HEAVY_TAIL_SHARE * rel.sum())
-    return GainSummary(d, gain, stderr=gain / d * rel_se, heavy_tail=heavy, **bounds)
+    rel_se = float((w / mean).std(ddof=1)) / math.sqrt(len(w))
+    return GainSummary(d, gain, stderr=gain / d * rel_se)
 
 
 def residual_interference_samples(
@@ -393,8 +377,8 @@ def gain_for(
     Every C is K [E w]^(-1/d) for a d-th moment E w; D, d and gamma_T
     follow the family (:func:`diversity_order`,
     :func:`wlmimo.receivers.threshold`).  Under PPC (xi = 1) E w is exact,
-    with stderr 0 and no draws, except for WL-MMSE-SIC at N < gamma_T + 1;
-    otherwise it is the mean of `trials` samples w.
+    with stderr 0 and no draws, except for WL-MMSE-SIC at
+    1 < N < gamma_T + 1; otherwise it is the mean of `trials` samples w.
 
     * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC C = K.
     * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.  Under PPC eta is
@@ -406,17 +390,15 @@ def gain_for(
       theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles;
       under PPC E w is the Haar-minimum integral
       (:func:`_log_min_moment` at gamma_T = inf).
-    * MMSE-SIC: the bracket [theta_min - (1/xi_min)/(gamma_T+1)]^+ with
-      K = b / (gamma_T+1) bounds C from above, and with xi_max from below.
-      At constant xi (PPC) the pair coincides, so the bracket is the exact
-      C (closed for CL, :func:`_log_complex_min_moment`); as
-      min_n v_n^2 <= 1/N surely, it is positive with positive probability
-      exactly when N < gamma_T + 1.  Otherwise the
-      headline is the residual-based K = b / gamma_T, w = ([vartheta_min]^+)^d
-      with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T), exact under PPC
-      (:func:`_log_min_moment`), and without power control
-      `lower`/`upper` carry the bound pair; `upper` is None where the upper
-      bracket vanishes on every draw (no finite upper bound).
+    * MMSE-SIC under PPC at N < gamma_T + 1: the bracket form
+      K = b / (gamma_T+1), w = ([min_n v_n^2 - 1/(gamma_T+1)]^+)^d, exact
+      there; as min_n v_n^2 <= 1/N surely, it is positive with positive
+      probability exactly when N < gamma_T + 1.  It is closed for CL and at
+      N = 1, where v_1^2 = 1 on either sphere
+      (:func:`_log_complex_min_moment`).
+    * MMSE-SIC otherwise: the residual-based K = b / gamma_T,
+      w = ([vartheta_min]^+)^d with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T),
+      exact under PPC (:func:`_log_min_moment`).
 
     A sampled SIC gain draws the Haar vectors, then the profile, then eta
     where the headline reads it.
@@ -449,27 +431,17 @@ def gain_for(
     if ppc and (rx.criterion == "zf" or n >= gamma_t + 1.0):
         residual = math.inf if rx.criterion == "zf" else gamma_t    # ZF: c_n = 1
         return _exact_gain(d, broot / gamma_t, _log_min_moment(rx.family, n, d, residual))
-    if ppc and kind == "complex":
+    if ppc and (kind == "complex" or n == 1):
         excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
         return _exact_gain(d, broot / (gamma_t + 1.0),
                            _log_complex_min_moment(n, d, excess))
     squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
+    if ppc:     # WL-MMSE at 1 < N < gamma_T + 1; a sample with no positive draw refuses
+        bracket = np.min(squared, axis=1) - 1.0 / (gamma_t + 1.0)
+        return _gain(d, broot / (gamma_t + 1.0), np.clip(bracket, 0.0, None) ** d)
     xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
     if rx.criterion == "zf":
         return _gain(d, broot / gamma_t, np.min(squared / xi, axis=1) ** d)
-
-    pre = broot / (gamma_t + 1.0)
-    theta_min = np.min(squared / xi, axis=1)
-    upper = np.clip(theta_min - (1.0 / np.min(xi, axis=1)) / (gamma_t + 1.0),
-                    0.0, None) ** d
-    if ppc:         # WL at N < gamma_T + 1; a sample with no positive draw refuses
-        return _gain(d, pre, upper)
-    lower = np.clip(theta_min - (1.0 / np.max(xi, axis=1)) / (gamma_t + 1.0),
-                    0.0, None) ** d
-    # Once N >= gamma_T + 1 the upper bracket clips to zero on every draw
-    # (it needs every v_n^2 above 1/(gamma_T+1)): no finite upper bound.
-    bounds = {"lower": _gain(d, pre, lower).coding_gain,
-              "upper": _gain(d, pre, upper).coding_gain if upper.any() else None}
     eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
     vartheta_min = np.min(squared * (1.0 / xi - eta.reshape(trials, n) / gamma_t), axis=1)
-    return _gain(d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d, **bounds)
+    return _gain(d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d)
