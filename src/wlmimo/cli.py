@@ -46,7 +46,8 @@ from .link_model import LinkConfig
 from .mmtc_sim import MIN_TTIS, MmtcConfig, run_scenario
 from .montecarlo import EstimateError, derive_rng, wilson_interval
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
-                              diversity_order, gain_for, outage_mc, snr_grid)
+                              diversity_order, exact_gain, gain_for, outage_mc,
+                              snr_grid)
 from .receivers import ReceiverSpec, threshold
 from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalue
 
@@ -305,6 +306,8 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
             threshold(rx.family, rate)                   # refuses a huge or tiny rate
             if asymptote and rx.sic and rx.family == "wl":
                 _wl_sic_domain(m_rx, n_users)
+            for link in links * asymptote:
+                exact_gain(link, rx)        # refuses an M beyond an exact moment's rule
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):

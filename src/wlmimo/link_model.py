@@ -7,7 +7,9 @@ station.  Large-scale attenuation follows the urban macro law
     beta_dB = -120.9 - 37.6 log10(r / km)
 
 plus log-normal shadowing with 8 dB standard deviation.  These four values
-are the class constants of :class:`Cell`, which every config inherits.  The
+are the class constants of :class:`Cell`, which every config inherits.
+:func:`sample_large_scale` forms beta psi in natural logs, one log and one
+exp per sample, from the same uniform and normal draws as the dB form.  The
 normalized received power of user i is xi_i = p_i beta_i psi_i / p_av; two
 power modes are supported:
 
@@ -72,14 +74,29 @@ class LinkConfig(Cell):
 def sample_large_scale(cfg: Cell, count: int, rng: np.random.Generator) -> np.ndarray:
     """Draw `count` i.i.d. attenuation samples beta * psi (linear).
 
-    Distance from area-uniform placement (r = radius * sqrt(U)), clipped to
-    the 1 m keep-out; shadowing log-normal with the cell's sigma.
+    Distance from area-uniform placement, r = R sqrt(U), clipped to the 1 m
+    keep-out r0; shadowing log-normal with the cell's sigma.  With the law
+    in dB written in natural logs, each sample is one log and one exp:
+
+        beta psi = exp(c0 + (s/20) ln max(U, (r0/R)^2) + (sigma ln10/10) z),
+
+    c0 = (a + s log10 R) ln10/10 for intercept a and slope s; the slope
+    takes s/20, not s ln10/20, since ln U already carries the ln 10.  The
+    draws are U = rng.random(count), then `count` standard normals z, the
+    stream rng.normal(0, sigma, count) scales.
     """
-    r = cfg.cell_radius_km * np.sqrt(rng.random(count))
-    r = np.maximum(r, MIN_DISTANCE_KM)
-    beta_db = cfg.pathloss_intercept_db + cfg.pathloss_slope_db * np.log10(r)
-    psi_db = rng.normal(0.0, cfg.shadow_sigma_db, count)
-    return 10.0 ** ((beta_db + psi_db) / 10.0)
+    to_nat = math.log(10.0) / 10.0                      # dB to ln
+    radius = cfg.cell_radius_km
+    c0 = (cfg.pathloss_intercept_db + cfg.pathloss_slope_db * math.log10(radius)) * to_nat
+    u = rng.random(count)
+    np.maximum(u, (MIN_DISTANCE_KM / radius) ** 2, out=u)
+    np.log(u, out=u)
+    u *= cfg.pathloss_slope_db / 20.0
+    u += c0
+    z = rng.standard_normal(count)
+    z *= cfg.shadow_sigma_db * to_nat
+    u += z
+    return np.exp(u, out=u)
 
 
 def sample_power_profile(cfg: LinkConfig, rng: np.random.Generator,

@@ -43,6 +43,7 @@ __all__ = [
     "diversity_order",
     "outage_mc",
     "gain_for",
+    "exact_gain",
     "asymptote_curve",
     "residual_interference_samples",
     "snr_grid",
@@ -66,6 +67,14 @@ MAX_SNR_DB = 300.0
 # beyond |t| = 4.5 a node lies within e^-141 of its end point.
 TANH_SINH_STEP = 1.0 / 64.0
 TANH_SINH_SPAN = 4.5
+# Largest M each tanh-sinh moment accepts: it meets its oracle to 1e-12 up
+# to there, over every N at rates 0.3, 1, 2 and 4.  The Haar-minimum
+# integrand narrows as d^-1/2: at N = 1, where the moment is 1, the error
+# first passes 1e-12 at M = 69 (WL) and M = 82 (CL), and is 2e-13 at
+# M = 64.  The WL MMSE moment's error against its Gauss hypergeometric form
+# grows about as M: 5e-13 at M = 256 and 1.0e-12 at M = 512.
+MIN_MOMENT_MAX_M = 64
+MMSE_MOMENT_MAX_M = 256
 
 
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
@@ -296,6 +305,14 @@ def _residual_law(family: str, n: int, d: float, gamma_t: float, every: int) -> 
         log_scale + (a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy))
 
 
+def _check_exact_m(family: str, n: int, d: float, bound: int, moment: str) -> None:
+    """Refuse M = d + (N-1)/D beyond the largest M a moment rule holds at."""
+    m = d + (n - 1) / DIMS[family]
+    if m > bound:
+        raise ValueError(f"the exact {moment} moment holds to 1e-12 for "
+                         f"m_rx <= {bound}, not {m:g}")
+
+
 def _log_complex_min_moment(n: int, d: float, excess: float) -> float:
     """log E[(min_i |v_i|^2 - c)_+^d] for v Haar on the unit sphere of C^N,
     given excess = 1 - N c > 0.
@@ -313,9 +330,11 @@ def _log_complex_min_moment(n: int, d: float, excess: float) -> float:
 def _log_mmse_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     """log E[(1 - eta/gamma_T)_+^d] = log E[c^d] for the MMSE residual eta
     at xi = 1 (:func:`_residual_law`).  For CL the integral is
-    B(a, d + 1) = B(a, b), so the moment is q^K."""
+    B(a, d + 1) = B(a, b), so the moment is q^K, at every M; the WL rule
+    holds for M <= MMSE_MOMENT_MAX_M and refuses beyond."""
     if family == "cl" or n == 1:
         return -(n - 1) * math.log1p(1.0 / gamma_t)
+    _check_exact_m(family, n, d, MMSE_MOMENT_MAX_M, "MMSE")
     c, w = _residual_law(family, n, d, gamma_t, 1)
     return math.log(w @ c ** d)
 
@@ -340,8 +359,10 @@ def _log_min_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     integral, over x = s/(1 - s) and summed in logs, takes the whole
     tanh-sinh rule: its integrand peaks with a width of about d^-1/2 in
     log x.  The expectation over c_n (:func:`_residual_law`) is smooth
-    enough for every fourth node (step 1/16).
+    enough for every fourth node (step 1/16).  Holds for
+    M <= MIN_MOMENT_MAX_M and refuses beyond.
     """
+    _check_exact_m(family, n, d, MIN_MOMENT_MAX_M, "Haar-minimum")
     s, sc, ws = _tanh_sinh_nodes()
     x = s / sc
     if gamma_t == math.inf:
@@ -365,6 +386,48 @@ def _exact_gain(d: float, pre: float, log_moment: float) -> GainSummary:
     return GainSummary(d, math.exp(log_gain))
 
 
+def _linear_pre(family: str, d: float, gamma_t: float) -> float:
+    """K = D (d Gamma(d))^(1/d) / gamma_T of the linear receivers, formed in
+    logs so that no Gamma overflows at large d."""
+    return DIMS[family] * math.exp(math.lgamma(d + 1.0) / d) / gamma_t
+
+
+def _sic_root(family: str, n: int, m_rx: int, d: float) -> float:
+    """b of the SIC prefactors: beta1(N, 2M)^(-1/d) for WL; for CL the
+    closed (d Gamma(d) E{mu^d})^(1/d), mu ~ Beta(1, N-1), in logs."""
+    if family == "wl":
+        return beta1(n, 2 * m_rx) ** (-1.0 / d)
+    log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
+    return math.exp((math.lgamma(d + 1.0) + log_mu) / d)
+
+
+def exact_gain(cfg: LinkConfig, rx: ReceiverSpec) -> GainSummary | None:
+    """The coding gain :func:`gain_for` returns where its moment is exact,
+    under PPC for every receiver but WL-MMSE-SIC at 1 < N < gamma_T + 1,
+    formed with no draws; None where gain_for samples it.  Raises
+    ValueError where a routine's declared domain ends (beta1's, or an exact
+    moment's largest M), so a caller can refuse a run before it draws."""
+    if cfg.power_control != "ppc":
+        return None
+    n = cfg.n_users
+    d = diversity_order(cfg.m_rx, n, rx.family)
+    gamma_t = threshold(rx.family, cfg.rate)
+    if not rx.sic:
+        pre = _linear_pre(rx.family, d, gamma_t)
+        if rx.criterion == "zf":
+            return GainSummary(d, pre)
+        return _exact_gain(d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
+    broot = _sic_root(rx.family, n, cfg.m_rx, d)
+    if rx.criterion == "zf" or n >= gamma_t + 1.0:
+        residual = math.inf if rx.criterion == "zf" else gamma_t    # ZF: c_n = 1
+        return _exact_gain(d, broot / gamma_t, _log_min_moment(rx.family, n, d, residual))
+    if rx.family == "cl" or n == 1:
+        excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
+        return _exact_gain(d, broot / (gamma_t + 1.0),
+                           _log_complex_min_moment(n, d, excess))
+    return None
+
+
 @np.errstate(over="ignore")       # an infinite sample is refused by _gain
 def gain_for(
     cfg: LinkConfig,
@@ -377,8 +440,8 @@ def gain_for(
     Every C is K [E w]^(-1/d) for a d-th moment E w; D, d and gamma_T
     follow the family (:func:`diversity_order`,
     :func:`wlmimo.receivers.threshold`).  Under PPC (xi = 1) E w is exact,
-    with stderr 0 and no draws, except for WL-MMSE-SIC at
-    1 < N < gamma_T + 1; otherwise it is the mean of `trials` samples w.
+    with stderr 0 and no draws (:func:`exact_gain`), except for WL-MMSE-SIC
+    at 1 < N < gamma_T + 1; otherwise it is the mean of `trials` samples w.
 
     * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC C = K.
     * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.  Under PPC eta is
@@ -406,37 +469,25 @@ def gain_for(
     if trials < MIN_GAIN_TRIALS:
         raise ValueError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
                          f"not {trials}")
+    exact = exact_gain(cfg, rx)
+    if exact is not None:
+        return exact
     n = cfg.n_users
     d = diversity_order(cfg.m_rx, n, rx.family)
     gamma_t = threshold(rx.family, cfg.rate)
-    ppc = cfg.power_control == "ppc"
     if not rx.sic:
-        pre = DIMS[rx.family] * (d * math.gamma(d)) ** (1.0 / d) / gamma_t
-        if rx.criterion == "zf" and ppc:
-            return GainSummary(d, pre)
-        if ppc:
-            return _exact_gain(d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
+        pre = _linear_pre(rx.family, d, gamma_t)
         if rx.criterion == "zf":
             return _gain(d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
         xi = sample_large_scale(cfg, trials, rng)
         eta = residual_interference_samples(cfg, rx.family, trials, rng)
         return _gain(d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
 
-    if rx.family == "wl":
-        broot, kind = beta1(n, 2 * cfg.m_rx) ** (-1.0 / d), "real"
-    else:
-        log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
-        broot = math.exp((math.log(d * math.gamma(d)) + log_mu) / d)
-        kind = "complex"
-    if ppc and (rx.criterion == "zf" or n >= gamma_t + 1.0):
-        residual = math.inf if rx.criterion == "zf" else gamma_t    # ZF: c_n = 1
-        return _exact_gain(d, broot / gamma_t, _log_min_moment(rx.family, n, d, residual))
-    if ppc and (kind == "complex" or n == 1):
-        excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
-        return _exact_gain(d, broot / (gamma_t + 1.0),
-                           _log_complex_min_moment(n, d, excess))
+    broot = _sic_root(rx.family, n, cfg.m_rx, d)
+    kind = "real" if rx.family == "wl" else "complex"
     squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
-    if ppc:     # WL-MMSE at 1 < N < gamma_T + 1; a sample with no positive draw refuses
+    if cfg.power_control == "ppc":
+        # WL-MMSE at 1 < N < gamma_T + 1; a sample with no positive draw refuses
         bracket = np.min(squared, axis=1) - 1.0 / (gamma_t + 1.0)
         return _gain(d, broot / (gamma_t + 1.0), np.clip(bracket, 0.0, None) ** d)
     xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)

@@ -590,6 +590,38 @@ def test_main_refuses_an_asymptote_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("receiver, refused", [
+    ("wl-zf", False), ("wl-mmse", False), ("cl-zf", False), ("cl-mmse", False),
+    ("cl-mmse-sic", False),             # N = 2 < gamma_T + 1: the closed bracket
+    ("wl-zf-sic", True), ("wl-mmse-sic", True),     # beta1 takes 2M <= 64
+    ("cl-zf-sic", True),                # the Haar-minimum rule holds to M = 64
+])
+def test_main_at_200_antennas_writes_a_finite_asymptote_or_refuses(
+        tmp_path, capsys, monkeypatch, receiver, refused):
+    # Gamma(d) overflows a float at d = 199, so the prefactors are formed in
+    # logs; a gain past a routine's declared M is refused before any stream
+    # is derived, and nothing is written.
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 1, "trials": 1000, "out-dir": str(out),
+        "options": {"m-rx": 200, "n-users": 2, "power-control": "ppc",
+                    "snr-db": [-10.0, 20.0], "gain-trials": 1000,
+                    "receivers": [receiver]}})
+    streams = []
+    monkeypatch.setattr("wlmimo.cli.derive_rng",
+                        lambda *key: streams.append(key) or derive_rng(*key))
+    status = main(["run", str(p)])
+    captured = capsys.readouterr()
+    if refused:
+        assert status == 2 and "m_rx" in captured.err and captured.out == ""
+        assert streams == [] and not out.exists()
+        return
+    assert status == 0
+    with open(out / f"custom-ppc-{receiver}.csv", encoding="utf-8") as f:
+        p_asym = [float(row["p_asym"]) for row in csv.DictReader(f)]
+    assert all(math.isfinite(v) for v in p_asym) and p_asym[0] > 0
+
+
 def test_main_leaves_other_arithmetic_errors_to_the_traceback(tmp_path,
                                                                monkeypatch):
     # Only EstimateError is a refusal; any other ArithmeticError is a fault.

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
+from wlmimo.link_model import (MIN_DISTANCE_KM, Cell, LinkConfig, sample_large_scale,
+                               sample_power_profile)
 from wlmimo.mmtc_sim import MmtcConfig
 
 
@@ -89,6 +90,43 @@ def test_large_scale_shadowing_law():
     g = sample_large_scale(cfg, 50_000, rng)
     db = 10.0 * np.log10(g)
     assert stats.kstest(db, stats.norm(0, 8.0).cdf).pvalue > 0.01
+
+
+def db_route(cfg, count, rng):
+    """beta psi by the dB form of the law, on the sampler's draws:
+    r = R sqrt(U) clipped to the keep-out, then 10^((a + s log10 r + psi_dB)/10)."""
+    r = np.maximum(cfg.cell_radius_km * np.sqrt(rng.random(count)), MIN_DISTANCE_KM)
+    beta_db = cfg.pathloss_intercept_db + cfg.pathloss_slope_db * np.log10(r)
+    return 10.0 ** ((beta_db + rng.normal(0.0, cfg.shadow_sigma_db, count)) / 10.0)
+
+
+def test_large_scale_takes_a_uniform_then_a_normal_per_sample():
+    rng, twin = np.random.default_rng(26), np.random.default_rng(26)
+    sample_large_scale(base_cfg(), 1_000, rng)
+    twin.random(1_000)
+    twin.standard_normal(1_000)
+    assert rng.bit_generator.state == twin.bit_generator.state
+
+
+def test_large_scale_matches_the_db_route():
+    cfg = base_cfg()
+    g = sample_large_scale(cfg, 100_000, np.random.default_rng(27))
+    want = db_route(cfg, 100_000, np.random.default_rng(27))
+    assert np.max(np.abs(g / want - 1.0)) < 1e-13
+
+
+class TinyCell(Cell):
+    """A 2 mm cell without shadowing: every drop lies inside the keep-out."""
+
+    cell_radius_km = 0.000002
+    shadow_sigma_db = 0.0
+
+
+def test_large_scale_clips_to_the_keep_out():
+    g = sample_large_scale(TinyCell(), 1_000, np.random.default_rng(28))
+    beta_r0 = 10.0 ** ((TinyCell.pathloss_intercept_db
+                        + TinyCell.pathloss_slope_db * np.log10(MIN_DISTANCE_KM)) / 10.0)
+    assert np.max(np.abs(g / beta_r0 - 1.0)) < 8 * np.finfo(float).eps
 
 
 def test_power_profile_ppc_is_constant():

@@ -364,6 +364,24 @@ def test_run_scenario_deterministic():
     assert a == b
 
 
+class QuietCell(MmtcConfig):
+    """The cell at 0 dBm, where CL outage drops are common enough to pin."""
+
+    tx_power_dbm = 0.0
+
+
+@pytest.mark.parametrize("cfg, counts", [
+    (wl_cfg(users=64_000), (26654, 23758, 2870, 26)),
+    (QuietCell(users=16_000, m_rx=1, family="cl"), (6669, 5731, 902, 36)),
+])
+def test_run_scenario_counts_are_pinned(cfg, counts):
+    # Any change of the occupancy, attenuation or gain streams moves these,
+    # so it fails here instead of passing quietly.
+    res = run_scenario(cfg, 1_000, derive_rng(2027, "pin", cfg.family))
+    assert (res.offered, res.decoded, res.dropped_overload,
+            res.dropped_outage) == counts
+
+
 def test_result_validation():
     cfg = wl_cfg()
     with pytest.raises(ValueError):

@@ -12,6 +12,8 @@ from wlmimo import outage_analysis
 from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
 from wlmimo.montecarlo import EstimateError, derive_rng, wilson_interval
 from wlmimo.outage_analysis import (
+    MIN_MOMENT_MAX_M,
+    MMSE_MOMENT_MAX_M,
     RESIDUAL_BATCH,
     GainSummary,
     _gain,
@@ -498,6 +500,51 @@ def test_mmse_sic_moments_hold_at_half_the_step(monkeypatch):
     err, case = max((abs(math.expm1(_log_min_moment.__wrapped__(*case) - log_w)), case)
                     for case, log_w in zip(cases, coarse))
     assert len(cases) > 100 and err < 1e-13, (err, case)
+
+
+def test_haar_min_moment_holds_to_its_declared_m():
+    # The CL closed form is an oracle at every (M, N); at N = 1 the moment
+    # is 1 in either family, where d = M is largest and the rule is worst.
+    pairs = []
+    for m in range(1, MIN_MOMENT_MAX_M + 1):
+        for n in range(1, m + 1):
+            d = diversity_order(m, n, "cl")
+            pairs.append((("cl", m, n), math.exp(_log_min_moment("cl", n, d, math.inf)),
+                          math.exp(_log_complex_min_moment(n, d, 1.0))))
+        pairs.append((("wl", m, 1), math.exp(_log_min_moment("wl", 1, m, math.inf)), 1.0))
+    err, case = worst_relative_error(pairs)
+    assert err < 1e-12, (err, case)
+    for family, n in (("cl", 1), ("cl", 3), ("wl", 1), ("wl", 4)):
+        d = diversity_order(MIN_MOMENT_MAX_M + 1, n, family)
+        with pytest.raises(ValueError, match=f"m_rx <= {MIN_MOMENT_MAX_M}, not "
+                                             f"{MIN_MOMENT_MAX_M + 1}"):
+            _log_min_moment(family, n, d, math.inf)
+
+
+def test_wl_mmse_moment_holds_to_its_declared_m():
+    # At the bound, against the Gauss hypergeometric form of the WL moment:
+    # the integral of y^(a-1) (1-y)^d (1-qy)^(-1/2) is B(a, d+1) 2F1(1/2, a;
+    # a+d+1; q).  Beyond it the rule refuses; the CL moment q^K is closed.
+    mp = pytest.importorskip("mpmath")
+    m = MMSE_MOMENT_MAX_M
+    pairs = []
+    with mp.workdps(30):
+        for n in (2, 3, 5, 16, 64, m // 2, m, m + 1, 2 * m - 30, 2 * m - 1, 2 * m):
+            d = diversity_order(m, n, "wl")
+            a, da = mp.mpf(n - 1) / 2, mp.mpf(d)
+            for rate in ORACLE_RATES:
+                gamma_t = threshold("wl", rate)
+                q = mp.mpf(gamma_t) / (1 + mp.mpf(gamma_t))
+                log_w = a * mp.log(q) + mp.log(mp.beta(a, da + 1) / mp.beta(a, da + 0.5)
+                                               * mp.hyp2f1(0.5, a, a + da + 1, q))
+                pairs.append(((n, rate), 1.0 + float(mp.expm1(
+                    _log_mmse_moment("wl", n, d, gamma_t) - log_w)), 1.0))
+    err, case = worst_relative_error(pairs)
+    assert err < 1e-12, (err, case)
+    with pytest.raises(ValueError, match=f"m_rx <= {m}, not {m + 1}"):
+        _log_mmse_moment("wl", 2, diversity_order(m + 1, 2, "wl"), 3.0)
+    assert _log_mmse_moment("cl", 8, diversity_order(4 * m, 8, "cl"), 3.0) == \
+        -7 * math.log1p(1 / 3.0)
 
 
 @pytest.mark.parametrize("family, n", [("wl", 2), ("wl", 5), ("cl", 2), ("cl", 5)])
