@@ -16,10 +16,11 @@ before use and before hashing.  An experiment's options are the
 keyword-only parameters of its runner, with their defaults; the top-level
 `trials` is one of them where the experiment reads it.  Any other key is
 refused, and so is a value of another kind than its default's.  A runner
-checks every value, SNR grids included (`outage_analysis.snr_grid`),
-before its first draw, and returns its
-tables without writing anything; `run` forms the config hash before the
-runner draws, and writes the CSVs and then the sidecar once the runner has
+checks every value before its first draw: SNR grids with
+`outage_analysis.snr_grid`, and each coding gain it will form with one
+`outage_analysis.exact_gain` call per curve.  It returns its tables
+without writing anything; `run` forms the config hash before the runner
+draws, and writes the CSVs and then the sidecar once the runner has
 returned.  So a bad value (`ConfigError`, exit status 2), a config the hash
 cannot dump, and an estimate the draws cannot form (`EstimateError`, one
 line on stderr and exit status 1) all leave the output directory as it was.
@@ -207,19 +208,9 @@ def _at_least(name: str, value: int, minimum: int) -> int:
     return value
 
 
-def _wl_sic_domain(m_rx: int, n_users: int) -> None:
-    """beta1(N, 2M)'s refusal of a WL-SIC asymptote, naming the options."""
-    try:
-        beta1(n_users, 2 * m_rx)
-    except ValueError as exc:
-        raise ValueError(f"{exc}: the WL-SIC asymptote takes n = n_users = "
-                         f"{n_users} and m = 2 m_rx = {2 * m_rx}") from exc
-
-
-def _distinct(name: str, values, kind=None) -> list:
-    """A list option, or one name, whose entries as `kind` differ."""
-    values = [values] if isinstance(values, str) else values
-    values = [kind(v) for v in values] if kind else list(values)
+def _distinct(name: str, values) -> list:
+    """A list option, or one name, whose entries differ."""
+    values = [values] if isinstance(values, str) else list(values)
     for i, value in enumerate(values):
         if value in values[:i]:
             raise ValueError(f"{name} names {value!r} twice")
@@ -298,16 +289,16 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
         gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
         links = [LinkConfig(m_rx=m_rx, n_users=n_users, snr=1.0, rate=rate,
                             power_control=mode) for mode in modes]
-        names = _distinct("receivers", receivers,
-                          lambda name: parse_receiver(name).label.lower())
-        specs = [parse_receiver(name) for name in names]
+        specs = [parse_receiver(name) for name in
+                 ([receivers] if isinstance(receivers, str) else receivers)]
+        names = _distinct("receivers", [rx.label.lower() for rx in specs])
         for rx in specs:
-            diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
-            threshold(rx.family, rate)                   # refuses a huge or tiny rate
-            if asymptote and rx.sic and rx.family == "wl":
-                _wl_sic_domain(m_rx, n_users)
-            for link in links * asymptote:
-                exact_gain(link, rx)        # refuses an M beyond an exact moment's rule
+            if asymptote:
+                for link in links:
+                    exact_gain(link, rx)    # refuses every gain gain_for would
+            else:
+                diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
+                threshold(rx.family, rate)                   # refuses a huge or tiny rate
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):
@@ -342,27 +333,22 @@ def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
     with _config_values(cfg):
         snr_db = snr_grid(snr_db)
         gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
-        curves = []
-        for panel, n_wl, n_cl, rate in FIG3_PANELS:
-            for family, n in (("wl", n_wl), ("cl", n_cl)):
-                diversity_order(m_rx, n, family)    # refuses N > D M
-                if family == "wl":
-                    _wl_sic_domain(m_rx, n)
-                curves.append((panel, family, LinkConfig(
-                    m_rx=m_rx, n_users=n, snr=1.0, rate=rate, power_control="ppc")))
+        curves = [(panel, LinkConfig(m_rx=m_rx, n_users=n, snr=1.0, rate=rate,
+                                     power_control="ppc"),
+                   ReceiverSpec(family, criterion, sic))
+                  for panel, n_wl, n_cl, rate in FIG3_PANELS
+                  for family, n in (("wl", n_wl), ("cl", n_cl))
+                  for criterion in ("zf", "mmse") for sic in (False, True)]
+        for panel, link, rx in curves:
+            exact_gain(link, rx)            # refuses every gain gain_for would
     tables = {}
-    for panel, family, link in curves:
-        for criterion in ("zf", "mmse"):
-            for sic in (False, True):
-                rx = ReceiverSpec(family, criterion, sic)
-                gain = gain_for(
-                    link, rx, gain_trials,
-                    derive_rng(cfg.seed, "fig3", panel, family,
-                               criterion, int(sic)),
-                )
-                p = asymptote_curve(gain, snr_db)
-                name = f"fig3-{panel}-{rx.label.lower()}.csv"
-                tables[name] = (["snr_db", "p_asym"], list(zip(snr_db, p)))
+    for panel, link, rx in curves:
+        gain = gain_for(link, rx, gain_trials,
+                        derive_rng(cfg.seed, "fig3", panel, rx.family,
+                                   rx.criterion, int(rx.sic)))
+        p = asymptote_curve(gain, snr_db)
+        name = f"fig3-{panel}-{rx.label.lower()}.csv"
+        tables[name] = (["snr_db", "p_asym"], list(zip(snr_db, p)))
     return tables, {"gain_trials": gain_trials}
 
 

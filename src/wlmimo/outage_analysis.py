@@ -71,8 +71,10 @@ TANH_SINH_SPAN = 4.5
 # to there, over every N at rates 0.3, 1, 2 and 4.  The Haar-minimum
 # integrand narrows as d^-1/2: at N = 1, where the moment is 1, the error
 # first passes 1e-12 at M = 69 (WL) and M = 82 (CL), and is 2e-13 at
-# M = 64.  The WL MMSE moment's error against its Gauss hypergeometric form
-# grows about as M: 5e-13 at M = 256 and 1.0e-12 at M = 512.
+# M = 64; it binds only CL-MMSE-SIC at N >= gamma_T + 1, as beta1 refuses
+# WL-SIC beyond M = 32 first and CL-ZF-SIC's moment is closed.  The WL MMSE
+# moment's error against its Gauss hypergeometric form grows about as M:
+# 5e-13 at M = 256 and 1.0e-12 at M = 512.
 MIN_MOMENT_MAX_M = 64
 MMSE_MOMENT_MAX_M = 256
 
@@ -283,8 +285,8 @@ def _tanh_sinh_nodes() -> tuple:
 
 
 def _residual_law(family: str, n: int, d: float, gamma_t: float, every: int) -> tuple:
-    """Nodes c = 1 - eta/gamma_T and weights of the MMSE residual eta at
-    xi = 1, on every `every`-th node of the tanh-sinh rule, for N >= 2.
+    """Nodes c = 1 - eta/gamma_T, rule weights and log densities of the MMSE
+    residual eta at xi = 1, on every `every`-th tanh-sinh node, for N >= 2.
 
     eta = z' W^-1 z, with z standard normal in K = N - 1 dimensions and
     independent of the K x K Wishart W = H_1' H_1 (real with 2M degrees of
@@ -301,8 +303,14 @@ def _residual_law(family: str, n: int, d: float, gamma_t: float, every: int) -> 
     one_qy = yc + y / (gamma_t + 1.0)                   # 1 - q y
     log_scale = -a * math.log1p(1.0 / gamma_t) + math.lgamma(a + b) \
         - math.lgamma(a) - math.lgamma(b)
-    return yc / one_qy, every * w * np.exp(
-        log_scale + (a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy))
+    return yc / one_qy, every * w, \
+        log_scale + (a - 1.0) * np.log(y) + (b - 1.0) * np.log(one_qy)
+
+
+def _log_sum_exp(terms: np.ndarray) -> float:
+    """log sum e^terms, shifted by the largest; -inf where every term is."""
+    top = float(terms.max())
+    return top if top == -math.inf else top + math.log(np.exp(terms - top).sum())
 
 
 def _check_exact_m(family: str, n: int, d: float, bound: int, moment: str) -> None:
@@ -335,8 +343,8 @@ def _log_mmse_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     if family == "cl" or n == 1:
         return -(n - 1) * math.log1p(1.0 / gamma_t)
     _check_exact_m(family, n, d, MMSE_MOMENT_MAX_M, "MMSE")
-    c, w = _residual_law(family, n, d, gamma_t, 1)
-    return math.log(w @ c ** d)
+    c, w, log_density = _residual_law(family, n, d, gamma_t, 1)
+    return _log_sum_exp(np.log(w) + log_density + d * np.log(c))   # may be below e^-745
 
 
 def _tail(family: str, u: np.ndarray) -> np.ndarray:
@@ -351,7 +359,7 @@ def _tail(family: str, u: np.ndarray) -> np.ndarray:
 def _log_min_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     """log E[(min_n v_n^2 c_n)_+^d], c_n = 1 - eta_n/gamma_T, for v Haar on
     the unit sphere and i.i.d. MMSE residuals eta_n at xi = 1; at
-    gamma_T = inf every c_n is 1 (the ZF-SIC moment).
+    gamma_T = inf every c_n is 1 (the WL ZF-SIC moment).
 
     v = g/|g| for standard normal g, independent of S = |g|^2, so E w =
     E[S^d]^-1 times the integral of d x^(d-1) phi(x)^N over x > 0, with
@@ -368,15 +376,15 @@ def _log_min_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     if gamma_t == math.inf:
         phi = _tail(family, x)
     else:
-        c, w = _residual_law(family, n, d, gamma_t, 4)
+        c, w, log_density = _residual_law(family, n, d, gamma_t, 4)
+        w = w * np.exp(log_density)
         phi = np.array([_tail(family, v / c) @ w for v in x])   # no whole grid in memory
     dim = DIMS[family]                  # S is D times a Gamma(N/D) variable
     log_es = d * math.log(dim) + math.lgamma(n / dim + d) - math.lgamma(n / dim)
     with np.errstate(divide="ignore"):                  # phi is 0 at large x
         terms = (np.log(ws * d) + (d - 1.0) * np.log(x) - 2.0 * np.log(sc)
                  + n * np.log(phi))
-    top = float(terms.max())
-    return top + math.log(np.exp(terms - top).sum()) - log_es
+    return _log_sum_exp(terms) - log_es
 
 
 def _exact_gain(d: float, pre: float, log_moment: float) -> GainSummary:
@@ -396,28 +404,34 @@ def _sic_root(family: str, n: int, m_rx: int, d: float) -> float:
     """b of the SIC prefactors: beta1(N, 2M)^(-1/d) for WL; for CL the
     closed (d Gamma(d) E{mu^d})^(1/d), mu ~ Beta(1, N-1), in logs."""
     if family == "wl":
-        return beta1(n, 2 * m_rx) ** (-1.0 / d)
+        try:
+            return beta1(n, 2 * m_rx) ** (-1.0 / d)
+        except ValueError as exc:
+            raise ValueError(f"{exc}: the WL-SIC asymptote takes n = n_users = "
+                             f"{n} and m = 2 m_rx = {2 * m_rx}") from exc
     log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
     return math.exp((math.lgamma(d + 1.0) + log_mu) / d)
 
 
 def exact_gain(cfg: LinkConfig, rx: ReceiverSpec) -> GainSummary | None:
-    """The coding gain :func:`gain_for` returns where its moment is exact,
-    under PPC for every receiver but WL-MMSE-SIC at 1 < N < gamma_T + 1,
-    formed with no draws; None where gain_for samples it.  Raises
-    ValueError where a routine's declared domain ends (beta1's, or an exact
-    moment's largest M), so a caller can refuse a run before it draws."""
-    if cfg.power_control != "ppc":
-        return None
+    """The one draw-free check of a coding gain.  In either power mode it
+    raises ValueError wherever :func:`gain_for` refuses (N > D M, a rate
+    out of threshold's range, beyond beta1's or an exact moment's M).  Else
+    the gain gain_for returns where its moment is exact, under PPC for every
+    receiver but WL-MMSE-SIC at 1 < N < gamma_T + 1; None where it samples."""
     n = cfg.n_users
     d = diversity_order(cfg.m_rx, n, rx.family)
     gamma_t = threshold(rx.family, cfg.rate)
+    broot = _sic_root(rx.family, n, cfg.m_rx, d) if rx.sic else None
+    if cfg.power_control != "ppc":
+        return None
     if not rx.sic:
         pre = _linear_pre(rx.family, d, gamma_t)
         if rx.criterion == "zf":
             return GainSummary(d, pre)
         return _exact_gain(d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
-    broot = _sic_root(rx.family, n, cfg.m_rx, d)
+    if rx.family == "cl" and rx.criterion == "zf":          # c_n = 1, at every M
+        return _exact_gain(d, broot / gamma_t, _log_complex_min_moment(n, d, 1.0))
     if rx.criterion == "zf" or n >= gamma_t + 1.0:
         residual = math.inf if rx.criterion == "zf" else gamma_t    # ZF: c_n = 1
         return _exact_gain(d, broot / gamma_t, _log_min_moment(rx.family, n, d, residual))
@@ -451,8 +465,9 @@ def gain_for(
       mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so b
       is closed.  ZF-SIC takes K = b / gamma_T, w = theta_min^d with
       theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles;
-      under PPC E w is the Haar-minimum integral
-      (:func:`_log_min_moment` at gamma_T = inf).
+      under PPC E w is the Haar-minimum integral for WL
+      (:func:`_log_min_moment` at gamma_T = inf) and closed for CL
+      (:func:`_log_complex_min_moment` with nothing subtracted).
     * MMSE-SIC under PPC at N < gamma_T + 1: the bracket form
       K = b / (gamma_T+1), w = ([min_n v_n^2 - 1/(gamma_T+1)]^+)^d, exact
       there; as min_n v_n^2 <= 1/N surely, it is positive with positive
@@ -463,14 +478,12 @@ def gain_for(
       w = ([vartheta_min]^+)^d with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T),
       exact under PPC (:func:`_log_min_moment`).
 
-    A sampled SIC gain draws the Haar vectors, then the profile, then eta
-    where the headline reads it.
+    A sampled SIC gain draws the Haar vectors, the profile, then eta if w reads it.
     """
     if trials < MIN_GAIN_TRIALS:
         raise ValueError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
                          f"not {trials}")
-    exact = exact_gain(cfg, rx)
-    if exact is not None:
+    if (exact := exact_gain(cfg, rx)) is not None:
         return exact
     n = cfg.n_users
     d = diversity_order(cfg.m_rx, n, rx.family)

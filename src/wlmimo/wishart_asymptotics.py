@@ -57,9 +57,9 @@ __all__ = [
 EIG_BLOCK_ELEMENTS = 1 << 18
 
 
-def _check_nm(n: int, m: int, bound: int = 64) -> None:
-    if not (1 <= n <= m <= bound):
-        raise ValueError(f"need 1 <= n <= m <= {bound}, got n={n}, m={m}")
+def _check_nm(n: int, m: int) -> None:
+    if not (1 <= n <= m <= 64):
+        raise ValueError(f"need 1 <= n <= m <= 64, got n={n}, m={m}")
 
 
 def diversity_exponent(k: int, n: int, m: int) -> float:

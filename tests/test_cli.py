@@ -3,6 +3,7 @@
 import ast
 import csv
 import filecmp
+import hashlib
 import inspect
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 import yaml
 
 import wlmimo
+from wlmimo import outage_analysis
 from wlmimo.cli import (
     EXPERIMENTS,
     MMTC_SCENARIOS,
@@ -251,6 +253,75 @@ def test_reruns_are_byte_identical(tmp_path):
     match, mismatch, errors = filecmp.cmpfiles(out_a, out_b, names,
                                                shallow=False)
     assert mismatch == [] and errors == []
+
+
+# The first 16 hex digits of the sha256 of every CSV the small runs write
+# at seed 2028.  A change that moves a curve on purpose declares the move
+# and updates its row.
+CSV_DIGESTS = {
+    "custom-none-wl-mmse-sic.csv": "8ed96e48b914b5bb",
+    "custom-none-wl-zf.csv": "663dcbfcd440bdbb",
+    "fig1-k1-n2-m4.csv": "93c9ad6795596cbf",
+    "fig1-k1-n3-m6.csv": "7352c66ba97dfc2a",
+    "fig1-k1-n4-m4.csv": "ae7ef0902c887ce7",
+    "fig1-k2-n2-m2.csv": "2a303c2e72210e0c",
+    "fig2-none-wl-mmse-sic.csv": "86b99b61da408c49",
+    "fig2-none-wl-mmse.csv": "cabb6183f9f1ad60",
+    "fig2-none-wl-zf-sic.csv": "f5addf4fe7ced4ab",
+    "fig2-none-wl-zf.csv": "321c02b0bd9495ba",
+    "fig2-ppc-wl-mmse-sic.csv": "242be770cb436524",
+    "fig2-ppc-wl-mmse.csv": "75358fd11cd4895e",
+    "fig2-ppc-wl-zf-sic.csv": "e0af3a85f6802607",
+    "fig2-ppc-wl-zf.csv": "b1b44aa3eb559572",
+    "fig3-a-cl-mmse-sic.csv": "7c8f002a4f35e6a3",
+    "fig3-a-cl-mmse.csv": "0b6b3c66edf0cc0d",
+    "fig3-a-cl-zf-sic.csv": "0925e79db6bd717f",
+    "fig3-a-cl-zf.csv": "5121faed4b1d22c3",
+    "fig3-a-wl-mmse-sic.csv": "04145d89cfc6ed89",
+    "fig3-a-wl-mmse.csv": "e7253b231fc3f78a",
+    "fig3-a-wl-zf-sic.csv": "bbc497f8320c8be8",
+    "fig3-a-wl-zf.csv": "5327389d8ac3b5b4",
+    "fig3-b-cl-mmse-sic.csv": "081ac3fe10a0f74f",
+    "fig3-b-cl-mmse.csv": "adb5a6f64005dd50",
+    "fig3-b-cl-zf-sic.csv": "65d2b69e3915adf5",
+    "fig3-b-cl-zf.csv": "f9aad1e11d603d55",
+    "fig3-b-wl-mmse-sic.csv": "5894e6b4dcff2337",
+    "fig3-b-wl-mmse.csv": "dd212b27c85f01ea",
+    "fig3-b-wl-zf-sic.csv": "38589ef604264003",
+    "fig3-b-wl-zf.csv": "24e1471f53600a19",
+    "fig3-c-cl-mmse-sic.csv": "3cc4641594ff6a9b",
+    "fig3-c-cl-mmse.csv": "481c80d35307c8ec",
+    "fig3-c-cl-zf-sic.csv": "4595301c8aa9e3eb",
+    "fig3-c-cl-zf.csv": "8dfd125131ee144e",
+    "fig3-c-wl-mmse-sic.csv": "b068d12de24d0b85",
+    "fig3-c-wl-mmse.csv": "9c3d36b70e3e0cd4",
+    "fig3-c-wl-zf-sic.csv": "ba86c5dc08174bca",
+    "fig3-c-wl-zf.csv": "a1ec548a5bf5c5f4",
+    "fig3-d-cl-mmse-sic.csv": "3cc4641594ff6a9b",
+    "fig3-d-cl-mmse.csv": "481c80d35307c8ec",
+    "fig3-d-cl-zf-sic.csv": "4595301c8aa9e3eb",
+    "fig3-d-cl-zf.csv": "8dfd125131ee144e",
+    "fig3-d-wl-mmse-sic.csv": "97fc987398680b05",
+    "fig3-d-wl-mmse.csv": "e6d33b82f5083069",
+    "fig3-d-wl-zf-sic.csv": "51e58b6717e12455",
+    "fig3-d-wl-zf.csv": "d429e76e6f7ea0da",
+    "fig4-cl-half-m1.csv": "a83e27ad29181a82",
+    "fig4-cl-m1.csv": "eb29c6863693e46a",
+    "fig4-wl-m1.csv": "b01de6e8c8cf8ecd",
+    "fig5-cl-half-m1.csv": "011eaeec068cd642",
+    "fig5-cl-m1.csv": "6921bc45cb4016a5",
+    "fig5-wl-m1.csv": "964ab8cb6e988be6",
+}
+
+
+def test_small_runs_write_pinned_bytes(tmp_path):
+    for experiment, (trials, options) in SMALL_RUNS.items():
+        run(ExperimentConfig(experiment, seed=2028, trials=trials,
+                             out_dir=str(tmp_path), options=options))
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+           for p in sorted(tmp_path.glob("*.csv"))}
+    table = "".join(f'    "{name}": "{digest}",\n' for name, digest in got.items())
+    assert got == CSV_DIGESTS, "the CSVs now hash to\n" + table
 
 
 def test_custom_experiment_without_asymptote(tmp_path):
@@ -593,8 +664,8 @@ def test_main_refuses_an_asymptote_that_overflows(tmp_path, capsys):
 @pytest.mark.parametrize("receiver, refused", [
     ("wl-zf", False), ("wl-mmse", False), ("cl-zf", False), ("cl-mmse", False),
     ("cl-mmse-sic", False),             # N = 2 < gamma_T + 1: the closed bracket
+    ("cl-zf-sic", False),               # the closed uniform-spacings moment
     ("wl-zf-sic", True), ("wl-mmse-sic", True),     # beta1 takes 2M <= 64
-    ("cl-zf-sic", True),                # the Haar-minimum rule holds to M = 64
 ])
 def test_main_at_200_antennas_writes_a_finite_asymptote_or_refuses(
         tmp_path, capsys, monkeypatch, receiver, refused):
@@ -620,6 +691,48 @@ def test_main_at_200_antennas_writes_a_finite_asymptote_or_refuses(
     with open(out / f"custom-ppc-{receiver}.csv", encoding="utf-8") as f:
         p_asym = [float(row["p_asym"]) for row in csv.DictReader(f)]
     assert all(math.isfinite(v) for v in p_asym) and p_asym[0] > 0
+
+
+@pytest.mark.parametrize("experiment, options, named", [
+    # beta1 bounds a WL-SIC gain in either power mode.
+    ("custom", {"m-rx": 33, "n-users": 2, "power-control": "none",
+                "receivers": ["wl-zf-sic"], "snr-db": [20.0]}, M_RX_33),
+    # fig3 checks its 32 gains against the exact moments' bounds too; with
+    # the Haar-minimum bound lowered to M = 1, its M = 2 is past it.
+    ("fig3-wl-vs-cl", {"gain-trials": 1000}, "m_rx <= 1, not 2"),
+])
+def test_main_refuses_a_gain_outside_its_domain_before_any_stream(
+        tmp_path, capsys, monkeypatch, experiment, options, named):
+    monkeypatch.setattr(outage_analysis, "MIN_MOMENT_MAX_M", 1)
+    outage_analysis._log_min_moment.cache_clear()   # a cached moment skips the bound
+    streams = []
+    monkeypatch.setattr("wlmimo.cli.derive_rng",
+                        lambda *key: streams.append(key) or derive_rng(*key))
+    trials = {"trials": 1000} if "trials" in keywords(experiment) else {}
+    assert_refused_before_any_draw(tmp_path, capsys, named, {
+        "experiment": experiment, "seed": 3, **trials, "options": options})
+    assert streams == []
+
+
+def test_main_refuses_a_wl_mmse_gain_beyond_the_float_range_in_one_line(
+        tmp_path, capsys, monkeypatch):
+    # At M = 256, N = 512, R = 0.03 the exact moment is e^-820.6, inside its
+    # declared M, and C = K [E w]^(-1/d) is e^1645: an estimate, not a config,
+    # that cannot be formed.
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 1, "trials": 1000, "out-dir": str(out),
+        "options": {"m-rx": 256, "n-users": 512, "rate": 0.03, "power-control": "ppc",
+                    "snr-db": [20.0], "receivers": ["wl-mmse"]}})
+    streams = []
+    monkeypatch.setattr("wlmimo.cli.derive_rng",
+                        lambda *key: streams.append(key) or derive_rng(*key))
+    assert main(["run", str(p)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("custom: coding gain e^1644.")
+    assert "outside the float range" in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert streams == [] and not out.exists()
 
 
 def test_main_leaves_other_arithmetic_errors_to_the_traceback(tmp_path,

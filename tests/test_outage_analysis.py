@@ -1,5 +1,6 @@
 """Tests for thresholds, exponents, outage simulation, and the gain formulas."""
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from wlmimo import outage_analysis
 from wlmimo.link_model import LinkConfig, sample_large_scale, sample_power_profile
 from wlmimo.montecarlo import EstimateError, derive_rng, wilson_interval
 from wlmimo.outage_analysis import (
+    MIN_GAIN_TRIALS,
     MIN_MOMENT_MAX_M,
     MMSE_MOMENT_MAX_M,
     RESIDUAL_BATCH,
@@ -22,6 +24,7 @@ from wlmimo.outage_analysis import (
     _log_mmse_moment,
     asymptote_curve,
     diversity_order,
+    exact_gain,
     gain_for,
     outage_mc,
     residual_interference_samples,
@@ -521,30 +524,41 @@ def test_haar_min_moment_holds_to_its_declared_m():
             _log_min_moment(family, n, d, math.inf)
 
 
-def test_wl_mmse_moment_holds_to_its_declared_m():
-    # At the bound, against the Gauss hypergeometric form of the WL moment:
-    # the integral of y^(a-1) (1-y)^d (1-qy)^(-1/2) is B(a, d+1) 2F1(1/2, a;
-    # a+d+1; q).  Beyond it the rule refuses; the CL moment q^K is closed.
+def wl_mmse_moment_error(m, n, rate):
+    """The relative error of the WL MMSE moment against its Gauss
+    hypergeometric form: the integral of y^(a-1) (1-y)^d (1-qy)^(-1/2) is
+    B(a, d+1) 2F1(1/2, a; a+d+1; q), taken in logs by mpmath."""
     mp = pytest.importorskip("mpmath")
-    m = MMSE_MOMENT_MAX_M
-    pairs = []
+    d, gamma_t = diversity_order(m, n, "wl"), threshold("wl", rate)
     with mp.workdps(30):
-        for n in (2, 3, 5, 16, 64, m // 2, m, m + 1, 2 * m - 30, 2 * m - 1, 2 * m):
-            d = diversity_order(m, n, "wl")
-            a, da = mp.mpf(n - 1) / 2, mp.mpf(d)
-            for rate in ORACLE_RATES:
-                gamma_t = threshold("wl", rate)
-                q = mp.mpf(gamma_t) / (1 + mp.mpf(gamma_t))
-                log_w = a * mp.log(q) + mp.log(mp.beta(a, da + 1) / mp.beta(a, da + 0.5)
-                                               * mp.hyp2f1(0.5, a, a + da + 1, q))
-                pairs.append(((n, rate), 1.0 + float(mp.expm1(
-                    _log_mmse_moment("wl", n, d, gamma_t) - log_w)), 1.0))
+        a, da = mp.mpf(n - 1) / 2, mp.mpf(d)
+        q = mp.mpf(gamma_t) / (1 + mp.mpf(gamma_t))
+        log_w = a * mp.log(q) + mp.log(mp.beta(a, da + 1) / mp.beta(a, da + 0.5)
+                                       * mp.hyp2f1(0.5, a, a + da + 1, q))
+        return float(mp.expm1(_log_mmse_moment("wl", n, d, gamma_t) - log_w))
+
+
+def test_wl_mmse_moment_holds_to_its_declared_m():
+    # At the bound, against the Gauss hypergeometric form of the WL moment.
+    # Beyond it the rule refuses; the CL moment q^K is closed.
+    m = MMSE_MOMENT_MAX_M
+    pairs = [((n, rate), 1.0 + wl_mmse_moment_error(m, n, rate), 1.0)
+             for n in (2, 3, 5, 16, 64, m // 2, m, m + 1, 2 * m - 30, 2 * m - 1, 2 * m)
+             for rate in ORACLE_RATES]
     err, case = worst_relative_error(pairs)
     assert err < 1e-12, (err, case)
     with pytest.raises(ValueError, match=f"m_rx <= {m}, not {m + 1}"):
         _log_mmse_moment("wl", 2, diversity_order(m + 1, 2, "wl"), 3.0)
     assert _log_mmse_moment("cl", 8, diversity_order(4 * m, 8, "cl"), 3.0) == \
         -7 * math.log1p(1 / 3.0)
+
+
+@pytest.mark.parametrize("m, n", [(240, 464), (234, 463)])
+def test_wl_mmse_moment_is_summed_in_logs(m, n):
+    # At R = 0.03 these moments are about e^-742, where a linear sum of the
+    # rule's terms goes subnormal: it read them 37% and 13% low, and C 5.7%
+    # and 4.8% high.
+    assert abs(wl_mmse_moment_error(m, n, 0.03)) < 1e-12
 
 
 @pytest.mark.parametrize("family, n", [("wl", 2), ("wl", 5), ("cl", 2), ("cl", 5)])
@@ -580,6 +594,51 @@ def test_exact_mmse_sic_gain_beyond_the_float_range_is_refused(family, m):
     with pytest.raises(EstimateError, match="outside the float range"):
         gain_for(cfg, ReceiverSpec(family, "mmse", sic=True), 100, rng)
     assert rng.bit_generator.state == state
+
+
+# Rates on both sides of each edge of threshold's range: 2^(D R) - 1 rounds
+# to zero below about R = 1.6e-16 / D and overflows from R = 1024 / D.
+EDGE_RATES = (1e-17, 1e-16, 0.3, 2.0, 511.0, 512.0, 1023.0, 1024.0)
+
+
+def refusal(call):
+    """The message of the ValueError `call` raises, or None; an EstimateError
+    is an estimate the draws cannot form, not a refused config."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    except EstimateError:
+        pass
+    return None
+
+
+def test_exact_gain_refuses_exactly_what_gain_for_refuses():
+    # Over both power modes and all eight receivers: N at D M and D M + 1;
+    # WL at 2M = 64 and 66 (beta1's bound); CL at M = 64 and 65, where
+    # MMSE-SIC at N >= gamma_T + 1 meets the Haar-minimum bound.  A refused
+    # gain_for draws nothing.
+    refusals = []
+    for family in DIMS:
+        dim = DIMS[family]
+        for m in (2, 32, 33) if family == "wl" else (2, 64, 65):
+            for n, rate, mode in itertools.product(
+                    (1, dim * m, dim * m + 1), EDGE_RATES, ("none", "ppc")):
+                cfg = LinkConfig(m_rx=m, n_users=n, snr=1.0, rate=rate,
+                                 power_control=mode)
+                for criterion, sic in itertools.product(("zf", "mmse"), (False, True)):
+                    rx = ReceiverSpec(family, criterion, sic)
+                    rng = derive_rng(1028, "domain", family, m, n, criterion, int(sic))
+                    state = rng.bit_generator.state
+                    refused = refusal(lambda: gain_for(cfg, rx, MIN_GAIN_TRIALS, rng))
+                    case = (family, criterion, sic, m, n, rate, mode)
+                    assert refusal(lambda: exact_gain(cfg, rx)) == refused, case
+                    assert refused is None or rng.bit_generator.state == state, case
+                    if refused is not None:
+                        refusals.append(refused)
+    for kind in ("separate at most", "is too small", "is too large",
+                 "the WL-SIC asymptote takes", "Haar-minimum moment holds"):
+        assert any(kind in message for message in refusals), kind
 
 
 # (family, criterion, sic, N, rate) at M = 2: every PPC gain with an exact
