@@ -252,11 +252,14 @@ def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
     with _config_values(cfg):
         points = _at_least("points", points, 1)
     header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
+    probs = np.logspace(-4, -2, points)
+    # The quantiles and the counts below them read no sample past this one.
+    lowest = min(trials, int((trials - 1) * probs[-1]) + 3)
     tables = {}
     for k, n, m in FIG1_CASES:
         rng = derive_rng(cfg.seed, "fig1", k, n, m)
-        lam = np.sort(sample_kth_eigenvalue(k, n, m, trials, rng))
-        probs = np.logspace(-4, -2, points)
+        lam = sample_kth_eigenvalue(k, n, m, trials, rng, lowest)
+        lam = np.concatenate([lam, np.full(trials - lowest, np.inf)])
         eps = np.quantile(lam, probs)
         cdf, lo, hi = _proportion(np.searchsorted(lam, eps, side="right"),
                                   trials)

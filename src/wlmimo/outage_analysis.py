@@ -400,9 +400,10 @@ def _linear_pre(family: str, d: float, gamma_t: float) -> float:
     return DIMS[family] * math.exp(math.lgamma(d + 1.0) / d) / gamma_t
 
 
+@lru_cache(maxsize=256)
 def _sic_root(family: str, n: int, m_rx: int, d: float) -> float:
     """b of the SIC prefactors: beta1(N, 2M)^(-1/d) for WL; for CL the
-    closed (d Gamma(d) E{mu^d})^(1/d), mu ~ Beta(1, N-1), in logs."""
+    closed (d Gamma(d) E{mu^d})^(1/d), mu ~ Beta(1, N-1), in logs.  Cached."""
     if family == "wl":
         try:
             return beta1(n, 2 * m_rx) ** (-1.0 / d)

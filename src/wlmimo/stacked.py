@@ -15,6 +15,8 @@ a draw's result does not depend on the rest of the stack.
 - :func:`inverse_diagonal` turns a factor into the diagonal of G^-1.
 - :func:`kth_eigenvalue` roots B B^T, B a lower bidiagonal, on its
   shifted LDL^T, accurate relative to the eigenvalue.
+- :func:`count_below` counts the eigenvalues below a shift, the negative
+  pivots of that LDL^T: bisection steps on it, the eigenvalue sampler screens.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ __all__ = [
     "cholesky_lower",
     "inverse_diagonal",
     "kth_eigenvalue",
+    "count_below",
 ]
 
 # Cholesky pivot / diagonal entry at or below which a draw goes to least
@@ -156,10 +159,10 @@ def _converge(step, d2, e2, *state):
             go, value, state = step(d2, e2, *state)
             if not go.all():
                 out[idx[~go]] = value[~go]
-                if not go.any():
-                    return out
                 idx, d2, e2 = idx[go], d2[:, go], e2[:, go]
                 state = [a[go] for a in state]
+            if not idx.size:                # also an empty stack
+                return out
     raise EstimateError(f"eigenvalue not converged after {ROOT_STEPS} steps")
 
 
@@ -179,17 +182,24 @@ def _newton_step(d2, e2, sigma):
     return step > 2.0 * EPS * sigma, sigma, (sigma + step,)
 
 
+def count_below(d2: np.ndarray, e2: np.ndarray, sigma) -> np.ndarray:
+    """(B,) count of the eigenvalues of B B^T (:func:`kth_eigenvalue`) below
+    sigma, the negative pivots; EstimateError where one is exactly zero."""
+    s, below = -sigma, 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(d2.shape[0]):
+            dp = s + d2[i]
+            below = below + (dp < 0.0)
+            if i < len(e2):
+                s = e2[i] * s / dp - sigma
+    if np.isnan(dp).any():          # a pivot was exactly zero
+        raise EstimateError("eigenvalue: zero pivot in the Sturm count")
+    return below
+
+
 def _bisect_step(d2, e2, lo, hi, k):
     """Halve [lo, hi] around lambda_k by the negative-pivot count at its middle."""
     mid = 0.5 * (lo + hi)
-    s, below = -mid, 0
-    for i in range(d2.shape[0]):
-        dp = s + d2[i]
-        below = below + (dp < 0.0)
-        if i < len(e2):
-            s = e2[i] * s / dp - mid
-    if np.isnan(dp).any():          # a pivot was exactly zero
-        raise EstimateError("eigenvalue: zero pivot in the Sturm count")
-    above = below >= k
+    above = count_below(d2, e2, mid) >= k
     return (hi - lo > 4.0 * EPS * hi, mid,
             (np.where(above, lo, mid), np.where(above, mid, hi)))

@@ -35,6 +35,9 @@ a lower bidiagonal B with independent chi entries (Dumitriu & Edelman, J.
 Math. Phys. 43 (2002)), B_ii^2 ~ chi2(m - i) and B_i+1,i^2 ~ chi2(n - 1 - i),
 and lambda_k is a root of the shifted LDL^T of B B^T
 (:func:`wlmimo.stacked.kth_eigenvalue`), accurate relative to itself.
+A caller may ask for the lowest r of T samples only; at k = 1, n > 2 only the
+draws with lambda_1 < tau, by :func:`wlmimo.stacked.count_below`, are then
+rooted, where beta_1 tau^d = SCREEN_MARGIN r / T (n <= 2 roots in closed form).
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .stacked import kth_eigenvalue
+from .stacked import count_below, kth_eigenvalue
 
 __all__ = [
     "diversity_exponent",
@@ -55,6 +58,9 @@ __all__ = [
 
 # Entries of X one block of sample_kth_eigenvalue stands for (2n - 1 draws per n m).
 EIG_BLOCK_ELEMENTS = 1 << 18
+
+# Share of the draws a `lowest` screen roots, over the share it returns.
+SCREEN_MARGIN = 4.0
 
 
 def _check_nm(n: int, m: int) -> None:
@@ -107,24 +113,44 @@ def sample_kth_eigenvalue(
     m: int,
     trials: int,
     rng: np.random.Generator,
+    lowest: int | None = None,
 ) -> np.ndarray:
     """Draw `trials` samples of the kth smallest eigenvalue of X X^T.
 
     A draw is B's n squared diagonal entries, then its n - 1 squared
     subdiagonal ones.  Blocks of EIG_BLOCK_ELEMENTS // (n m) draws go
     draws-last to :func:`wlmimo.stacked.kth_eigenvalue`; every sample is
-    that of one draw of the whole (trials, 2n - 1) array.
+    that of one draw of the whole (trials, 2n - 1) array.  With `lowest`, it
+    returns np.sort(samples)[:lowest] bit for bit, rooting only the draws
+    below tau (module docstring).  If fewer than `lowest` roots lie below
+    tau (1 - 1e-9), where no count errs, it rewinds rng to its entry state
+    and roots every draw, so it consumes the same stream either way.
     """
     if not (1 <= k <= n):
         raise ValueError("need 1 <= k <= n")
     _check_nm(n, m)
     if trials <= 0:
         raise ValueError("trials must be positive")
+    if lowest is not None and not 1 <= lowest <= trials:
+        raise ValueError("need 1 <= lowest <= trials")
     rows = max(1, EIG_BLOCK_ELEMENTS // (n * m))
     df = np.concatenate([np.arange(m, m - n, -1.0), np.arange(n - 1, 0, -1.0)])
-    out = np.empty(trials)
-    for done in range(0, trials, rows):
-        b = min(rows, trials - done)
-        sq = np.ascontiguousarray(rng.chisquare(df, (b, 2 * n - 1)).T)
-        out[done:done + b] = kth_eigenvalue(sq[:n], sq[n:], k)
-    return out
+    cut = math.inf
+    if lowest is not None and k == 1 and n > 2:
+        p = SCREEN_MARGIN * lowest / trials
+        cut = (p / beta1(n, m)) ** (1.0 / diversity_exponent(k, n, m))
+    entry = rng.bit_generator.state
+    while True:
+        roots = []
+        for done in range(0, trials, rows):
+            b = min(rows, trials - done)
+            sq = np.ascontiguousarray(rng.chisquare(df, (b, 2 * n - 1)).T)
+            if cut < math.inf:
+                sq = sq[:, count_below(sq[:n], sq[n:], cut) >= k]
+            roots.append(kth_eigenvalue(sq[:n], sq[n:], k))
+        lam = np.concatenate(roots)
+        if lowest is None:
+            return lam
+        if np.count_nonzero(lam < cut * (1.0 - 1e-9)) >= lowest:
+            return np.sort(np.partition(lam, lowest - 1)[:lowest])
+        rng.bit_generator.state, cut = entry, math.inf

@@ -21,6 +21,7 @@ import wlmimo
 from wlmimo import outage_analysis
 from wlmimo.cli import (
     EXPERIMENTS,
+    FIG1_CASES,
     MMTC_SCENARIOS,
     ConfigError,
     ExperimentConfig,
@@ -34,6 +35,7 @@ from wlmimo.cli import (
 )
 from wlmimo.mmtc_sim import MmtcConfig, half_tti_mode, run_scenario
 from wlmimo.montecarlo import derive_rng
+from wlmimo.wishart_asymptotics import sample_kth_eigenvalue
 
 
 def write_yaml(path: Path, doc) -> Path:
@@ -158,6 +160,22 @@ def read_csv(path: Path):
     with open(path, newline="", encoding="utf-8") as f:
         rows = list(csv.reader(f))
     return rows[0], rows[1:]
+
+
+@pytest.mark.parametrize("trials", [3, 17, 250, 999, 1001, 4321])
+def test_fig1_reads_the_quantiles_of_the_whole_sorted_draw(tmp_path, trials):
+    # fig1 roots and keeps only its lowest samples; np.quantile and the
+    # counts on the whole sorted draw must give the written columns exactly.
+    run(ExperimentConfig("fig1-eig-cdf", seed=8, trials=trials,
+                         out_dir=str(tmp_path)))
+    for k, n, m in FIG1_CASES:
+        lam = np.sort(sample_kth_eigenvalue(
+            k, n, m, trials, derive_rng(8, "fig1", k, n, m)))
+        eps = np.quantile(lam, np.logspace(-4, -2, 8))
+        below = np.searchsorted(lam, eps, side="right")
+        _, rows = read_csv(tmp_path / f"fig1-k{k}-n{n}-m{m}.csv")
+        assert [float(row[3]) for row in rows] == eps.tolist()
+        assert [float(row[4]) for row in rows] == (below / trials).tolist()
 
 
 def test_fig1_run_writes_finite_curves(tmp_path):
@@ -322,6 +340,29 @@ def test_small_runs_write_pinned_bytes(tmp_path):
            for p in sorted(tmp_path.glob("*.csv"))}
     table = "".join(f'    "{name}": "{digest}",\n' for name, digest in got.items())
     assert got == CSV_DIGESTS, "the CSVs now hash to\n" + table
+
+
+# The same digests for fig1 at the edge sizes of its quantile read (seed
+# 2029, the four CSVs in name order): one and two draws, where every draw
+# is read, and 1000, with one quantile point or eight.  fig1 reads only its
+# lowest samples; these pin that its CSVs are those of the whole sorted draw.
+FIG1_EDGE_DIGESTS = {
+    (1, 1): "ed50786ac5c587fc 898f34beebb46a89 f8603e048e80b9b4 a0700250aa9fc613",
+    (1, 8): "b5dbf42725e46f36 142cff9e446a8140 3f1d57bba52efbad e9f6408cbe387050",
+    (2, 1): "e1fa0093cd11a863 d31ca10cf872765f 8fdb42225ba8231c 585c3a93aabeacf1",
+    (2, 8): "bfcf0206d0eee257 ac3694b9f066a444 6ba2e9c90187f568 010c158cbff3a88d",
+    (1000, 1): "15a7ecc521b18ff6 a6de44432ce6df20 ad1b35aaab32a36b ba63053dd3ca943c",
+    (1000, 8): "20feb3997feb5b9d 712927ba3fa6d6c0 70b2b19e23dafb21 3db625a9ef7fcf96",
+}
+
+
+@pytest.mark.parametrize("trials,points", sorted(FIG1_EDGE_DIGESTS))
+def test_fig1_at_edge_sizes_writes_pinned_bytes(tmp_path, trials, points):
+    run(ExperimentConfig("fig1-eig-cdf", seed=2029, trials=trials,
+                         out_dir=str(tmp_path), options={"points": points}))
+    got = " ".join(hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+                   for p in sorted(tmp_path.glob("*.csv")))
+    assert got == FIG1_EDGE_DIGESTS[trials, points]
 
 
 def test_custom_experiment_without_asymptote(tmp_path):

@@ -2,7 +2,8 @@
 
 The Gram and Cholesky kernels are checked through the receivers and the
 MMSE residual against the LAPACK routes they replace; the bidiagonal
-eigenvalue kernel through the eigenvalue sampler.  Here: its edge cases.
+eigenvalue kernel through the eigenvalue sampler.  Here: its edge cases,
+and the Sturm count that its bisection and the sampler's screen share.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 import exact
 from wlmimo import stacked
 from wlmimo.montecarlo import EstimateError
-from wlmimo.stacked import kth_eigenvalue
+from wlmimo.stacked import count_below, kth_eigenvalue
 
 
 def bidiagonals(n, draws, seed):
@@ -32,6 +33,13 @@ def test_kth_eigenvalue_is_relative_to_a_tiny_eigenvalue(k, n):
         assert exact.sturm_count(d2[:, j], e2[:, j], got[j] * (1 + 1e-12)) >= k
 
 
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+def test_kth_eigenvalue_of_an_empty_stack_is_empty(k, n):
+    # A screened block may keep no draw.
+    got = kth_eigenvalue(np.empty((n, 0)), np.empty((n - 1, 0)), k)
+    assert got.shape == (0,)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_kth_eigenvalue_refuses_to_return_unconverged_values(monkeypatch, k):
     # Newton from below (k = 1), bisection for 1 < k <= n.
@@ -39,3 +47,57 @@ def test_kth_eigenvalue_refuses_to_return_unconverged_values(monkeypatch, k):
     monkeypatch.setattr(stacked, "ROOT_STEPS", 2)
     with pytest.raises(EstimateError):
         kth_eigenvalue(d2, e2, k)
+
+
+def tridiagonals(d2, e2):
+    """(B, n, n) B B^T of draws-last bidiagonals."""
+    n, draws = d2.shape
+    b = np.zeros((draws, n, n))
+    b[:, range(n), range(n)] = np.sqrt(d2.T)
+    b[:, range(1, n), range(n - 1)] = np.sqrt(e2.T)
+    return b @ b.transpose(0, 2, 1)
+
+
+def exact_counts(d2, e2, sigma):
+    """Exact Sturm counts of each draw at its sigma (or one for all)."""
+    sigma = np.broadcast_to(sigma, d2.shape[1])
+    return [exact.sturm_count(d2[:, j], e2[:, j], sigma[j]) for j in range(d2.shape[1])]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_count_below_matches_lapack_between_the_eigenvalues(n):
+    d2, e2 = bidiagonals(n, 200, 37)
+    lam = np.linalg.eigvalsh(tridiagonals(d2, e2)).T           # (n, B), ascending
+    # Below all, between each neighbouring pair (a per-draw shift), above all.
+    shifts = [0.5 * lam[0], *(0.5 * (lam[:-1] + lam[1:])), 2.0 * lam[-1]]
+    for below, sigma in enumerate(shifts):
+        np.testing.assert_array_equal(count_below(d2, e2, sigma), below)
+    # One scalar shift for every draw.
+    for sigma in (0.1, 1.0, 10.0):
+        np.testing.assert_array_equal(count_below(d2, e2, sigma),
+                                      (lam < sigma).sum(axis=0))
+
+
+def test_count_below_is_relative_to_a_tiny_eigenvalue():
+    # The last diagonal entry 1e-30 puts the smallest eigenvalue near 1e-30,
+    # below LAPACK's resolution: exact counts there, LAPACK's above it.
+    d2, e2 = bidiagonals(4, 20, 38)
+    d2[-1] *= 1e-30
+    lam = np.linalg.eigvalsh(tridiagonals(d2, e2)).T
+    for k in (2, 3, 4):
+        sigma = 0.5 * (lam[k - 1] + lam[k]) if k < 4 else 2.0 * lam[-1]
+        np.testing.assert_array_equal(count_below(d2, e2, sigma), k)
+    tiny = kth_eigenvalue(d2, e2, 1)
+    assert np.all((1e-34 < tiny) & (tiny < 1e-26))
+    for sigma, below in ((tiny * (1 - 1e-9), 0), (tiny * (1 + 1e-9), 1)):
+        assert exact_counts(d2, e2, sigma) == [below] * 20
+        np.testing.assert_array_equal(count_below(d2, e2, sigma), below)
+
+
+def test_count_below_refuses_a_zero_pivot():
+    # sigma = d2_0 makes the first pivot zero; NaN reaches the last one.
+    d2 = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
+    e2 = np.ones((2, 2))
+    with pytest.raises(EstimateError, match="zero pivot"):
+        count_below(d2, e2, 1.0)
+    np.testing.assert_array_equal(count_below(d2, e2, 1.5), exact_counts(d2, e2, 1.5))

@@ -6,7 +6,8 @@ skew matrix J of Gamma integrals over the density's normaliser (J by
 quadrature, 30 digits, or by the closed incomplete-Gamma recursion, 80
 digits), and empirical eigenvalue CDFs; the eigenvalue sampler against
 exact Sturm counts and LAPACK on its own draws, and against LAPACK
-eigenvalues of Gaussian X X^T in law.
+eigenvalues of Gaussian X X^T in law; its `lowest` screen against the
+head of the whole sorted draw.
 """
 
 import math
@@ -17,12 +18,19 @@ import pytest
 from scipy import special, stats
 
 import exact
-from wlmimo import wishart_asymptotics
+from wlmimo import stacked, wishart_asymptotics
+from wlmimo.cli import FIG1_CASES
 from wlmimo.wishart_asymptotics import (
     beta1,
     diversity_exponent,
     sample_kth_eigenvalue,
 )
+
+
+def padded(lowest, trials):
+    """The `lowest` samples of a draw of `trials`, padded with inf: where
+    np.quantile reads only them, it reads them as in the whole sorted draw."""
+    return np.concatenate([lowest, np.full(trials - lowest.size, np.inf)])
 
 
 # ---------------------------------------------------------------------------
@@ -48,9 +56,10 @@ def test_beta1_matches_empirical_cdf():
     band; at 2M draws its sd is 0.007 (30 seeds).
     """
     rng = np.random.default_rng(15)
-    n, m = 2, 4
+    n, m, trials = 2, 4, 2_000_000
     d1 = diversity_exponent(1, n, m)
-    lam = sample_kth_eigenvalue(1, n, m, 2_000_000, rng)
+    lowest = int(0.01 * (trials - 1)) + 2
+    lam = padded(sample_kth_eigenvalue(1, n, m, trials, rng, lowest), trials)
     eps = np.quantile(lam, 0.01)
     predicted = beta1(n, m) * eps ** d1
     assert predicted == pytest.approx(0.01, rel=0.1)
@@ -240,6 +249,7 @@ class RecordingRng:
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
+        self.bit_generator = self.rng.bit_generator
         self.shapes = []
 
     def chisquare(self, df, shape):
@@ -260,3 +270,70 @@ def test_eigen_sampler_blocks_are_bounded_and_leave_samples_unchanged(
     monkeypatch.setattr(wishart_asymptotics, "EIG_BLOCK_ELEMENTS", rows * n * m)
     small = sample_kth_eigenvalue(k, n, m, trials, np.random.default_rng(32))
     np.testing.assert_array_equal(small, whole)
+
+
+# ---------------------------------------------------------------------------
+# The lowest samples only: a Sturm-count screen, exact by its fallback
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [41, 42])
+@pytest.mark.parametrize("size", ["1", "2", "1000", "2 blocks + 7"])
+@pytest.mark.parametrize("k,n,m", FIG1_CASES)
+def test_lowest_samples_are_the_head_of_the_whole_sorted_draw(k, n, m, size, seed):
+    rows = wishart_asymptotics.EIG_BLOCK_ELEMENTS // (n * m)
+    trials = 2 * rows + 7 if size == "2 blocks + 7" else int(size)
+    lowest = min(trials, int(1e-2 * (trials - 1)) + 3)     # fig1's
+    whole_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole = sample_kth_eigenvalue(k, n, m, trials, whole_rng)
+    got = sample_kth_eigenvalue(k, n, m, trials, rng, lowest)
+    np.testing.assert_array_equal(got, np.sort(whole)[:lowest])
+    assert rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def screened(monkeypatch):
+    """Record how many draws each screened block keeps."""
+    kept = []
+
+    def count_below(d2, e2, sigma):
+        below = stacked.count_below(d2, e2, sigma)
+        kept.append(int(np.count_nonzero(below)))
+        return below
+
+    monkeypatch.setattr(wishart_asymptotics, "count_below", count_below)
+    return kept
+
+
+@pytest.mark.parametrize("n,m,margin,some", [
+    (3, 6, 1e-300, False),      # no draw kept
+    (4, 4, 0.25, True),         # some kept, too few of them
+])
+def test_a_screen_that_keeps_too_few_rewinds_and_roots_every_draw(
+        monkeypatch, n, m, margin, some):
+    trials, lowest = 20_000, 200
+    whole_rng = np.random.default_rng(43)
+    whole = sample_kth_eigenvalue(1, n, m, trials, whole_rng)
+    kept = screened(monkeypatch)
+    monkeypatch.setattr(wishart_asymptotics, "SCREEN_MARGIN", margin)
+    rec = RecordingRng(43)
+    got = sample_kth_eigenvalue(1, n, m, trials, rec, lowest)
+    np.testing.assert_array_equal(got, np.sort(whole)[:lowest])
+    assert (sum(kept) > 0) == some and sum(kept) < lowest
+    assert sum(shape[0] for shape in rec.shapes) == 2 * trials     # the rewind
+    assert rec.rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+def test_a_screen_that_keeps_enough_draws_once(monkeypatch):
+    trials, lowest = 20_000, 200
+    whole = sample_kth_eigenvalue(1, 3, 6, trials, np.random.default_rng(44))
+    kept = screened(monkeypatch)
+    rec = RecordingRng(44)
+    got = sample_kth_eigenvalue(1, 3, 6, trials, rec, lowest)
+    np.testing.assert_array_equal(got, np.sort(whole)[:lowest])
+    assert lowest <= sum(kept) < 10 * lowest
+    assert sum(shape[0] for shape in rec.shapes) == trials
+
+
+@pytest.mark.parametrize("lowest", [0, 11])
+def test_lowest_must_be_a_count_of_the_draws(lowest):
+    with pytest.raises(ValueError):
+        sample_kth_eigenvalue(1, 3, 6, 10, np.random.default_rng(45), lowest)
