@@ -16,7 +16,7 @@ a draw's result does not depend on the rest of the stack.
 - :func:`kth_eigenvalue` roots B B^T, B a lower bidiagonal, on its
   shifted LDL^T, accurate relative to the eigenvalue.
 - :func:`count_below` counts the eigenvalues below a shift, the negative
-  pivots of that LDL^T: bisection steps on it, the eigenvalue sampler screens.
+  pivots of that LDL^T, by which the eigenvalue sampler screens its draws.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ __all__ = [
 # Cholesky pivot / diagonal entry at or below which a draw goes to least
 # squares: its columns are near-dependent and the Gram form cancels.
 PIVOT_RATIO_MIN = 1e-6
-# Steps after which an unconverged eigenvalue is refused: Newton takes at
-# most 16 on fig1's cases, bisection about log2(trace / lambda_k) + 52.
+# Newton steps after which an unconverged eigenvalue is refused; fig1's
+# cases take at most 16.
 ROOT_STEPS = 200
 EPS = np.finfo(float).eps
 
@@ -123,18 +123,20 @@ def inverse_diagonal(low: list) -> np.ndarray:
 
 def kth_eigenvalue(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
     """(B,) k-th smallest eigenvalue of B B^T, B lower bidiagonal with
-    squared diagonal d2 (n, B) and squared subdiagonal e2 (n-1, B).
+    squared diagonal d2 (n, B) and squared subdiagonal e2 (n-1, B), for
+    k = 1 or k = n = 2 (else ValueError).
 
     B B^T - sigma I = L D L^T has the pivots D_i = s_i + d2_i, s_0 = -sigma,
     s_i+1 = e2_i s_i / D_i - sigma (dstqds; Dhillon & Parlett, SIAM J.
-    Matrix Anal. Appl. 25 (2004)): their product is the determinant, the
-    negative ones count the eigenvalues below sigma, and as they read only
-    squared entries, roots are accurate relative to themselves.  k = 1:
-    Newton up from 0, monotone to the smallest root, until a step no longer
-    goes up by over 2 eps sigma; else bisection of [0, trace] to 4 eps
-    relative.  EstimateError after ROOT_STEPS steps.
+    Matrix Anal. Appl. 25 (2004)): their product is the determinant and,
+    as they read only squared entries, roots are accurate relative to
+    themselves.  n <= 2 in closed form; else Newton on the determinant up
+    from 0, monotone to the smallest root, until a step no longer goes up
+    by over 2 eps sigma.  EstimateError after ROOT_STEPS steps.
     """
     n = d2.shape[0]
+    if not (k == 1 or k == n == 2):
+        raise ValueError(f"need k = 1, or k = n = 2, got k={k}, n={n}")
     if n == 1:
         return d2[0].copy()
     if n == 2:
@@ -143,43 +145,32 @@ def kth_eigenvalue(d2: np.ndarray, e2: np.ndarray, k: int) -> np.ndarray:
         a, b, c = d2[0], d2[1], e2[0]
         big = 0.5 * (a + b + c + np.sqrt(np.square(a - b) + c * (c + 2.0 * (a + b))))
         return big if k == 2 else a * b / big
-    if k == 1:
-        return _converge(_newton_step, d2, e2, np.zeros(d2.shape[1]))
-    trace = d2.sum(axis=0) + e2.sum(axis=0)
-    return _converge(lambda d2, e2, lo, hi: _bisect_step(d2, e2, lo, hi, k),
-                     d2, e2, np.zeros_like(trace), trace)
-
-
-def _converge(step, d2, e2, *state):
-    """Repeat `step -> (go, value, state)` on the draws that go; retire the rest."""
     out = np.empty(d2.shape[1])
     idx = np.arange(out.size)
+    sigma = np.zeros(out.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(ROOT_STEPS):
-            go, value, state = step(d2, e2, *state)
-            if not go.all():
-                out[idx[~go]] = value[~go]
+            # f'/f = sum_i D_i' / D_i, s_0' = -1,
+            # s_i+1' = (e2_i / D_i) d2_i (s_i' / D_i) - 1.
+            s, ds, g = -sigma, -1.0, 0.0
+            for i in range(n):
+                dp = s + d2[i]
+                q = ds / dp
+                g = g + q
+                if i < n - 1:
+                    r = e2[i] / dp
+                    s = r * s - sigma
+                    ds = r * d2[i] * q - 1.0
+            step = -1.0 / g
+            go = step > 2.0 * EPS * sigma
+            if not go.all():                # retire the converged draws
+                out[idx[~go]] = sigma[~go]
                 idx, d2, e2 = idx[go], d2[:, go], e2[:, go]
-                state = [a[go] for a in state]
+                sigma, step = sigma[go], step[go]
             if not idx.size:                # also an empty stack
                 return out
+            sigma = sigma + step
     raise EstimateError(f"eigenvalue not converged after {ROOT_STEPS} steps")
-
-
-def _newton_step(d2, e2, sigma):
-    """Newton up on det(B B^T - sigma I) from below its smallest root:
-    f'/f = sum_i D_i' / D_i, s_0' = -1, s_i+1' = (e2_i / D_i) d2_i (s_i' / D_i) - 1."""
-    s, ds, g = -sigma, -1.0, 0.0
-    for i in range(d2.shape[0]):
-        dp = s + d2[i]
-        q = ds / dp
-        g = g + q
-        if i < len(e2):
-            r = e2[i] / dp
-            s = r * s - sigma
-            ds = r * d2[i] * q - 1.0
-    step = -1.0 / g
-    return step > 2.0 * EPS * sigma, sigma, (sigma + step,)
 
 
 def count_below(d2: np.ndarray, e2: np.ndarray, sigma) -> np.ndarray:
@@ -196,10 +187,3 @@ def count_below(d2: np.ndarray, e2: np.ndarray, sigma) -> np.ndarray:
         raise EstimateError("eigenvalue: zero pivot in the Sturm count")
     return below
 
-
-def _bisect_step(d2, e2, lo, hi, k):
-    """Halve [lo, hi] around lambda_k by the negative-pivot count at its middle."""
-    mid = 0.5 * (lo + hi)
-    above = count_below(d2, e2, mid) >= k
-    return (hi - lo > 4.0 * EPS * hi, mid,
-            (np.where(above, lo, mid), np.where(above, mid, hi)))

@@ -24,7 +24,8 @@ left, c(n, m) / c(n-1, m+1) times the integral of lambda_1^(s/2-1) over
 (0, eps), gives beta_1 = c(n, m) / (c(n-1, m+1) s/2), and the multivariate
 Gamma functions in c cancel to the ratio above (with Legendre's duplication
 formula for Gamma(s/2 + 1)).  For k > 1 the coefficient must be fit
-empirically from :func:`sample_kth_eigenvalue` draws.
+empirically from :func:`sample_kth_eigenvalue` draws, which take k > 1
+only at k = n = 2: fig1's (k, n, m) = (2, 2, 2).
 
 beta_1 is rational up to powers of sqrt(2) and sqrt(pi), so it is computed
 exactly, as a Fraction times sqrt(2)^(s mod 2) sqrt(pi)^t, and rounded to
@@ -35,8 +36,8 @@ a lower bidiagonal B with independent chi entries (Dumitriu & Edelman, J.
 Math. Phys. 43 (2002)), B_ii^2 ~ chi2(m - i) and B_i+1,i^2 ~ chi2(n - 1 - i),
 and lambda_k is a root of the shifted LDL^T of B B^T
 (:func:`wlmimo.stacked.kth_eigenvalue`), accurate relative to itself.
-A caller may ask for the lowest r of T samples only; at k = 1, n > 2 only the
-draws with lambda_1 < tau, by :func:`wlmimo.stacked.count_below`, are then
+A caller may ask for the lowest r of T samples only; at n > 2 (so k = 1) only
+the draws with lambda_1 < tau, by :func:`wlmimo.stacked.count_below`, are then
 rooted, where beta_1 tau^d = SCREEN_MARGIN r / T (n <= 2 roots in closed form).
 """
 
@@ -115,7 +116,8 @@ def sample_kth_eigenvalue(
     rng: np.random.Generator,
     lowest: int | None = None,
 ) -> np.ndarray:
-    """Draw `trials` samples of the kth smallest eigenvalue of X X^T.
+    """Draw `trials` samples of the kth smallest eigenvalue of X X^T, for
+    k = 1 or k = n = 2 (else ValueError before any draw).
 
     A draw is B's n squared diagonal entries, then its n - 1 squared
     subdiagonal ones.  Blocks of EIG_BLOCK_ELEMENTS // (n m) draws go
@@ -126,8 +128,8 @@ def sample_kth_eigenvalue(
     tau (1 - 1e-9), where no count errs, it rewinds rng to its entry state
     and roots every draw, so it consumes the same stream either way.
     """
-    if not (1 <= k <= n):
-        raise ValueError("need 1 <= k <= n")
+    if not (k == 1 or k == n == 2):
+        raise ValueError(f"need k = 1, or k = n = 2, got k={k}, n={n}")
     _check_nm(n, m)
     if trials <= 0:
         raise ValueError("trials must be positive")
@@ -136,7 +138,7 @@ def sample_kth_eigenvalue(
     rows = max(1, EIG_BLOCK_ELEMENTS // (n * m))
     df = np.concatenate([np.arange(m, m - n, -1.0), np.arange(n - 1, 0, -1.0)])
     cut = math.inf
-    if lowest is not None and k == 1 and n > 2:
+    if lowest is not None and n > 2:
         p = SCREEN_MARGIN * lowest / trials
         cut = (p / beta1(n, m)) ** (1.0 / diversity_exponent(k, n, m))
     entry = rng.bit_generator.state

@@ -193,10 +193,10 @@ def test_zf_gain_ratio_follows_rate_law():
         assert wl.stderr == cl.stderr == 0.0  # both exact under PPC
         ratio = wl.coding_gain / cl.coding_gain
         want = coding_gain_ratio(rate)
-        ok = ok and math.isclose(ratio, want, rel_tol=1e-9)
+        ok = ok and math.isclose(ratio, want, rel_tol=1e-12)
         parts.append(f"R={rate}: {ratio:.6f} vs {want:.6f}")
     line = report(ok, "ZF gain ratio rate law",
-                  "WL(N=3)/CL(N=2) at M=2, exact to 1e-9: "
+                  "WL(N=3)/CL(N=2) at M=2, exact to 1e-12: "
                   + "; ".join(parts))
     assert ok, line
 
@@ -280,6 +280,7 @@ def test_extreme_entry_moment_identities():
     for n, d in ((2, 1.0), (3, 2.0)):
         mr = moment_ratio_check("cl", n, d, 1_000_000,
                                 derive_rng(SEED, "moment-cl", n))
+        ok = ok and mr.reference == n ** d
         ok = ok and abs(mr.ratio - mr.reference) <= 3.0 * mr.stderr
         parts.append(f"complex N={n},d={d:g}: {mr.ratio:.4f} vs "
                      f"{mr.reference:g} (3se={3 * mr.stderr:.4f})")

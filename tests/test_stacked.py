@@ -3,7 +3,7 @@
 The Gram and Cholesky kernels are checked through the receivers and the
 MMSE residual against the LAPACK routes they replace; the bidiagonal
 eigenvalue kernel through the eigenvalue sampler.  Here: its edge cases,
-and the Sturm count that its bisection and the sampler's screen share.
+and the Sturm count by which the sampler screens its draws.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ def bidiagonals(n, draws, seed):
             rng.chisquare(2.0, (n - 1, draws)))
 
 
-@pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (1, 3), (2, 3), (3, 3)])
+@pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (1, 3)])
 def test_kth_eigenvalue_is_relative_to_a_tiny_eigenvalue(k, n):
     # One diagonal entry 1e-200 puts an eigenvalue near 1e-200 next to
     # ones near 1: tr(W) eps would swamp it, the kernel must not.
@@ -33,20 +33,19 @@ def test_kth_eigenvalue_is_relative_to_a_tiny_eigenvalue(k, n):
         assert exact.sturm_count(d2[:, j], e2[:, j], got[j] * (1 + 1e-12)) >= k
 
 
-@pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (2, 2), (1, 3), (2, 3)])
+@pytest.mark.parametrize("k,n", [(1, 1), (1, 2), (2, 2), (1, 3)])
 def test_kth_eigenvalue_of_an_empty_stack_is_empty(k, n):
     # A screened block may keep no draw.
     got = kth_eigenvalue(np.empty((n, 0)), np.empty((n - 1, 0)), k)
     assert got.shape == (0,)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_kth_eigenvalue_refuses_to_return_unconverged_values(monkeypatch, k):
-    # Newton from below (k = 1), bisection for 1 < k <= n.
+def test_kth_eigenvalue_refuses_to_return_unconverged_values(monkeypatch):
+    # Newton from below, the one iterative root (k = 1, n > 2).
     d2, e2 = bidiagonals(3, 100, 36)
     monkeypatch.setattr(stacked, "ROOT_STEPS", 2)
     with pytest.raises(EstimateError):
-        kth_eigenvalue(d2, e2, k)
+        kth_eigenvalue(d2, e2, 1)
 
 
 def tridiagonals(d2, e2):

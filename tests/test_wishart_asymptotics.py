@@ -212,10 +212,9 @@ def replay_bidiagonals(n, m, trials, seed):
 
 
 @pytest.mark.parametrize("k,n,m", [(1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2),
-                                   (3, 3, 5), (1, 1, 3), (2, 3, 6), (1, 64, 64),
-                                   (64, 64, 64)])
+                                   (1, 1, 3), (1, 64, 64)])
 def test_kth_eigenvalue_is_exact_on_the_same_draws(k, n, m):
-    # The fig1 cases, n = 1, bisection (1 < k <= n) and n = 64.
+    # The fig1 cases, n = 1 and n = 64.
     trials = 200 if n == 64 else 20_000
     got = sample_kth_eigenvalue(k, n, m, trials, np.random.default_rng(31))
     d2, e2 = replay_bidiagonals(n, m, trials, 31)
@@ -232,16 +231,29 @@ def test_kth_eigenvalue_is_exact_on_the_same_draws(k, n, m):
     assert np.all(np.abs(got - expect) <= bound)
 
 
-@pytest.mark.parametrize("k,n,m", [(1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2),
-                                   (2, 3, 6)])
+@pytest.mark.parametrize("k,n,m", FIG1_CASES)
 def test_kth_eigenvalue_follows_the_law_of_x_xt(k, n, m):
-    # The fig1 cases and bisection, two-sample KS against LAPACK on fresh
+    # The fig1 cases, two-sample KS against LAPACK on fresh
     # Gaussian X; the p-value floor was fixed before measuring.
     draws = 100_000
     got = sample_kth_eigenvalue(k, n, m, draws, np.random.default_rng(33))
     x = np.random.default_rng(34).standard_normal((draws, n, m))
     expect = np.linalg.eigvalsh(x @ x.transpose(0, 2, 1))[:, k - 1]
     assert stats.ks_2samp(got, expect).pvalue > 1e-3
+
+
+def test_eigenvalues_beyond_the_smallest_are_refused_above_n_2():
+    # k > 1 is rooted only at k = n = 2 (in closed form); the sampler
+    # refuses the rest before its first draw, and the kernel for direct
+    # callers.
+    rng = np.random.default_rng(35)
+    entry = rng.bit_generator.state
+    for k, n, m in ((2, 3, 6), (3, 3, 5), (2, 64, 64)):
+        with pytest.raises(ValueError, match="k = n = 2"):
+            sample_kth_eigenvalue(k, n, m, 1_000, rng, 10)
+        assert rng.bit_generator.state == entry
+        with pytest.raises(ValueError, match="k = n = 2"):
+            stacked.kth_eigenvalue(np.ones((n, 1)), np.ones((n - 1, 1)), k)
 
 
 class RecordingRng:
@@ -258,7 +270,7 @@ class RecordingRng:
 
 
 @pytest.mark.parametrize("k,n,m,trials,rows", [(1, 64, 64, 600, 7),
-                                                (2, 3, 6, 40_000, 1000)])
+                                                (1, 3, 6, 40_000, 1000)])
 def test_eigen_sampler_blocks_are_bounded_and_leave_samples_unchanged(
         monkeypatch, k, n, m, trials, rows):
     rec = RecordingRng(32)
