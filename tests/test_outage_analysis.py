@@ -64,6 +64,20 @@ def test_diversity_orders():
     assert diversity_order(4, 1, "cl") == 4.0
 
 
+def test_diversity_order_equalities_and_gaps():
+    # matched diversity at N_wl = 2 N_cl - 1, and a strict WL advantage at
+    # equal user counts, across every loadable configuration
+    for m in range(1, 5):
+        for n_cl in range(1, m + 1):
+            assert diversity_order(m, 2 * n_cl - 1, "wl") \
+                == diversity_order(m, n_cl, "cl")
+            assert diversity_order(m, n_cl, "wl") \
+                > diversity_order(m, n_cl, "cl") - 0.5 + 1e-12
+            if n_cl > 1:
+                assert diversity_order(m, n_cl, "wl") \
+                    > diversity_order(m, n_cl, "cl")
+
+
 def test_diversity_order_rejects_overload():
     with pytest.raises(ValueError):
         diversity_order(2, 5, "wl")
@@ -185,6 +199,16 @@ def test_cl_zf_gain_ppc_closed_form():
     g = zf_ppc_gain(ppc_cfg(2, 2, 2.0), "cl")
     assert g.coding_gain == pytest.approx(1.0 / 3.0, rel=1e-12)
     assert g.diversity == 1.0
+
+
+@pytest.mark.parametrize("rate", [0.3, 2.0, 4.0])
+def test_linear_gain_ratio_is_exact_at_matched_diversity(rate):
+    """C_wl / C_cl equals L(R) exactly under PPC when N_wl = 2 N_cl - 1."""
+    wl = zf_ppc_gain(ppc_cfg(2, 3, rate))
+    cl = zf_ppc_gain(ppc_cfg(2, 2, rate), "cl")
+    assert wl.diversity == cl.diversity
+    assert wl.coding_gain / cl.coding_gain == pytest.approx(
+        coding_gain_ratio(rate), rel=1e-12)
 
 
 def oracle_wl_mmse_log_moment(n, d, gamma_t):
@@ -843,6 +867,29 @@ def test_residual_rejects_unknown_family():
 # ---------------------------------------------------------------------------
 # Haar moment identities
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n,d,expect", [(2, 1.0, 2.0), (3, 2.0, 9.0)])
+def test_complex_moment_ratio_is_exactly_n_to_d(n, d, expect):
+    rng = derive_rng(1015, "complex-moment", n)
+    out = moment_ratio_check("cl", n, d, 400_000, rng)
+    assert abs(out.ratio - expect) < 3 * out.stderr
+    assert out.reference == expect
+
+
+def test_real_moment_ratio_exceeds_reference_for_large_n():
+    rng = derive_rng(1016, "real-moment")
+    out = moment_ratio_check("wl", 16, 1.0, 200_000, rng)
+    assert out.ratio / out.reference >= 0.8
+
+
+def test_real_moment_ratio_excess_grows_with_n():
+    vals = []
+    for n in (4, 8, 16):
+        rng = derive_rng(1017, "real-moment-trend", n)
+        out = moment_ratio_check("wl", n, 1.0, 200_000, rng)
+        vals.append(out.ratio / out.reference)
+    assert vals[0] < vals[1] < vals[2]
+
 
 def test_single_entry_moment_ratio_is_one():
     out = moment_ratio_check("wl", 1, 1.0, 1_000, derive_rng(3, "one"))

@@ -40,12 +40,22 @@ def test_kth_eigenvalue_of_an_empty_stack_is_empty(k, n):
     assert got.shape == (0,)
 
 
-def test_kth_eigenvalue_refuses_to_return_unconverged_values(monkeypatch):
+@pytest.mark.parametrize("k", [1])
+def test_kth_eigenvalue_refuses_to_return_unconverged_values(monkeypatch, k):
     # Newton from below, the one iterative root (k = 1, n > 2).
     d2, e2 = bidiagonals(3, 100, 36)
     monkeypatch.setattr(stacked, "ROOT_STEPS", 2)
     with pytest.raises(EstimateError):
-        kth_eigenvalue(d2, e2, 1)
+        kth_eigenvalue(d2, e2, k)
+
+
+@pytest.mark.parametrize("k,n", [(2, 3), (3, 3), (0, 2), (3, 2), (2, 1)])
+def test_kth_eigenvalue_roots_only_k_1_and_k_n_2(k, n):
+    # Above n = 2 only the smallest root is found; at n <= 2 a k past n
+    # (or below 1) has no root to return.
+    d2, e2 = bidiagonals(n, 5, 37)
+    with pytest.raises(ValueError, match="k = n = 2"):
+        kth_eigenvalue(d2, e2, k)
 
 
 def tridiagonals(d2, e2):

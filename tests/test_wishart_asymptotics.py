@@ -242,18 +242,16 @@ def test_kth_eigenvalue_follows_the_law_of_x_xt(k, n, m):
     assert stats.ks_2samp(got, expect).pvalue > 1e-3
 
 
-def test_eigenvalues_beyond_the_smallest_are_refused_above_n_2():
+@pytest.mark.parametrize("k,n,m", [(2, 3, 6), (3, 3, 5), (2, 64, 64),
+                                   (64, 64, 64), (3, 2, 4), (2, 1, 3)])
+def test_eigenvalues_beyond_the_smallest_are_refused_above_n_2(k, n, m):
     # k > 1 is rooted only at k = n = 2 (in closed form); the sampler
-    # refuses the rest before its first draw, and the kernel for direct
-    # callers.
+    # refuses the rest, k > n at n <= 2 included, before its first draw.
     rng = np.random.default_rng(35)
     entry = rng.bit_generator.state
-    for k, n, m in ((2, 3, 6), (3, 3, 5), (2, 64, 64)):
-        with pytest.raises(ValueError, match="k = n = 2"):
-            sample_kth_eigenvalue(k, n, m, 1_000, rng, 10)
-        assert rng.bit_generator.state == entry
-        with pytest.raises(ValueError, match="k = n = 2"):
-            stacked.kth_eigenvalue(np.ones((n, 1)), np.ones((n - 1, 1)), k)
+    with pytest.raises(ValueError, match="k = n = 2"):
+        sample_kth_eigenvalue(k, n, m, 1_000, rng, 10)
+    assert rng.bit_generator.state == entry
 
 
 class RecordingRng:
