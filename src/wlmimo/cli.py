@@ -12,18 +12,22 @@ curve draws from its own stream derived from (seed, experiment, curve id),
 so curves never perturb each other and can run in any order.
 
 Config keys may be written kebab-case or snake_case; they are normalized
-before use and before hashing.  An experiment's options are the
-keyword-only parameters of its runner, with their defaults; the top-level
-`trials` is one of them where the experiment reads it.  Any other key is
+before use and before hashing, and two that normalize alike are refused.
+An experiment's options are the keyword-only parameters of its runner,
+with their defaults; the top-level `trials` is one of them where the
+experiment reads it.  Any other key is
 refused, and so is a value of another kind than its default's.  A runner
 checks every value before its first draw: SNR grids with
 `outage_analysis.snr_grid`, and each coding gain it will form with one
 `outage_analysis.exact_gain` call per curve.  It returns its tables
 without writing anything; `run` forms the config hash before the runner
 draws, and writes the CSVs and then the sidecar once the runner has
-returned.  So a bad value (`ConfigError`, exit status 2), a config the hash
-cannot dump, and an estimate the draws cannot form (`EstimateError`, one
-line on stderr and exit status 1) all leave the output directory as it was.
+returned.  A value outside a routine's domain raises a `DomainError` where
+that routine checks it (`ConfigError` is one): one line on stderr, exit
+status 2.  An estimate the draws cannot form (`EstimateError`) is one line
+and exit status 1; any other exception is a fault, a traceback and exit
+status 1.  None of these, nor a config the hash cannot dump, writes to the
+output directory.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import hashlib
 import inspect
 import numbers
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -45,7 +48,7 @@ import yaml
 from . import __version__
 from .link_model import LinkConfig
 from .mmtc_sim import MIN_TTIS, MmtcConfig, run_scenario
-from .montecarlo import EstimateError, derive_rng, wilson_interval
+from .montecarlo import DomainError, EstimateError, derive_rng, wilson_interval
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
                               diversity_order, exact_gain, gain_for, outage_mc,
                               snr_grid)
@@ -66,7 +69,7 @@ __all__ = [
 ]
 
 
-class ConfigError(ValueError):
+class ConfigError(DomainError):
     """Malformed or inconsistent experiment configuration."""
 
 
@@ -126,13 +129,19 @@ def _option(name: str, value, default):
 
 
 def normalize_options(obj):
-    """Lower-case keys and turn hyphens into underscores, recursively."""
+    """Lower-case keys and turn hyphens into underscores, recursively; two
+    keys of one mapping that normalize alike are refused."""
     if isinstance(obj, dict):
-        out = {}
+        out, spelled = {}, {}
         for key, val in obj.items():
             if not isinstance(key, str):
                 raise ConfigError(f"config keys must be strings, got {key!r}")
-            out[key.strip().lower().replace("-", "_")] = normalize_options(val)
+            norm = key.strip().lower().replace("-", "_")
+            if norm in spelled:
+                raise ConfigError(f"config keys {spelled[norm]!r} and {key!r} "
+                                  f"both spell {norm!r}")
+            spelled[norm] = key
+            out[norm] = normalize_options(val)
         return out
     if isinstance(obj, list):
         return [normalize_options(v) for v in obj]
@@ -141,7 +150,12 @@ def normalize_options(obj):
 
 def load_config(path: str | Path) -> ExperimentConfig:
     """Read a YAML experiment config with field diagnostics on errors."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -188,23 +202,14 @@ def parse_receiver(name: str) -> ReceiverSpec:
         raise ConfigError(f"cannot parse receiver name {name!r}")
     try:
         return ReceiverSpec(family=parts[0], criterion=parts[1], sic=sic)
-    except ValueError as exc:
+    except DomainError as exc:
         raise ConfigError(f"receiver {name!r}: {exc}") from exc
-
-
-@contextmanager
-def _config_values(cfg: ExperimentConfig):
-    """Report a bad option value met while a run resolves its configs."""
-    try:
-        yield
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{cfg.experiment}: {exc}") from exc
 
 
 def _at_least(name: str, value: int, minimum: int) -> int:
     """A count checked against the minimum of the routine that takes it."""
     if value < minimum:
-        raise ValueError(f"{name} must be at least {minimum}, not {value}")
+        raise ConfigError(f"{name} must be at least {minimum}, not {value}")
     return value
 
 
@@ -213,7 +218,7 @@ def _distinct(name: str, values) -> list:
     values = [values] if isinstance(values, str) else list(values)
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ValueError(f"{name} names {value!r} twice")
+            raise ConfigError(f"{name} names {value!r} twice")
     return values
 
 
@@ -249,8 +254,7 @@ FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 
 def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
               points=8) -> tuple[dict, dict]:
-    with _config_values(cfg):
-        points = _at_least("points", points, 1)
+    points = _at_least("points", points, 1)
     header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
     probs = np.logspace(-4, -2, points)
     # The quantiles and the counts below them read no sample past this one.
@@ -285,23 +289,22 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
     receiver) streams, the prefix being `fig2` or `custom` and the receiver
     its lower-case label.  Each mode and receiver may be named once."""
     prefix = cfg.experiment.split("-")[0]
-    with _config_values(cfg):
-        trials = _at_least("trials", trials, MIN_TRIALS)
-        snr_db = snr_grid(snr_db)
-        modes = _distinct("power_control", power_control)
-        gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
-        links = [LinkConfig(m_rx=m_rx, n_users=n_users, snr=1.0, rate=rate,
-                            power_control=mode) for mode in modes]
-        specs = [parse_receiver(name) for name in
-                 ([receivers] if isinstance(receivers, str) else receivers)]
-        names = _distinct("receivers", [rx.label.lower() for rx in specs])
-        for rx in specs:
-            if asymptote:
-                for link in links:
-                    exact_gain(link, rx)    # refuses every gain gain_for would
-            else:
-                diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
-                threshold(rx.family, rate)                   # refuses a huge or tiny rate
+    trials = _at_least("trials", trials, MIN_TRIALS)
+    snr_db = snr_grid(snr_db)
+    modes = _distinct("power_control", power_control)
+    gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
+    links = [LinkConfig(m_rx=m_rx, n_users=n_users, snr=1.0, rate=rate,
+                        power_control=mode) for mode in modes]
+    specs = [parse_receiver(name) for name in
+             ([receivers] if isinstance(receivers, str) else receivers)]
+    names = _distinct("receivers", [rx.label.lower() for rx in specs])
+    for rx in specs:
+        if asymptote:
+            for link in links:
+                exact_gain(link, rx)        # refuses every gain gain_for would
+        else:
+            diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
+            threshold(rx.family, rate)                   # refuses a huge or tiny rate
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):
@@ -333,17 +336,16 @@ FIG3_PANELS = (
 def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
               snr_db=np.arange(10.0, 61.0, 2.0),
               gain_trials=200_000) -> tuple[dict, dict]:
-    with _config_values(cfg):
-        snr_db = snr_grid(snr_db)
-        gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
-        curves = [(panel, LinkConfig(m_rx=m_rx, n_users=n, snr=1.0, rate=rate,
-                                     power_control="ppc"),
-                   ReceiverSpec(family, criterion, sic))
-                  for panel, n_wl, n_cl, rate in FIG3_PANELS
-                  for family, n in (("wl", n_wl), ("cl", n_cl))
-                  for criterion in ("zf", "mmse") for sic in (False, True)]
-        for panel, link, rx in curves:
-            exact_gain(link, rx)            # refuses every gain gain_for would
+    snr_db = snr_grid(snr_db)
+    gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
+    curves = [(panel, LinkConfig(m_rx=m_rx, n_users=n, snr=1.0, rate=rate,
+                                 power_control="ppc"),
+               ReceiverSpec(family, criterion, sic))
+              for panel, n_wl, n_cl, rate in FIG3_PANELS
+              for family, n in (("wl", n_wl), ("cl", n_cl))
+              for criterion in ("zf", "mmse") for sic in (False, True)]
+    for panel, link, rx in curves:
+        exact_gain(link, rx)                # refuses every gain gain_for would
     tables = {}
     for panel, link, rx in curves:
         gain = gain_for(link, rx, gain_trials,
@@ -364,17 +366,16 @@ MMTC_USER_GRID = (250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000, 5657, 8000,
 def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
               user_grid=MMTC_USER_GRID) -> tuple[dict, dict]:
     prefix = cfg.experiment.split("-")[0]
-    with _config_values(cfg):
-        ttis = _at_least("ttis", ttis, MIN_TTIS)
-        m_list = _distinct("m_rx", m_rx)
-        grid = _distinct("user_grid", user_grid)
-        if not grid:
-            raise ValueError("user_grid is empty")
-        sweeps = []
-        for m in m_list:
-            for family, half in MMTC_SCENARIOS:
-                sweeps.append((m, family, half, [MmtcConfig(users, m, family, half)
-                                                 for users in grid]))
+    ttis = _at_least("ttis", ttis, MIN_TTIS)
+    m_list = _distinct("m_rx", m_rx)
+    grid = _distinct("user_grid", user_grid)
+    if not grid:
+        raise ConfigError("user_grid is empty")
+    sweeps = []
+    for m in m_list:
+        for family, half in MMTC_SCENARIOS:
+            sweeps.append((m, family, half, [MmtcConfig(users, m, family, half)
+                                             for users in grid]))
     header = ["users", "family", "half_tti", "drop_prob", "ci_lo", "ci_hi",
               "throughput"]
     tables = {}
@@ -481,16 +482,13 @@ def main(argv=None) -> int:
         given = {"seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
         cfg = replace(load_config(args.config),
                       **{key: v for key, v in given.items() if v is not None})
-    except FileNotFoundError:
-        print(f"config file not found: {args.config}", file=sys.stderr)
-        return 2
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:
         files = run(cfg)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
+    except DomainError as exc:
+        print(f"{cfg.experiment}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"cannot write results: {exc}", file=sys.stderr)

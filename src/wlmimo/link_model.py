@@ -29,6 +29,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .montecarlo import DomainError
+
 __all__ = [
     "Cell",
     "LinkConfig",
@@ -63,12 +65,12 @@ class LinkConfig(Cell):
     def __post_init__(self):
         for name in ("snr", "rate"):             # NaN fails the test too
             if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
+                raise DomainError(f"{name} must be finite and positive")
         if self.m_rx < 1 or self.n_users < 1:
-            raise ValueError("antenna and user counts must be positive")
+            raise DomainError("antenna and user counts must be positive")
         if self.power_control not in POWER_MODES:
-            raise ValueError(f"power_control must be one of {POWER_MODES}, "
-                             f"not {self.power_control!r}")
+            raise DomainError(f"power_control must be one of {POWER_MODES}, "
+                              f"not {self.power_control!r}")
 
 
 def sample_large_scale(cfg: Cell, count: int, rng: np.random.Generator) -> np.ndarray:

@@ -38,6 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from .link_model import Cell, sample_large_scale
+from .montecarlo import DomainError
 from .receivers import DIMS, threshold
 
 __all__ = [
@@ -76,18 +77,18 @@ class MmtcConfig(Cell):
 
     def __post_init__(self):
         if not all(isinstance(v, Integral) for v in (self.users, self.m_rx)):
-            raise ValueError("users and m_rx must be integers")
+            raise DomainError("users and m_rx must be integers")
         if self.users < 0:
-            raise ValueError("user count cannot be negative")
+            raise DomainError("user count cannot be negative")
         if self.m_rx < 1:
-            raise ValueError("need at least one receive antenna")
+            raise DomainError("need at least one receive antenna")
         if self.family not in DIMS:
-            raise ValueError(
+            raise DomainError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
         if not isinstance(self.half_tti, (bool, np.bool_)):
-            raise ValueError(f"half_tti must be a bool, not {self.half_tti!r}")
+            raise DomainError(f"half_tti must be a bool, not {self.half_tti!r}")
         if self.half_tti and self.family != "cl":
-            raise ValueError("half-TTI mode is defined for CL only")
+            raise DomainError("half-TTI mode is defined for CL only")
 
     @property
     def arrival_rate(self) -> float:
@@ -191,7 +192,7 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     the dependent SINRs of packets colliding on one tone.
     """
     if ttis < MIN_TTIS:
-        raise ValueError(f"need at least {MIN_TTIS} slots, not {ttis}")
+        raise DomainError(f"need at least {MIN_TTIS} slots, not {ttis}")
     snr = operating_snr(cfg)
     gamma_t = threshold(cfg.family, cfg.rate)
     dim = DIMS[cfg.family]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "DomainError",
     "EstimateError",
     "derive_rng",
     "wilson_interval",
@@ -18,6 +19,10 @@ __all__ = [
 
 # 95% two-sided normal quantile, used for every confidence interval here.
 Z95 = 1.959963984540054
+
+
+class DomainError(ValueError):
+    """A caller's value lies outside the domain a routine declares; it refuses."""
 
 
 class EstimateError(ArithmeticError):

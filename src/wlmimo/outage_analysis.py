@@ -33,7 +33,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .link_model import LinkConfig, sample_large_scale, sample_power_profile
-from .montecarlo import EstimateError
+from .montecarlo import DomainError, EstimateError
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from .receivers import DIMS, ReceiverSpec, batched_tagged_sinr, threshold
 from .stacked import abs2
@@ -82,10 +82,10 @@ MMSE_MOMENT_MAX_M = 256
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
     """High-SNR outage exponent (D M - N + 1)/D; refuses N > D M."""
     if family not in DIMS:
-        raise ValueError(f"family must be one of {tuple(DIMS)}, not {family!r}")
+        raise DomainError(f"family must be one of {tuple(DIMS)}, not {family!r}")
     dim = DIMS[family]
     if n_users > dim * m_rx:
-        raise ValueError(
+        raise DomainError(
             f"{family.upper()} receivers separate at most {dim * m_rx} users "
             f"with {m_rx} antennas, not {n_users}"
         )
@@ -102,8 +102,8 @@ def snr_grid(snr_db) -> np.ndarray:
     grid = np.array(snr_db, dtype=float)
     if grid.ndim != 1 or not grid.size or not (abs(grid) <= MAX_SNR_DB).all() \
             or (np.diff(grid) <= 0).any():
-        raise ValueError(f"snr_db must be a non-empty, ascending list of points "
-                         f"within +-{MAX_SNR_DB:g} dB, not {snr_db!r}")
+        raise DomainError(f"snr_db must be a non-empty, ascending list of points "
+                          f"within +-{MAX_SNR_DB:g} dB, not {snr_db!r}")
     return grid
 
 
@@ -135,8 +135,8 @@ def outage_mc(
     """
     snr_db = snr_grid(snr_db)
     if trials < MIN_TRIALS:
-        raise ValueError(f"need at least {MIN_TRIALS} trials per SNR point, "
-                         f"not {trials}")
+        raise DomainError(f"need at least {MIN_TRIALS} trials per SNR point, "
+                          f"not {trials}")
     diversity_order(cfg.m_rx, cfg.n_users, rx.family)    # refuses N > D M
     gamma_t = threshold(rx.family, cfg.rate)
     counts = np.zeros(len(snr_db), dtype=np.int64)
@@ -317,8 +317,8 @@ def _check_exact_m(family: str, n: int, d: float, bound: int, moment: str) -> No
     """Refuse M = d + (N-1)/D beyond the largest M a moment rule holds at."""
     m = d + (n - 1) / DIMS[family]
     if m > bound:
-        raise ValueError(f"the exact {moment} moment holds to 1e-12 for "
-                         f"m_rx <= {bound}, not {m:g}")
+        raise DomainError(f"the exact {moment} moment holds to 1e-12 for "
+                          f"m_rx <= {bound}, not {m:g}")
 
 
 def _log_complex_min_moment(n: int, d: float, excess: float) -> float:
@@ -407,16 +407,16 @@ def _sic_root(family: str, n: int, m_rx: int, d: float) -> float:
     if family == "wl":
         try:
             return beta1(n, 2 * m_rx) ** (-1.0 / d)
-        except ValueError as exc:
-            raise ValueError(f"{exc}: the WL-SIC asymptote takes n = n_users = "
-                             f"{n} and m = 2 m_rx = {2 * m_rx}") from exc
+        except DomainError as exc:
+            raise DomainError(f"{exc}: the WL-SIC asymptote takes n = n_users = "
+                              f"{n} and m = 2 m_rx = {2 * m_rx}") from exc
     log_mu = math.lgamma(1.0 + d) + math.lgamma(n) - math.lgamma(n + d)
     return math.exp((math.lgamma(d + 1.0) + log_mu) / d)
 
 
 def exact_gain(cfg: LinkConfig, rx: ReceiverSpec) -> GainSummary | None:
     """The one draw-free check of a coding gain.  In either power mode it
-    raises ValueError wherever :func:`gain_for` refuses (N > D M, a rate
+    raises DomainError wherever :func:`gain_for` refuses (N > D M, a rate
     out of threshold's range, beyond beta1's or an exact moment's M).  Else
     the gain gain_for returns where its moment is exact, under PPC for every
     receiver but WL-MMSE-SIC at 1 < N < gamma_T + 1; None where it samples."""
@@ -482,8 +482,8 @@ def gain_for(
     A sampled SIC gain draws the Haar vectors, the profile, then eta if w reads it.
     """
     if trials < MIN_GAIN_TRIALS:
-        raise ValueError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
-                         f"not {trials}")
+        raise DomainError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
+                          f"not {trials}")
     if (exact := exact_gain(cfg, rx)) is not None:
         return exact
     n = cfg.n_users

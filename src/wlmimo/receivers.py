@@ -39,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .montecarlo import DomainError
 from .stacked import abs2, cholesky_lower, inverse_diagonal, stacked_gram
 
 __all__ = [
@@ -70,11 +71,11 @@ def threshold(family: str, rate: float) -> float:
     try:
         gamma_t = 2.0 ** (DIMS[family] * float(rate)) - 1.0
     except OverflowError:
-        raise ValueError(f"rate {rate} is too large: the {family.upper()} "
-                         f"threshold 2^({DIMS[family]} R) overflows") from None
+        raise DomainError(f"rate {rate} is too large: the {family.upper()} "
+                          f"threshold 2^({DIMS[family]} R) overflows") from None
     if not gamma_t > 0:
-        raise ValueError(f"rate {rate} is too small: the {family.upper()} "
-                         f"threshold 2^({DIMS[family]} R) - 1 is not positive")
+        raise DomainError(f"rate {rate} is too small: the {family.upper()} "
+                          f"threshold 2^({DIMS[family]} R) - 1 is not positive")
     return gamma_t
 
 
@@ -88,10 +89,10 @@ class ReceiverSpec:
 
     def __post_init__(self):
         if self.family not in DIMS:
-            raise ValueError(
+            raise DomainError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
         if self.criterion not in CRITERIA:
-            raise ValueError(
+            raise DomainError(
                 f"criterion must be one of {CRITERIA}, not {self.criterion!r}")
 
     @property

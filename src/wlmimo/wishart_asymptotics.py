@@ -48,6 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .montecarlo import DomainError
 from .stacked import count_below, kth_eigenvalue
 
 __all__ = [
@@ -66,13 +67,13 @@ SCREEN_MARGIN = 4.0
 
 def _check_nm(n: int, m: int) -> None:
     if not (1 <= n <= m <= 64):
-        raise ValueError(f"need 1 <= n <= m <= 64, got n={n}, m={m}")
+        raise DomainError(f"need 1 <= n <= m <= 64, got n={n}, m={m}")
 
 
 def diversity_exponent(k: int, n: int, m: int) -> float:
     """Polynomial order k(m-n+k)/2 of Pr(lambda_k < eps) near zero."""
     if not (1 <= k <= n):
-        raise ValueError("need 1 <= k <= n")
+        raise DomainError("need 1 <= k <= n")
     _check_nm(n, m)
     return 0.5 * k * (m - n + k)
 
@@ -117,7 +118,7 @@ def sample_kth_eigenvalue(
     lowest: int | None = None,
 ) -> np.ndarray:
     """Draw `trials` samples of the kth smallest eigenvalue of X X^T, for
-    k = 1 or k = n = 2 (else ValueError before any draw).
+    k = 1 or k = n = 2 (else DomainError before any draw).
 
     A draw is B's n squared diagonal entries, then its n - 1 squared
     subdiagonal ones.  Blocks of EIG_BLOCK_ELEMENTS // (n m) draws go
@@ -129,12 +130,12 @@ def sample_kth_eigenvalue(
     and roots every draw, so it consumes the same stream either way.
     """
     if not (k == 1 or k == n == 2):
-        raise ValueError(f"need k = 1, or k = n = 2, got k={k}, n={n}")
+        raise DomainError(f"need k = 1, or k = n = 2, got k={k}, n={n}")
     _check_nm(n, m)
     if trials <= 0:
-        raise ValueError("trials must be positive")
+        raise DomainError("trials must be positive")
     if lowest is not None and not 1 <= lowest <= trials:
-        raise ValueError("need 1 <= lowest <= trials")
+        raise DomainError("need 1 <= lowest <= trials")
     rows = max(1, EIG_BLOCK_ELEMENTS // (n * m))
     df = np.concatenate([np.arange(m, m - n, -1.0), np.arange(n - 1, 0, -1.0)])
     cut = math.inf

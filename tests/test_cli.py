@@ -64,6 +64,18 @@ def test_normalize_options_rejects_non_string_keys():
         normalize_options({3: "x"})
 
 
+def test_normalize_options_refuses_two_spellings_of_one_key():
+    with pytest.raises(ConfigError, match="'seed' and 'Seed' both spell 'seed'"):
+        normalize_options({"seed": 1, "Seed": 2})
+
+
+def test_load_config_refuses_two_spellings_of_one_option(tmp_path):
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "options": {"gain-trials": 5, "gain_trials": 6}})
+    with pytest.raises(ConfigError, match="'gain-trials' and 'gain_trials'"):
+        load_config(p)
+
+
 def test_load_config_round_trip(tmp_path):
     p = write_yaml(tmp_path / "c.yaml", {
         "experiment": "fig1-eig-cdf",
@@ -487,6 +499,20 @@ def test_main_missing_config_file(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def test_main_refuses_a_directory_as_config(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and len(err.splitlines()) == 1
+
+
+def test_main_refuses_a_config_that_is_not_utf8(tmp_path, capsys):
+    p = tmp_path / "c.yaml"
+    p.write_bytes(b"experiment: \xff\xfe\n")
+    assert main(["run", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot read config file" in err and len(err.splitlines()) == 1
+
+
 def test_main_bad_config(tmp_path, capsys):
     p = write_yaml(tmp_path / "c.yaml", {"experiment": "not-a-thing"})
     assert main(["run", str(p)]) == 2
@@ -786,6 +812,38 @@ def test_main_leaves_other_arithmetic_errors_to_the_traceback(tmp_path,
         "experiment": "custom", "seed": 1, "out-dir": str(tmp_path / "out")})
     with pytest.raises(ZeroDivisionError):
         main(["run", str(p)])
+
+
+def test_main_leaves_a_fault_in_the_moment_code_to_the_traceback(tmp_path,
+                                                                 monkeypatch):
+    # A ValueError that is no DomainError is a fault, not a bad option, even
+    # where the runner checks its gains before the first draw.
+    def broken(*args):
+        raise ValueError("operands could not be broadcast together")
+    monkeypatch.setattr(outage_analysis, "_log_min_moment", broken)
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "fig3-wl-vs-cl", "seed": 1, "out-dir": str(out)})
+    with pytest.raises(ValueError, match="operands") as err:
+        main(["run", str(p)])
+    assert type(err.value) is ValueError and not out.exists()
+
+
+def test_main_leaves_a_broken_count_after_the_draws_to_the_traceback(tmp_path,
+                                                                     monkeypatch):
+    # More events than trials breaks the simulator's invariant, which
+    # wilson_interval checks; that is a fault mid-run, not a bad option.
+    def broken(rx, cfg, snr_db, trials, rng):
+        return outage_analysis.OutageCurve(snr_db, np.full(len(snr_db), trials + 1),
+                                           trials)
+    monkeypatch.setattr("wlmimo.cli.outage_mc", broken)
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 1, "trials": 1000, "out-dir": str(out),
+        "options": {"snr-db": [10.0], "receivers": ["wl-zf"]}})
+    with pytest.raises(ValueError, match=r"successes must lie in \[0, trials\]") as err:
+        main(["run", str(p)])
+    assert type(err.value) is ValueError and not out.exists()
 
 
 def assert_refused_before_any_draw(tmp_path, capsys, named, doc):

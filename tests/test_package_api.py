@@ -4,7 +4,9 @@ A library module's `__all__` must list exactly the public names that
 another module of the package, `cli`, or the benchmark (`perfbench/`,
 including the functions its tracer wraps, `layers.LAYERS`) takes from it,
 and the package root binds nothing but `__version__`.  Tests do not count
-as callers.  The check reads the sources; it imports nothing.
+as callers.  No handler in the package catches a whole family of errors,
+so none can turn a fault into a refusal.  The checks read the sources;
+they import nothing.
 """
 
 import ast
@@ -81,3 +83,22 @@ def test_package_root_binds_only_the_version():
         else:
             bound.append(ast.unparse(node).splitlines()[0])
     assert bound == ["__version__"]
+
+
+# Handlers that would catch faults along with refusals.
+CATCH_ALL = {"ValueError", "TypeError", "ArithmeticError", "Exception", "BaseException"}
+
+
+def test_no_handler_catches_a_whole_family_of_errors():
+    # A refusal is a DomainError raised where a domain is checked; a handler
+    # that translates every ValueError (or wider) would pass faults off as one.
+    wide = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(parse(path)):
+            if not isinstance(node, ast.ExceptHandler):
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if node.type is None or {ast.unparse(t).split(".")[-1]
+                                     for t in types} & CATCH_ALL:
+                wide.append(f"{path.name}:{node.lineno}")
+    assert wide == []
