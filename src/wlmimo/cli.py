@@ -48,7 +48,8 @@ import yaml
 from . import __version__
 from .link_model import LinkConfig
 from .mmtc_sim import MIN_TTIS, MmtcConfig, run_scenario
-from .montecarlo import DomainError, EstimateError, derive_rng, wilson_interval
+from .montecarlo import (DomainError, EstimateError, check_count, derive_rng,
+                         wilson_interval)
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
                               diversity_order, exact_gain, gain_for, outage_mc,
                               snr_grid)
@@ -206,13 +207,6 @@ def parse_receiver(name: str) -> ReceiverSpec:
         raise ConfigError(f"receiver {name!r}: {exc}") from exc
 
 
-def _at_least(name: str, value: int, minimum: int) -> int:
-    """A count checked against the minimum of the routine that takes it."""
-    if value < minimum:
-        raise ConfigError(f"{name} must be at least {minimum}, not {value}")
-    return value
-
-
 def _distinct(name: str, values) -> list:
     """A list option, or one name, whose entries differ."""
     values = [values] if isinstance(values, str) else list(values)
@@ -254,7 +248,8 @@ FIG1_CASES = ((1, 2, 4), (1, 3, 6), (1, 4, 4), (2, 2, 2))
 
 def _run_fig1(cfg: ExperimentConfig, *, trials=1_000_000,
               points=8) -> tuple[dict, dict]:
-    points = _at_least("points", points, 1)
+    trials = check_count("trials", trials, 1)
+    points = check_count("points", points, 1)
     header = ["k", "n", "m", "epsilon", "cdf_emp", "ci_lo", "ci_hi", "cdf_asym"]
     probs = np.logspace(-4, -2, points)
     # The quantiles and the counts below them read no sample past this one.
@@ -289,10 +284,10 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
     receiver) streams, the prefix being `fig2` or `custom` and the receiver
     its lower-case label.  Each mode and receiver may be named once."""
     prefix = cfg.experiment.split("-")[0]
-    trials = _at_least("trials", trials, MIN_TRIALS)
+    trials = check_count("trials", trials, MIN_TRIALS)
     snr_db = snr_grid(snr_db)
     modes = _distinct("power_control", power_control)
-    gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
+    gain_trials = check_count("gain_trials", gain_trials, MIN_GAIN_TRIALS)
     links = [LinkConfig(m_rx=m_rx, n_users=n_users, snr=1.0, rate=rate,
                         power_control=mode) for mode in modes]
     specs = [parse_receiver(name) for name in
@@ -337,7 +332,7 @@ def _run_fig3(cfg: ExperimentConfig, *, m_rx=2,
               snr_db=np.arange(10.0, 61.0, 2.0),
               gain_trials=200_000) -> tuple[dict, dict]:
     snr_db = snr_grid(snr_db)
-    gain_trials = _at_least("gain_trials", gain_trials, MIN_GAIN_TRIALS)
+    gain_trials = check_count("gain_trials", gain_trials, MIN_GAIN_TRIALS)
     curves = [(panel, LinkConfig(m_rx=m_rx, n_users=n, snr=1.0, rate=rate,
                                  power_control="ppc"),
                ReceiverSpec(family, criterion, sic))
@@ -366,7 +361,7 @@ MMTC_USER_GRID = (250, 354, 500, 707, 1000, 1414, 2000, 2828, 4000, 5657, 8000,
 def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
               user_grid=MMTC_USER_GRID) -> tuple[dict, dict]:
     prefix = cfg.experiment.split("-")[0]
-    ttis = _at_least("ttis", ttis, MIN_TTIS)
+    ttis = check_count("ttis", ttis, MIN_TTIS)
     m_list = _distinct("m_rx", m_rx)
     grid = _distinct("user_grid", user_grid)
     if not grid:

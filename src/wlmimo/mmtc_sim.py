@@ -38,7 +38,7 @@ from typing import ClassVar
 import numpy as np
 
 from .link_model import Cell, sample_large_scale
-from .montecarlo import DomainError
+from .montecarlo import DomainError, check_count
 from .receivers import DIMS, threshold
 
 __all__ = [
@@ -191,8 +191,7 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
     cell; so drawing a slot's tones independently moves neither, and nor do
     the dependent SINRs of packets colliding on one tone.
     """
-    if ttis < MIN_TTIS:
-        raise DomainError(f"need at least {MIN_TTIS} slots, not {ttis}")
+    check_count("ttis", ttis, MIN_TTIS)
     snr = operating_snr(cfg)
     gamma_t = threshold(cfg.family, cfg.rate)
     dim = DIMS[cfg.family]

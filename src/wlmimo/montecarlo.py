@@ -1,4 +1,4 @@
-"""Monte Carlo plumbing: seeded streams and interval estimates.
+"""Monte Carlo plumbing: seeded streams, interval estimates and count checks.
 
 Every randomized routine in this package takes a ``numpy.random.Generator``
 and never touches global state.  Experiments derive one independent stream
@@ -13,12 +13,16 @@ import numpy as np
 __all__ = [
     "DomainError",
     "EstimateError",
+    "check_count",
     "derive_rng",
     "wilson_interval",
 ]
 
 # 95% two-sided normal quantile, used for every confidence interval here.
 Z95 = 1.959963984540054
+# Largest count of draws, samples or slots a routine accepts: the most its
+# int64 event counters hold.
+MAX_COUNT = int(np.iinfo(np.int64).max)
 
 
 class DomainError(ValueError):
@@ -27,6 +31,16 @@ class DomainError(ValueError):
 
 class EstimateError(ArithmeticError):
     """The draws of a run cannot form an estimate it needs; the run refuses."""
+
+
+def check_count(name: str, value: int, minimum: int) -> int:
+    """`value` if it lies in [minimum, MAX_COUNT], else DomainError."""
+    if value < minimum:
+        raise DomainError(f"{name} must be at least {minimum}, not {value}")
+    if value > MAX_COUNT:
+        raise DomainError(f"{name} must be at most {MAX_COUNT}, the int64 "
+                          f"event counters' limit, not {value}")
+    return value
 
 
 def derive_rng(seed: int, *key) -> np.random.Generator:

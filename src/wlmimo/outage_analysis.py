@@ -33,7 +33,7 @@ from functools import cache, lru_cache
 import numpy as np
 
 from .link_model import LinkConfig, sample_large_scale, sample_power_profile
-from .montecarlo import DomainError, EstimateError
+from .montecarlo import DomainError, EstimateError, check_count
 from .random_matrix import sample_channel, sample_haar_unit_vector, wl_transform
 from .receivers import DIMS, ReceiverSpec, batched_tagged_sinr, threshold
 from .stacked import abs2
@@ -80,7 +80,8 @@ MMSE_MOMENT_MAX_M = 256
 
 
 def diversity_order(m_rx: int, n_users: int, family: str) -> float:
-    """High-SNR outage exponent (D M - N + 1)/D; refuses N > D M."""
+    """High-SNR outage exponent (D M - N + 1)/D; refuses N > D M and an
+    exponent too large for a float."""
     if family not in DIMS:
         raise DomainError(f"family must be one of {tuple(DIMS)}, not {family!r}")
     dim = DIMS[family]
@@ -89,7 +90,11 @@ def diversity_order(m_rx: int, n_users: int, family: str) -> float:
             f"{family.upper()} receivers separate at most {dim * m_rx} users "
             f"with {m_rx} antennas, not {n_users}"
         )
-    return (dim * m_rx - n_users + 1) / dim
+    try:
+        return (dim * m_rx - n_users + 1) / dim
+    except OverflowError:
+        raise DomainError(f"{m_rx} antennas give a diversity order too large "
+                          f"for a float") from None
 
 
 # ---------------------------------------------------------------------------
@@ -98,8 +103,12 @@ def diversity_order(m_rx: int, n_users: int, family: str) -> float:
 
 def snr_grid(snr_db) -> np.ndarray:
     """An SNR grid in dB: a non-empty, strictly ascending list of points
-    within +-MAX_SNR_DB (NaN fails that test too)."""
-    grid = np.array(snr_db, dtype=float)
+    within +-MAX_SNR_DB (NaN fails that test too, and so does an integer
+    too large for a float)."""
+    try:
+        grid = np.array(snr_db, dtype=float)
+    except OverflowError:
+        grid = np.array([np.inf])
     if grid.ndim != 1 or not grid.size or not (abs(grid) <= MAX_SNR_DB).all() \
             or (np.diff(grid) <= 0).any():
         raise DomainError(f"snr_db must be a non-empty, ascending list of points "
@@ -130,13 +139,14 @@ def outage_mc(
     Per draw the channel, the power profile, and (for SIC) the decode order
     are resampled; user 0 is the tagged user (users are exchangeable).
     Outage is SINR strictly below the rate threshold, which
-    :func:`wlmimo.receivers.threshold` keeps positive.  The grid is checked
-    by :func:`snr_grid`.
+    :func:`wlmimo.receivers.threshold` keeps positive.  The kernel gets the
+    threshold and stops each draw once its side is certain
+    (:func:`wlmimo.receivers.batched_tagged_sinr`), so the counts are those
+    of the exact SINRs.  The grid is checked by :func:`snr_grid`, and
+    `trials` must lie in [MIN_TRIALS, MAX_COUNT].
     """
     snr_db = snr_grid(snr_db)
-    if trials < MIN_TRIALS:
-        raise DomainError(f"need at least {MIN_TRIALS} trials per SNR point, "
-                          f"not {trials}")
+    check_count("trials", trials, MIN_TRIALS)
     diversity_order(cfg.m_rx, cfg.n_users, rx.family)    # refuses N > D M
     gamma_t = threshold(rx.family, cfg.rate)
     counts = np.zeros(len(snr_db), dtype=np.int64)
@@ -148,7 +158,7 @@ def outage_mc(
             hbar = sample_channel(cfg.m_rx, cfg.n_users, rng, size=b)
             h = wl_transform(hbar) if rx.family == "wl" else hbar
             xi = sample_power_profile(cfg, rng, size=b)
-            sinr = batched_tagged_sinr(h, xi, snr, rx)
+            sinr = batched_tagged_sinr(h, xi, snr, rx, gamma_t)
             counts[i] += int(np.count_nonzero(sinr < gamma_t))
             done += b
     return OutageCurve(snr_db, counts, trials)
@@ -481,9 +491,7 @@ def gain_for(
 
     A sampled SIC gain draws the Haar vectors, the profile, then eta if w reads it.
     """
-    if trials < MIN_GAIN_TRIALS:
-        raise DomainError(f"need at least {MIN_GAIN_TRIALS} gain samples, "
-                          f"not {trials}")
+    check_count("gain trials", trials, MIN_GAIN_TRIALS)
     if (exact := exact_gain(cfg, rx)) is not None:
         return exact
     n = cfg.n_users

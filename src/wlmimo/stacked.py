@@ -12,7 +12,8 @@ a draw's result does not depend on the rest of the stack.
   (pivot at or below PIVOT_RATIO_MIN times its diagonal entry); callers
   send those draws to least squares on H itself, since there the Gram
   form has lost its accuracy.
-- :func:`inverse_diagonal` turns a factor into the diagonal of G^-1.
+- :func:`inverse_diagonal` turns a factor into the diagonal of G^-1, or
+  its leading entries.
 - :func:`kth_eigenvalue` roots B B^T, B a lower bidiagonal, on its
   shifted LDL^T, accurate relative to the eigenvalue.
 - :func:`count_below` counts the eigenvalues below a shift, the negative
@@ -99,16 +100,19 @@ def cholesky_lower(gram: np.ndarray) -> tuple[list, np.ndarray]:
     return low, clear
 
 
-def inverse_diagonal(low: list) -> np.ndarray:
-    """(B, N) diagonal of G^-1 from the factor of :func:`cholesky_lower`.
+def inverse_diagonal(low: list, count: int | None = None) -> np.ndarray:
+    """(B, count) leading diagonal entries of G^-1, all N by default, from
+    the factor of :func:`cholesky_lower`.
 
     L^-1 by forward substitution, column by column; [G^-1]_nn is the
-    squared norm of column n of L^-1.
+    squared norm of column n of L^-1.  A column's operations do not depend
+    on `count`, so each entry is the same for every count that covers it.
     """
     n = len(low)
-    out = np.empty((n, len(low[0][0])))
+    count = n if count is None else count
+    out = np.empty((count, len(low[0][0])))
     with np.errstate(divide="ignore", invalid="ignore"):
-        for c in range(n):
+        for c in range(count):
             col = [None] * n                # column c of L^-1
             col[c] = 1.0 / low[c][c]
             out[c] = abs2(col[c])

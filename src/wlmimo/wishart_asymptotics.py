@@ -48,7 +48,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .montecarlo import DomainError
+from .montecarlo import DomainError, check_count
 from .stacked import count_below, kth_eigenvalue
 
 __all__ = [
@@ -132,8 +132,7 @@ def sample_kth_eigenvalue(
     if not (k == 1 or k == n == 2):
         raise DomainError(f"need k = 1, or k = n = 2, got k={k}, n={n}")
     _check_nm(n, m)
-    if trials <= 0:
-        raise DomainError("trials must be positive")
+    check_count("trials", trials, 1)
     if lowest is not None and not 1 <= lowest <= trials:
         raise DomainError("need 1 <= lowest <= trials")
     rows = max(1, EIG_BLOCK_ELEMENTS // (n * m))

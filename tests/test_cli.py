@@ -613,6 +613,14 @@ M_RX_33 = ("m <= 64, got n=2, m=66: the WL-SIC asymptote takes "
     ("custom", {"receivers": ["wl-mmse"], "power-control": "ppc", "asymptote": False,
                 "snr-db": [-4000.0]}, "snr_db must be"),
     ("custom", {"receivers": ["wl-zf"], "snr-db": [10.0, 4000.0]}, "snr_db must be"),
+    # Integers too large for a float, or for the int64 event counters.
+    ("custom", {**OUTAGE_RUN, "m-rx": 10**400}, "too large for a float"),
+    ("custom", {**OUTAGE_RUN, "snr-db": [10**400]}, "snr_db must be"),
+    ("custom", {**OUTAGE_RUN, "trials": 10**400}, "trials must be at most"),
+    ("custom", {**OUTAGE_RUN, "gain-trials": 2**63}, "gain_trials must be at most"),
+    ("fig1-eig-cdf", {"trials": 2**63}, "trials must be at most"),
+    ("fig4-mmtc-drop", {"ttis": 2**63, "m-rx": [1], "user-grid": [64]},
+     "ttis must be at most"),
 ])
 def test_main_refuses_bad_options_before_any_draw(tmp_path, capsys,
                                                   experiment, options, named):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from laws import default_fit_window, fit_diversity
-from wlmimo.montecarlo import Z95, derive_rng, wilson_interval
+from wlmimo.montecarlo import (MAX_COUNT, Z95, DomainError, check_count,
+                               derive_rng, wilson_interval)
 
 
 def test_derive_rng_is_deterministic():
@@ -19,6 +20,15 @@ def test_derive_rng_streams_differ_by_key():
     other_seed = derive_rng(43, "task", 3).standard_normal(8)
     assert not np.array_equal(base, other_key)
     assert not np.array_equal(base, other_seed)
+
+
+def test_check_count_takes_what_an_int64_counter_holds():
+    assert check_count("trials", 7, 7) == 7
+    assert check_count("trials", MAX_COUNT, 1) == MAX_COUNT == 2**63 - 1
+    with pytest.raises(DomainError, match="trials must be at least 7, not 6"):
+        check_count("trials", 6, 7)
+    with pytest.raises(DomainError, match="at most 9223372036854775807"):
+        check_count("trials", MAX_COUNT + 1, 1)
 
 
 def test_wilson_interval_edges():

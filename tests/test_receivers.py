@@ -16,7 +16,9 @@ from scipy import stats
 import exact
 from wlmimo.mmtc_sim import MmtcConfig
 from wlmimo.random_matrix import sample_channel, wl_transform
+from wlmimo import receivers
 from wlmimo.receivers import (
+    DECISION_MARGIN,
     DIMS,
     ReceiverSpec,
     SinrReport,
@@ -580,9 +582,14 @@ def near_dependent_stack(family, m, n, eps, rng, size):
 
 
 @pytest.mark.parametrize("family,criterion,sic", ALL_RECEIVERS)
-def test_batched_draws_do_not_depend_on_their_stack(family, criterion, sic):
+@pytest.mark.parametrize("gamma_t", [None, 60.0])
+def test_batched_draws_do_not_depend_on_their_stack(family, criterion, sic,
+                                                    gamma_t):
     # Splitting or permuting a stack leaves every draw's output unchanged,
-    # bit for bit, also where some draws repeat a column or nearly do.
+    # bit for bit, also where some draws repeat a column or nearly do.  At
+    # gamma_T = 60 about a third of the draws lie below the matched-filter
+    # exit: too few for the whole stack to drop them before the Cholesky,
+    # enough for some of its parts.
     rng = np.random.default_rng(53)
     m, n = (2, 4) if family == "wl" else (3, 3)
     parts = [near_dependent_stack(family, m, n, eps, rng, 20)
@@ -590,12 +597,12 @@ def test_batched_draws_do_not_depend_on_their_stack(family, criterion, sic):
     h = np.concatenate([p[0] for p in parts])
     xi = np.concatenate([p[1] for p in parts])
     rx = ReceiverSpec(family, criterion, sic=sic)
-    whole = batched_tagged_sinr(h, xi, SNR, rx)
+    whole = batched_tagged_sinr(h, xi, SNR, rx, gamma_t)
     perm = rng.permutation(len(h))
     permuted = np.empty_like(whole)
-    permuted[perm] = batched_tagged_sinr(h[perm], xi[perm], SNR, rx)
+    permuted[perm] = batched_tagged_sinr(h[perm], xi[perm], SNR, rx, gamma_t)
     np.testing.assert_array_equal(permuted, whole)
-    split = np.concatenate([batched_tagged_sinr(h[a:z], xi[a:z], SNR, rx)
+    split = np.concatenate([batched_tagged_sinr(h[a:z], xi[a:z], SNR, rx, gamma_t)
                             for a, z in [(0, 1), (1, 13), (13, 41), (41, 60)]])
     np.testing.assert_array_equal(split, whole)
 
@@ -738,3 +745,91 @@ def test_batched_matches_reference_on_near_dependent_columns(family, m, n):
                         continue
                     assert got[i] == pytest.approx(ref, rel=1e-6, abs=1e-12), (
                         f"{rx.label} eps={eps} {snr_db} dB draw {i}")
+
+
+# ---------------------------------------------------------------------------
+# Outage decisions: batched_tagged_sinr with gamma_t
+# ---------------------------------------------------------------------------
+
+def matched_filter_bound(h, xi, snr, family):
+    """pre xi_0 G_00, user 0's SINR with every interferer removed."""
+    return DIMS[family] * snr * xi[:, 0] * stacked_gram(h)[0, 0].real
+
+
+@pytest.mark.parametrize("family,criterion,sic", ALL_RECEIVERS)
+@pytest.mark.parametrize("stack", ["regular", "near"])
+@pytest.mark.parametrize("profile", ["ppc", "lognormal"])
+def test_gamma_t_decides_outage_as_the_exact_sinr_does(family, criterion, sic,
+                                                       stack, profile):
+    # Thresholds at the stack's own exact SINRs put draws on the boundary.
+    # Every draw falls on the side of gamma_T its exact SINR does; a draw
+    # neither exit may take comes out bit-identical, and one below the
+    # matched-filter exit returns its bound.
+    rng = np.random.default_rng(60)
+    m, n = (2, 4) if family == "wl" else (3, 3)
+    h, xi = near_dependent_stack(family, m, n,
+                                 1.0 if stack == "regular" else 1e-7, rng, 80)
+    if profile == "ppc":
+        xi = np.ones_like(xi)
+    else:                                   # 8 dB log-normal shadowing
+        xi = 10.0 ** (0.8 * rng.standard_normal(xi.shape))
+    rx = ReceiverSpec(family, criterion, sic=sic)
+    for snr_db in (5.0, 20.0, 45.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        exact_sinr = batched_tagged_sinr(h, xi, snr, rx)
+        bound = matched_filter_bound(h, xi, snr, family)
+        own = np.unique(exact_sinr[exact_sinr > 0])
+        for gamma_t in [*own[::len(own) // 6 + 1], 3.0, 15.0]:
+            fast = batched_tagged_sinr(h, xi, snr, rx, gamma_t)
+            np.testing.assert_array_equal(fast < gamma_t, exact_sinr < gamma_t)
+            low = bound < gamma_t * (1.0 - DECISION_MARGIN)
+            np.testing.assert_array_equal(fast[low], bound[low])
+            kept = ~low
+            if sic:
+                kept &= fast < gamma_t * (1.0 + DECISION_MARGIN)
+            np.testing.assert_array_equal(fast[kept], exact_sinr[kept])
+
+
+def count_cholesky_rows(monkeypatch):
+    """Record the draws of every Cholesky the kernel runs."""
+    rows = []
+
+    def counted(gram):
+        rows.append(gram.shape[-1])
+        return cholesky_lower(gram)
+
+    monkeypatch.setattr(receivers, "cholesky_lower", counted)
+    return rows
+
+
+@pytest.mark.parametrize("family,criterion,sic", ALL_RECEIVERS)
+def test_matched_filter_exit_skips_the_cholesky(monkeypatch, family,
+                                                criterion, sic):
+    # Received powers near 1e-12, as without power control: every bound
+    # lies far below gamma_T, so every draw is decided before the Cholesky.
+    rng = np.random.default_rng(61)
+    m, n = (2, 4) if family == "wl" else (3, 3)
+    h, xi = near_dependent_stack(family, m, n, 1.0, rng, 50)
+    xi = 1e-12 * xi
+    rx = ReceiverSpec(family, criterion, sic=sic)
+    rows = count_cholesky_rows(monkeypatch)
+    got = batched_tagged_sinr(h, xi, 1e3, rx, 3.0)
+    assert rows == [] and np.all(got < 3.0)
+    batched_tagged_sinr(h, xi, 1e3, rx)
+    assert rows[0] == 50
+
+
+def test_sic_exit_shrinks_the_second_stage(monkeypatch):
+    # PPC WL-ZF-SIC at 60 dB: most tagged users clear gamma_T = 15 at the
+    # first stage, decoded or not, so fewer draws reach the second.
+    rng = np.random.default_rng(62)
+    h, xi = near_dependent_stack("wl", 2, 4, 1.0, rng, 200)
+    xi = np.ones_like(xi)
+    rx = ReceiverSpec("wl", "zf", sic=True)
+    snr = 1e6
+    rows = count_cholesky_rows(monkeypatch)
+    batched_tagged_sinr(h, xi, snr, rx)
+    exact_second = rows[1]
+    rows.clear()
+    batched_tagged_sinr(h, xi, snr, rx, threshold("wl", 2.0))
+    assert rows[0] == 200 and (rows + [0])[1] < exact_second

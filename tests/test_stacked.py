@@ -12,7 +12,8 @@ import pytest
 import exact
 from wlmimo import stacked
 from wlmimo.montecarlo import EstimateError
-from wlmimo.stacked import count_below, kth_eigenvalue
+from wlmimo.stacked import (cholesky_lower, count_below, inverse_diagonal,
+                            kth_eigenvalue, stacked_gram)
 
 
 def bidiagonals(n, draws, seed):
@@ -110,3 +111,18 @@ def test_count_below_refuses_a_zero_pivot():
     with pytest.raises(EstimateError, match="zero pivot"):
         count_below(d2, e2, 1.0)
     np.testing.assert_array_equal(count_below(d2, e2, 1.5), exact_counts(d2, e2, 1.5))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_inverse_diagonal_leading_columns_are_the_full_ones(dtype):
+    # The first `count` entries take the same operations as in the full
+    # diagonal, so they agree bit for bit.
+    rng = np.random.default_rng(36)
+    h = rng.standard_normal((30, 5, 4)).astype(dtype)
+    if dtype is complex:
+        h = h + 1j * rng.standard_normal(h.shape)
+    low = cholesky_lower(stacked_gram(h))[0]
+    full = inverse_diagonal(low)
+    assert full.shape == (30, 4)
+    for count in range(1, 5):
+        np.testing.assert_array_equal(inverse_diagonal(low, count), full[:, :count])
