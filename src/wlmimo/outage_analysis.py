@@ -11,17 +11,19 @@ matrix H'H with n = N, m = 2M) and M - N + 1 for CL.  A rate target R
 translates into the SINR threshold gamma_T = 2^(D R) - 1
 (:func:`wlmimo.receivers.threshold`).
 
-One routine, :func:`gain_for`, gives every receiver's coding gain as
-C = K [E w]^(-1/d), a prefactor K times a d-th moment E w over the
-received-power profile xi, the high-SNR MMSE residual eta, and squared
-entries of Haar-distributed unit vectors.  Under PPC (xi = 1) the moment
+Each receiver's coding gain is written once, as C = K [E w]^(-1/d): a
+prefactor K times a d-th moment E w over the received-power profile xi,
+the high-SNR MMSE residual eta, and squared entries of Haar-distributed
+unit vectors.  One dispatch, :func:`_law`, gives (d, K, moment) for every
+receiver, and one finisher forms C in logs.  Under PPC (xi = 1) the moment
 is exact, with no draws, for every receiver but WL-MMSE-SIC at
 1 < N < gamma_T + 1: closed Gamma ratios, or one numpy tanh-sinh rule
 over the residual's beta-prime law and the minimum of a Haar vector's
-squared entries.  Elsewhere it is Monte Carlo evaluated with a reported
-standard error.  eta is drawn without a channel, from the Bartlett factor
-of the interferers' channel (:func:`residual_interference_samples`), for
-N <= D M users.
+squared entries.  Elsewhere it is a Monte Carlo mean with a reported
+standard error.  :func:`exact_gain` reads the law without a generator and
+:func:`gain_for` with one.  eta is drawn without a channel, from the
+Bartlett factor of the interferers' channel
+(:func:`residual_interference_samples`), for N <= D M users.
 """
 
 from __future__ import annotations
@@ -199,30 +201,6 @@ def asymptote_curve(gain: GainSummary, snr_db) -> np.ndarray:
     return curve
 
 
-def _check_log_gain(log_gain: float) -> None:
-    """Refuse a coding gain e^log_gain outside e^+-700, where floats are normal."""
-    if not -700.0 < log_gain < 700.0:
-        raise EstimateError(f"coding gain e^{log_gain:.6g} is outside the float range")
-
-
-def _gain(d: float, pre: float, w: np.ndarray) -> GainSummary:
-    """C = pre [E w]^(-1/d) from samples w of a d-th moment, with the
-    moment's standard error carried to C.  That comes from w / E w, which
-    cannot overflow where E w does not."""
-    mean = float(w.mean())
-    if mean <= 0:
-        raise EstimateError(
-            "moment estimate vanished; all samples clipped (increase gain_trials "
-            "or the rate target)"
-        )
-    if not mean < math.inf:
-        raise EstimateError(f"moment estimate overflows a float at order d = {d:g}")
-    _check_log_gain(math.log(pre) - math.log(mean) / d)
-    gain = pre * mean ** (-1.0 / d)
-    rel_se = float((w / mean).std(ddof=1)) / math.sqrt(len(w))
-    return GainSummary(d, gain, stderr=gain / d * rel_se)
-
-
 def residual_interference_samples(
     cfg: LinkConfig,
     family: str,
@@ -397,13 +375,6 @@ def _log_min_moment(family: str, n: int, d: float, gamma_t: float) -> float:
     return _log_sum_exp(terms) - log_es
 
 
-def _exact_gain(d: float, pre: float, log_moment: float) -> GainSummary:
-    """C = pre [E w]^(-1/d) from an exact log-moment, with stderr 0."""
-    log_gain = math.log(pre) - log_moment / d
-    _check_log_gain(log_gain)
-    return GainSummary(d, math.exp(log_gain))
-
-
 def _linear_pre(family: str, d: float, gamma_t: float) -> float:
     """K = D (d Gamma(d))^(1/d) / gamma_T of the linear receivers, formed in
     logs so that no Gamma overflows at large d."""
@@ -424,51 +395,20 @@ def _sic_root(family: str, n: int, m_rx: int, d: float) -> float:
     return math.exp((math.lgamma(d + 1.0) + log_mu) / d)
 
 
-def exact_gain(cfg: LinkConfig, rx: ReceiverSpec) -> GainSummary | None:
-    """The one draw-free check of a coding gain.  In either power mode it
-    raises DomainError wherever :func:`gain_for` refuses (N > D M, a rate
-    out of threshold's range, beyond beta1's or an exact moment's M).  Else
-    the gain gain_for returns where its moment is exact, under PPC for every
-    receiver but WL-MMSE-SIC at 1 < N < gamma_T + 1; None where it samples."""
-    n = cfg.n_users
-    d = diversity_order(cfg.m_rx, n, rx.family)
-    gamma_t = threshold(rx.family, cfg.rate)
-    broot = _sic_root(rx.family, n, cfg.m_rx, d) if rx.sic else None
-    if cfg.power_control != "ppc":
-        return None
-    if not rx.sic:
-        pre = _linear_pre(rx.family, d, gamma_t)
-        if rx.criterion == "zf":
-            return GainSummary(d, pre)
-        return _exact_gain(d, pre, _log_mmse_moment(rx.family, n, d, gamma_t))
-    if rx.family == "cl" and rx.criterion == "zf":          # c_n = 1, at every M
-        return _exact_gain(d, broot / gamma_t, _log_complex_min_moment(n, d, 1.0))
-    if rx.criterion == "zf" or n >= gamma_t + 1.0:
-        residual = math.inf if rx.criterion == "zf" else gamma_t    # ZF: c_n = 1
-        return _exact_gain(d, broot / gamma_t, _log_min_moment(rx.family, n, d, residual))
-    if rx.family == "cl" or n == 1:
-        excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)      # 1 - N/(gamma_T+1)
-        return _exact_gain(d, broot / (gamma_t + 1.0),
-                           _log_complex_min_moment(n, d, excess))
-    return None
+@np.errstate(over="ignore")       # an infinite sample is refused by _finish
+def _law(cfg: LinkConfig, rx: ReceiverSpec, trials: int = 0,
+         rng: np.random.Generator | None = None) -> tuple:
+    """(d, K, moment) of a receiver's law C = K [E w]^(-1/d).
 
-
-@np.errstate(over="ignore")       # an infinite sample is refused by _gain
-def gain_for(
-    cfg: LinkConfig,
-    rx: ReceiverSpec,
-    trials: int,
-    rng: np.random.Generator,
-) -> GainSummary:
-    """Diversity d and coding gain C of any receiver spec, WL or CL.
-
-    Every C is K [E w]^(-1/d) for a d-th moment E w; D, d and gamma_T
+    The moment is the exact log E w where it is exact, else the `trials`
+    samples w drawn from `rng`, or None without a generator.  Every
+    refusal (N > D M, a rate out of threshold's range, beyond beta1's or
+    an exact moment's M) comes before the first draw.  D, d and gamma_T
     follow the family (:func:`diversity_order`,
-    :func:`wlmimo.receivers.threshold`).  Under PPC (xi = 1) E w is exact,
-    with stderr 0 and no draws (:func:`exact_gain`), except for WL-MMSE-SIC
-    at 1 < N < gamma_T + 1; otherwise it is the mean of `trials` samples w.
+    :func:`wlmimo.receivers.threshold`); under PPC xi = 1.
 
-    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d.  Under PPC C = K.
+    * ZF: K = D (d Gamma(d))^(1/d) / gamma_T, w = xi^-d, so E w = 1 under
+      PPC.
     * MMSE: the same K, w = ([1/xi - eta/gamma_T]^+)^d.  Under PPC eta is
       beta-prime (:func:`_log_mmse_moment`).
     * SIC (diversity unchanged): K carries b = beta1(N, 2M)^(-1/d) for WL;
@@ -480,41 +420,99 @@ def gain_for(
       (:func:`_log_min_moment` at gamma_T = inf) and closed for CL
       (:func:`_log_complex_min_moment` with nothing subtracted).
     * MMSE-SIC under PPC at N < gamma_T + 1: the bracket form
-      K = b / (gamma_T+1), w = ([min_n v_n^2 - 1/(gamma_T+1)]^+)^d, exact
-      there; as min_n v_n^2 <= 1/N surely, it is positive with positive
-      probability exactly when N < gamma_T + 1.  It is closed for CL and at
-      N = 1, where v_1^2 = 1 on either sphere
-      (:func:`_log_complex_min_moment`).
+      K = b / (gamma_T+1), w = ([min_n v_n^2 - 1/(gamma_T+1)]^+)^d; as
+      min_n v_n^2 <= 1/N surely, it is positive with positive probability
+      exactly when N < gamma_T + 1.  It is closed for CL and at N = 1,
+      where v_1^2 = 1 on either sphere (:func:`_log_complex_min_moment`),
+      and sampled for WL at 1 < N.
     * MMSE-SIC otherwise: the residual-based K = b / gamma_T,
       w = ([vartheta_min]^+)^d with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T),
       exact under PPC (:func:`_log_min_moment`).
 
-    A sampled SIC gain draws the Haar vectors, the profile, then eta if w reads it.
+    A sampled linear gain draws xi, then eta if w reads it; a sampled SIC
+    gain draws the Haar vectors, the profile, then eta if w reads it.
     """
-    check_count("gain trials", trials, MIN_GAIN_TRIALS)
-    if (exact := exact_gain(cfg, rx)) is not None:
-        return exact
     n = cfg.n_users
     d = diversity_order(cfg.m_rx, n, rx.family)
     gamma_t = threshold(rx.family, cfg.rate)
+    ppc = cfg.power_control == "ppc"
+    zf = rx.criterion == "zf"
     if not rx.sic:
         pre = _linear_pre(rx.family, d, gamma_t)
-        if rx.criterion == "zf":
-            return _gain(d, pre, sample_large_scale(cfg, trials, rng) ** (-d))
+        if ppc:
+            return d, pre, 0.0 if zf else _log_mmse_moment(rx.family, n, d, gamma_t)
+        if rng is None:
+            return d, pre, None
         xi = sample_large_scale(cfg, trials, rng)
+        if zf:
+            return d, pre, xi ** (-d)
         eta = residual_interference_samples(cfg, rx.family, trials, rng)
-        return _gain(d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d)
+        return d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d
 
     broot = _sic_root(rx.family, n, cfg.m_rx, d)
+    bracket = ppc and not zf and n < gamma_t + 1.0
+    pre = broot / (gamma_t + 1.0 if bracket else gamma_t)
+    if ppc and rx.family == "cl" and zf:                # c_n = 1, at every M
+        return d, pre, _log_complex_min_moment(n, d, 1.0)
+    if ppc and not bracket:
+        residual = math.inf if zf else gamma_t          # ZF: c_n = 1
+        return d, pre, _log_min_moment(rx.family, n, d, residual)
+    if bracket and (rx.family == "cl" or n == 1):
+        excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)  # 1 - N/(gamma_T+1)
+        return d, pre, _log_complex_min_moment(n, d, excess)
+    if rng is None:
+        return d, pre, None
     kind = "real" if rx.family == "wl" else "complex"
     squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
-    if cfg.power_control == "ppc":
-        # WL-MMSE at 1 < N < gamma_T + 1; a sample with no positive draw refuses
-        bracket = np.min(squared, axis=1) - 1.0 / (gamma_t + 1.0)
-        return _gain(d, broot / (gamma_t + 1.0), np.clip(bracket, 0.0, None) ** d)
+    if bracket:                 # a sample with no positive draw is refused
+        return d, pre, np.clip(np.min(squared, axis=1) - 1.0 / (gamma_t + 1.0),
+                               0.0, None) ** d
     xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
-    if rx.criterion == "zf":
-        return _gain(d, broot / gamma_t, np.min(squared / xi, axis=1) ** d)
+    if zf:
+        return d, pre, np.min(squared / xi, axis=1) ** d
     eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
     vartheta_min = np.min(squared * (1.0 / xi - eta.reshape(trials, n) / gamma_t), axis=1)
-    return _gain(d, broot / gamma_t, np.clip(vartheta_min, 0.0, None) ** d)
+    return d, pre, np.clip(vartheta_min, 0.0, None) ** d
+
+
+def _finish(d: float, pre: float, moment: float | np.ndarray) -> GainSummary:
+    """C = exp(log pre - log E w / d), from an exact log-moment with
+    stderr 0, or from samples w with the moment's standard error carried
+    to C.  That comes from w / E w, which cannot overflow where E w does
+    not.  Refuses a C outside e^+-700, where floats are normal."""
+    rel_se = 0.0
+    if isinstance(moment, np.ndarray):
+        mean = float(moment.mean())
+        if mean <= 0:
+            raise EstimateError(
+                "moment estimate vanished; all samples clipped (increase gain_trials "
+                "or the rate target)"
+            )
+        if not mean < math.inf:
+            raise EstimateError(f"moment estimate overflows a float at order d = {d:g}")
+        rel_se = float((moment / mean).std(ddof=1)) / math.sqrt(len(moment))
+        moment = math.log(mean)
+    log_gain = math.log(pre) - moment / d
+    if not -700.0 < log_gain < 700.0:
+        raise EstimateError(f"coding gain e^{log_gain:.6g} is outside the float range")
+    gain = math.exp(log_gain)
+    return GainSummary(d, gain, stderr=gain / d * rel_se)
+
+
+def exact_gain(cfg: LinkConfig, rx: ReceiverSpec) -> GainSummary | None:
+    """The one draw-free check of a coding gain: in either power mode it
+    refuses (DomainError) every config :func:`gain_for` refuses, then
+    returns the gain gain_for returns where the moment of :func:`_law` is
+    exact, and None where gain_for samples it."""
+    d, pre, moment = _law(cfg, rx)
+    return None if moment is None else _finish(d, pre, moment)
+
+
+def gain_for(cfg: LinkConfig, rx: ReceiverSpec, trials: int,
+             rng: np.random.Generator) -> GainSummary:
+    """Diversity d and coding gain C of any receiver spec, WL or CL, from
+    the law C = K [E w]^(-1/d) of :func:`_law`: exact, with stderr 0 and
+    no draws, where :func:`exact_gain` returns a gain, else from the mean
+    of `trials` samples w drawn from `rng`."""
+    check_count("gain trials", trials, MIN_GAIN_TRIALS)
+    return _finish(*_law(cfg, rx, trials, rng))

@@ -304,10 +304,12 @@ def batched_tagged_sinr(
       so a SIC draw whose stage SINR reaches gamma_t is out of outage, and
       returns that stage SINR.
 
-    The other draws return their exact SINR, bit for bit.  Should the SIC
-    event become error propagation, the rule would read: in outage once a
-    decoded stage SINR is below gamma_t, out of outage once every current
-    stage SINR reaches it.
+    The other draws return their exact SINR, bit for bit.  Without
+    `gamma_t` the exits sit at 0 and inf, where no draw can take them, so
+    every draw returns its exact SINR.  Should the SIC event become error
+    propagation, the rule would read: in outage once a decoded stage SINR
+    is below gamma_t, out of outage once every current stage SINR reaches
+    it.
     """
     h = np.asarray(h)
     xi = np.asarray(xi, dtype=float)
@@ -318,10 +320,10 @@ def batched_tagged_sinr(
     b, _, n = h.shape
     pre, ridge = _scale_and_ridge(xi, snr, rx)
     gram = stacked_gram(h)
-    if gamma_t is not None:
-        bound = pre * xi[:, 0] * gram[0, 0].real      # before the ridge
-        low_side = bound < gamma_t * (1.0 - DECISION_MARGIN)
-        high_side = gamma_t * (1.0 + DECISION_MARGIN)
+    low_cut, high_cut = (0.0, np.inf) if gamma_t is None else \
+        (gamma_t * (1.0 - DECISION_MARGIN), gamma_t * (1.0 + DECISION_MARGIN))
+    bound = pre * xi[:, 0] * gram[0, 0].real          # before the ridge
+    low_side = bound < low_cut
     if ridge is not None:
         step = np.arange(n)
         gram[step, step] += ridge.T
@@ -330,7 +332,7 @@ def batched_tagged_sinr(
     rows = np.arange(b)
     cols = np.arange(n)[None].repeat(b, axis=0)
     tagged = np.empty(b)
-    if gamma_t is not None and np.count_nonzero(low_side) >= GATHER_SHARE * b:
+    if np.count_nonzero(low_side) >= GATHER_SHARE * b:
         go = np.nonzero(~low_side)[0]
         rows = rows[go]
         gram, cols, xi = _keep(gram, cols, xi, go, cols[go])   # every user
@@ -344,7 +346,6 @@ def batched_tagged_sinr(
         # A draw with a pivot at or below PIVOT_RATIO_MIN has near-dependent
         # columns, where the Gram form has lost up to twice the digits of a
         # least-squares solve on H, so it takes the projector form.
-        clear = clear.all(axis=0)
         if not clear.all():
             bad = np.nonzero(~clear)[0]
             sub = np.take_along_axis(h[rows[bad]], cols[bad, None, :], axis=2)
@@ -356,17 +357,14 @@ def batched_tagged_sinr(
             tagged[rows] = gams[:, 0]
             break
         pick = np.argmax(gams, axis=1)    # ties go to the lowest index
-        done = pick == 0
-        if gamma_t is not None:
-            done |= (gams[:, 0] >= high_side) | low_side[rows]
+        done = (pick == 0) | (gams[:, 0] >= high_cut) | low_side[rows]
         tagged[rows[done]] = gams[done, 0]
         go = np.nonzero(~done)[0]
         # Each draw that goes on keeps the k - 1 positions it has not decoded.
         rows = rows[go]
         keep = np.arange(len(gram) - 1)
         gram, cols, xi = _keep(gram, cols, xi, go, keep + (keep >= pick[go, None]))
-    if gamma_t is not None:
-        tagged[low_side] = bound[low_side]
+    tagged[low_side] = bound[low_side]
     return tagged
 
 

@@ -8,8 +8,8 @@ a draw's result does not depend on the rest of the stack.
 
 - :func:`stacked_gram` forms the Gram matrices H* H.
 - :func:`cholesky_lower` factors Hermitian positive definite Grams and
-  flags, per pivot, the draws whose columns are near-dependent
-  (pivot at or below PIVOT_RATIO_MIN times its diagonal entry); callers
+  flags the draws whose columns are near-dependent (a pivot at or
+  below PIVOT_RATIO_MIN times its diagonal entry); callers
   send those draws to least squares on H itself, since there the Gram
   form has lost its accuracy.
 - :func:`inverse_diagonal` turns a factor into the diagonal of G^-1, or
@@ -73,9 +73,9 @@ def cholesky_lower(gram: np.ndarray) -> tuple[list, np.ndarray]:
     """Cholesky G = L L* of (N, N, B) Hermitian Grams, draws last.
 
     Returns L as nested lists, low[i][j] the (B,) entry for j <= i with a
-    real diagonal, and an (N, B) mask: clear[j] marks the draws whose pivot
-    j exceeds PIVOT_RATIO_MIN times G_jj.  A pivot that is not positive
-    leaves NaN in its column and fails the mask.
+    real diagonal, and a (B,) flag: clear marks the draws each of whose
+    pivots j exceeds PIVOT_RATIO_MIN times G_jj.  A pivot that is not
+    positive leaves NaN in its column and fails the flag.
     """
     n = gram.shape[0]
     if np.iscomplexobj(gram):
@@ -84,13 +84,13 @@ def cholesky_lower(gram: np.ndarray) -> tuple[list, np.ndarray]:
     else:
         dot = np.multiply
     low = [[None] * n for _ in range(n)]
-    clear = np.empty((n, gram.shape[-1]), dtype=bool)
+    clear = np.ones(gram.shape[-1], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for j in range(n):
             pivot = gram[j, j].real.copy()
             for k in range(j):
                 pivot -= abs2(low[j][k])
-            clear[j] = pivot > PIVOT_RATIO_MIN * gram[j, j].real
+            clear &= pivot > PIVOT_RATIO_MIN * gram[j, j].real
             low[j][j] = np.sqrt(pivot)
             for i in range(j + 1, n):
                 acc = gram[i, j].copy()

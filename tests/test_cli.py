@@ -126,9 +126,26 @@ def test_unknown_experiment_lists_valid_names():
         ExperimentConfig(experiment="fig9-nope")
 
 
-def test_experiment_config_rejects_bad_trials():
-    with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="custom", trials=0)
+@pytest.mark.parametrize("experiment, minimum", [
+    ("custom", 1000), ("fig2-wl-outage", 1000), ("fig1-eig-cdf", 1)])
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_zero_trials_are_refused_by_the_runner(tmp_path, capsys, experiment,
+                                               minimum, where):
+    # The config checks only the kind of `trials`; each runner refuses a
+    # count below its own minimum, before its first draw.
+    ExperimentConfig(experiment, trials=0)
+    options = OUTAGE_RUN if experiment != "fig1-eig-cdf" else {}
+    doc = {"experiment": experiment, "seed": 3, "options": options}
+    named = f"trials must be at least {minimum}, not 0"
+    if where == "config":
+        assert_refused_before_any_draw(tmp_path, capsys, named, {**doc, "trials": 0})
+        return
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {**doc, "trials": 2000, "out-dir": str(out)})
+    assert main(["run", str(p), "--trials", "0"]) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_config_hash_ignores_out_dir_only():
@@ -289,28 +306,28 @@ def test_reruns_are_byte_identical(tmp_path):
 # at seed 2028.  A change that moves a curve on purpose declares the move
 # and updates its row.
 CSV_DIGESTS = {
-    "custom-none-wl-mmse-sic.csv": "8ed96e48b914b5bb",
-    "custom-none-wl-zf.csv": "663dcbfcd440bdbb",
+    "custom-none-wl-mmse-sic.csv": "b0797d6141aecd43",
+    "custom-none-wl-zf.csv": "eb11b5ba18de9ced",
     "fig1-k1-n2-m4.csv": "93c9ad6795596cbf",
     "fig1-k1-n3-m6.csv": "7352c66ba97dfc2a",
     "fig1-k1-n4-m4.csv": "ae7ef0902c887ce7",
     "fig1-k2-n2-m2.csv": "2a303c2e72210e0c",
-    "fig2-none-wl-mmse-sic.csv": "86b99b61da408c49",
-    "fig2-none-wl-mmse.csv": "cabb6183f9f1ad60",
-    "fig2-none-wl-zf-sic.csv": "f5addf4fe7ced4ab",
-    "fig2-none-wl-zf.csv": "321c02b0bd9495ba",
-    "fig2-ppc-wl-mmse-sic.csv": "242be770cb436524",
+    "fig2-none-wl-mmse-sic.csv": "0112c5b89ddcf23c",
+    "fig2-none-wl-mmse.csv": "2395d8c443afcaf6",
+    "fig2-none-wl-zf-sic.csv": "41e8901fd6cd67f3",
+    "fig2-none-wl-zf.csv": "75084ee456ff4d5e",
+    "fig2-ppc-wl-mmse-sic.csv": "46f09a12e8e848a5",
     "fig2-ppc-wl-mmse.csv": "75358fd11cd4895e",
     "fig2-ppc-wl-zf-sic.csv": "e0af3a85f6802607",
-    "fig2-ppc-wl-zf.csv": "b1b44aa3eb559572",
+    "fig2-ppc-wl-zf.csv": "ffbb45c5d691c65e",
     "fig3-a-cl-mmse-sic.csv": "7c8f002a4f35e6a3",
     "fig3-a-cl-mmse.csv": "0b6b3c66edf0cc0d",
     "fig3-a-cl-zf-sic.csv": "0925e79db6bd717f",
     "fig3-a-cl-zf.csv": "5121faed4b1d22c3",
-    "fig3-a-wl-mmse-sic.csv": "04145d89cfc6ed89",
+    "fig3-a-wl-mmse-sic.csv": "11e6a6f988a9a237",
     "fig3-a-wl-mmse.csv": "e7253b231fc3f78a",
     "fig3-a-wl-zf-sic.csv": "bbc497f8320c8be8",
-    "fig3-a-wl-zf.csv": "5327389d8ac3b5b4",
+    "fig3-a-wl-zf.csv": "c8620576e460f0d8",
     "fig3-b-cl-mmse-sic.csv": "081ac3fe10a0f74f",
     "fig3-b-cl-mmse.csv": "adb5a6f64005dd50",
     "fig3-b-cl-zf-sic.csv": "65d2b69e3915adf5",
@@ -318,7 +335,7 @@ CSV_DIGESTS = {
     "fig3-b-wl-mmse-sic.csv": "5894e6b4dcff2337",
     "fig3-b-wl-mmse.csv": "dd212b27c85f01ea",
     "fig3-b-wl-zf-sic.csv": "38589ef604264003",
-    "fig3-b-wl-zf.csv": "24e1471f53600a19",
+    "fig3-b-wl-zf.csv": "3dd432ba1b672964",
     "fig3-c-cl-mmse-sic.csv": "3cc4641594ff6a9b",
     "fig3-c-cl-mmse.csv": "481c80d35307c8ec",
     "fig3-c-cl-zf-sic.csv": "4595301c8aa9e3eb",

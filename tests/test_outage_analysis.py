@@ -18,7 +18,7 @@ from wlmimo.outage_analysis import (
     MMSE_MOMENT_MAX_M,
     RESIDUAL_BATCH,
     GainSummary,
-    _gain,
+    _finish,
     _log_complex_min_moment,
     _log_min_moment,
     _log_mmse_moment,
@@ -714,7 +714,7 @@ def test_sampled_gain_whose_moment_overflows_is_refused(label, n):
 def test_sampled_gain_outside_the_float_range_is_refused():
     # A finite moment of 1e-300 at d = 1/2 gives C = 1e600.
     with pytest.raises(EstimateError, match="outside the float range"):
-        _gain(0.5, 1.0, np.full(4, 1e-300))
+        _finish(0.5, 1.0, np.full(4, 1e-300))
 
 
 def test_sampled_gain_stderr_survives_samples_whose_squares_overflow():

@@ -629,7 +629,7 @@ def gram_per_stage_sic_tagged(h, xi, snr, rx):
             gams = pre * xi / inverse_diagonal(low)
         if ridge is not None:
             gams = np.maximum(gams - 1.0, 0.0)
-        for i in np.nonzero(~clear.all(axis=0))[0]:
+        for i in np.nonzero(~clear)[0]:
             gams[i] = one_draw_projector(h[i], xi[i], pre,
                                          None if ridge is None else ridge[i])
         pick = np.argmax(gams, axis=1)
@@ -678,7 +678,7 @@ def near_stack_and_ridge(family, m, n, eps, snr, criterion, rng, size):
     gram = stacked_gram(h)
     if ridge is not None:
         gram[np.arange(n), np.arange(n)] += ridge.T
-    assert not cholesky_lower(gram)[1].all(axis=0).any()
+    assert not cholesky_lower(gram)[1].any()
     return h, xi, pre, ridge
 
 
