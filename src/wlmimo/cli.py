@@ -15,11 +15,11 @@ Config keys may be written kebab-case or snake_case; they are normalized
 before use and before hashing, and two that normalize alike are refused.
 An experiment's options are the keyword-only parameters of its runner,
 with their defaults; the top-level `trials` is one of them where the
-experiment reads it.  Any other key is
-refused, and so is a value of another kind than its default's.  A runner
-checks every value before its first draw: SNR grids with
-`outage_analysis.snr_grid`, and each coding gain it will form with one
-`outage_analysis.exact_gain` call per curve.  It returns its tables
+experiment reads it.  Any other key is refused, and so is a value of
+another kind than its default's.  A runner checks every value before its
+first draw: SNR grids with `outage_analysis.snr_grid`, and each outage
+link and coding gain it will form with one `outage_analysis.outage_domain`
+and one `outage_analysis.exact_gain` call per curve.  It returns its tables
 without writing anything; `run` forms the config hash before the runner
 draws, and writes the CSVs and then the sidecar once the runner has
 returned.  A value outside a routine's domain raises a `DomainError` where
@@ -51,9 +51,9 @@ from .mmtc_sim import MIN_TTIS, MmtcConfig, run_scenario
 from .montecarlo import (DomainError, EstimateError, check_count, derive_rng,
                          wilson_interval)
 from .outage_analysis import (MIN_GAIN_TRIALS, MIN_TRIALS, asymptote_curve,
-                              diversity_order, exact_gain, gain_for, outage_mc,
+                              exact_gain, gain_for, outage_domain, outage_mc,
                               snr_grid)
-from .receivers import ReceiverSpec, threshold
+from .receivers import ReceiverSpec
 from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalue
 
 __all__ = [
@@ -294,12 +294,10 @@ def _run_outage(cfg: ExperimentConfig, *, trials=100_000, m_rx=2,
              ([receivers] if isinstance(receivers, str) else receivers)]
     names = _distinct("receivers", [rx.label.lower() for rx in specs])
     for rx in specs:
-        if asymptote:
-            for link in links:
+        for link in links:
+            outage_domain(link, rx.family)  # refuses every link outage_mc would
+            if asymptote:
                 exact_gain(link, rx)        # refuses every gain gain_for would
-        else:
-            diversity_order(m_rx, n_users, rx.family)    # refuses N > D M
-            threshold(rx.family, rate)                   # refuses a huge or tiny rate
     header = ["snr_db", "p_out", "ci_lo", "ci_hi"] + ["p_asym"] * asymptote
     tables = {}
     for mode, link in zip(modes, links):

@@ -42,7 +42,7 @@ from .stacked import abs2
 from .wishart_asymptotics import beta1
 
 __all__ = [
-    "diversity_order",
+    "outage_domain",
     "outage_mc",
     "gain_for",
     "exact_gain",
@@ -55,8 +55,10 @@ __all__ = [
 
 # Draws per batch.  Each batch draws its matrix entries, then its power
 # profile, so a change of either constant changes every stream that spans
-# more than one batch.
+# more than one batch.  An outage batch holds OUTAGE_ELEMENTS // (M N) draws
+# if fewer (M N > 32), and one draw at most OUTAGE_ELEMENTS channel entries.
 OUTAGE_BATCH = 1 << 15
+OUTAGE_ELEMENTS = 1 << 20
 RESIDUAL_BATCH = 1 << 14
 # Fewest trials per SNR point outage_mc accepts, and fewest gain samples
 # gain_for accepts (a moment's standard error needs two).
@@ -118,6 +120,17 @@ def snr_grid(snr_db) -> np.ndarray:
     return grid
 
 
+def outage_domain(cfg: LinkConfig, family: str) -> tuple[float, int]:
+    """(gamma_T, draws per batch) of an outage curve, drawing nothing; refuses
+    N > D M, a rate out of threshold's range and M N > OUTAGE_ELEMENTS."""
+    diversity_order(cfg.m_rx, cfg.n_users, family)
+    gamma_t, entries = threshold(family, cfg.rate), cfg.m_rx * cfg.n_users
+    if entries > OUTAGE_ELEMENTS:
+        raise DomainError(f"an outage draw holds at most {OUTAGE_ELEMENTS} channel "
+                          f"entries m_rx n_users, not {entries}")
+    return gamma_t, min(OUTAGE_BATCH, OUTAGE_ELEMENTS // entries)
+
+
 @dataclass(frozen=True)
 class OutageCurve:
     """Tagged-user outage events over an SNR grid, of `trials` draws each;
@@ -128,15 +141,9 @@ class OutageCurve:
     trials: int
 
 
-def outage_mc(
-    rx: ReceiverSpec,
-    cfg: LinkConfig,
-    snr_db,
-    trials: int,
-    rng: np.random.Generator,
-) -> OutageCurve:
-    """Count the tagged user's outage events at each point of an SNR grid;
-    the CLI writes each count as a proportion with its Wilson interval.
+def outage_mc(rx: ReceiverSpec, cfg: LinkConfig, snr_db, trials: int,
+              rng: np.random.Generator) -> OutageCurve:
+    """Count the tagged user's outage events at each point of an SNR grid.
 
     Per draw the channel, the power profile, and (for SIC) the decode order
     are resampled; user 0 is the tagged user (users are exchangeable).
@@ -144,19 +151,19 @@ def outage_mc(
     :func:`wlmimo.receivers.threshold` keeps positive.  The kernel gets the
     threshold and stops each draw once its side is certain
     (:func:`wlmimo.receivers.batched_tagged_sinr`), so the counts are those
-    of the exact SINRs.  The grid is checked by :func:`snr_grid`, and
-    `trials` must lie in [MIN_TRIALS, MAX_COUNT].
+    of the exact SINRs.  The link is checked by :func:`outage_domain`,
+    the grid by :func:`snr_grid`, and `trials` must lie in
+    [MIN_TRIALS, MAX_COUNT].
     """
+    gamma_t, batch = outage_domain(cfg, rx.family)
     snr_db = snr_grid(snr_db)
     check_count("trials", trials, MIN_TRIALS)
-    diversity_order(cfg.m_rx, cfg.n_users, rx.family)    # refuses N > D M
-    gamma_t = threshold(rx.family, cfg.rate)
     counts = np.zeros(len(snr_db), dtype=np.int64)
     for i, point_db in enumerate(snr_db):
         snr = 10.0 ** (point_db / 10.0)
         done = 0
         while done < trials:
-            b = min(OUTAGE_BATCH, trials - done)
+            b = min(batch, trials - done)
             hbar = sample_channel(cfg.m_rx, cfg.n_users, rng, size=b)
             h = wl_transform(hbar) if rx.family == "wl" else hbar
             xi = sample_power_profile(cfg, rng, size=b)
@@ -414,65 +421,59 @@ def _law(cfg: LinkConfig, rx: ReceiverSpec, trials: int = 0,
     * SIC (diversity unchanged): K carries b = beta1(N, 2M)^(-1/d) for WL;
       for CL the complex Wishart constant cancels against E{mu^d}, where
       mu = |v_1|^2 ~ Beta(1, N-1) for v Haar on the complex sphere, so b
-      is closed.  ZF-SIC takes K = b / gamma_T, w = theta_min^d with
-      theta_n = v_n^2 / xi_n over Haar vectors v and independent profiles;
-      under PPC E w is the Haar-minimum integral for WL
-      (:func:`_log_min_moment` at gamma_T = inf) and closed for CL
-      (:func:`_log_complex_min_moment` with nothing subtracted).
-    * MMSE-SIC under PPC at N < gamma_T + 1: the bracket form
-      K = b / (gamma_T+1), w = ([min_n v_n^2 - 1/(gamma_T+1)]^+)^d; as
-      min_n v_n^2 <= 1/N surely, it is positive with positive probability
-      exactly when N < gamma_T + 1.  It is closed for CL and at N = 1,
-      where v_1^2 = 1 on either sphere (:func:`_log_complex_min_moment`),
-      and sampled for WL at 1 < N.
-    * MMSE-SIC otherwise: the residual-based K = b / gamma_T,
-      w = ([vartheta_min]^+)^d with vartheta_n = v_n^2 (1/xi_n - eta_n/gamma_T),
-      exact under PPC (:func:`_log_min_moment`).
+      is closed.  ZF-SIC: K = b / gamma_T, w = (min_n v_n^2 / xi_n)^d;
+      under PPC the Haar-minimum integral for WL (:func:`_log_min_moment`
+      at gamma_T = inf), closed for CL (:func:`_log_complex_min_moment`).
+    * MMSE-SIC: K = b / gamma_T,
+      w = ([min_n v_n^2 (1/xi_n - eta_n/gamma_T)]^+)^d, exact under PPC
+      (:func:`_log_min_moment`) but at N < gamma_T + 1.  There the PPC
+      bracket takes K = b / (gamma_T+1), w = ([min_n v_n^2 - 1/(gamma_T+1)]^+)^d,
+      positive with positive probability exactly then, as
+      min_n v_n^2 <= 1/N; closed for CL and at N = 1, where v_1^2 = 1
+      (:func:`_log_complex_min_moment`), and sampled for WL at 1 < N.
 
-    A sampled linear gain draws xi, then eta if w reads it; a sampled SIC
-    gain draws the Haar vectors, the profile, then eta if w reads it.
+    Every sampled w is one law over the users it reads (the tagged one
+    for a linear receiver, all N for SIC): w = ([min_n u_n c_n - c_0]^+)^d
+    with u_n = v_n^2 (SIC) or 1, c_n = 1/xi_n - eta_n/gamma_T (eta = 0 for
+    ZF and the bracket) and c_0 = 1/(gamma_T+1) for the bracket, else 0.
+    It draws the Haar vectors, then those users' profile (the stream of
+    :func:`wlmimo.link_model.sample_power_profile`), then their eta.
     """
     n = cfg.n_users
     d = diversity_order(cfg.m_rx, n, rx.family)
     gamma_t = threshold(rx.family, cfg.rate)
     ppc = cfg.power_control == "ppc"
     zf = rx.criterion == "zf"
+    bracket = ppc and rx.sic and not zf and n < gamma_t + 1.0
     if not rx.sic:
         pre = _linear_pre(rx.family, d, gamma_t)
         if ppc:
             return d, pre, 0.0 if zf else _log_mmse_moment(rx.family, n, d, gamma_t)
-        if rng is None:
-            return d, pre, None
-        xi = sample_large_scale(cfg, trials, rng)
-        if zf:
-            return d, pre, xi ** (-d)
-        eta = residual_interference_samples(cfg, rx.family, trials, rng)
-        return d, pre, np.clip(1.0 / xi - eta / gamma_t, 0.0, None) ** d
-
-    broot = _sic_root(rx.family, n, cfg.m_rx, d)
-    bracket = ppc and not zf and n < gamma_t + 1.0
-    pre = broot / (gamma_t + 1.0 if bracket else gamma_t)
-    if ppc and rx.family == "cl" and zf:                # c_n = 1, at every M
-        return d, pre, _log_complex_min_moment(n, d, 1.0)
-    if ppc and not bracket:
-        residual = math.inf if zf else gamma_t          # ZF: c_n = 1
-        return d, pre, _log_min_moment(rx.family, n, d, residual)
-    if bracket and (rx.family == "cl" or n == 1):
-        excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)  # 1 - N/(gamma_T+1)
-        return d, pre, _log_complex_min_moment(n, d, excess)
+    else:
+        broot = _sic_root(rx.family, n, cfg.m_rx, d)
+        pre = broot / (gamma_t + 1.0 if bracket else gamma_t)
+        if ppc and rx.family == "cl" and zf:            # c_n = 1, at every M
+            return d, pre, _log_complex_min_moment(n, d, 1.0)
+        if ppc and not bracket:
+            residual = math.inf if zf else gamma_t      # ZF: c_n = 1
+            return d, pre, _log_min_moment(rx.family, n, d, residual)
+        if bracket and (rx.family == "cl" or n == 1):
+            excess = (gamma_t + 1.0 - n) / (gamma_t + 1.0)  # 1 - N/(gamma_T+1)
+            return d, pre, _log_complex_min_moment(n, d, excess)
     if rng is None:
         return d, pre, None
-    kind = "real" if rx.family == "wl" else "complex"
-    squared = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
-    if bracket:                 # a sample with no positive draw is refused
-        return d, pre, np.clip(np.min(squared, axis=1) - 1.0 / (gamma_t + 1.0),
-                               0.0, None) ** d
-    xi = sample_power_profile(cfg, rng, size=trials)     # (trials, N)
-    if zf:
-        return d, pre, np.min(squared / xi, axis=1) ** d
-    eta = residual_interference_samples(cfg, rx.family, trials * n, rng)
-    vartheta_min = np.min(squared * (1.0 / xi - eta.reshape(trials, n) / gamma_t), axis=1)
-    return d, pre, np.clip(vartheta_min, 0.0, None) ** d
+    shape = (trials, n if rx.sic else 1)
+    u, xi, eta = 1.0, 1.0, 0.0          # under PPC only the bracket is sampled
+    if rx.sic:
+        kind = "real" if rx.family == "wl" else "complex"
+        u = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
+    if not ppc:
+        xi = sample_large_scale(cfg, math.prod(shape), rng).reshape(shape)
+    if not (ppc or zf):
+        eta = residual_interference_samples(cfg, rx.family, xi.size, rng).reshape(shape)
+    c0 = 1.0 / (gamma_t + 1.0) if bracket else 0.0
+    theta = np.min(u * (1.0 / xi - eta / gamma_t), axis=1) - c0
+    return d, pre, np.clip(theta, 0.0, None) ** d     # all zeros: _finish refuses
 
 
 def _finish(d: float, pre: float, moment: float | np.ndarray) -> GainSummary:

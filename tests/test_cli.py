@@ -785,6 +785,27 @@ def test_main_at_200_antennas_writes_a_finite_asymptote_or_refuses(
     assert all(math.isfinite(v) for v in p_asym) and p_asym[0] > 0
 
 
+@pytest.mark.parametrize("asymptote", [False, True])
+def test_main_refuses_a_link_too_large_to_draw_before_any_stream(
+        tmp_path, capsys, monkeypatch, asymptote):
+    # One draw of M N channel entries must fit OUTAGE_ELEMENTS; at M = 10^15
+    # the array cannot even be shaped.  Each (mode, receiver) is checked
+    # with or without asymptotes, before any stream is derived.
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "custom", "seed": 3, "trials": 1000, "out-dir": str(out),
+        "options": {"m-rx": 10**15, "asymptote": asymptote,
+                    "power-control": ["none", "ppc"], "receivers": ["wl-zf"]}})
+    streams = []
+    monkeypatch.setattr("wlmimo.cli.derive_rng",
+                        lambda *key: streams.append(key) or derive_rng(*key))
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"custom: an outage draw holds at most 1048576 channel "
+                            f"entries m_rx n_users, not {4 * 10**15}\n")
+    assert captured.out == "" and streams == [] and not out.exists()
+
+
 @pytest.mark.parametrize("experiment, options, named", [
     # beta1 bounds a WL-SIC gain in either power mode.
     ("custom", {"m-rx": 33, "n-users": 2, "power-control": "none",

@@ -16,6 +16,8 @@ from wlmimo.outage_analysis import (
     MIN_GAIN_TRIALS,
     MIN_MOMENT_MAX_M,
     MMSE_MOMENT_MAX_M,
+    OUTAGE_BATCH,
+    OUTAGE_ELEMENTS,
     RESIDUAL_BATCH,
     GainSummary,
     _finish,
@@ -26,6 +28,7 @@ from wlmimo.outage_analysis import (
     diversity_order,
     exact_gain,
     gain_for,
+    outage_domain,
     outage_mc,
     residual_interference_samples,
 )
@@ -140,6 +143,38 @@ def test_outage_mc_validates_inputs():
     with pytest.raises(ValueError):
         outage_mc(ReceiverSpec("cl", "zf"), ppc_cfg(2, 4, 1.0), [10.0],
                   2_000, rng)
+
+
+@pytest.mark.parametrize("m, n, batch", [
+    (2, 2, OUTAGE_BATCH), (8, 4, OUTAGE_BATCH),         # M N <= 32: whole batches
+    (6, 11, OUTAGE_ELEMENTS // 66), (1024, 1024, 1),
+])
+def test_outage_domain_bounds_each_batch(m, n, batch):
+    assert outage_domain(LinkConfig(m, n, 1.0, 2.0), "wl") == \
+        (threshold("wl", 2.0), batch)
+
+
+@pytest.mark.parametrize("m, n", [(10**15, 4), (1024, 1025)])
+def test_outage_mc_refuses_a_link_too_large_to_draw(m, n):
+    # At M = 10^15 sample_channel cannot shape the array; the refusal
+    # comes before the first draw.
+    rng = derive_rng(0, "link")
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match=f"channel entries m_rx n_users, not {m * n}"):
+        outage_mc(ReceiverSpec("wl", "zf"), LinkConfig(m, n, 1.0, 2.0), [10.0],
+                  1000, rng)
+    assert rng.bit_generator.state == state
+
+
+def test_outage_mc_draws_batches_of_the_declared_size(monkeypatch):
+    # With room for 64 entries, a 2 x 3 link takes 10 draws per batch.
+    monkeypatch.setattr(outage_analysis, "OUTAGE_ELEMENTS", 64)
+    sizes, draw = [], outage_analysis.sample_channel
+    monkeypatch.setattr(outage_analysis, "sample_channel", lambda *args, size:
+                        sizes.append(size) or draw(*args, size=size))
+    curve = outage_mc(ReceiverSpec("wl", "zf"), ppc_cfg(2, 3, 1.0), [10.0, 20.0],
+                      1005, derive_rng(0, "batches"))
+    assert sizes == ([10] * 100 + [5]) * 2 and curve.trials == 1005
 
 
 def test_mmse_outage_never_worse_than_zf():
@@ -418,6 +453,52 @@ def test_uncontrolled_mmse_sic_gain_ignores_a_vanishing_bracket(m, n, family,
                  ReceiverSpec(family, "mmse", sic=True), trials,
                  derive_rng(seed, "custom", "none", label, "gain"))
     assert math.isfinite(g.coding_gain) and g.coding_gain > 0
+
+
+# The five sampled cases of `_law` as (label, power control, M, N, rate):
+# linear ZF and MMSE, ZF-SIC and MMSE-SIC without power control, in both
+# families, and the PPC WL-MMSE-SIC bracket at 1 < N < gamma_T + 1.
+SAMPLED_CASES = [(f"{family}-{kind}", "none", 2, n, 2.0)
+                 for family, n in (("wl", 3), ("cl", 2))
+                 for kind in ("zf", "mmse", "zf-sic", "mmse-sic")]
+SAMPLED_CASES.append(("wl-mmse-sic", "ppc", 2, 3, 2.0))
+
+
+def replay_moment_samples(cfg, rx, trials, rng):
+    """The samples w of `_law`'s docstring, drawn in its documented order
+    with the package samplers: the Haar vectors (SIC), the profile of the
+    users w reads, then eta (MMSE, none mode)."""
+    n, d = cfg.n_users, diversity_order(cfg.m_rx, cfg.n_users, rx.family)
+    gamma_t = threshold(rx.family, cfg.rate)
+    users = n if rx.sic else 1
+    if rx.sic:
+        kind = "real" if rx.family == "wl" else "complex"
+        v2 = np.abs(sample_haar_unit_vector(n, rng, size=trials, kind=kind)) ** 2
+    if cfg.power_control == "ppc":                   # the bracket
+        return np.maximum(v2.min(axis=1) - 1 / (gamma_t + 1), 0.0) ** d
+    xi = sample_large_scale(cfg, trials * users, rng).reshape(trials, users)
+    if rx.criterion == "zf":
+        return (v2 / xi).min(axis=1) ** d if rx.sic else xi[:, 0] ** -d
+    eta = residual_interference_samples(cfg, rx.family, trials * users, rng)
+    c = 1 / xi - eta.reshape(trials, users) / gamma_t
+    return np.maximum((v2 * c).min(axis=1) if rx.sic else c[:, 0], 0.0) ** d
+
+
+@pytest.mark.parametrize("label, power, m, n, rate", SAMPLED_CASES)
+def test_sampled_gains_replay_the_documented_draws(label, power, m, n, rate):
+    # 6000 SIC draws span two residual batches.  C must be K (mean w)^(-1/d)
+    # of the replayed samples, and both generators must end in one state.
+    cfg = LinkConfig(m, n, 1.0, rate, power)
+    family, criterion, *sic = label.split("-")
+    rx = ReceiverSpec(family, criterion, bool(sic))
+    d, pre, moment = outage_analysis._law(cfg, rx)
+    assert moment is None
+    rng, replay = derive_rng(1020, label, power), derive_rng(1020, label, power)
+    g = gain_for(cfg, rx, 6_000, rng)
+    w = replay_moment_samples(cfg, rx, 6_000, replay)
+    assert g.stderr > 0
+    assert g.coding_gain == pytest.approx(pre * w.mean() ** (-1 / d), rel=1e-12)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_gain_for_dispatches_by_spec():
