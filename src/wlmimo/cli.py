@@ -22,10 +22,10 @@ link and coding gain it will form with one `outage_analysis.outage_domain`
 and one `outage_analysis.exact_gain` call per curve.  It returns its tables
 without writing anything; `run` forms the config hash before the runner
 draws, and writes the CSVs and then the sidecar once the runner has
-returned.  A value outside a routine's domain raises a `DomainError` where
-that routine checks it (`ConfigError` is one): one line on stderr, exit
-status 2.  An estimate the draws cannot form (`EstimateError`) is one line
-and exit status 1; any other exception is a fault, a traceback and exit
+returned.  A value outside a routine's domain, a malformed config included,
+raises a `DomainError` where that routine checks it: one line on stderr,
+exit status 2.  An estimate the draws cannot form (`EstimateError`) is one
+line and exit status 1; any other exception is a fault, a traceback and exit
 status 1.  None of these, nor a config the hash cannot dump, writes to the
 output directory.
 """
@@ -58,7 +58,6 @@ from .wishart_asymptotics import beta1, diversity_exponent, sample_kth_eigenvalu
 
 __all__ = [
     "ExperimentConfig",
-    "ConfigError",
     "load_config",
     "normalize_options",
     "config_hash",
@@ -68,10 +67,6 @@ __all__ = [
     "main",
     "EXPERIMENTS",
 ]
-
-
-class ConfigError(DomainError):
-    """Malformed or inconsistent experiment configuration."""
 
 
 @dataclass(frozen=True)
@@ -87,18 +82,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             known = ", ".join(sorted(EXPERIMENTS))
-            raise ConfigError(f"unknown experiment {self.experiment!r}; "
+            raise DomainError(f"unknown experiment {self.experiment!r}; "
                               f"valid names: {known}")
         params = inspect.signature(EXPERIMENTS[self.experiment][0]).parameters
         reads = {key for key, p in params.items() if p.kind is p.KEYWORD_ONLY}
         _option("seed", self.seed, 0)
         if self.trials is not None and "trials" not in reads:
-            raise ConfigError(f"{self.experiment} does not read trials")
+            raise DomainError(f"{self.experiment} does not read trials")
         if self.trials is not None:     # its runner refuses a count below its minimum
             _option("trials", self.trials, 1)
         reads.discard("trials")
         if unknown := sorted(set(self.options) - reads):
-            raise ConfigError(f"{self.experiment} does not read options "
+            raise DomainError(f"{self.experiment} does not read options "
                               f"{unknown}; it reads {sorted(reads)}")
         for key, value in self.options.items():
             _option(key, value, params[key].default)
@@ -113,7 +108,7 @@ def _option(name: str, value, default):
     """`value` if it is of the kind of its runner's `default`: a flag takes
     a bool, a count an int but no bool, a rate a real number, names a string
     or a list (whose names their parser checks), a grid a list of its
-    default's kind.  Else a ConfigError that names the option."""
+    default's kind.  Else a DomainError that names the option."""
     kind = next(k for k, t in _KINDS.items() if isinstance(default, t))
     if kind == "a name" or kind == "a list" and isinstance(default[0], str):
         kind, ok = "a list", isinstance(value, (str, list, tuple))
@@ -125,7 +120,7 @@ def _option(name: str, value, default):
         ok = isinstance(value, _KINDS[kind]) and (
             kind == "true or false" or not isinstance(value, bool))
     if not ok:
-        raise ConfigError(f"{name} must be {kind}, not {value!r}")
+        raise DomainError(f"{name} must be {kind}, not {value!r}")
     return value
 
 
@@ -136,10 +131,10 @@ def normalize_options(obj):
         out, spelled = {}, {}
         for key, val in obj.items():
             if not isinstance(key, str):
-                raise ConfigError(f"config keys must be strings, got {key!r}")
+                raise DomainError(f"config keys must be strings, got {key!r}")
             norm = key.strip().lower().replace("-", "_")
             if norm in spelled:
-                raise ConfigError(f"config keys {spelled[norm]!r} and {key!r} "
+                raise DomainError(f"config keys {spelled[norm]!r} and {key!r} "
                                   f"both spell {norm!r}")
             spelled[norm] = key
             out[norm] = normalize_options(val)
@@ -154,26 +149,26 @@ def load_config(path: str | Path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        raise ConfigError(f"config file not found: {path}") from None
+        raise DomainError(f"config file not found: {path}") from None
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise DomainError(f"cannot read config file {path}: {exc}") from exc
     try:
         raw = yaml.safe_load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        raise ConfigError(f"cannot parse {path}{where}: {exc}") from exc
+        raise DomainError(f"cannot parse {path}{where}: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
+        raise DomainError(f"{path}: top level must be a mapping")
     norm = normalize_options(raw)
     known = {"experiment", "seed", "trials", "out_dir", "options"}
     if extra := set(norm) - known:
-        raise ConfigError(f"{path}: unknown top-level fields {sorted(extra)}")
+        raise DomainError(f"{path}: unknown top-level fields {sorted(extra)}")
     if "experiment" not in norm:
-        raise ConfigError(f"{path}: missing required field 'experiment'")
+        raise DomainError(f"{path}: missing required field 'experiment'")
     options = norm.get("options", {})
     if not isinstance(options, dict):
-        raise ConfigError(f"{path}: 'options' must be a mapping")
+        raise DomainError(f"{path}: 'options' must be a mapping")
     return ExperimentConfig(
         experiment=str(norm["experiment"]).strip().lower().replace("_", "-"),
         seed=norm.get("seed", 1234),
@@ -200,11 +195,11 @@ def parse_receiver(name: str) -> ReceiverSpec:
     parts = name.strip().lower().split("-") if isinstance(name, str) else []
     sic = parts[-1:] == ["sic"]
     if len(parts) - sic != 2:
-        raise ConfigError(f"cannot parse receiver name {name!r}")
+        raise DomainError(f"cannot parse receiver name {name!r}")
     try:
         return ReceiverSpec(family=parts[0], criterion=parts[1], sic=sic)
     except DomainError as exc:
-        raise ConfigError(f"receiver {name!r}: {exc}") from exc
+        raise DomainError(f"receiver {name!r}: {exc}") from exc
 
 
 def _distinct(name: str, values) -> list:
@@ -212,7 +207,7 @@ def _distinct(name: str, values) -> list:
     values = [values] if isinstance(values, str) else list(values)
     for i, value in enumerate(values):
         if value in values[:i]:
-            raise ConfigError(f"{name} names {value!r} twice")
+            raise DomainError(f"{name} names {value!r} twice")
     return values
 
 
@@ -363,7 +358,7 @@ def _run_mmtc(cfg: ExperimentConfig, *, ttis=20_000, m_rx=(1, 2),
     m_list = _distinct("m_rx", m_rx)
     grid = _distinct("user_grid", user_grid)
     if not grid:
-        raise ConfigError("user_grid is empty")
+        raise DomainError("user_grid is empty")
     sweeps = []
     for m in m_list:
         for family, half in MMTC_SCENARIOS:
@@ -475,7 +470,7 @@ def main(argv=None) -> int:
         given = {"seed": args.seed, "trials": args.trials, "out_dir": args.out_dir}
         cfg = replace(load_config(args.config),
                       **{key: v for key, v in given.items() if v is not None})
-    except ConfigError as exc:
+    except DomainError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     try:

@@ -52,6 +52,11 @@ THERMAL_NOISE_DBM_PER_HZ = -174.0
 
 # Fewest slots run_scenario accepts, for stable statistics.
 MIN_TTIS = 1000
+# Largest population and antenna count a scenario accepts.  The occupancy law
+# forms comb(users, mode) exactly; a chunk draws an attenuation per resolvable
+# packet, up to TTI_CHUNK tones D M of them: 0.2 GB at WL M = 2^5.
+MAX_USERS = 2 ** 30
+MAX_M_RX = 2 ** 5
 # Slots simulated per vectorised step.  The chunk length fixes how the
 # occupancy, attenuation and gain draws interleave, so changing it changes results.
 TTI_CHUNK = 4096
@@ -82,6 +87,10 @@ class MmtcConfig(Cell):
             raise DomainError("user count cannot be negative")
         if self.m_rx < 1:
             raise DomainError("need at least one receive antenna")
+        if self.users > MAX_USERS:
+            raise DomainError(f"users must be at most {MAX_USERS}, not {self.users}")
+        if self.m_rx > MAX_M_RX:
+            raise DomainError(f"m_rx must be at most {MAX_M_RX}, not {self.m_rx}")
         if self.family not in DIMS:
             raise DomainError(
                 f"family must be one of {tuple(DIMS)}, not {self.family!r}")
@@ -137,20 +146,15 @@ def half_tti_mode(cfg: MmtcConfig) -> MmtcConfig:
 class MmtcResult:
     """Aggregated outcome of one scenario run: packet counts and throughput."""
 
-    config: MmtcConfig
-    ttis: int
     offered: int
     decoded: int
     dropped_overload: int
     dropped_outage: int
     throughput: float   # bits/s/Hz over the whole system band
-    max_decoded_collision: int
 
     def __post_init__(self):
         if self.decoded + self.dropped_overload + self.dropped_outage != self.offered:
             raise ValueError("packet conservation violated")
-        if self.max_decoded_collision > self.config.capacity:
-            raise ValueError("a decoded tone exceeded the receiver capacity")
 
     @property
     def dropped(self) -> int:
@@ -199,7 +203,6 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
 
     sizes, pmf = _occupancy_pmf(cfg.users, cfg.tx_probability / cfg.tones)
     offered = decoded = dropped_overload = dropped_outage = 0
-    max_decoded_collision = 0
     for start in range(0, ttis, TTI_CHUNK):
         h = np.zeros(max(cap, sizes.max()) + 1, dtype=np.int64)
         h[sizes] = rng.multinomial(min(TTI_CHUNK, ttis - start) * cfg.tones, pmf)
@@ -216,17 +219,12 @@ def run_scenario(cfg: MmtcConfig, ttis: int, rng: np.random.Generator) -> MmtcRe
             outage = int(np.count_nonzero(snr * xi_n * gain < gamma_t))
             dropped_outage += outage
             decoded += xi_n.size - outage
-            if outage < xi_n.size:
-                max_decoded_collision = max(max_decoded_collision, n)
 
     slot_s = cfg.tti_ms / 1000.0
     return MmtcResult(
-        config=cfg,
-        ttis=ttis,
         offered=offered,
         decoded=decoded,
         dropped_overload=dropped_overload,
         dropped_outage=dropped_outage,
         throughput=decoded * cfg.packet_bits / (slot_s * cfg.bandwidth_hz * ttis),
-        max_decoded_collision=max_decoded_collision,
     )

@@ -307,7 +307,7 @@ USER_GRID = tuple(int(round(250 * 2 ** (k / 2))) for k in range(19))
 @pytest.mark.parametrize("m_rx", [1, 2])
 def test_mmtc_supported_user_ordering(m_rx, tmp_path):
     # Runs the CLI's fig4 sweep; every grid point's MmtcResult enforces
-    # packet conservation and the receiver capacity as it is built.
+    # packet conservation as it is built.
     t0 = time.perf_counter()
     run(ExperimentConfig("fig4-mmtc-drop", seed=SEED, out_dir=str(tmp_path),
                          options={"m_rx": [m_rx], "user_grid": list(USER_GRID),
@@ -324,7 +324,7 @@ def test_mmtc_supported_user_ordering(m_rx, tmp_path):
     ok = wl > half > cl > 0 and elapsed <= 600.0
     line = report(ok, f"mMTC supported users (M={m_rx})",
                   f"1% drop target: WL {wl} > CL half-TTI {half} > CL "
-                  f"{cl}; conservation and capacity held at every grid "
+                  f"{cl}; conservation held at every grid "
                   f"point; {elapsed:.0f}s of 600s budget")
     assert ok, line
 

@@ -23,7 +23,6 @@ from wlmimo.cli import (
     EXPERIMENTS,
     FIG1_CASES,
     MMTC_SCENARIOS,
-    ConfigError,
     ExperimentConfig,
     config_hash,
     list_experiments,
@@ -34,7 +33,7 @@ from wlmimo.cli import (
     run,
 )
 from wlmimo.mmtc_sim import MmtcConfig, half_tti_mode, run_scenario
-from wlmimo.montecarlo import derive_rng
+from wlmimo.montecarlo import DomainError, derive_rng
 from wlmimo.wishart_asymptotics import sample_kth_eigenvalue
 
 
@@ -60,19 +59,19 @@ def test_normalize_options_kebab_and_case():
 
 
 def test_normalize_options_rejects_non_string_keys():
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         normalize_options({3: "x"})
 
 
 def test_normalize_options_refuses_two_spellings_of_one_key():
-    with pytest.raises(ConfigError, match="'seed' and 'Seed' both spell 'seed'"):
+    with pytest.raises(DomainError, match="'seed' and 'Seed' both spell 'seed'"):
         normalize_options({"seed": 1, "Seed": 2})
 
 
 def test_load_config_refuses_two_spellings_of_one_option(tmp_path):
     p = write_yaml(tmp_path / "c.yaml", {
         "experiment": "custom", "options": {"gain-trials": 5, "gain_trials": 6}})
-    with pytest.raises(ConfigError, match="'gain-trials' and 'gain_trials'"):
+    with pytest.raises(DomainError, match="'gain-trials' and 'gain_trials'"):
         load_config(p)
 
 
@@ -105,24 +104,24 @@ def test_load_config_accepts_snake_or_kebab_experiment_name(tmp_path):
 
 
 def test_load_config_rejects_unknowns(tmp_path):
-    with pytest.raises(ConfigError, match="unknown top-level"):
+    with pytest.raises(DomainError, match="unknown top-level"):
         load_config(write_yaml(tmp_path / "c.yaml",
                                {"experiment": "custom", "sneed": 3}))
-    with pytest.raises(ConfigError, match="missing required"):
+    with pytest.raises(DomainError, match="missing required"):
         load_config(write_yaml(tmp_path / "c.yaml", {"seed": 3}))
-    with pytest.raises(ConfigError, match="top level must be a mapping"):
+    with pytest.raises(DomainError, match="top level must be a mapping"):
         load_config(write_yaml(tmp_path / "c.yaml", ["a", "b"]))
 
 
 def test_load_config_reports_yaml_position(tmp_path):
     p = tmp_path / "broken.yaml"
     p.write_text("experiment: custom\noptions: {bad\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match=r"line \d+"):
+    with pytest.raises(DomainError, match=r"line \d+"):
         load_config(p)
 
 
 def test_unknown_experiment_lists_valid_names():
-    with pytest.raises(ConfigError, match="fig2-wl-outage"):
+    with pytest.raises(DomainError, match="fig2-wl-outage"):
         ExperimentConfig(experiment="fig9-nope")
 
 
@@ -169,7 +168,7 @@ def test_parse_receiver():
     assert (spec.family, spec.criterion, spec.sic) == ("wl", "zf", False)
     spec = parse_receiver("CL-MMSE-SIC")
     assert (spec.family, spec.criterion, spec.sic) == ("cl", "mmse", True)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         parse_receiver("zf")
 
 
@@ -806,6 +805,28 @@ def test_main_refuses_a_link_too_large_to_draw_before_any_stream(
     assert captured.out == "" and streams == [] and not out.exists()
 
 
+@pytest.mark.parametrize("options, named", [
+    ({"user-grid": [250, 10**15]}, f"users must be at most {2**30}"),
+    ({"m-rx": [1, 10**15]}, f"m_rx must be at most {2**5}"),
+])
+def test_main_refuses_an_mmtc_scenario_too_large_to_draw_before_any_stream(
+        tmp_path, capsys, monkeypatch, options, named):
+    # Every scenario of the sweep is checked before the first stream: the
+    # occupancy law at 10^15 users, or one chunk's counters at M = 10^15,
+    # would not finish or not fit.
+    out = tmp_path / "out"
+    p = write_yaml(tmp_path / "c.yaml", {
+        "experiment": "fig4-mmtc-drop", "seed": 3, "out-dir": str(out),
+        "options": {"ttis": 1000, **options}})
+    streams = []
+    monkeypatch.setattr("wlmimo.cli.derive_rng",
+                        lambda *key: streams.append(key) or derive_rng(*key))
+    assert main(["run", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"fig4-mmtc-drop: {named}, not {10**15}\n"
+    assert captured.out == "" and streams == [] and not out.exists()
+
+
 @pytest.mark.parametrize("experiment, options, named", [
     # beta1 bounds a WL-SIC gain in either power mode.
     ("custom", {"m-rx": 33, "n-users": 2, "power-control": "none",
@@ -906,7 +927,7 @@ def assert_refused_before_any_draw(tmp_path, capsys, named, doc):
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
 def test_experiments_refuse_options_their_runner_does_not_read(experiment):
     reads = keywords(experiment) - {"trials"}
-    with pytest.raises(ConfigError) as err:
+    with pytest.raises(DomainError) as err:
         ExperimentConfig(experiment, options={"n_user": 2})
     assert "'n_user'" in str(err.value)
     assert all(repr(key) in str(err.value) for key in reads)
@@ -916,7 +937,7 @@ def test_experiments_refuse_options_their_runner_does_not_read(experiment):
 @pytest.mark.parametrize("key", ["trials", "cfg", "out"])
 def test_experiments_refuse_a_runner_argument_as_an_option(experiment, key):
     # `trials` is a top-level field; `cfg` and `out` are not options at all.
-    with pytest.raises(ConfigError, match=f"does not read options \\['{key}'\\]"):
+    with pytest.raises(DomainError, match=f"does not read options \\['{key}'\\]"):
         ExperimentConfig(experiment, options={key: 1})
 
 

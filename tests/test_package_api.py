@@ -4,9 +4,10 @@ A library module's `__all__` must list exactly the public names that
 another module of the package, `cli`, or the benchmark (`perfbench/`,
 including the functions its tracer wraps, `layers.LAYERS`) takes from it,
 and the package root binds nothing but `__version__`.  Tests do not count
-as callers.  No handler in the package catches a whole family of errors,
-so none can turn a fault into a refusal.  The checks read the sources;
-they import nothing.
+as callers.  Every name any module's `__all__` lists, `cli`'s included, is
+bound in that module.  No handler in the package catches a whole family of
+errors, so none can turn a fault into a refusal.  The checks read the
+sources; they import nothing.
 """
 
 import ast
@@ -70,6 +71,30 @@ def test_all_lists_exactly_the_names_other_modules_use():
             wrong[path.stem] = {"no caller": sorted(listed - callers),
                                 "not listed": sorted(callers - listed)}
     assert wrong == {}
+
+
+def bound_names(tree: ast.Module) -> set[str]:
+    """The names a module binds at its top level."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return bound
+
+
+def test_every_listed_name_is_bound():
+    # `from wlmimo.<module> import *` fails on a stale `__all__` entry; the
+    # entry modules are held to this too.
+    unbound = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = parse(path)
+        if missing := sorted(set(declared(tree)) - bound_names(tree)):
+            unbound[path.stem] = missing
+    assert unbound == {}
 
 
 def test_package_root_binds_only_the_version():
